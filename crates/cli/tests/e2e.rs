@@ -9,10 +9,20 @@ fn mpriv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mpriv"))
 }
 
-fn demo_csv() -> PathBuf {
-    let dir = std::env::temp_dir().join("mpriv-e2e");
+/// This process's scratch directory. Tests run on parallel threads and
+/// several test processes may run at once, so nothing here is shared.
+fn scratch_dir() -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("mpriv-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.csv");
+    dir
+}
+
+/// Writes the demo table to a file of `test`'s own: rewriting one shared
+/// file while a sibling test's `mpriv` reads it makes that read see an
+/// empty or partial table.
+fn demo_csv(test: &str) -> PathBuf {
+    let path = scratch_dir().join(format!("{test}.csv"));
     std::fs::write(
         &path,
         "name,age,dept\nalice,18,sales\nbob,22,cs\ncarol,22,sales\ndan,26,mgmt\n",
@@ -32,7 +42,11 @@ fn help_succeeds() {
 
 #[test]
 fn profile_runs_on_csv() {
-    let out = mpriv().arg("profile").arg(demo_csv()).output().unwrap();
+    let out = mpriv()
+        .arg("profile")
+        .arg(demo_csv("profile_runs_on_csv"))
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "{}",
@@ -47,7 +61,7 @@ fn profile_runs_on_csv() {
 fn profile_accepts_memory_budget() {
     let out = mpriv()
         .arg("profile")
-        .arg(demo_csv())
+        .arg(demo_csv("profile_accepts_memory_budget"))
         .args(["--budget-mb", "1"])
         .output()
         .unwrap();
@@ -65,7 +79,7 @@ fn profile_accepts_memory_budget() {
 fn audit_with_options() {
     let out = mpriv()
         .args(["audit"])
-        .arg(demo_csv())
+        .arg(demo_csv("audit_with_options"))
         .args(["--policy", "domains", "--rounds", "20", "--epsilon", "1"])
         .output()
         .unwrap();
@@ -77,10 +91,10 @@ fn audit_with_options() {
 
 #[test]
 fn anonymize_writes_output_file() {
-    let out_path = std::env::temp_dir().join("mpriv-e2e").join("anon.csv");
+    let out_path = scratch_dir().join("anonymize_writes_output_file.out.csv");
     let out = mpriv()
         .arg("anonymize")
-        .arg(demo_csv())
+        .arg(demo_csv("anonymize_writes_output_file"))
         .args(["--qi", "1", "--k", "2", "--out"])
         .arg(&out_path)
         .output()

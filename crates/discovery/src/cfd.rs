@@ -5,8 +5,13 @@
 //! all supporting tuples agree on `Y = y`. CFDs implied by a full FD
 //! `X → Y` are excluded by default: they carry no conditional information
 //! beyond the FD, only the (privacy-relevant!) constants.
+//!
+//! Every column's equality codes are computed once and every LHS
+//! partition is built once from them; a pair then costs one scan of the
+//! LHS clusters comparing RHS codes, which yields both the FD verdict
+//! (every cluster constant on Y) and the supported constant clusters.
 
-use mp_metadata::{ConditionalFd, Fd};
+use mp_metadata::ConditionalFd;
 use mp_relation::{Pli, Relation, Result};
 
 /// Options for constant-CFD discovery.
@@ -34,33 +39,47 @@ pub fn discover_cfds(relation: &Relation, config: &CfdConfig) -> Result<Vec<Cond
     if relation.n_rows() == 0 {
         return Ok(out);
     }
-    for lhs in 0..m {
+    // Two rows share a code iff their cells are equal (nulls included), the
+    // equality `Fd::holds` and the constant-cluster test both use.
+    let mut codes = Vec::with_capacity(m);
+    for c in 0..m {
+        codes.push(relation.column(c)?.group_codes());
+    }
+    // The first row of every supported constant cluster of one pair.
+    let mut constant_rows: Vec<usize> = Vec::new();
+    for (lhs, (lhs_codes, n_lhs_codes)) in codes.iter().enumerate() {
         let lhs_col = relation.column(lhs)?;
-        let lhs_pli = Pli::from_typed(lhs_col);
-        for rhs in 0..m {
+        let lhs_pli = Pli::from_codes(lhs_codes, *n_lhs_codes);
+        for (rhs, (rhs_codes, _)) in codes.iter().enumerate() {
             if rhs == lhs {
                 continue;
             }
-            if config.exclude_fd_pairs && Fd::new(lhs, rhs).holds(relation)? {
-                continue;
-            }
-            let rhs_col = relation.column(rhs)?;
+            constant_rows.clear();
+            let mut fd_holds = true;
             for cluster in lhs_pli.clusters() {
-                if cluster.len() < config.min_support {
-                    continue;
-                }
                 let Some((&row0, rest)) = cluster.split_first() else {
                     continue;
                 };
-                let y = rhs_col.value_ref(row0);
-                if rest.iter().all(|&r| rhs_col.value_ref(r) == y) {
-                    out.push(ConditionalFd::constant(
-                        lhs,
-                        lhs_col.value(row0),
-                        rhs,
-                        y.to_value(),
-                    ));
+                let y = rhs_codes.get(row0);
+                if rest.iter().all(|&r| rhs_codes.get(r) == y) {
+                    if cluster.len() >= config.min_support {
+                        constant_rows.push(row0);
+                    }
+                } else {
+                    fd_holds = false;
                 }
+            }
+            if config.exclude_fd_pairs && fd_holds {
+                continue;
+            }
+            let rhs_col = relation.column(rhs)?;
+            for &row0 in &constant_rows {
+                out.push(ConditionalFd::constant(
+                    lhs,
+                    lhs_col.value(row0),
+                    rhs,
+                    rhs_col.value(row0),
+                ));
             }
         }
     }

@@ -5,10 +5,14 @@
 //! maximum `|Δy|` over all tuple pairs with `|Δx| ≤ ε_X`. The DD
 //! `X (ε) → Y (δ)` is informative only when `δ_Y` is substantially smaller
 //! than Y's range — otherwise the "dependency" says nothing.
+//!
+//! Each source attribute is sorted once (`O(n log n)`); every target's
+//! `δ_Y` is then one two-pointer window pass over that order (`O(n)`).
 
 use crate::engine::{DiscoveryContext, ParallelConfig};
 use mp_metadata::DifferentialDep;
-use mp_relation::{AttrKind, Relation, Result};
+use mp_relation::{AttrKind, Column, Relation, Result};
+use std::collections::VecDeque;
 
 /// Options for DD discovery.
 #[derive(Debug, Clone)]
@@ -34,39 +38,121 @@ impl Default for DdConfig {
 pub fn tight_delta(relation: &Relation, lhs: usize, rhs: usize, eps: f64) -> Result<Option<f64>> {
     let xs = relation.column(lhs)?;
     let ys = relation.column(rhs)?;
-    let mut pairs: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(ys.iter())
-        .filter_map(|(x, y)| Some((x.as_f64()?, y.as_f64()?)))
-        .collect();
-    if pairs.len() < 2 {
-        return Ok(None);
-    }
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut delta = 0.0f64;
-    for i in 0..pairs.len() {
-        for j in (i + 1)..pairs.len() {
-            if pairs[j].0 - pairs[i].0 > eps {
-                break;
-            }
-            delta = delta.max((pairs[j].1 - pairs[i].1).abs());
-        }
-    }
-    Ok(Some(delta))
+    let mut pairs = Vec::new();
+    pairs_in_x_order(&sorted_by_x(xs), ys, &mut pairs);
+    Ok(window_delta(&pairs, eps))
 }
 
-fn numeric_range(relation: &Relation, col: usize) -> Result<Option<f64>> {
-    let nums: Vec<f64> = relation
-        .column(col)?
-        .iter()
-        .filter_map(|v| v.as_f64())
+/// `max − min` over the numeric cells of `column` (NaN ignored) when that
+/// spread is positive; `None` for a column without one (no numeric cell,
+/// a single value, or one repeated infinity).
+pub(crate) fn positive_range(column: &Column) -> Option<f64> {
+    let (lo, hi) = (0..column.len())
+        .filter_map(|r| column.f64_at(r))
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+            (lo.min(v), hi.max(v))
+        });
+    let range = hi - lo;
+    (range > 0.0).then_some(range)
+}
+
+/// The rows with a numeric X, as `(x, row)` sorted by `f64::total_cmp`
+/// (row order on ties, as a stable sort of the rows would give).
+fn sorted_by_x(xs: &Column) -> Vec<(f64, usize)> {
+    let mut sorted: Vec<(f64, usize)> = (0..xs.len())
+        .filter_map(|r| Some((xs.f64_at(r)?, r)))
         .collect();
-    if nums.is_empty() {
-        return Ok(None);
+    sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    sorted
+}
+
+/// Refills `pairs` with the `(x, y)` of the rows of `sorted` whose Y is
+/// numeric, in X order.
+fn pairs_in_x_order(sorted: &[(f64, usize)], ys: &Column, pairs: &mut Vec<(f64, f64)>) {
+    pairs.clear();
+    pairs.extend(sorted.iter().filter_map(|&(x, r)| Some((x, ys.f64_at(r)?))));
+}
+
+/// The largest `|Δy|` over the ε-close pairs of `pairs` (sorted by x under
+/// `total_cmp`), or `None` for fewer than two pairs.
+///
+/// Bit-identical to the quadratic definition — pair `i` with every
+/// `j > i` up to the first `x_j − x_i > eps` — on every float input. The
+/// rows ε-close to row `i` form its window `[i, reach(i))`; `reach` never
+/// decreases and any two rows of one window are ε-close themselves, so
+/// the largest `max y − min y` over the windows is the largest `|Δy|`
+/// (rounding is monotone, so the extreme pair of a window gives its
+/// spread exactly). A NaN `|Δy|` is ignored, as `f64::max` ignores it, so
+/// rows with a NaN Y never enter the extremes. A row whose X is a
+/// negative NaN sorts first and is ε-close to every later row (`x − NaN`
+/// is NaN, which never exceeds ε) while those rows need not be close to
+/// each other, so it pairs with the extremes of its suffix instead of
+/// opening a window.
+fn window_delta(pairs: &[(f64, f64)], eps: f64) -> Option<f64> {
+    if pairs.len() < 2 {
+        return None;
     }
-    let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Ok(Some(hi - lo))
+    // Starts at +0.0 and only moves up, so it is never −0.0 or NaN.
+    let mut delta = 0.0f64;
+    let mut raise = |spread: f64| {
+        if spread > delta {
+            delta = spread;
+        }
+    };
+
+    let lead = pairs
+        .iter()
+        .take_while(|(x, _)| x.is_nan() && x.is_sign_negative())
+        .count();
+    // Extremes of the non-NaN Y over the rows after the current one.
+    let mut suffix: Option<(f64, f64)> = None;
+    for (i, &(_, y)) in pairs.iter().enumerate().rev() {
+        if y.is_nan() {
+            continue;
+        }
+        if let (true, Some((lo, hi))) = (i < lead, suffix) {
+            raise((hi - y).abs());
+            raise((y - lo).abs());
+        }
+        suffix = Some(match suffix {
+            Some((lo, hi)) => (lo.min(y), hi.max(y)),
+            None => (y, y),
+        });
+    }
+
+    // Sliding window [i, end) with monotone deques of row positions whose
+    // Y is not NaN: `max_q` holds decreasing Y, `min_q` increasing Y.
+    let mut max_q: VecDeque<usize> = VecDeque::new();
+    let mut min_q: VecDeque<usize> = VecDeque::new();
+    let mut end = lead;
+    for (i, &(xi, _)) in pairs.iter().enumerate().skip(lead) {
+        while let Some(&(x, y)) = pairs.get(end) {
+            if end > i && x - xi > eps {
+                break;
+            }
+            if !y.is_nan() {
+                while max_q.back().is_some_and(|&k| pairs[k].1 <= y) {
+                    max_q.pop_back();
+                }
+                max_q.push_back(end);
+                while min_q.back().is_some_and(|&k| pairs[k].1 >= y) {
+                    min_q.pop_back();
+                }
+                min_q.push_back(end);
+            }
+            end += 1;
+        }
+        while max_q.front().is_some_and(|&k| k < i) {
+            max_q.pop_front();
+        }
+        while min_q.front().is_some_and(|&k| k < i) {
+            min_q.pop_front();
+        }
+        if let (Some(&hi), Some(&lo)) = (max_q.front(), min_q.front()) {
+            raise(pairs[hi].1 - pairs[lo].1);
+        }
+    }
+    Some(delta)
 }
 
 /// Discovers informative differential dependencies between continuous
@@ -76,10 +162,11 @@ pub fn discover_dds(relation: &Relation, config: &DdConfig) -> Result<Vec<Differ
     discover_dds_with(&ctx, config)
 }
 
-/// [`discover_dds`] against a shared [`DiscoveryContext`]: the quadratic
-/// ε-window sweeps — the expensive part — fan out over source attributes
-/// on the context's thread budget, merged in attribute order so the
-/// output is identical to the sequential scan.
+/// [`discover_dds`] against a shared [`DiscoveryContext`]. Each source
+/// attribute is sorted once (`O(n log n)`) and each target costs one
+/// linear window pass over that order (`O(n)`); the source attributes fan
+/// out on the context's thread budget and merge in attribute order, so
+/// the output is identical to the sequential scan.
 pub fn discover_dds_with(
     ctx: &DiscoveryContext<'_>,
     config: &DdConfig,
@@ -89,22 +176,23 @@ pub fn discover_dds_with(
     // Ranges once per attribute, shared by both loop roles.
     let mut ranges: Vec<(usize, f64)> = Vec::new();
     for &c in &continuous {
-        if let Some(range) = numeric_range(relation, c)? {
-            if range > 0.0 {
-                ranges.push((c, range));
-            }
+        if let Some(range) = positive_range(relation.column(c)?) {
+            ranges.push((c, range));
         }
     }
 
     let per_lhs: Vec<Result<Vec<DifferentialDep>>> =
         ctx.par_map(ranges.clone(), |(lhs, range_x)| {
             let eps = config.eps_fraction * range_x;
+            let sorted = sorted_by_x(relation.column(lhs)?);
+            let mut pairs = Vec::with_capacity(sorted.len());
             let mut out = Vec::new();
             for &(rhs, range_y) in &ranges {
                 if lhs == rhs {
                     continue;
                 }
-                let Some(delta) = tight_delta(relation, lhs, rhs, eps)? else {
+                pairs_in_x_order(&sorted, relation.column(rhs)?, &mut pairs);
+                let Some(delta) = window_delta(&pairs, eps) else {
                     continue;
                 };
                 if delta <= config.delta_fraction * range_y {

@@ -8,8 +8,9 @@
 //!   with enough support, check whether the embedded FD `X → Y` holds on
 //!   the matching partition even though it fails globally.
 
+use crate::dd::positive_range;
 use mp_metadata::{ConditionalFd, Fd, MetricFd};
-use mp_relation::{Pli, Relation, Result};
+use mp_relation::{Column, Pli, Relation, Result};
 
 /// Options for MFD discovery.
 #[derive(Debug, Clone)]
@@ -31,34 +32,40 @@ impl Default for MfdConfig {
 }
 
 /// Discovers informative metric FDs between attribute pairs.
+///
+/// Each attribute's partition is built once and each pair costs one scan
+/// of the determinant's clusters over the dependent column, with the
+/// semantics of [`MetricFd::tight_delta`].
 pub fn discover_mfds(relation: &Relation, config: &MfdConfig) -> Result<Vec<MetricFd>> {
     let m = relation.arity();
     let mut out = Vec::new();
     if relation.n_rows() == 0 {
         return Ok(out);
     }
+    // Dependents with a positive numeric range and no text cell (no metric
+    // exists over text).
+    let mut targets: Vec<(usize, f64)> = Vec::new();
     for rhs in 0..m {
-        let nums: Vec<f64> = relation
-            .column(rhs)?
-            .iter()
-            .filter_map(|v| v.as_f64())
-            .collect();
-        if nums.len() < 2 {
-            continue;
+        let ys = relation.column(rhs)?;
+        let numeric = (0..ys.len()).all(|r| ys.is_null(r) || ys.f64_at(r).is_some());
+        if let (true, Some(range)) = (numeric, positive_range(ys)) {
+            targets.push((rhs, range));
         }
-        let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let range = hi - lo;
-        if range <= 0.0 {
-            continue;
-        }
-        for lhs in 0..m {
+    }
+    if targets.is_empty() {
+        return Ok(out);
+    }
+    let mut plis = Vec::with_capacity(m);
+    for lhs in 0..m {
+        plis.push(Pli::from_typed(relation.column(lhs)?));
+    }
+    for (rhs, range) in targets {
+        let ys = relation.column(rhs)?;
+        for (lhs, pli) in plis.iter().enumerate() {
             if lhs == rhs {
                 continue;
             }
-            let Some(delta) = MetricFd::tight_delta(lhs, rhs, relation)? else {
-                continue;
-            };
+            let delta = max_cluster_spread(pli, ys);
             if config.exclude_fds && delta == 0.0 {
                 continue;
             }
@@ -68,6 +75,26 @@ pub fn discover_mfds(relation: &Relation, config: &MfdConfig) -> Result<Vec<Metr
         }
     }
     Ok(out)
+}
+
+/// The largest `max − min` of the numeric Y values within one cluster of
+/// `pli`, over clusters with at least two of them (0 when there are none).
+/// Folds in row order with `f64::min`/`f64::max`, as
+/// [`MetricFd::tight_delta`] does.
+fn max_cluster_spread(pli: &Pli, ys: &Column) -> f64 {
+    let mut delta = 0.0f64;
+    for cluster in pli.clusters() {
+        let (mut count, mut lo, mut hi) = (0usize, f64::INFINITY, f64::NEG_INFINITY);
+        for y in cluster.iter().filter_map(|&r| ys.f64_at(r)) {
+            count += 1;
+            lo = lo.min(y);
+            hi = hi.max(y);
+        }
+        if count >= 2 {
+            delta = delta.max(hi - lo);
+        }
+    }
+    delta
 }
 
 /// Options for variable-CFD discovery.
@@ -165,20 +192,9 @@ pub fn discover_sds(
     let m = relation.arity();
     let mut out = Vec::new();
     for rhs in 0..m {
-        let nums: Vec<f64> = relation
-            .column(rhs)?
-            .iter()
-            .filter_map(|v| v.as_f64())
-            .collect();
-        if nums.len() < 2 {
+        let Some(range) = positive_range(relation.column(rhs)?) else {
             continue;
-        }
-        let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let range = hi - lo;
-        if range <= 0.0 {
-            continue;
-        }
+        };
         for lhs in 0..m {
             if lhs == rhs {
                 continue;

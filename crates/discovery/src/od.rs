@@ -7,7 +7,7 @@
 
 use crate::engine::{DiscoveryContext, ParallelConfig};
 use mp_metadata::{OrderDep, OrderDirection};
-use mp_relation::{Relation, Result, ValueRef};
+use mp_relation::{Column, Relation, Result, ValueRef};
 
 /// Options for OD discovery.
 #[derive(Debug, Clone)]
@@ -27,13 +27,80 @@ impl Default for OdConfig {
     }
 }
 
-fn non_null_constant(relation: &Relation, col: usize) -> Result<bool> {
+/// `true` when `col` holds at most one distinct value over its non-null
+/// rows (the constant-column exclusion of the OD and OFD passes).
+pub(crate) fn non_null_constant(relation: &Relation, col: usize) -> Result<bool> {
     let column = relation.column(col)?;
     let mut non_null = column.iter().filter(|v| !v.is_null());
     let Some(first) = non_null.next() else {
         return Ok(true);
     };
     Ok(non_null.all(|v| v == first))
+}
+
+/// The non-null rows of `xs` sorted by value (row order on ties).
+pub(crate) fn sorted_non_null(xs: &Column) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..xs.len()).filter(|&r| !xs.is_null(r)).collect();
+    order.sort_by(|&a, &b| xs.value_ref(a).cmp(&xs.value_ref(b)));
+    order
+}
+
+/// Which order relations between X and Y one [`sweep`] found to hold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Orders {
+    /// The ascending OD `X ≤ → Y ≤`.
+    pub ascending: bool,
+    /// The descending OD `X ≤ → Y ≥` (only when asked for).
+    pub descending: bool,
+    /// The OFD `X → Y`: the ascending OD with a strict `<` on Y across
+    /// distinct X values.
+    pub strict: bool,
+}
+
+/// One pass of Y along X's sorted non-null rows (`order`, from
+/// [`sorted_non_null`]), skipping rows whose Y is null. Consecutive rows
+/// suffice: X-ties must be Y-ties, and otherwise Y must not fall
+/// (ascending), not rise (descending), or strictly rise (strict). The
+/// pass stops once neither OD can hold; `strict` implies `ascending`.
+pub(crate) fn sweep(xs: &Column, order: &[usize], ys: &Column, descending: bool) -> Orders {
+    let mut o = Orders {
+        ascending: true,
+        descending,
+        strict: true,
+    };
+    let mut prev: Option<(ValueRef<'_>, ValueRef<'_>)> = None;
+    for &r in order {
+        if ys.is_null(r) {
+            continue;
+        }
+        let (x, y) = (xs.value_ref(r), ys.value_ref(r));
+        if let Some((px, py)) = prev {
+            if px == x {
+                if py != y {
+                    o = Orders {
+                        ascending: false,
+                        descending: false,
+                        strict: false,
+                    };
+                }
+            } else {
+                if py > y {
+                    o.ascending = false;
+                }
+                if py < y {
+                    o.descending = false;
+                }
+                if py >= y {
+                    o.strict = false;
+                }
+            }
+            if !o.ascending && !o.descending {
+                break;
+            }
+        }
+        prev = Some((x, y));
+    }
+    o
 }
 
 /// Discovers all pairwise order dependencies of `relation`.
@@ -68,45 +135,16 @@ pub fn discover_ods_with(ctx: &DiscoveryContext<'_>, config: &OdConfig) -> Resul
         }
         // Pre-sort the LHS once per determinant; reuse for all RHS checks.
         let xs = relation.column(lhs)?;
-        let mut order: Vec<usize> = (0..relation.n_rows()).filter(|&r| !xs.is_null(r)).collect();
-        order.sort_by(|&a, &b| xs.value_ref(a).cmp(&xs.value_ref(b)));
-
+        let order = sorted_non_null(xs);
         for (rhs, &rhs_constant) in constant.iter().enumerate() {
             if rhs == lhs || (config.exclude_constant && rhs_constant) {
                 continue;
             }
-            let ys = relation.column(rhs)?;
-            let (mut asc, mut desc) = (true, config.include_descending);
-            let mut prev: Option<(ValueRef<'_>, ValueRef<'_>)> = None;
-            for &r in &order {
-                if ys.is_null(r) {
-                    continue;
-                }
-                let (x, y) = (xs.value_ref(r), ys.value_ref(r));
-                if let Some((px, py)) = prev {
-                    if px == x {
-                        if py != y {
-                            asc = false;
-                            desc = false;
-                        }
-                    } else {
-                        if py > y {
-                            asc = false;
-                        }
-                        if py < y {
-                            desc = false;
-                        }
-                    }
-                    if !asc && !desc {
-                        break;
-                    }
-                }
-                prev = Some((x, y));
-            }
-            if asc {
+            let orders = sweep(xs, &order, relation.column(rhs)?, config.include_descending);
+            if orders.ascending {
                 out.push(OrderDep::ascending(lhs, rhs));
             }
-            if desc {
+            if orders.descending {
                 out.push(OrderDep::descending(lhs, rhs));
             }
         }

@@ -1,11 +1,14 @@
 //! Pairwise ordered-functional-dependency discovery (§IV-E).
 //!
 //! An OFD `X → Y` is the conjunction of the FD and the strict order
-//! condition `t[X] < u[X] ⇒ t[Y] < u[Y]`; discovery checks every ordered
-//! attribute pair with [`OrderedFd::holds`]. Constant columns are excluded
+//! condition `t[X] < u[X] ⇒ t[Y] < u[Y]` — the ascending OD with a strict
+//! `<` across distinct X values — so discovery runs the OD pass's sweep
+//! (one sort per determinant, one linear pass per dependent) with the
+//! exact semantics of [`OrderedFd::holds`]. Constant columns are excluded
 //! (an OFD onto a constant holds only for constant X and says nothing).
 
 use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::od::{non_null_constant, sorted_non_null, sweep};
 use mp_metadata::OrderedFd;
 use mp_relation::{Relation, Result};
 
@@ -18,9 +21,9 @@ pub fn discover_ofds(relation: &Relation, exclude_constant: bool) -> Result<Vec<
     discover_ofds_with(&ctx, exclude_constant)
 }
 
-/// [`discover_ofds`] against a shared [`DiscoveryContext`]: the pairwise
-/// validations fan out over determinants on the context's thread budget,
-/// merged in determinant order.
+/// [`discover_ofds`] against a shared [`DiscoveryContext`]: the
+/// determinants fan out on the context's thread budget, merged in
+/// determinant order.
 pub fn discover_ofds_with(
     ctx: &DiscoveryContext<'_>,
     exclude_constant: bool,
@@ -30,12 +33,7 @@ pub fn discover_ofds_with(
     let mut constant = vec![false; m];
     if exclude_constant {
         for (c, flag) in constant.iter_mut().enumerate() {
-            let col = relation.column(c)?;
-            let mut non_null = col.iter().filter(|v| !v.is_null());
-            *flag = match non_null.next() {
-                None => true,
-                Some(first) => non_null.all(|v| v == first),
-            };
+            *flag = non_null_constant(relation, c)?;
         }
     }
 
@@ -44,13 +42,14 @@ pub fn discover_ofds_with(
         if constant[lhs] {
             return Ok(out);
         }
+        let xs = relation.column(lhs)?;
+        let order = sorted_non_null(xs);
         for (rhs, &rhs_constant) in constant.iter().enumerate() {
             if rhs == lhs || rhs_constant {
                 continue;
             }
-            let ofd = OrderedFd::new(lhs, rhs);
-            if ofd.holds(relation)? {
-                out.push(ofd);
+            if sweep(xs, &order, relation.column(rhs)?, false).strict {
+                out.push(OrderedFd::new(lhs, rhs));
             }
         }
         Ok(out)
