@@ -1,7 +1,13 @@
 //! End-to-end tests of the `mpriv` binary via `std::process`.
 
+use mp_federated::{
+    outcome_matches, run_client_session, ClientConfig, MultiPartySession, Party, RetryConfig,
+};
+use mp_metadata::SharePolicy;
+use mp_observe::NoopRecorder;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mpriv() -> Command {
     // Cargo exposes the binary under test via this env var for integration
@@ -196,4 +202,96 @@ fn simulate_rejects_unknown_fault_name() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+}
+
+#[test]
+fn serve_drive_mode_is_byte_stable() {
+    let run = || {
+        let out = mpriv()
+            .args(["serve", "--sessions", "4", "--rows", "40"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let first = run();
+    assert_eq!(first, run(), "drive-mode stdout must be byte-stable");
+    let text = String::from_utf8_lossy(&first);
+    assert!(text.contains("sessions: 4 completed, 0 aborted"), "{text}");
+    assert!(
+        text.contains("oracle: all 8 outcomes bit-identical to the in-process reference"),
+        "{text}"
+    );
+}
+
+#[test]
+fn serve_daemon_relays_one_session_and_stops_when_stdin_closes() {
+    let mut daemon = mpriv()
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .strip_prefix("serve: listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in banner {banner:?}"))
+        .to_owned();
+
+    // The daemon's own serve data set: the bank × e-commerce pair.
+    let data = mp_datasets::fintech_scenario(40, 42);
+    let parties = [
+        Party::new("bank", data.bank.relation, 0, data.bank.dependencies).unwrap(),
+        Party::new(
+            "ecommerce",
+            data.ecommerce.relation,
+            0,
+            data.ecommerce.dependencies,
+        )
+        .unwrap(),
+    ];
+    let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
+    let salt = 0xF1A7;
+    let reference = MultiPartySession::new(parties.to_vec(), salt)
+        .run_setup(&policies)
+        .unwrap();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = parties
+            .iter()
+            .zip(policies)
+            .enumerate()
+            .map(|(p, (party, policy))| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let cfg = ClientConfig::new(1, p, 2, RetryConfig::default());
+                    run_client_session(addr, &cfg, party, &policy, salt, &NoopRecorder)
+                })
+            })
+            .collect();
+        for (p, client) in clients.into_iter().enumerate() {
+            let outcome = client.join().unwrap().expect("session completes");
+            assert!(
+                outcome_matches(&outcome, p, &reference),
+                "party {p} diverged"
+            );
+        }
+    });
+
+    drop(daemon.stdin.take());
+    let status = daemon.wait().unwrap();
+    let mut report = String::new();
+    stdout.read_to_string(&mut report).unwrap();
+    assert!(status.success(), "daemon exit {status}: {report}");
+    assert!(
+        report.contains("sessions: 1 started, 1 completed, 0 aborted"),
+        "{report}"
+    );
 }

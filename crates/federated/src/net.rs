@@ -552,9 +552,11 @@ pub fn encode_stream(frames: &[SessionFrame]) -> Vec<u8> {
 
 /// A connected stream socket: TCP or (on Unix) a Unix-domain socket.
 ///
-/// The daemon and client only need blocking reads/writes with timeouts;
-/// read timeouts double as the logical tick of the socket transports —
-/// no wall-clock time ever reaches protocol decisions.
+/// Reads block until bytes arrive or the read timeout (one io tick)
+/// expires; the socket client also drains in non-blocking mode. A read
+/// that returns no frame counts as one logical tick of the socket
+/// transports, so no wall-clock value ever reaches a protocol decision.
+/// TCP connections run with `TCP_NODELAY`.
 #[derive(Debug)]
 pub enum SocketStream {
     /// A TCP connection.
@@ -572,7 +574,16 @@ impl SocketStream {
         if let Some(path) = addr.strip_prefix("unix:") {
             return Ok(SocketStream::Unix(UnixStream::connect(path)?));
         }
-        Ok(SocketStream::Tcp(TcpStream::connect(addr)?))
+        Self::tcp(TcpStream::connect(addr)?)
+    }
+
+    /// Wraps a connected TCP stream with Nagle's algorithm off. Every
+    /// frame is awaited by the peer, so holding a small one back to
+    /// coalesce it stalls the exchange until the peer's delayed ACK
+    /// fires (~40 ms on Linux).
+    pub(crate) fn tcp(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(SocketStream::Tcp(stream))
     }
 
     /// Sets the read timeout (the io tick of the socket transports).
@@ -594,7 +605,22 @@ impl SocketStream {
         }
     }
 
-    /// Shuts down both directions; subsequent reads see EOF.
+    /// Switches non-blocking mode: reads on an empty socket then fail
+    /// with `WouldBlock` at once instead of waiting out the read timeout.
+    ///
+    /// The mode belongs to the open socket, so it also switches every
+    /// [`SocketStream::try_clone`] handle. Toggle it only where no other
+    /// thread uses the socket, and restore blocking mode before writing.
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            SocketStream::Tcp(s) => s.set_nonblocking(nonblocking),
+            #[cfg(unix)]
+            SocketStream::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
+    /// Shuts down both directions; subsequent reads see EOF, including
+    /// a read another handle is blocked in.
     pub fn shutdown(&self) -> std::io::Result<()> {
         match self {
             SocketStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
@@ -646,7 +672,8 @@ impl Write for SocketStream {
 pub enum ReadStep {
     /// A complete frame arrived.
     Frame(SessionFrame),
-    /// The read timed out with no complete frame: one io tick elapsed.
+    /// No complete frame: the read timed out (one io tick elapsed), found
+    /// a non-blocking socket empty, or read only part of a frame.
     Tick,
     /// The peer closed the connection.
     Eof,
@@ -670,9 +697,15 @@ impl FramedStream {
         }
     }
 
-    /// The underlying socket (for timeouts and shutdown).
+    /// The underlying socket (for timeouts, blocking mode and shutdown).
     pub fn socket(&self) -> &SocketStream {
         &self.stream
+    }
+
+    /// Bytes read from the socket but not yet decoded into a frame. A
+    /// [`ReadStep::Tick`] that raised this count read part of a frame.
+    pub(crate) fn pending_bytes(&self) -> usize {
+        self.buffer.pending_bytes()
     }
 
     /// Mutable access to the underlying socket. Writing raw bytes here
@@ -692,8 +725,9 @@ impl FramedStream {
     /// One read attempt, bounded by the socket's read timeout.
     ///
     /// Decodes from the buffer first (bytes already read count), then
-    /// performs at most one socket read. A timeout is a [`ReadStep::Tick`]
-    /// — the caller's logical clock; a decode failure is a [`FrameError`].
+    /// performs at most one socket read. A timeout, or `WouldBlock` on a
+    /// non-blocking socket, is a [`ReadStep::Tick`] — the caller's logical
+    /// clock; a decode failure is a [`FrameError`].
     pub fn read_step(&mut self) -> Result<ReadStep, FrameError> {
         if let Some(frame) = self.buffer.next_frame()? {
             return Ok(ReadStep::Frame(frame));
@@ -890,5 +924,97 @@ mod tests {
                 assert!(!r.to_string().is_empty());
             }
         }
+    }
+
+    /// A Unix socket pair: the reading end framed, with a 10 s read
+    /// timeout and in non-blocking mode, and the raw writing end.
+    #[cfg(unix)]
+    fn nonblocking_pair() -> (FramedStream, UnixStream) {
+        let (reader, writer) = UnixStream::pair().unwrap();
+        let reader = SocketStream::Unix(reader);
+        reader
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        reader.set_nonblocking(true).unwrap();
+        (FramedStream::new(reader), writer)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn nonblocking_read_on_empty_socket_ticks_at_once() {
+        let (mut framed, _writer) = nonblocking_pair();
+        // lint: allow(no-wall-clock) reason="the assertion is that a non-blocking read does not wait out the 10 s read timeout; nothing else reads the clock"
+        let start = std::time::Instant::now();
+        assert!(matches!(framed.read_step(), Ok(ReadStep::Tick)));
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a non-blocking read must not wait out the read timeout"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn nonblocking_drain_reads_back_to_back_frames() {
+        let (mut framed, mut writer) = nonblocking_pair();
+        let frames = vec![SessionFrame::Done { party: 0 }, SessionFrame::Complete];
+        writer.write_all(&encode_stream(&frames)).unwrap();
+        let mut drained = Vec::new();
+        while let Ok(ReadStep::Frame(frame)) = framed.read_step() {
+            drained.push(frame);
+        }
+        assert_eq!(drained, frames);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn nonblocking_read_reassembles_a_frame_written_in_halves() {
+        let (mut framed, mut writer) = nonblocking_pair();
+        // Larger than one 64 KiB read, so each half may take several.
+        let frame = SessionFrame::Abort(AbortReason::Protocol("x".repeat(100_000)));
+        let bytes = encode_frame(&frame);
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        writer.write_all(head).unwrap();
+        for _ in 0..4 {
+            assert!(matches!(framed.read_step(), Ok(ReadStep::Tick)));
+        }
+        assert_eq!(
+            framed.pending_bytes(),
+            head.len(),
+            "the half stays buffered"
+        );
+        writer.write_all(tail).unwrap();
+        let mut reassembled = None;
+        for _ in 0..4 {
+            if let Ok(ReadStep::Frame(f)) = framed.read_step() {
+                reassembled = Some(f);
+                break;
+            }
+        }
+        assert_eq!(reassembled, Some(frame));
+        assert_eq!(framed.pending_bytes(), 0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn restored_blocking_mode_waits_again() {
+        let (mut framed, mut writer) = nonblocking_pair();
+        assert!(matches!(framed.read_step(), Ok(ReadStep::Tick)));
+        framed.socket().set_nonblocking(false).unwrap();
+        // The frame is written after a pause, so the read most likely
+        // starts first: a blocking read waits for it, a non-blocking one
+        // would tick at once. Either order passes when the read blocks.
+        let late = std::thread::spawn(move || {
+            // lint: allow(no-wall-clock) reason="the pause only makes a non-blocking read likely to tick first; the assertion holds in either order"
+            std::thread::sleep(Duration::from_millis(100));
+            writer
+                .write_all(&encode_frame(&SessionFrame::Complete))
+                .unwrap();
+            writer
+        });
+        assert!(matches!(
+            framed.read_step(),
+            Ok(ReadStep::Frame(SessionFrame::Complete))
+        ));
+        drop(late.join().unwrap());
     }
 }

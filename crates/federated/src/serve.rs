@@ -13,27 +13,36 @@
 //! the oracle the soak tests check against.
 //!
 //! ```text
-//! client party 0 ──frames──▶ ┌────────────────────────────┐
-//!                            │  per-connection thread      │
-//! client party 1 ──frames──▶ │  Hello → join session       │
-//!                            │  Envelope → route to peer's │
-//!      ...                   │    bounded queue            │
-//! client party k ──frames──▶ │  drain own queue → socket   │
-//!                            └────────────────────────────┘
+//!                     per connection
+//! client party 0 ──▶ ┌ reader thread ───────────────┐
+//!                    │ Hello → join session         │
+//! client party 1 ──▶ │ Envelope → push onto peer's  │
+//!      ...           │   bounded queue              │
+//!                    └──────────────────────────────┘
+//! client party k ◀── ┌ writer thread ───────────────┐
+//!                    │ own queue → socket, woken by │
+//!                    │   each push                  │
+//!                    └──────────────────────────────┘
 //! ```
 //!
 //! **Backpressure.** Every session member owns a bounded outbound queue
 //! ([`BoundedQueue`]); routing a frame into a full queue waits a bounded
 //! number of io ticks and then aborts *that session* with
 //! [`AbortReason::QueueOverflow`]. A stalled session can therefore never
-//! stall another: connection threads only ever block on their own
-//! socket (timeout-bounded) or on a peer queue (tick-bounded).
+//! stall another: a reader blocks only on its own socket
+//! (timeout-bounded) or on a peer queue (tick-bounded), and a writer only
+//! on its own queue or its own socket (write-timeout-bounded). The writer
+//! waits on its queue's condvar, so a routed frame goes out the moment it
+//! is pushed rather than when a read timeout next expires.
 //!
-//! **Time.** No wall clock reaches any decision in this module. Socket
-//! read timeouts define the *io tick*; handshake, idle, backpressure and
-//! drain budgets are all tick counts, derived from the protocol's
-//! [`RetryConfig`] by [`ServeConfig::from_retry`]. (The tick's wall
-//! duration is configuration, set by binaries; the library only counts.)
+//! **Time.** No wall clock reaches any decision in this module. A read
+//! that returns no frame is one *io tick*, bounded by the socket read
+//! timeout; handshake, idle, backpressure and drain budgets are all tick
+//! counts, derived from the protocol's [`RetryConfig`] by
+//! [`ServeConfig::from_retry`]. A read ends as soon as a frame arrives,
+//! so only a tick that waits for nothing lasts the full `io_tick` (as the
+//! host rounds socket timeouts). (That duration is configuration, set by
+//! binaries; the library only counts.)
 //!
 //! **Aborts and shutdown.** Any failure — disconnect, spoofed sender,
 //! queue overflow, idle timeout — aborts the one affected session: the
@@ -43,7 +52,7 @@
 //! with [`AbortReason::ServerShutdown`] and joins every thread.
 
 use crate::multiparty::{MultiAlignment, MultiSetupOutcome};
-use crate::net::{AbortReason, FramedStream, ReadStep, SessionFrame, SocketStream};
+use crate::net::{encode_frame, AbortReason, FramedStream, ReadStep, SessionFrame, SocketStream};
 use crate::party::Party;
 use crate::protocol::{EngineMetrics, PartyEngine, RetryConfig, SetupError};
 use crate::psi::{intersect_all, IdDigest};
@@ -52,6 +61,7 @@ use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::Recorder;
 use mp_relation::{Relation, RelationError};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write;
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -69,7 +79,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 // Bounded queues
 // ---------------------------------------------------------------------
 
-/// A bounded MPSC queue with tick-bounded blocking push.
+/// A bounded MPSC queue with tick-bounded blocking push and pop.
 ///
 /// The unit of backpressure: one per session member, holding the frames
 /// routed *to* that member. `cap` bounds memory per session; the depth
@@ -86,6 +96,7 @@ pub struct BoundedQueue<T> {
 struct QueueInner<T> {
     items: VecDeque<T>,
     max_depth: usize,
+    closed: bool,
 }
 
 impl<T> BoundedQueue<T> {
@@ -95,6 +106,7 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
                 max_depth: 0,
+                closed: false,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -150,14 +162,28 @@ impl<T> BoundedQueue<T> {
         self.writable.notify_all();
     }
 
-    /// Pops without blocking.
-    pub fn pop(&self) -> Option<T> {
-        let mut g = lock(&self.inner);
+    /// Pops the oldest item, waiting until one is pushed. `None` once the
+    /// queue is [closed](Self::close) and empty. Push and close both wake
+    /// the waiter, so it needs no timeout and an idle queue costs no
+    /// wakeups.
+    pub fn pop_wait(&self) -> Option<T> {
+        let mut g = self
+            .readable
+            .wait_while(lock(&self.inner), |q| q.items.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner);
         let item = g.items.pop_front();
         if item.is_some() {
             self.writable.notify_one();
         }
         item
+    }
+
+    /// Marks the queue closed and wakes a waiting
+    /// [`pop_wait`](Self::pop_wait): items still queued are popped as
+    /// usual, then popping returns `None` without waiting.
+    pub fn close(&self) {
+        lock(&self.inner).closed = true;
+        self.readable.notify_all();
     }
 
     /// Current depth.
@@ -219,7 +245,7 @@ impl SocketListener {
     /// Blocks until the next connection.
     pub fn accept(&self) -> std::io::Result<SocketStream> {
         match self {
-            SocketListener::Tcp(l) => Ok(SocketStream::Tcp(l.accept()?.0)),
+            SocketListener::Tcp(l) => SocketStream::tcp(l.accept()?.0),
             #[cfg(unix)]
             SocketListener::Unix(l, _) => Ok(SocketStream::Unix(l.accept()?.0)),
         }
@@ -230,15 +256,20 @@ impl SocketListener {
 // Server
 // ---------------------------------------------------------------------
 
-/// Daemon configuration. All budgets are io-tick counts; the io tick's
-/// wall duration is the read timeout binaries choose.
+/// Daemon configuration. All budgets are io-tick counts; `io_tick` bounds
+/// the wall duration of one tick.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Most parties a session may declare.
     pub max_parties: usize,
     /// Per-member outbound queue capacity (the backpressure bound).
     pub queue_cap: usize,
-    /// Wall duration of one io tick (socket read/condvar wait timeout).
+    /// Longest wall duration of one io tick: the socket read timeout, and
+    /// the wait step of a push into a full queue. A read ends early when
+    /// its frame arrives, so this bounds how long an idle connection takes
+    /// to use up a budget, not how long a frame takes to cross the relay.
+    /// Hosts round socket timeouts up to their timer tick (a 2 ms tick
+    /// waits ~8 ms on a 250 Hz kernel).
     pub io_tick: Duration,
     /// Ticks a fresh connection gets to send its `Hello`.
     pub handshake_ticks: u64,
@@ -361,6 +392,7 @@ struct ServerShared {
     shutdown: AtomicBool,
     ticks: AtomicU64,
     max_queue_depth: AtomicU64,
+    connections: AtomicU64,
     stats: ServeStats,
     metrics: ServeMetrics,
     recorder: Arc<dyn Recorder>,
@@ -377,6 +409,25 @@ impl ServerShared {
             .sessions_completed
             .fetch_add(1, Ordering::Relaxed);
         self.metrics.sessions_completed.inc();
+    }
+
+    /// Counts a connection opening or closing and mirrors the live count
+    /// into the `serve.connections` gauge. The mirror re-reads the count
+    /// after each write, so the last thread to write publishes the final
+    /// count however concurrent opens and closes interleave.
+    fn count_connection(&self, opened: bool) {
+        if opened {
+            self.connections.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.connections.fetch_sub(1, Ordering::SeqCst);
+        }
+        loop {
+            let live = self.connections.load(Ordering::SeqCst);
+            self.metrics.connections.set(live);
+            if self.connections.load(Ordering::SeqCst) == live {
+                break;
+            }
+        }
     }
 
     fn count_frame_in(&self) {
@@ -478,6 +529,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             ticks: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
             stats: ServeStats::default(),
             metrics: ServeMetrics::new(recorder.as_ref()),
             recorder,
@@ -564,13 +616,10 @@ impl Drop for Server {
     }
 }
 
-/// Tears the connection down with a typed abort, best-effort.
-fn refuse(framed: &mut FramedStream, reason: AbortReason) {
-    let _ = framed.write_frame(&SessionFrame::Abort(reason));
-    let _ = framed.socket().shutdown();
-}
-
-/// The per-connection relay loop: handshake, join, route until closed.
+/// Serves one connection: this thread reads and routes, a scoped writer
+/// thread delivers the connection's own queue. Whichever side ends first
+/// wakes the other — the reader by closing the queue, the writer by
+/// shutting the socket down — so teardown never waits out a tick.
 fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
     let _ = stream.set_read_timeout(Some(shared.cfg.io_tick));
     // A stalled reader can block our writes for at most the push budget.
@@ -579,31 +628,65 @@ fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
         .io_tick
         .saturating_mul(shared.cfg.push_ticks.min(u64::from(u32::MAX)) as u32);
     let _ = stream.set_write_timeout(Some(write_cap.max(shared.cfg.io_tick)));
-    let mut framed = FramedStream::new(stream);
+    let Ok(out) = stream.try_clone() else {
+        let _ = stream.shutdown();
+        return;
+    };
 
     let conn_span = shared.recorder.span("serve.connection");
     let _conn_guard = conn_span.enter();
-    shared
-        .metrics
-        .connections
-        .set(shared.metrics.connections.get().saturating_add(1));
+    shared.count_connection(true);
 
-    let outcome = connection_loop(&mut framed, &shared);
-    if let Some(reason) = outcome {
-        refuse(&mut framed, reason);
-    } else {
-        let _ = framed.socket().shutdown();
-    }
-    shared
-        .metrics
-        .connections
-        .set(shared.metrics.connections.get().saturating_sub(1));
+    let queue = Arc::new(BoundedQueue::new(shared.cfg.queue_cap));
+    let idle = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| write_loop(out, &queue, &idle));
+        // Closes the queue however the reader leaves, unwinding included,
+        // so the writer is done by the time the scope joins it.
+        let _close = CloseOnDrop(&queue);
+        let mut framed = FramedStream::new(stream);
+        if let Some(reason) = connection_loop(&mut framed, &queue, &idle, &shared) {
+            queue.jump_queue(SessionFrame::Abort(reason));
+        }
+    });
+    shared.count_connection(false);
 }
 
-/// Runs the handshake and relay loop. Returns `Some(reason)` when the
-/// *connection itself* must be refused with an abort frame the session
-/// teardown did not already queue, `None` on a clean exit.
-fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<AbortReason> {
+/// Closes a queue when dropped.
+struct CloseOnDrop<'a, T>(&'a BoundedQueue<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The writer half of a connection: sends each frame of `queue` as soon
+/// as it is pushed. Stops after a terminal frame, on a failed write, or
+/// once the queue is closed and empty, then shuts the socket down — which
+/// the reader sees as end-of-stream.
+fn write_loop(mut out: SocketStream, queue: &BoundedQueue<SessionFrame>, idle: &AtomicU64) {
+    while let Some(frame) = queue.pop_wait() {
+        idle.store(0, Ordering::Relaxed);
+        let terminal = matches!(frame, SessionFrame::Complete | SessionFrame::Abort(_));
+        if out.write_all(&encode_frame(&frame)).is_err() || terminal {
+            break;
+        }
+    }
+    let _ = out.shutdown();
+}
+
+/// The reader half of a connection: handshake, join, then read and route
+/// until end-of-stream. Returns `Some(reason)` when the connection must
+/// be refused with an abort frame no session teardown queued, `None`
+/// otherwise. `idle` counts ticks without a frame in either direction;
+/// the writer resets it too.
+fn connection_loop(
+    framed: &mut FramedStream,
+    my_queue: &Arc<BoundedQueue<SessionFrame>>,
+    idle: &AtomicU64,
+    shared: &ServerShared,
+) -> Option<AbortReason> {
     // -- Handshake: one Hello within the handshake budget. ------------
     let mut ticks = 0u64;
     let (session_id, party, n_parties) = loop {
@@ -651,7 +734,6 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
     let party_ix = party as usize;
 
     // -- Join the session registry. ------------------------------------
-    let my_queue = Arc::new(BoundedQueue::new(shared.cfg.queue_cap));
     let session = {
         let mut sessions = lock(&shared.sessions);
         let session = Arc::clone(
@@ -677,7 +759,7 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
                 "party {party} already joined"
             )));
         }
-        *slot = Some(Arc::clone(&my_queue));
+        *slot = Some(Arc::clone(my_queue));
         s.live += 1;
         if s.live == s.n {
             s.phase = SessionPhase::Running;
@@ -696,148 +778,38 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
         session
     };
 
-    // -- Relay loop. ----------------------------------------------------
-    let mut idle = 0u64;
-    let mut shutdown_ticks = 0u64;
-    let mut clean_exit = false;
+    // -- Relay: read and route until end-of-stream. The writer shuts the
+    //    socket down after the terminal frame, which ends this loop. ----
+    let mut shutdown_steps = 0u64;
     loop {
-        let mut progressed = false;
-
-        // Drain own outbound queue to the socket.
-        while let Some(frame) = my_queue.pop() {
-            progressed = true;
-            let terminal = matches!(frame, SessionFrame::Complete | SessionFrame::Abort(_));
-            if framed.write_frame(&frame).is_err() {
-                shared.abort_session(&session, AbortReason::PeerDisconnected { party });
-                break;
-            }
-            if terminal {
-                clean_exit = true;
-                break;
-            }
-        }
-        if clean_exit {
-            break;
-        }
-
-        // One read step from our client.
         match framed.read_step() {
             Ok(ReadStep::Frame(frame)) => {
-                progressed = true;
+                idle.store(0, Ordering::Relaxed);
                 shared.count_frame_in();
-                match frame {
-                    SessionFrame::Envelope(env) => {
-                        if env.from as u64 != party {
-                            shared.count_spoof_rejected();
-                            shared.abort_session(
-                                &session,
-                                AbortReason::Spoofed {
-                                    claimed: env.from as u64,
-                                },
-                            );
-                            continue;
-                        }
-                        let target = {
-                            let s = lock(&session);
-                            if s.phase != SessionPhase::Running {
-                                None
-                            } else {
-                                s.members
-                                    .get(env.to)
-                                    .and_then(Option::as_ref)
-                                    .map(Arc::clone)
-                            }
-                        };
-                        let Some(target) = target else {
-                            // Closed session or unknown recipient: the
-                            // teardown frames are already on our queue.
-                            continue;
-                        };
-                        let to = env.to as u64;
-                        let ok = target.push_bounded(
-                            SessionFrame::Envelope(env),
-                            shared.cfg.io_tick,
-                            shared.cfg.push_ticks,
-                        );
-                        shared.note_depth(target.depth());
-                        if ok {
-                            shared.count_frame_routed();
-                        } else {
-                            shared
-                                .abort_session(&session, AbortReason::QueueOverflow { party: to });
-                        }
-                    }
-                    SessionFrame::Done { party: done_party } => {
-                        if done_party != party {
-                            shared.abort_session(
-                                &session,
-                                AbortReason::Spoofed {
-                                    claimed: done_party,
-                                },
-                            );
-                            continue;
-                        }
-                        let mut s = lock(&session);
-                        if let Some(flag) = s.done.get_mut(party_ix) {
-                            *flag = true;
-                        }
-                        if s.phase == SessionPhase::Running && s.done.iter().all(|&d| d) {
-                            s.phase = SessionPhase::Closed;
-                            shared.count_session_completed();
-                            for q in s.members.iter().flatten() {
-                                // Completion may not skip queued acks, so
-                                // it takes the normal (bounded) path; on
-                                // overflow the abort jumps the queue.
-                                if !q.try_push(SessionFrame::Complete) {
-                                    q.jump_queue(SessionFrame::Complete);
-                                }
-                            }
-                        }
-                    }
-                    SessionFrame::Abort(reason) => {
-                        shared.abort_session(&session, reason);
-                    }
-                    SessionFrame::Hello { .. }
-                    | SessionFrame::Welcome { .. }
-                    | SessionFrame::Complete => {
-                        shared.abort_session(
-                            &session,
-                            AbortReason::Protocol(format!(
-                                "unexpected {} frame mid-session",
-                                frame.kind()
-                            )),
-                        );
-                    }
-                }
+                route_frame(frame, party, &session, shared);
             }
             Ok(ReadStep::Tick) => {
                 shared.note_tick();
+                if idle.fetch_add(1, Ordering::Relaxed) + 1 >= shared.cfg.idle_ticks {
+                    shared.abort_session(&session, AbortReason::IdleTimeout);
+                }
             }
             Ok(ReadStep::Eof) => {
-                // Disconnect before Complete/Abort reached us: if the
-                // session is still live this is a mid-session crash.
-                let live = lock(&session).phase != SessionPhase::Closed;
-                if live {
-                    shared.abort_session(&session, AbortReason::PeerDisconnected { party });
-                }
+                // Disconnect before Complete/Abort reached the client: if
+                // the session is still live this is a mid-session crash.
+                shared.abort_session(&session, AbortReason::PeerDisconnected { party });
                 break;
             }
             Err(e) => {
+                // The undecodable bytes stay buffered, so reading on would
+                // only repeat the error; the writer delivers the abort.
                 shared.abort_session(&session, AbortReason::Protocol(e.to_string()));
-            }
-        }
-
-        if progressed {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle >= shared.cfg.idle_ticks {
-                shared.abort_session(&session, AbortReason::IdleTimeout);
+                break;
             }
         }
         if shared.shutdown.load(Ordering::SeqCst) {
-            shutdown_ticks += 1;
-            if shutdown_ticks > shared.cfg.drain_ticks {
+            shutdown_steps += 1;
+            if shutdown_steps > shared.cfg.drain_ticks {
                 shared.abort_session(&session, AbortReason::ServerShutdown);
             }
         }
@@ -859,6 +831,95 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
     None
 }
 
+/// Acts on one frame from `party`'s client: routes an envelope into its
+/// recipient's queue, records a `Done`, or aborts the session on a
+/// spoofed sender or an out-of-place frame.
+fn route_frame(
+    frame: SessionFrame,
+    party: u64,
+    session: &Mutex<SessionState>,
+    shared: &ServerShared,
+) {
+    match frame {
+        SessionFrame::Envelope(env) => {
+            if env.from as u64 != party {
+                shared.count_spoof_rejected();
+                shared.abort_session(
+                    session,
+                    AbortReason::Spoofed {
+                        claimed: env.from as u64,
+                    },
+                );
+                return;
+            }
+            let target = {
+                let s = lock(session);
+                if s.phase != SessionPhase::Running {
+                    None
+                } else {
+                    s.members
+                        .get(env.to)
+                        .and_then(Option::as_ref)
+                        .map(Arc::clone)
+                }
+            };
+            let Some(target) = target else {
+                // Closed session or unknown recipient: the teardown
+                // frames are already on our queue.
+                return;
+            };
+            let to = env.to as u64;
+            let ok = target.push_bounded(
+                SessionFrame::Envelope(env),
+                shared.cfg.io_tick,
+                shared.cfg.push_ticks,
+            );
+            shared.note_depth(target.depth());
+            if ok {
+                shared.count_frame_routed();
+            } else {
+                shared.abort_session(session, AbortReason::QueueOverflow { party: to });
+            }
+        }
+        SessionFrame::Done { party: done_party } => {
+            if done_party != party {
+                shared.abort_session(
+                    session,
+                    AbortReason::Spoofed {
+                        claimed: done_party,
+                    },
+                );
+                return;
+            }
+            let mut s = lock(session);
+            if let Some(flag) = s.done.get_mut(party as usize) {
+                *flag = true;
+            }
+            if s.phase == SessionPhase::Running && s.done.iter().all(|&d| d) {
+                s.phase = SessionPhase::Closed;
+                shared.count_session_completed();
+                for q in s.members.iter().flatten() {
+                    // Completion may not skip queued acks, so it takes
+                    // the normal (bounded) path; on overflow the abort
+                    // jumps the queue.
+                    if !q.try_push(SessionFrame::Complete) {
+                        q.jump_queue(SessionFrame::Complete);
+                    }
+                }
+            }
+        }
+        SessionFrame::Abort(reason) => {
+            shared.abort_session(session, reason);
+        }
+        SessionFrame::Hello { .. } | SessionFrame::Welcome { .. } | SessionFrame::Complete => {
+            shared.abort_session(
+                session,
+                AbortReason::Protocol(format!("unexpected {} frame mid-session", frame.kind())),
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------
@@ -872,8 +933,9 @@ pub struct ClientConfig {
     pub party: PartyId,
     /// Total parties in the session.
     pub n_parties: usize,
-    /// Wall duration of one io tick (the read timeout; the client's
-    /// logical clock advances once per tick).
+    /// Longest wall duration of one io tick: the read timeout. A tick
+    /// ends early once a frame arrives; the client's logical clock
+    /// advances once per tick either way.
     pub io_tick: Duration,
     /// Ticks to wait for the server's `Welcome`.
     pub handshake_ticks: u64,
@@ -912,9 +974,11 @@ enum ClientState {
 
 /// A [`Transport`] carrying one party's envelopes over a socket.
 ///
-/// [`Transport::tick`] performs one timeout-bounded read pass — the read
-/// timeout *is* the logical tick, so retransmission timers count io
-/// ticks and no wall-clock value ever reaches a protocol decision.
+/// [`Transport::tick`] is one read pass: it waits for the first bytes at
+/// most until the read timeout, drains whatever else has arrived without
+/// waiting, and returns. A tick therefore ends at the first arrival
+/// (after draining) or at the timeout. Retransmission timers count these
+/// passes, so no wall-clock value ever reaches a protocol decision.
 pub struct SocketTransport {
     framed: FramedStream,
     party: PartyId,
@@ -940,49 +1004,44 @@ impl SocketTransport {
         }
     }
 
-    /// Drains every frame the socket has ready, then returns. Terminal
-    /// frames flip [`ClientState`]; envelopes land in the inbox.
-    fn pump_socket(&mut self) {
-        loop {
-            match self.framed.read_step() {
-                Ok(ReadStep::Frame(SessionFrame::Envelope(env))) => {
-                    self.trace.push(TraceEvent::Delivered {
-                        at: self.now,
-                        env: env.clone(),
-                    });
-                    self.inbox.push_back(env);
-                }
-                Ok(ReadStep::Frame(SessionFrame::Complete)) => {
-                    self.state = ClientState::Complete;
-                    return;
-                }
-                Ok(ReadStep::Frame(SessionFrame::Abort(reason))) => {
-                    if let AbortReason::PeerDisconnected { party } = &reason {
-                        if let Some(flag) = self.crashed.get_mut(*party as usize) {
-                            *flag = true;
-                        }
-                        self.trace.push(TraceEvent::Crashed {
-                            at: self.now,
-                            party: *party as usize,
-                        });
+    /// One read step. Envelopes land in the inbox; terminal frames flip
+    /// [`ClientState`]. `true` when bytes arrived: a whole frame, or part
+    /// of one that stays buffered.
+    fn read_once(&mut self) -> bool {
+        let pending = self.framed.pending_bytes();
+        match self.framed.read_step() {
+            Ok(ReadStep::Frame(SessionFrame::Envelope(env))) => {
+                self.trace.push(TraceEvent::Delivered {
+                    at: self.now,
+                    env: env.clone(),
+                });
+                self.inbox.push_back(env);
+            }
+            Ok(ReadStep::Frame(SessionFrame::Complete)) => {
+                self.state = ClientState::Complete;
+            }
+            Ok(ReadStep::Frame(SessionFrame::Abort(reason))) => {
+                if let AbortReason::PeerDisconnected { party } = &reason {
+                    if let Some(flag) = self.crashed.get_mut(*party as usize) {
+                        *flag = true;
                     }
-                    self.state = ClientState::Aborted(reason);
-                    return;
+                    self.trace.push(TraceEvent::Crashed {
+                        at: self.now,
+                        party: *party as usize,
+                    });
                 }
-                Ok(ReadStep::Frame(_)) => {
-                    // Welcome/Hello/Done mid-run: relay noise; ignore.
-                }
-                Ok(ReadStep::Tick) => return,
-                Ok(ReadStep::Eof) => {
-                    self.state = ClientState::Disconnected;
-                    return;
-                }
-                Err(_) => {
-                    self.state = ClientState::Disconnected;
-                    return;
-                }
+                self.state = ClientState::Aborted(reason);
+            }
+            Ok(ReadStep::Frame(_)) => {
+                // Welcome/Hello/Done mid-run: relay noise; ignore.
+            }
+            Ok(ReadStep::Tick) => return self.framed.pending_bytes() > pending,
+            Ok(ReadStep::Eof) | Err(_) => {
+                self.state = ClientState::Disconnected;
+                return false;
             }
         }
+        true
     }
 }
 
@@ -1006,10 +1065,23 @@ impl Transport for SocketTransport {
         }
     }
 
+    /// Waits at most one io tick for the first bytes, then drains what
+    /// the socket already holds without waiting again — a frame split
+    /// across several reads included — and returns.
     fn tick(&mut self) {
         self.now += 1;
-        if self.state == ClientState::Running {
-            self.pump_socket();
+        if self.state != ClientState::Running || !self.read_once() {
+            return;
+        }
+        // Only this thread touches the socket, and it writes between
+        // ticks, so blocking mode is back before any write.
+        if self.framed.socket().set_nonblocking(true).is_err() {
+            self.state = ClientState::Disconnected;
+            return;
+        }
+        while self.state == ClientState::Running && self.read_once() {}
+        if self.framed.socket().set_nonblocking(false).is_err() {
+            self.state = ClientState::Disconnected;
         }
     }
 
@@ -1228,7 +1300,7 @@ mod tests {
         assert!(!q.try_push(3), "cap enforced");
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop_wait(), Some(1));
         assert!(q.try_push(3));
         assert_eq!(q.max_depth(), 2, "high-water mark sticks");
         assert_eq!(q.cap(), 2);
@@ -1249,8 +1321,64 @@ mod tests {
         assert!(q.try_push(1));
         assert!(q.try_push(2));
         q.jump_queue(9);
-        assert_eq!(q.pop(), Some(9));
-        assert_eq!(q.pop(), None);
+        q.close();
+        assert_eq!(q.pop_wait(), Some(9));
+        assert_eq!(q.pop_wait(), None);
+    }
+
+    #[test]
+    fn pop_wait_returns_an_item_pushed_from_another_thread() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let (popping_tx, popping_rx) = std::sync::mpsc::channel();
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                popping_tx.send(()).unwrap();
+                q.pop_wait()
+            })
+        };
+        popping_rx.recv().unwrap();
+        assert!(q.try_push(7));
+        assert_eq!(popper.join().unwrap(), Some(7), "the push wakes the pop");
+    }
+
+    #[test]
+    fn close_wakes_a_waiting_pop_at_once() {
+        let q = Arc::new(BoundedQueue::<u8>::new(4));
+        let (popping_tx, popping_rx) = std::sync::mpsc::channel();
+        let popper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                popping_tx.send(()).unwrap();
+                q.pop_wait()
+            })
+        };
+        popping_rx.recv().unwrap();
+        q.close();
+        assert_eq!(popper.join().unwrap(), None, "closing wakes the pop");
+        assert_eq!(q.pop_wait(), None, "closed and empty: no wait");
+    }
+
+    #[test]
+    fn closed_queue_still_yields_queued_items() {
+        let q = BoundedQueue::new(4);
+        assert!(q.try_push(1));
+        assert!(q.try_push(2));
+        q.close();
+        assert_eq!(q.pop_wait(), Some(1));
+        assert_eq!(q.pop_wait(), Some(2));
+        assert_eq!(q.pop_wait(), None);
+    }
+
+    #[test]
+    fn close_on_drop_closes_while_unwinding() {
+        let q = BoundedQueue::<u8>::new(4);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _close = CloseOnDrop(&q);
+            panic!("reader unwinds");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(q.pop_wait(), None, "the writer would exit, not wait");
     }
 
     #[test]

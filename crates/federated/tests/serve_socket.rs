@@ -2,9 +2,10 @@
 //! byte-identical to the same seeds through [`PerfectTransport`], and
 //! every injected failure must surface as a typed [`SetupError`].
 //!
-//! No wall-clock time appears here: client/server supervision runs on
-//! io ticks (socket read timeouts), and the tests only ever block on
-//! thread joins.
+//! Client/server supervision runs on io ticks, and the tests only ever
+//! block on thread joins. The wake-on-frame tests read the wall clock
+//! for one thing only: that a session and a shutdown each finish inside
+//! one long io tick, which they cannot if any wait runs to its timeout.
 
 use mp_federated::net::{AbortReason, FramedStream, SessionFrame, SocketStream};
 use mp_federated::{
@@ -13,8 +14,9 @@ use mp_federated::{
 };
 use mp_federated::{small_world_session, Envelope, MsgId, Payload};
 use mp_metadata::SharePolicy;
-use mp_observe::NoopRecorder;
+use mp_observe::{NoopRecorder, Registry};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn start_server() -> Server {
     Server::start(
@@ -34,6 +36,20 @@ fn run_session(
     salt: u64,
 ) -> Vec<Result<PartyOutcome, SetupError>> {
     let n = parties.len();
+    run_clients(addr, parties, policies, salt, |p| {
+        ClientConfig::new(session_id, p, n, RetryConfig::default())
+    })
+}
+
+/// Runs every party concurrently against `addr`, party `p` with
+/// `config(p)`.
+fn run_clients(
+    addr: &str,
+    parties: &[Party],
+    policies: &[SharePolicy],
+    salt: u64,
+    config: impl Fn(usize) -> ClientConfig,
+) -> Vec<Result<PartyOutcome, SetupError>> {
     let handles: Vec<_> = parties
         .iter()
         .zip(policies)
@@ -42,8 +58,8 @@ fn run_session(
             let addr = addr.to_owned();
             let party = party.clone();
             let policy = *policy;
+            let cfg = config(p);
             std::thread::spawn(move || {
-                let cfg = ClientConfig::new(session_id, p, n, RetryConfig::default());
                 run_client_session(&addr, &cfg, &party, &policy, salt, &NoopRecorder)
             })
         })
@@ -128,7 +144,9 @@ fn three_party_socket_session_matches_reference() {
 
 #[test]
 fn concurrent_sessions_all_match_reference() {
-    let server = start_server();
+    let registry = Arc::new(Registry::new());
+    let server = Server::start("127.0.0.1:0", ServeConfig::default(), registry.clone())
+        .expect("bind ephemeral TCP port");
     let addr = server.addr().to_owned();
     let parties = fintech_parties(30, 42);
     let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
@@ -156,6 +174,12 @@ fn concurrent_sessions_all_match_reference() {
     assert!(
         report.max_queue_depth <= 64,
         "queue depth must stay bounded: {report:?}"
+    );
+    // 16 connections opened and closed concurrently: no lost update.
+    assert_eq!(
+        registry.snapshot().gauges.get("serve.connections"),
+        Some(&0),
+        "every connection closed, so the live-connection gauge reads 0"
     );
 }
 
@@ -304,5 +328,65 @@ fn unix_socket_session_matches_reference() {
     }
     let report = server.shutdown();
     assert_eq!(report.sessions_completed, 1);
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+/// One clean two-party session with a 2 s io tick on the relay and on
+/// both clients. Every wait on the path must end when its frame arrives:
+/// a relay hop or client tick that waited out its timeout would cost
+/// the whole tick, and a retransmission would show in the frame counts.
+fn session_ends_inside_one_tick(addr: &str) {
+    let io_tick = Duration::from_secs(2);
+    let cfg = ServeConfig {
+        io_tick,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(addr, cfg, Arc::new(NoopRecorder)).expect("bind relay");
+    let parties = fintech_parties(40, 42);
+    let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
+    let want = reference(&parties, &policies, 5);
+
+    // lint: allow(no-wall-clock) reason="the test asserts the session ends inside one io tick; the clock never reaches the relay or the clients"
+    let start = Instant::now();
+    let got = run_clients(server.addr(), &parties, &policies, 5, |p| ClientConfig {
+        io_tick,
+        ..ClientConfig::new(1, p, 2, RetryConfig::default())
+    });
+    let session_time = start.elapsed();
+    for (p, res) in got.iter().enumerate() {
+        let outcome = res.as_ref().expect("session completes");
+        assert!(outcome_matches(outcome, p, &want), "party {p} diverged");
+    }
+    assert!(
+        session_time < io_tick,
+        "session took {session_time:?}: some wait ran to its {io_tick:?} timeout"
+    );
+
+    // lint: allow(no-wall-clock) reason="the test asserts shutdown ends inside one io tick; the clock never reaches the relay"
+    let start = Instant::now();
+    let report = server.shutdown();
+    let shutdown_time = start.elapsed();
+    assert!(
+        shutdown_time < io_tick,
+        "shutdown took {shutdown_time:?}: teardown waited out a tick"
+    );
+    assert_eq!(report.sessions_completed, 1);
+    assert_eq!(
+        (report.frames_in, report.frames_routed),
+        (12, 8),
+        "exactly one frame per protocol step, no retransmission: {report:?}"
+    );
+}
+
+#[test]
+fn tcp_session_ends_on_arrivals_not_timeouts() {
+    session_ends_inside_one_tick("127.0.0.1:0");
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_session_ends_on_arrivals_not_timeouts() {
+    let path = std::env::temp_dir().join(format!("mpriv-wake-test-{}.sock", std::process::id()));
+    session_ends_inside_one_tick(&format!("unix:{}", path.display()));
     assert!(!path.exists(), "socket file removed on shutdown");
 }
