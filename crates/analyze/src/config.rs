@@ -77,7 +77,7 @@ impl Config {
         rules.insert(
             "no-wall-clock".to_owned(),
             RuleScope {
-                allow_paths: vec!["crates/bench".to_owned()],
+                allow_paths: vec!["crates/bench".to_owned(), "perfbench".to_owned()],
                 ..RuleScope::default()
             },
         );
@@ -133,7 +133,7 @@ impl Config {
         rules.insert(
             "no-stdout-in-libs".to_owned(),
             RuleScope {
-                allow_paths: vec!["crates/bench".to_owned()],
+                allow_paths: vec!["crates/bench".to_owned(), "perfbench".to_owned()],
                 ..RuleScope::default()
             },
         );

@@ -2,8 +2,10 @@
 //! enumerates *every* fault interleaving (drop / duplicate / delay /
 //! crash schedules) the bounded world admits via
 //! [`mp_federated::model_check`], then writes `BENCH_check.json` at the
-//! repo root. Every field except the `timing` block is deterministic;
-//! CI asserts `"violations": 0`. Exits non-zero on any violation.
+//! repo root. Every field except the `timing` block is deterministic,
+//! and CI fails unless each of them equals the committed file and
+//! `"violations"` is 0. Exits non-zero on any violation, or if the
+//! outcome counters do not add up to the schedules run.
 //!
 //! Usage: `model_check [parties] [fault_budget]` (defaults 3 and 2).
 
@@ -53,7 +55,7 @@ fn main() {
         "{{\n  \"bench\": \"check\",\n  \"config\": {{ \"parties\": {}, \"max_ticks\": {}, \
          \"fault_budget\": {}, \"max_delay\": {}, \"crash_points\": {} }},\n  \
          \"runs\": {},\n  \"completed\": {},\n  \"aborted_crashed\": {},\n  \
-         \"aborted_retries\": {},\n  \"crash_schedules\": {},\n  \
+         \"aborted_retries\": {},\n  \"aborted_stalled\": {},\n  \"crash_schedules\": {},\n  \
          \"faults_injected\": {{ \"drops\": {}, \"duplicates\": {}, \"delays\": {} }},\n  \
          \"max_depth\": {},\n  \"total_states\": {},\n  \"distinct_states\": {},\n  \
          \"distinct_outcomes\": {},\n  \"pruned_subtrees\": {},\n  \
@@ -68,6 +70,7 @@ fn main() {
         report.completed,
         report.aborted_crashed,
         report.aborted_retries,
+        report.aborted_stalled,
         report.crash_schedules,
         report.faults_injected[0],
         report.faults_injected[1],
@@ -83,6 +86,15 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_check.json");
     println!("wrote {path}");
 
+    let outcomes =
+        report.completed + report.aborted_crashed + report.aborted_retries + report.aborted_stalled;
+    if outcomes != report.runs {
+        eprintln!(
+            "outcome counters add up to {outcomes}, not the {} schedules run",
+            report.runs
+        );
+        std::process::exit(1);
+    }
     if !report.violations.is_empty() {
         eprintln!("{} invariant violation(s)", report.violations.len());
         std::process::exit(1);

@@ -539,8 +539,12 @@ pub fn check(
         report.runs, report.crash_schedules, report.max_depth
     ));
     out.push_str(&format!(
-        "outcomes: {} completed, {} crashed aborts, {} retry aborts ({} distinct)\n",
-        report.completed, report.aborted_crashed, report.aborted_retries, report.distinct_outcomes
+        "outcomes: {} completed, {} crashed aborts, {} retry aborts, {} stalled aborts ({} distinct)\n",
+        report.completed,
+        report.aborted_crashed,
+        report.aborted_retries,
+        report.aborted_stalled,
+        report.distinct_outcomes
     ));
     out.push_str(&format!(
         "faults injected: {} drops, {} duplicates, {} delays\n",
@@ -753,6 +757,22 @@ mod tests {
         assert_eq!(a, b, "exhaustive check must be byte-reproducible");
         assert!(a.contains("violations: 0"), "{a}");
         assert!(check(5, 256, 1, 1, 1).is_err(), "party bound must hold");
+    }
+
+    #[test]
+    fn check_counts_every_outcome() {
+        // 12 ticks cannot fit a retransmission ladder: the stalled runs
+        // are violations, and the outcomes line still accounts for them.
+        let err = check(3, 12, 2, 2, 3).unwrap_err();
+        assert!(err.contains("schedules executed: 16678 "), "{err}");
+        assert!(
+            err.contains(
+                "outcomes: 3391 completed, 11303 crashed aborts, 0 retry aborts, \
+                 1984 stalled aborts (16648 distinct)"
+            ),
+            "{err}"
+        );
+        assert!(err.contains("violations: 1984"), "{err}");
     }
 
     #[test]

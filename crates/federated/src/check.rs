@@ -37,13 +37,19 @@
 //! remaining fault budget. Two branch points with equal history and equal
 //! budget have identical futures (the machines are deterministic
 //! functions of the delivered history), so the second is pruned.
+//!
+//! A schedule costs its events, not its length: every run starts from
+//! inputs prepared once per check (each party's digests and redacted
+//! package), and the engine jumps over idle ticks, which still count in
+//! [`CheckReport::total_states`].
 
 use crate::multiparty::MultiPartySession;
 use crate::party::Party;
-use crate::protocol::{RetryConfig, SetupError};
+use crate::protocol::{PreparedSetup, RetryConfig, SetupError};
 use crate::sim::{verify_run, InvariantViolation, PartyCrash, TraceSummary};
-use crate::transport::{Envelope, PartyId, PerfectTransport, TraceEvent, Transport};
+use crate::transport::{DeliveryQueue, Envelope, PartyId, PerfectTransport, TraceEvent, Transport};
 use mp_metadata::{Fd, SharePolicy};
+use mp_observe::NoopRecorder;
 use mp_relation::{Attribute, Relation, Schema, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
@@ -129,15 +135,24 @@ pub struct CheckReport {
     pub aborted_crashed: u64,
     /// Runs aborting with [`SetupError::RetriesExhausted`].
     pub aborted_retries: u64,
+    /// Runs aborting any other way: [`SetupError::Stalled`] (the tick
+    /// bound ran out, or nothing was left to move the run on), or any
+    /// other error. With `completed`, `aborted_crashed` and
+    /// `aborted_retries` this partitions `runs`.
+    pub aborted_stalled: u64,
     /// Crash schedules enumerated (including the no-crash schedule).
     pub crash_schedules: u64,
     /// Non-default decisions injected, by kind: drops, duplicates, delays.
     pub faults_injected: [u64; 3],
     /// Deepest decision vector any run consulted.
     pub max_depth: usize,
-    /// Total per-tick transport states visited across all runs.
+    /// Per-tick transport states visited across all runs: the sum of the
+    /// runs' lengths in ticks. Ticks the engine jumps over (nothing in
+    /// flight, no timer due) count like any other.
     pub total_states: u64,
-    /// Distinct per-tick transport state hashes across all runs.
+    /// Distinct per-tick transport states across all runs, each the
+    /// rolling hash of the wire history at the end of its tick. An idle
+    /// tick repeats the state before it, so jumped ticks add nothing.
     pub distinct_states: u64,
     /// Distinct terminal outcomes (result kind + trace summary + ticks).
     pub distinct_outcomes: u64,
@@ -147,14 +162,6 @@ pub struct CheckReport {
     /// Every invariant violation found (empty = the full bounded space is
     /// clean).
     pub violations: Vec<ViolationRecord>,
-}
-
-/// One in-flight message inside the scheduled transport.
-#[derive(Debug, Clone)]
-struct InFlight {
-    deliver_at: u64,
-    seq: u64,
-    env: Envelope,
 }
 
 /// A [`Transport`] driven by an explicit decision vector instead of a
@@ -167,8 +174,7 @@ pub struct ScheduleTransport {
     cursor: usize,
     crash: Option<PartyCrash>,
     now: u64,
-    seq: u64,
-    in_flight: Vec<InFlight>,
+    queue: DeliveryQueue,
     inboxes: Vec<VecDeque<Envelope>>,
     sends: Vec<u64>,
     crashed_at: Vec<Option<u64>>,
@@ -177,7 +183,9 @@ pub struct ScheduleTransport {
     state_hash: u64,
     /// `state_hash` snapshot at each decision point, pre-decision.
     decision_hashes: Vec<u64>,
-    /// `state_hash` snapshot after each tick (the per-tick states).
+    /// `state_hash` snapshot after each tick (the per-tick states); one
+    /// snapshot stands for a whole span of idle ticks crossed by
+    /// [`Transport::skip_to`], which all share it.
     tick_hashes: Vec<u64>,
 }
 
@@ -201,8 +209,7 @@ impl ScheduleTransport {
             cursor: 0,
             crash,
             now: 0,
-            seq: 0,
-            in_flight: Vec::new(),
+            queue: DeliveryQueue::default(),
             inboxes: vec![VecDeque::new(); n_parties],
             sends: vec![0; n_parties],
             crashed_at: vec![None; n_parties],
@@ -223,12 +230,7 @@ impl ScheduleTransport {
     }
 
     fn schedule_delivery(&mut self, env: Envelope, delay: u64) {
-        self.seq += 1;
-        self.in_flight.push(InFlight {
-            deliver_at: self.now + 1 + delay,
-            seq: self.seq,
-            env,
-        });
+        self.queue.push(env, self.now, self.now + 1 + delay);
     }
 }
 
@@ -291,17 +293,7 @@ impl Transport for ScheduleTransport {
 
     fn tick(&mut self) {
         self.now += 1;
-        let mut due: Vec<InFlight> = Vec::new();
-        self.in_flight.retain(|m| {
-            if m.deliver_at <= self.now {
-                due.push(m.clone());
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|m| (m.deliver_at, m.seq));
-        for m in due {
+        while let Some(m) = self.queue.pop_due(self.now) {
             if self.crashed_at[m.env.to].is_some() {
                 self.note(1, self.now, &m.env);
                 self.trace.push(TraceEvent::Dropped {
@@ -320,6 +312,21 @@ impl Transport for ScheduleTransport {
         self.tick_hashes.push(self.state_hash);
     }
 
+    /// An idle tick only moves the clock and repeats the last state, so
+    /// an idle span is crossed in one step and recorded as one state; a
+    /// queued message still gets its own tick.
+    fn skip_to(&mut self, t: u64) {
+        while self.now < t {
+            let idle_until = self.queue.idle_until(t);
+            if idle_until > self.now {
+                self.now = idle_until;
+                self.tick_hashes.push(self.state_hash);
+            } else {
+                self.tick();
+            }
+        }
+    }
+
     fn recv(&mut self, party: PartyId) -> Option<Envelope> {
         if self.crashed_at[party].is_some() {
             return None;
@@ -332,7 +339,7 @@ impl Transport for ScheduleTransport {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.queue.len()
     }
 
     fn is_crashed(&self, party: PartyId) -> bool {
@@ -441,10 +448,12 @@ pub fn model_check(
         ..RetryConfig::default()
     };
 
-    // Fault-free reference outcome.
-    let mut reference_transport = PerfectTransport::new(n);
-    let reference = session
-        .run_setup_over(policies, &mut reference_transport, &retry)
+    // Each party's digests and redacted package, computed once for every
+    // schedule; then the fault-free reference outcome.
+    let setup = PreparedSetup::new(&session.parties, policies, session.salt, &NoopRecorder)
+        .map_err(|e| format!("fault-free reference run failed: {e}"))?;
+    let reference = setup
+        .run(&mut PerfectTransport::new(n), &retry)
         .map_err(|e| format!("fault-free reference run failed: {e}"))?;
 
     // The decision alphabet of non-default outcomes.
@@ -468,6 +477,7 @@ pub fn model_check(
         completed: 0,
         aborted_crashed: 0,
         aborted_retries: 0,
+        aborted_stalled: 0,
         crash_schedules: crash_schedules.len() as u64,
         faults_injected: [0; 3],
         max_depth: 0,
@@ -488,13 +498,13 @@ pub fn model_check(
         let mut expanded: HashSet<(u64, usize)> = HashSet::new();
         while let Some(prefix) = stack.pop() {
             let mut transport = ScheduleTransport::new(n, prefix.clone(), crash);
-            let result = session.run_setup_over(policies, &mut transport, &retry);
+            let result = setup.run(&mut transport, &retry);
             report.runs += 1;
             match &result {
                 Ok(_) => report.completed += 1,
                 Err(SetupError::PartyCrashed { .. }) => report.aborted_crashed += 1,
                 Err(SetupError::RetriesExhausted { .. }) => report.aborted_retries += 1,
-                Err(_) => {}
+                Err(_) => report.aborted_stalled += 1,
             }
             let [drops, dups, delays] = &mut report.faults_injected;
             for d in &prefix {
@@ -507,7 +517,7 @@ pub fn model_check(
             }
             let consulted = transport.consulted();
             report.max_depth = report.max_depth.max(consulted);
-            report.total_states += transport.tick_hashes.len() as u64;
+            report.total_states += transport.now();
             state_set.extend(transport.tick_hashes.iter().copied());
             outcome_set.insert(mix(
                 transport.state_hash,
@@ -528,8 +538,8 @@ pub fn model_check(
                 None => &[],
             };
             if let Err(violation) = verify_run(
-                &session.parties,
                 policies,
+                &setup.packages,
                 &reference,
                 &result,
                 transport.trace(),

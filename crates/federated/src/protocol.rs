@@ -36,6 +36,7 @@ use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{Counter, NoopRecorder, Recorder};
 use mp_relation::{Relation, RelationError, Result};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The setup outcome for one direction of the exchange.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,25 +164,27 @@ struct PendingMsg {
     resend_at: u64,
 }
 
-/// Per-party protocol state machine.
+/// Per-party protocol state machine. Digests and packages — its own and
+/// its peers' — are shared with the envelopes that carry them, so sending,
+/// retransmitting and receiving never copy a body.
 #[derive(Debug)]
 struct PartyMachine {
-    digests: Vec<IdDigest>,
-    package: MetadataPackage,
+    digests: Arc<[IdDigest]>,
+    package: Arc<MetadataPackage>,
     digests_sent: bool,
     metadata_sent: bool,
-    peer_digests: Vec<Option<Vec<IdDigest>>>,
-    peer_metadata: Vec<Option<MetadataPackage>>,
+    peer_digests: Vec<Option<Arc<[IdDigest]>>>,
+    peer_metadata: Vec<Option<Arc<MetadataPackage>>>,
     pending: Vec<PendingMsg>,
     seen: HashSet<MsgId>,
 }
 
 impl PartyMachine {
-    fn new(id: PartyId, n: usize, digests: Vec<IdDigest>, package: MetadataPackage) -> Self {
-        let mut peer_digests: Vec<Option<Vec<IdDigest>>> = vec![None; n];
-        peer_digests[id] = Some(digests.clone());
-        let mut peer_metadata: Vec<Option<MetadataPackage>> = vec![None; n];
-        peer_metadata[id] = Some(package.clone());
+    fn new(id: PartyId, n: usize, digests: Arc<[IdDigest]>, package: Arc<MetadataPackage>) -> Self {
+        let mut peer_digests: Vec<Option<Arc<[IdDigest]>>> = vec![None; n];
+        peer_digests[id] = Some(Arc::clone(&digests));
+        let mut peer_metadata: Vec<Option<Arc<MetadataPackage>>> = vec![None; n];
+        peer_metadata[id] = Some(Arc::clone(&package));
         Self {
             digests,
             package,
@@ -230,7 +233,8 @@ pub fn run_setup_protocol(
     run_setup_protocol_observed(parties, policies, salt, transport, retry, &NoopRecorder)
 }
 
-/// Protocol metric handles for one party's engine, resolved once per run.
+/// Protocol metric handles for one party's engine, resolved once per
+/// preparation (the socket client: once per session).
 ///
 /// Counter names are shared with the in-process harness and the socket
 /// client: `protocol.party.<p>.{sent,recv,retransmits,backoff_ticks}`
@@ -274,8 +278,8 @@ impl PartyEngine {
     pub(crate) fn new(
         id: PartyId,
         n: usize,
-        digests: Vec<IdDigest>,
-        package: MetadataPackage,
+        digests: Arc<[IdDigest]>,
+        package: Arc<MetadataPackage>,
     ) -> Self {
         Self {
             id,
@@ -289,14 +293,10 @@ impl PartyEngine {
         self.machine.done()
     }
 
-    /// `true` while any own message still awaits its ack.
-    pub(crate) fn has_pending(&self) -> bool {
-        !self.machine.pending.is_empty()
-    }
-
-    /// `true` if no retransmission timer can fire at or before `tick`.
-    pub(crate) fn idle_beyond(&self, tick: u64) -> bool {
-        self.machine.pending.iter().all(|pm| pm.resend_at > tick)
+    /// The tick at which this party's earliest retransmission timer
+    /// fires; `None` when no own message awaits its ack.
+    pub(crate) fn next_timer(&self) -> Option<u64> {
+        self.machine.pending.iter().map(|pm| pm.resend_at).min()
     }
 
     /// Every peer's digest submission, once all have arrived.
@@ -310,7 +310,7 @@ impl PartyEngine {
 
     /// Party `p`'s metadata as received (own package for `p == id`).
     pub(crate) fn metadata_from(&self, p: PartyId) -> Option<&MetadataPackage> {
-        self.machine.peer_metadata.get(p).and_then(Option::as_ref)
+        self.machine.peer_metadata.get(p).and_then(Option::as_deref)
     }
 
     /// The own (redacted) package this engine broadcasts.
@@ -345,14 +345,14 @@ impl PartyEngine {
                 Payload::PsiDigests(digests) => {
                     if m.seen.insert(env.id) {
                         if let Some(slot) = m.peer_digests.get_mut(env.from) {
-                            *slot = Some(digests.clone());
+                            *slot = Some(Arc::clone(digests));
                         }
                     }
                 }
                 Payload::Metadata(pkg) => {
                     if m.seen.insert(env.id) {
                         if let Some(slot) = m.peer_metadata.get_mut(env.from) {
-                            *slot = Some((**pkg).clone());
+                            *slot = Some(Arc::clone(pkg));
                         }
                     }
                 }
@@ -373,14 +373,13 @@ impl PartyEngine {
         // -- Phase 1: broadcast own digests once. ---------------------
         if !m.digests_sent {
             m.digests_sent = true;
-            let digests = m.digests.clone();
             let n = m.peer_digests.len();
             for q in (0..n).filter(|&q| q != p) {
                 let env = Envelope {
                     id: fresh_id(),
                     from: p,
                     to: q,
-                    payload: Payload::PsiDigests(digests.clone()),
+                    payload: Payload::PsiDigests(Arc::clone(&m.digests)),
                 };
                 m.pending.push(PendingMsg {
                     env: env.clone(),
@@ -396,14 +395,13 @@ impl PartyEngine {
         //    redacted metadata package. ------------------------------
         if m.all_digests_in() && !m.metadata_sent {
             m.metadata_sent = true;
-            let pkg = m.package.clone();
             let n = m.peer_digests.len();
             for q in (0..n).filter(|&q| q != p) {
                 let env = Envelope {
                     id: fresh_id(),
                     from: p,
                     to: q,
-                    payload: Payload::Metadata(Box::new(pkg.clone())),
+                    payload: Payload::Metadata(Arc::clone(&m.package)),
                 };
                 m.pending.push(PendingMsg {
                     env: env.clone(),
@@ -457,7 +455,7 @@ impl PartyEngine {
 /// Records per-party `protocol.party.<p>.{sent,recv,retransmits,
 /// backoff_ticks}` counters, the `protocol.acks_sent` total, and the
 /// `protocol.setup` span, and drives the recorder's logical clock from
-/// the transport's virtual tick clock (`set_time` each tick) — so the
+/// the transport's virtual tick clock (`set_time` each step) — so the
 /// span's duration is the protocol's length *in ticks*, never wall time.
 /// The protocol engine is single-threaded and the recorder never feeds
 /// back into protocol decisions, so every recorded value is a pure
@@ -470,81 +468,148 @@ pub fn run_setup_protocol_observed(
     retry: &RetryConfig,
     recorder: &dyn Recorder,
 ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-    assert_eq!(policies.len(), parties.len(), "one policy per party");
-    assert_eq!(
-        transport.n_parties(),
-        parties.len(),
-        "transport must connect every party"
-    );
-    let n = parties.len();
+    PreparedSetup::new(parties, policies, salt, recorder)?.run(transport, retry)
+}
 
-    // Local, failure-free preparation: digests and redacted packages.
-    let mut engines: Vec<PartyEngine> = Vec::with_capacity(n);
-    for (p, (party, policy)) in parties.iter().zip(policies).enumerate() {
-        let digests = party.psi_submission(salt)?;
-        let package = party.share_metadata(policy)?;
-        engines.push(PartyEngine::new(p, n, digests, package));
+/// The local, failure-free half of a setup: each party's PSI submission,
+/// its redacted package and its metric handles. A run only reads them,
+/// so one preparation serves any number of runs over fresh transports —
+/// the model checker prepares once and runs every schedule from it.
+pub(crate) struct PreparedSetup<'a> {
+    parties: &'a [Party],
+    recorder: &'a dyn Recorder,
+    digests: Vec<Arc<[IdDigest]>>,
+    /// Each party's policy-redacted package, in party order.
+    pub(crate) packages: Vec<Arc<MetadataPackage>>,
+    metrics: Vec<EngineMetrics>,
+}
+
+impl<'a> PreparedSetup<'a> {
+    /// Prepares `parties[p]` to disclose under `policies[p]`.
+    pub(crate) fn new(
+        parties: &'a [Party],
+        policies: &[SharePolicy],
+        salt: u64,
+        recorder: &'a dyn Recorder,
+    ) -> std::result::Result<Self, SetupError> {
+        assert_eq!(policies.len(), parties.len(), "one policy per party");
+        let mut digests = Vec::with_capacity(parties.len());
+        let mut packages = Vec::with_capacity(parties.len());
+        for (party, policy) in parties.iter().zip(policies) {
+            digests.push(party.psi_submission(salt)?.into());
+            packages.push(Arc::new(party.share_metadata(policy)?));
+        }
+        let metrics = (0..parties.len())
+            .map(|p| EngineMetrics::new(p, recorder))
+            .collect();
+        Ok(PreparedSetup {
+            parties,
+            recorder,
+            digests,
+            packages,
+            metrics,
+        })
     }
 
-    let mut next_msg_id = 0u64;
-    let mut fresh_id = || {
-        next_msg_id += 1;
-        MsgId(next_msg_id)
-    };
+    /// Drives the protocol over `transport` until every live party
+    /// completes, a fault aborts it, or the tick budget runs out.
+    ///
+    /// When nothing is in flight, no party can change state before the
+    /// earliest retransmission timer of a live party, so the clock jumps
+    /// straight to the tick before it ([`Transport::skip_to`]). The run's
+    /// outcome, trace and length in ticks are those of ticking through.
+    pub(crate) fn run(
+        &self,
+        transport: &mut dyn Transport,
+        retry: &RetryConfig,
+    ) -> std::result::Result<MultiSetupOutcome, SetupError> {
+        let n = self.parties.len();
+        assert_eq!(
+            transport.n_parties(),
+            n,
+            "transport must connect every party"
+        );
+        let mut engines: Vec<PartyEngine> = self
+            .digests
+            .iter()
+            .zip(&self.packages)
+            .enumerate()
+            .map(|(p, (digests, package))| {
+                PartyEngine::new(p, n, Arc::clone(digests), Arc::clone(package))
+            })
+            .collect();
 
-    let metrics: Vec<EngineMetrics> = (0..n).map(|p| EngineMetrics::new(p, recorder)).collect();
-    recorder.set_time(transport.now());
-    let _setup_span = recorder.span("protocol.setup").enter();
+        let mut next_msg_id = 0u64;
+        let mut fresh_id = || {
+            next_msg_id += 1;
+            MsgId(next_msg_id)
+        };
 
-    loop {
+        let recorder = self.recorder;
         recorder.set_time(transport.now());
-        // Step every live party: drain inbox, then advance the send side.
-        // All engines share one message-id counter, so the wire trace is
-        // byte-identical to the pre-engine inline loop.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..n {
-            if transport.is_crashed(p) {
-                continue;
-            }
-            engines[p].pump(transport, retry, &mut fresh_id, &metrics[p])?;
-        }
+        let _setup_span = recorder.span("protocol.setup").enter();
 
-        // Completion: every non-crashed party done. (A party that crashed
-        // *after* finishing its role does not block the survivors.)
-        if (0..n).all(|p| transport.is_crashed(p) || engines[p].done()) {
-            break;
-        }
-
-        // Liveness backstops.
-        if transport.now() >= retry.max_ticks {
-            return Err(SetupError::Stalled {
-                at: transport.now(),
-            });
-        }
-        if transport.in_flight() == 0 {
-            let idle = (0..n).all(|p| {
-                transport.is_crashed(p)
-                    || !engines[p].has_pending()
-                    || engines[p].idle_beyond(retry.max_ticks)
-            });
-            // Nothing in flight and no retry will ever fire: if an
-            // unfinished live party is waiting on a crashed peer, abort
-            // with the crash; otherwise we genuinely stalled.
-            if idle && !(0..n).all(|p| transport.is_crashed(p) || engines[p].done()) {
-                if let Some(crashed) = (0..n).find(|&p| transport.is_crashed(p)) {
-                    return Err(SetupError::PartyCrashed { party: crashed });
+        loop {
+            recorder.set_time(transport.now());
+            // Step every live party: drain inbox, then advance the send
+            // side. All engines share one message-id counter, so the wire
+            // trace is byte-identical to the pre-engine inline loop.
+            for (p, (engine, metrics)) in engines.iter_mut().zip(&self.metrics).enumerate() {
+                if !transport.is_crashed(p) {
+                    engine.pump(transport, retry, &mut fresh_id, metrics)?;
                 }
+            }
+
+            // Completion: every non-crashed party done. (A party that
+            // crashed *after* finishing its role does not block the
+            // survivors.)
+            if engines
+                .iter()
+                .enumerate()
+                .all(|(p, e)| transport.is_crashed(p) || e.done())
+            {
+                break;
+            }
+
+            // Liveness backstops.
+            if transport.now() >= retry.max_ticks {
                 return Err(SetupError::Stalled {
                     at: transport.now(),
                 });
             }
+            if transport.in_flight() == 0 {
+                // Nothing can arrive, so only a live party's retransmission
+                // timer can move the run on.
+                let next_timer = engines
+                    .iter()
+                    .enumerate()
+                    .filter(|&(p, _)| !transport.is_crashed(p))
+                    .filter_map(|(_, e)| e.next_timer())
+                    .min();
+                match next_timer {
+                    // Every tick before the timer is idle: jump to the
+                    // last of them, then tick into it as usual.
+                    Some(at) if at <= retry.max_ticks => transport.skip_to(at.saturating_sub(1)),
+                    // No retry will ever fire: if an unfinished live party
+                    // is waiting on a crashed peer, abort with the crash;
+                    // otherwise we genuinely stalled.
+                    _ => {
+                        if let Some(crashed) = (0..n).find(|&p| transport.is_crashed(p)) {
+                            return Err(SetupError::PartyCrashed { party: crashed });
+                        }
+                        return Err(SetupError::Stalled {
+                            at: transport.now(),
+                        });
+                    }
+                }
+            }
+
+            transport.tick();
         }
+        recorder.set_time(transport.now());
 
-        transport.tick();
+        assemble_outcome(self.parties, &engines, transport)
     }
-    recorder.set_time(transport.now());
-
-    assemble_outcome(parties, &engines, transport)
 }
 
 /// Builds the outcome from *received* state: the alignment from the first

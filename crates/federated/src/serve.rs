@@ -1219,7 +1219,7 @@ pub fn run_client_session(
 
     // -- Run the engine over the socket transport. ---------------------
     let mut transport = SocketTransport::new(framed, p, n);
-    let mut engine = PartyEngine::new(p, n, digests, package);
+    let mut engine = PartyEngine::new(p, n, digests.into(), Arc::new(package));
     let metrics = EngineMetrics::new(p, recorder);
     let span = recorder.span("protocol.setup");
     let _guard = span.enter();

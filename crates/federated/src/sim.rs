@@ -25,16 +25,17 @@
 //! `mpriv simulate --seed N --faults <profile>` reruns it exactly.
 
 use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
-use crate::party::Party;
 use crate::protocol::{RetryConfig, SetupError};
 use crate::transport::{
-    Envelope, PartyId, Payload, PerfectTransport, TraceEvent, Transport, TransportMetrics,
+    DeliveryQueue, Envelope, PartyId, Payload, PerfectTransport, TraceEvent, Transport,
+    TransportMetrics,
 };
-use mp_metadata::SharePolicy;
+use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{NoopRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A scheduled party crash: the party completes exactly `after_sends`
 /// transmissions, then falls silent (sends swallowed, deliveries to it
@@ -115,23 +116,13 @@ impl FaultPlan {
     }
 }
 
-/// One in-flight message inside the simulator.
-#[derive(Debug, Clone)]
-struct InFlight {
-    deliver_at: u64,
-    sent_at: u64,
-    seq: u64,
-    env: Envelope,
-}
-
 /// A [`Transport`] that applies a [`FaultPlan`] deterministically.
 #[derive(Debug)]
 pub struct SimTransport {
     plan: FaultPlan,
     rng: StdRng,
     now: u64,
-    seq: u64,
-    in_flight: Vec<InFlight>,
+    queue: DeliveryQueue,
     inboxes: Vec<VecDeque<Envelope>>,
     sends: Vec<u64>,
     crashed_at: Vec<Option<u64>>,
@@ -147,8 +138,7 @@ impl SimTransport {
             plan,
             rng,
             now: 0,
-            seq: 0,
-            in_flight: Vec::new(),
+            queue: DeliveryQueue::default(),
             inboxes: vec![VecDeque::new(); n_parties],
             sends: vec![0; n_parties],
             crashed_at: vec![None; n_parties],
@@ -186,13 +176,7 @@ impl SimTransport {
         if let Some(make) = extra_event {
             self.trace.push(make(self.now, env.clone()));
         }
-        self.seq += 1;
-        self.in_flight.push(InFlight {
-            deliver_at: self.now + 1 + delay,
-            sent_at: self.now,
-            seq: self.seq,
-            env,
-        });
+        self.queue.push(env, self.now, self.now + 1 + delay);
     }
 }
 
@@ -242,17 +226,7 @@ impl Transport for SimTransport {
 
     fn tick(&mut self) {
         self.now += 1;
-        let mut due: Vec<InFlight> = Vec::new();
-        self.in_flight.retain(|m| {
-            if m.deliver_at <= self.now {
-                due.push(m.clone());
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|m| (m.deliver_at, m.seq));
-        for m in due {
+        while let Some(m) = self.queue.pop_due(self.now) {
             if self.crashed_at[m.env.to].is_some() {
                 self.metrics.note_dropped();
                 self.trace.push(TraceEvent::Dropped {
@@ -271,6 +245,19 @@ impl Transport for SimTransport {
         }
     }
 
+    /// An idle tick only moves the clock, so idle spans are crossed in
+    /// one step; a queued message still gets its own tick.
+    fn skip_to(&mut self, t: u64) {
+        while self.now < t {
+            let idle_until = self.queue.idle_until(t);
+            if idle_until > self.now {
+                self.now = idle_until;
+            } else {
+                self.tick();
+            }
+        }
+    }
+
     fn recv(&mut self, party: PartyId) -> Option<Envelope> {
         if self.crashed_at[party].is_some() {
             return None;
@@ -283,7 +270,7 @@ impl Transport for SimTransport {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.queue.len()
     }
 
     fn is_crashed(&self, party: PartyId) -> bool {
@@ -477,17 +464,24 @@ pub fn check_invariants(
     plan: &FaultPlan,
     retry: &RetryConfig,
 ) -> Result<InvariantReport, InvariantViolation> {
-    // Fault-free reference.
+    // Fault-free reference, and the packages the redaction audit expects.
     let mut reference_transport = PerfectTransport::new(session.parties.len());
     let reference = session
         .run_setup_over(policies, &mut reference_transport, retry)
         .map_err(InvariantViolation::ReferenceFailed)?;
+    let expected = session
+        .parties
+        .iter()
+        .zip(policies)
+        .map(|(party, policy)| party.share_metadata(policy).map(Arc::new))
+        .collect::<mp_relation::Result<Vec<_>>>()
+        .map_err(|e| InvariantViolation::ReferenceFailed(SetupError::Data(e)))?;
 
     let sim = simulate_setup(session, policies, plan, retry);
     let scheduled: Vec<PartyId> = plan.crashes.iter().map(|c| c.party).collect();
     verify_run(
-        &session.parties,
         policies,
+        &expected,
         &reference,
         &sim.result,
         &sim.trace,
@@ -502,13 +496,14 @@ pub fn check_invariants(
 }
 
 /// The invariant core shared by [`check_invariants`] (seeded sampling)
-/// and the exhaustive model checker ([`crate::check`]): given the
-/// fault-free reference outcome, one run's result and trace, and the set
-/// of parties a fault schedule was *allowed* to crash, asserts the three
-/// protocol invariants from the module docs.
+/// and the exhaustive model checker ([`crate::check`]): given each party's
+/// expected redacted package, the fault-free reference outcome, one run's
+/// result and trace, and the set of parties a fault schedule was
+/// *allowed* to crash, asserts the three protocol invariants from the
+/// module docs.
 pub(crate) fn verify_run(
-    parties: &[Party],
     policies: &[SharePolicy],
+    expected: &[Arc<MetadataPackage>],
     reference: &MultiSetupOutcome,
     result: &Result<MultiSetupOutcome, SetupError>,
     trace: &[TraceEvent],
@@ -517,7 +512,7 @@ pub(crate) fn verify_run(
     // Invariant 2 first: the trace audit applies to completed AND aborted
     // runs — a crashed or retry-exhausted setup must not have leaked
     // redacted metadata either.
-    audit_trace_redaction(parties, policies, trace)?;
+    audit_trace_redaction(policies, expected, trace)?;
 
     let crash_fired = trace
         .iter()
@@ -581,19 +576,14 @@ pub(crate) fn verify_run(
 }
 
 /// Audits every metadata envelope in `trace` against its sender's policy:
-/// the traced package must equal the policy-redacted package *exactly*,
-/// and — belt and braces — must not carry any field the policy withholds.
+/// the traced package must equal `expected[sender]`, the policy-redacted
+/// package, *by value*, and — belt and braces — must not carry any field
+/// the policy withholds.
 fn audit_trace_redaction(
-    parties: &[Party],
     policies: &[SharePolicy],
+    expected: &[Arc<MetadataPackage>],
     trace: &[TraceEvent],
 ) -> Result<(), InvariantViolation> {
-    let expected: Vec<_> = parties
-        .iter()
-        .zip(policies)
-        .map(|(party, policy)| party.share_metadata(policy))
-        .collect::<mp_relation::Result<_>>()
-        .map_err(|e| InvariantViolation::ReferenceFailed(SetupError::Data(e)))?;
     for event in trace {
         let Some(env) = event.envelope() else {
             continue;
@@ -644,7 +634,7 @@ fn audit_trace_redaction(
                 field: "rfd",
             });
         }
-        if **pkg != expected[party] {
+        if **pkg != *expected[party] {
             return Err(InvariantViolation::RedactionBreached {
                 party,
                 field: "package",
@@ -657,6 +647,7 @@ fn audit_trace_redaction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::party::Party;
     use mp_metadata::Fd;
     use mp_relation::{Attribute, Relation, Schema, Value};
 
@@ -864,10 +855,16 @@ mod tests {
                 id: crate::transport::MsgId(1),
                 from: 0,
                 to: 1,
-                payload: Payload::Metadata(Box::new(full)),
+                payload: Payload::Metadata(Arc::new(full)),
             },
         }];
-        let err = audit_trace_redaction(&s.parties, &policies(), &trace).unwrap_err();
+        let expected: Vec<_> = s
+            .parties
+            .iter()
+            .zip(&policies())
+            .map(|(party, policy)| Arc::new(party.share_metadata(policy).unwrap()))
+            .collect();
+        let err = audit_trace_redaction(&policies(), &expected, &trace).unwrap_err();
         assert!(matches!(
             err,
             InvariantViolation::RedactionBreached { party: 0, .. }

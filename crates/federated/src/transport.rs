@@ -20,6 +20,7 @@ use crate::psi::IdDigest;
 use mp_metadata::MetadataPackage;
 use mp_observe::{Counter, Histogram, Recorder};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Index of a party within a session (position in the party list).
 pub type PartyId = usize;
@@ -37,15 +38,20 @@ impl std::fmt::Display for MsgId {
 }
 
 /// The typed message bodies of the setup protocol.
+///
+/// Bodies are shared, not owned: cloning a payload — into a pending
+/// retransmission, a trace event, a queue slot or a receiver's state —
+/// bumps a reference count and never copies the digests or the package.
+/// Equality still compares by value, and the wire form is unaffected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// The sender's salted id digests, in its local row order (the PSI
     /// submission — the only identity-derived artefact that ever crosses
     /// the boundary).
-    PsiDigests(Vec<IdDigest>),
+    PsiDigests(Arc<[IdDigest]>),
     /// The sender's metadata package, *already redacted* under its share
     /// policy. The simulator audits exactly this claim against the trace.
-    Metadata(Box<MetadataPackage>),
+    Metadata(Arc<MetadataPackage>),
     /// Acknowledges receipt of the logical message with the given id.
     Ack(MsgId),
 }
@@ -268,7 +274,7 @@ impl Envelope {
             Payload::PsiDigests(digests) => {
                 out.push(TAG_PSI);
                 out.extend_from_slice(&(digests.len() as u32).to_le_bytes());
-                for d in digests {
+                for d in digests.iter() {
                     out.extend_from_slice(&d.raw().to_le_bytes());
                 }
             }
@@ -329,7 +335,7 @@ impl Envelope {
                 for _ in 0..count {
                     digests.push(IdDigest::from_raw(r.u64()?));
                 }
-                Payload::PsiDigests(digests)
+                Payload::PsiDigests(digests.into())
             }
             TAG_METADATA => {
                 let len = r.u32()? as usize;
@@ -344,7 +350,7 @@ impl Envelope {
                     std::str::from_utf8(r.take(len)?).map_err(|_| WireError::BadUtf8 { offset })?;
                 let pkg = MetadataPackage::from_json(json)
                     .map_err(|e| WireError::Package(e.to_string()))?;
-                Payload::Metadata(Box::new(pkg))
+                Payload::Metadata(Arc::new(pkg))
             }
             TAG_ACK => Payload::Ack(MsgId(r.u64()?)),
             other => {
@@ -441,6 +447,21 @@ pub trait Transport {
     /// Advances virtual time by one tick, moving due messages to inboxes.
     fn tick(&mut self);
 
+    /// Advances virtual time to `t` across ticks with nothing in flight;
+    /// a no-op when `t` is not in the future.
+    ///
+    /// The setup engine calls this only when nothing is in flight and no
+    /// retransmission timer falls due before `t`, so every skipped tick
+    /// would have delivered nothing and changed no party. The default
+    /// ticks one at a time, which is correct for any transport; the
+    /// in-memory fault transports override it to move the clock in one
+    /// step, and still give a message that is in flight its own tick.
+    fn skip_to(&mut self, t: u64) {
+        while self.now() < t {
+            self.tick();
+        }
+    }
+
     /// Pops the next delivered envelope for `party`, if any.
     fn recv(&mut self, party: PartyId) -> Option<Envelope>;
 
@@ -528,6 +549,65 @@ impl TransportMetrics {
     /// One party crashed.
     pub fn note_crash(&self) {
         self.crashes.inc();
+    }
+}
+
+/// An envelope an in-memory transport accepted and has not yet delivered.
+#[derive(Debug)]
+pub(crate) struct Queued {
+    /// Tick at which the envelope is due.
+    deliver_at: u64,
+    /// Tick at which it was sent.
+    pub(crate) sent_at: u64,
+    /// The envelope.
+    pub(crate) env: Envelope,
+}
+
+/// The in-flight queue of the in-memory fault transports
+/// ([`crate::sim::SimTransport`] and [`crate::check::ScheduleTransport`]).
+///
+/// Envelopes leave by move, in `(deliver_at, push order)` order. The
+/// queue stays sorted on insert — a new envelope goes behind every queued
+/// one due no later than it — so the due envelopes are always at the
+/// front.
+#[derive(Debug, Default)]
+pub(crate) struct DeliveryQueue {
+    items: VecDeque<Queued>,
+}
+
+impl DeliveryQueue {
+    /// Queues `env`, sent at `sent_at`, for delivery at `deliver_at`.
+    pub(crate) fn push(&mut self, env: Envelope, sent_at: u64, deliver_at: u64) {
+        let at = self.items.partition_point(|q| q.deliver_at <= deliver_at);
+        self.items.insert(
+            at,
+            Queued {
+                deliver_at,
+                sent_at,
+                env,
+            },
+        );
+    }
+
+    /// Removes the next envelope due at or before `now`, if any.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<Queued> {
+        match self.items.front() {
+            Some(q) if q.deliver_at <= now => self.items.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// The last tick, at most `t`, up to which nothing falls due: a
+    /// transport may jump its clock there without ticking.
+    pub(crate) fn idle_until(&self, t: u64) -> u64 {
+        self.items
+            .front()
+            .map_or(t, |q| t.min(q.deliver_at.saturating_sub(1)))
+    }
+
+    /// Envelopes queued.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
     }
 }
 
@@ -645,8 +725,28 @@ mod tests {
     }
 
     #[test]
+    fn delivery_queue_releases_by_tick_then_push_order() {
+        let mut q = DeliveryQueue::default();
+        for (id, deliver_at) in [(1, 3), (2, 2), (3, 3), (4, 2)] {
+            q.push(env(id, 0, 1), 1, deliver_at);
+        }
+        assert_eq!(q.len(), 4);
+        assert!(q.pop_due(1).is_none(), "nothing due yet");
+        assert_eq!(q.idle_until(10), 1, "the next delivery is at tick 2");
+        let mut drain = |now| {
+            std::iter::from_fn(|| q.pop_due(now))
+                .map(|m| m.env.id.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(2), vec![2, 4]);
+        assert_eq!(drain(3), vec![1, 3]);
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.idle_until(10), 10, "an empty queue is idle throughout");
+    }
+
+    #[test]
     fn payload_kinds_label() {
-        assert_eq!(Payload::PsiDigests(Vec::new()).kind(), "psi-digests");
+        assert_eq!(Payload::PsiDigests(Arc::from([])).kind(), "psi-digests");
         assert_eq!(Payload::Ack(MsgId(0)).kind(), "ack");
         assert!(Payload::Ack(MsgId(0)).is_ack());
     }
@@ -670,7 +770,7 @@ mod tests {
             id: MsgId(9),
             from: 1,
             to: 0,
-            payload: Payload::Metadata(Box::new(pkg)),
+            payload: Payload::Metadata(Arc::new(pkg)),
         }
     }
 
@@ -682,7 +782,7 @@ mod tests {
                 id: MsgId(1),
                 from: 0,
                 to: 2,
-                payload: Payload::PsiDigests(digests),
+                payload: Payload::PsiDigests(digests.into()),
             },
             metadata_env(),
             env(3, 2, 1),
@@ -731,7 +831,7 @@ mod tests {
             id: MsgId(1),
             from: 0,
             to: 1,
-            payload: Payload::PsiDigests(Vec::new()),
+            payload: Payload::PsiDigests(Arc::from([])),
         }
         .encode();
         let count_at = bytes.len() - 4;

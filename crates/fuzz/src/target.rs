@@ -356,16 +356,19 @@ fn sample_envelopes() -> Vec<Envelope> {
             id: MsgId(1),
             from: 0,
             to: 1,
-            payload: Payload::PsiDigests(vec![
-                mp_federated::psi::IdDigest::from_raw(0xDEAD_BEEF),
-                mp_federated::psi::IdDigest::from_raw(42),
-            ]),
+            payload: Payload::PsiDigests(
+                [
+                    mp_federated::psi::IdDigest::from_raw(0xDEAD_BEEF),
+                    mp_federated::psi::IdDigest::from_raw(42),
+                ]
+                .into(),
+            ),
         },
         Envelope {
             id: MsgId(2),
             from: 1,
             to: 0,
-            payload: Payload::Metadata(Box::new(pkg)),
+            payload: Payload::Metadata(pkg.into()),
         },
         Envelope {
             id: MsgId(3),
