@@ -4,10 +4,9 @@
 //! tracks the per-run cost of the simulator itself.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mp_federated::{
-    simulate_setup, FaultPlan, MultiPartySession, Party, PerfectTransport, RetryConfig,
-};
+use mp_federated::{simulate_setup, FaultPlan, MultiPartySession, Network, Party, RetryConfig};
 use mp_metadata::SharePolicy;
+use mp_observe::NoopRecorder;
 use std::hint::black_box;
 
 fn session(rows: usize) -> MultiPartySession {
@@ -44,7 +43,7 @@ fn bench_setup_vs_fault_rate(c: &mut Criterion) {
                         drop_rate: f64::from(pct) / 100.0,
                         ..FaultPlan::fault_free(7)
                     };
-                    simulate_setup(black_box(&sess), &pols, &plan, &retry)
+                    simulate_setup(black_box(&sess), &pols, &plan, &retry, &NoopRecorder)
                 })
             },
         );
@@ -64,14 +63,17 @@ fn bench_sim_overhead(c: &mut Criterion) {
     });
     group.bench_function("perfect_transport", |b| {
         b.iter(|| {
-            let mut t = PerfectTransport::new(2);
+            let mut t = Network::new(2);
             black_box(&sess)
                 .run_setup_over(&pols, &mut t, &retry)
                 .unwrap()
         })
     });
     group.bench_function("fault_free_sim", |b| {
-        b.iter(|| simulate_setup(black_box(&sess), &pols, &FaultPlan::fault_free(7), &retry))
+        b.iter(|| {
+            let plan = FaultPlan::fault_free(7);
+            simulate_setup(black_box(&sess), &pols, &plan, &retry, &NoopRecorder)
+        })
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 //!   then stops reading and writing (stalled writer + partial frame).
 //!
 //! Every completed session is checked bit-identical to the same seeds
-//! through the in-process [`mp_federated::PerfectTransport`] oracle, and
+//! through the in-process [`mp_federated::Network::new`] oracle, and
 //! every faulted session must abort with a *typed* error. Reports
 //! sessions/sec, p50/p99 setup latency and the abort rate; writes
 //! `BENCH_serve.json` at the repo root. Exits non-zero on any oracle

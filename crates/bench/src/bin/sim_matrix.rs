@@ -10,6 +10,7 @@ use mp_federated::{
     FAULT_PROFILES,
 };
 use mp_metadata::SharePolicy;
+use mp_observe::NoopRecorder;
 use std::time::Instant;
 
 fn session(rows: usize) -> MultiPartySession {
@@ -90,7 +91,7 @@ fn main() {
                 ..FaultPlan::fault_free(seed)
             };
             let start = Instant::now();
-            let sim = simulate_setup(&sess, &policies, &plan, &retry);
+            let sim = simulate_setup(&sess, &policies, &plan, &retry, &NoopRecorder);
             ms.push(start.elapsed().as_secs_f64() * 1e3);
             retx += sim.summary.retransmissions;
             ticks += sim.ticks;

@@ -8,7 +8,7 @@ use mp_discovery::{
     DependencyProfile, DiscoveryContext, MemoryBudget, ParallelConfig, ProfileConfig,
 };
 use mp_federated::{
-    check_invariants, model_check, outcome_matches, run_client_session, simulate_setup_observed,
+    check_invariants, model_check, outcome_matches, run_client_session, simulate_setup,
     small_world_session, CheckConfig, ClientConfig, FaultPlan, MultiPartySession, Party,
     RetryConfig, ServeConfig, Server,
 };
@@ -34,20 +34,13 @@ pub fn policy_by_name(name: &str) -> Result<SharePolicy, String> {
 /// including the shared PLI-cache statistics of the discovery engine. A
 /// limited [`MemoryBudget`] bounds the partition cache by estimated
 /// retained heap bytes (partitions spill and rebuild on demand).
-pub fn profile(relation: &Relation, budget: MemoryBudget) -> Result<String, String> {
-    profile_observed(
-        relation,
-        ParallelConfig::default(),
-        budget,
-        Arc::new(NoopRecorder),
-    )
-}
-
-/// [`profile`] with an explicit [`Recorder`]. Callers that collect
-/// metrics should pass [`ParallelConfig::sequential`]: the shared PLI
-/// cache is consulted in nondeterministic order under a thread pool, so
-/// hit/miss counts are only byte-reproducible sequentially.
-pub fn profile_observed(
+///
+/// Discovery metrics go to `recorder` ([`NoopRecorder`] for none).
+/// Callers that collect metrics should pass
+/// [`ParallelConfig::sequential`]: the shared PLI cache is consulted in
+/// nondeterministic order under a thread pool, so hit/miss counts are
+/// only byte-reproducible sequentially.
+pub fn profile(
     relation: &Relation,
     parallel: ParallelConfig,
     budget: MemoryBudget,
@@ -314,14 +307,11 @@ pub fn compare_policies(
 /// invariant verdict. The scenario data is built from a *fixed* internal
 /// seed, so the output depends only on `--seed` and `--faults`; aborted
 /// setups surface as an `Err` (non-zero exit).
-pub fn simulate(seed: u64, faults: &str, rows: usize) -> Result<String, String> {
-    simulate_observed(seed, faults, rows, &NoopRecorder)
-}
-
-/// [`simulate`] with an explicit [`Recorder`]: the primary simulation
-/// run records wire and protocol metrics (the invariant re-runs stay
-/// unobserved so counters describe exactly one run).
-pub fn simulate_observed(
+///
+/// The primary simulation run records wire and protocol metrics on
+/// `recorder` ([`NoopRecorder`] for none); the invariant re-runs stay
+/// unobserved so counters describe exactly one run.
+pub fn simulate(
     seed: u64,
     faults: &str,
     rows: usize,
@@ -343,7 +333,7 @@ pub fn simulate_observed(
 
     let plan = FaultPlan::from_names(faults, seed, session.parties.len())?;
     let retry = RetryConfig::default();
-    let sim = simulate_setup_observed(&session, &policies, &plan, &retry, recorder);
+    let sim = simulate_setup(&session, &policies, &plan, &retry, recorder);
 
     let mut out = format!("fault simulation: seed {seed}, faults [{faults}], {rows} rows/party\n");
     out.push_str(&format!(
@@ -398,7 +388,7 @@ fn serve_parties(rows: usize) -> Result<Vec<Party>, String> {
 /// ephemeral local port, run N concurrent two-party VFL setup sessions
 /// against it over real TCP sockets, and verify every completed outcome
 /// bit-identical to the same seeds through the in-process
-/// [`mp_federated::PerfectTransport`] oracle. Non-zero exit on any abort
+/// fault-free [`mp_federated::Network`] oracle. Non-zero exit on any abort
 /// or oracle divergence. The report prints only schedule-independent
 /// facts, so it is byte-stable across runs.
 pub fn serve_drive(
@@ -662,7 +652,13 @@ mod tests {
 
     #[test]
     fn profile_reports_dependencies() {
-        let out = profile(&sample(), MemoryBudget::unlimited()).unwrap();
+        let out = profile(
+            &sample(),
+            ParallelConfig::default(),
+            MemoryBudget::unlimited(),
+            Arc::new(NoopRecorder),
+        )
+        .unwrap();
         assert!(out.contains("4 rows × 3 attributes"));
         assert!(out.contains("FD"));
         assert!(out.contains("name"));
@@ -680,8 +676,20 @@ mod tests {
 
     #[test]
     fn profile_budget_caps_cache_without_changing_dependencies() {
-        let unlimited = profile(&sample(), MemoryBudget::unlimited()).unwrap();
-        let budgeted = profile(&sample(), MemoryBudget::from_bytes(1)).unwrap();
+        let unlimited = profile(
+            &sample(),
+            ParallelConfig::default(),
+            MemoryBudget::unlimited(),
+            Arc::new(NoopRecorder),
+        )
+        .unwrap();
+        let budgeted = profile(
+            &sample(),
+            ParallelConfig::default(),
+            MemoryBudget::from_bytes(1),
+            Arc::new(NoopRecorder),
+        )
+        .unwrap();
         assert!(unlimited.contains("budget unlimited"), "{unlimited}");
         assert!(budgeted.contains("budget 1 B"), "{budgeted}");
         let deps = |report: &str| -> Vec<String> {
@@ -727,7 +735,13 @@ mod tests {
     fn csv_roundtrip_through_commands() {
         let text = "a,b\nx,1\ny,2\nx,1\n";
         let rel = csv::read_str(text, &csv::CsvOptions::default()).unwrap();
-        assert!(profile(&rel, MemoryBudget::unlimited()).is_ok());
+        assert!(profile(
+            &rel,
+            ParallelConfig::default(),
+            MemoryBudget::unlimited(),
+            Arc::new(NoopRecorder)
+        )
+        .is_ok());
         assert!(identifiability(&rel, 2, &[]).is_ok());
         let _ = Value::Null; // silence unused import in some cfgs
     }
@@ -777,8 +791,8 @@ mod tests {
 
     #[test]
     fn simulate_is_seed_deterministic() {
-        let a = simulate(7, "drop,dup", 60).unwrap();
-        let b = simulate(7, "drop,dup", 60).unwrap();
+        let a = simulate(7, "drop,dup", 60, &NoopRecorder).unwrap();
+        let b = simulate(7, "drop,dup", 60, &NoopRecorder).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same report");
         assert!(a.contains("trace:"));
         assert!(a.contains("invariants: hold"));
@@ -787,14 +801,14 @@ mod tests {
 
     #[test]
     fn simulate_crash_aborts_with_error() {
-        let err = simulate(3, "crash", 60).unwrap_err();
+        let err = simulate(3, "crash", 60, &NoopRecorder).unwrap_err();
         assert!(err.contains("aborted"), "expected abort report: {err}");
         assert!(err.contains("crashed"), "typed crash missing: {err}");
     }
 
     #[test]
     fn simulate_rejects_unknown_fault() {
-        assert!(simulate(0, "gremlins", 60).is_err());
+        assert!(simulate(0, "gremlins", 60, &NoopRecorder).is_err());
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn run(argv: &[String]) -> Result<String, String> {
                         registry.as_ref(),
                     )
                     .map_err(|e| format!("cannot read `{csv_path}`: {e}"))?;
-                    let report = commands::profile_observed(
+                    let report = commands::profile(
                         &rel,
                         mp_discovery::ParallelConfig::sequential(),
                         budget,
@@ -85,7 +85,12 @@ fn run(argv: &[String]) -> Result<String, String> {
                 }
                 None => {
                     let rel = load(csv_path)?;
-                    commands::profile(&rel, budget)
+                    commands::profile(
+                        &rel,
+                        mp_discovery::ParallelConfig::default(),
+                        budget,
+                        Arc::new(mp_observe::NoopRecorder),
+                    )
                 }
             }
         }
@@ -168,13 +173,13 @@ fn run(argv: &[String]) -> Result<String, String> {
             match parsed.options.get("metrics-json") {
                 Some(path) => {
                     let registry = Registry::new();
-                    let result = commands::simulate_observed(seed, &faults, rows, &registry);
+                    let result = commands::simulate(seed, &faults, rows, &registry);
                     // Written even when the setup aborts: the wire metrics
                     // of a failed run are exactly what one wants to inspect.
                     write_metrics(&registry, path)?;
                     result
                 }
-                None => commands::simulate(seed, &faults, rows),
+                None => commands::simulate(seed, &faults, rows, &mp_observe::NoopRecorder),
             }
         }
         "serve" => {

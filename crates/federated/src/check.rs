@@ -18,7 +18,7 @@
 //!
 //! The protocol engine is deterministic and single-threaded: the only
 //! nondeterminism in a run is what the transport does with each
-//! transmission. [`ScheduleTransport`] makes that explicit — every call
+//! transmission. [`Network::scheduled`] makes that explicit — every call
 //! to `send` consults the next entry of a [`Decision`] vector (deliver,
 //! drop, duplicate, or delay by `1..=max_delay` ticks; a delayed message
 //! overtakes later traffic, which is exactly reordering). A run is
@@ -46,14 +46,12 @@
 use crate::multiparty::MultiPartySession;
 use crate::party::Party;
 use crate::protocol::{PreparedSetup, RetryConfig, SetupError};
-use crate::sim::{verify_run, InvariantViolation, PartyCrash, TraceSummary};
-use crate::transport::{DeliveryQueue, Envelope, PartyId, PerfectTransport, TraceEvent, Transport};
+use crate::sim::{mix, verify_run, InvariantViolation, Network, PartyCrash, TraceSummary};
+use crate::transport::{PartyId, Transport};
 use mp_metadata::{Fd, SharePolicy};
 use mp_observe::NoopRecorder;
 use mp_relation::{Attribute, Relation, Schema, Value};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::HashSet;
 
 /// The hard cap on party count: beyond three parties the schedule space
 /// grows past what "exhaustive" can honestly mean in CI time.
@@ -164,193 +162,6 @@ pub struct CheckReport {
     pub violations: Vec<ViolationRecord>,
 }
 
-/// A [`Transport`] driven by an explicit decision vector instead of a
-/// seeded RNG. Decisions beyond the vector default to
-/// [`Decision::Deliver`]; the index of the first such default and the
-/// rolling state hash at every decision point are recorded so the
-/// explorer knows where the run could have branched.
-pub struct ScheduleTransport {
-    schedule: Vec<Decision>,
-    cursor: usize,
-    crash: Option<PartyCrash>,
-    now: u64,
-    queue: DeliveryQueue,
-    inboxes: Vec<VecDeque<Envelope>>,
-    sends: Vec<u64>,
-    crashed_at: Vec<Option<u64>>,
-    trace: Vec<TraceEvent>,
-    /// Rolling hash of the wire-event history.
-    state_hash: u64,
-    /// `state_hash` snapshot at each decision point, pre-decision.
-    decision_hashes: Vec<u64>,
-    /// `state_hash` snapshot after each tick (the per-tick states); one
-    /// snapshot stands for a whole span of idle ticks crossed by
-    /// [`Transport::skip_to`], which all share it.
-    tick_hashes: Vec<u64>,
-}
-
-fn mix(hash: u64, item: impl Hash) -> u64 {
-    let mut h = DefaultHasher::new();
-    hash.hash(&mut h);
-    item.hash(&mut h);
-    h.finish()
-}
-
-fn env_fingerprint(env: &Envelope) -> (u64, usize, usize, &'static str) {
-    (env.id.0, env.from, env.to, env.payload.kind())
-}
-
-impl ScheduleTransport {
-    /// A transport for `n_parties` applying `schedule` (then delivering
-    /// everything) under an optional crash schedule.
-    pub fn new(n_parties: usize, schedule: Vec<Decision>, crash: Option<PartyCrash>) -> Self {
-        Self {
-            schedule,
-            cursor: 0,
-            crash,
-            now: 0,
-            queue: DeliveryQueue::default(),
-            inboxes: vec![VecDeque::new(); n_parties],
-            sends: vec![0; n_parties],
-            crashed_at: vec![None; n_parties],
-            trace: Vec::new(),
-            state_hash: 0,
-            decision_hashes: Vec::new(),
-            tick_hashes: Vec::new(),
-        }
-    }
-
-    /// Decision points consulted (including defaults past the vector).
-    pub fn consulted(&self) -> usize {
-        self.cursor
-    }
-
-    fn note(&mut self, tag: u8, at: u64, env: &Envelope) {
-        self.state_hash = mix(self.state_hash, (tag, at, env_fingerprint(env)));
-    }
-
-    fn schedule_delivery(&mut self, env: Envelope, delay: u64) {
-        self.queue.push(env, self.now, self.now + 1 + delay);
-    }
-}
-
-impl Transport for ScheduleTransport {
-    fn n_parties(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    fn send(&mut self, env: Envelope, attempt: u32) {
-        let from = env.from;
-        if self.crashed_at[from].is_some() {
-            return; // a dead party transmits nothing
-        }
-        if let Some(crash) = self.crash {
-            if crash.party == from && self.sends[from] >= crash.after_sends {
-                self.crashed_at[from] = Some(self.now);
-                self.trace.push(TraceEvent::Crashed {
-                    at: self.now,
-                    party: from,
-                });
-                self.state_hash = mix(self.state_hash, (4u8, self.now, from));
-                return;
-            }
-        }
-        self.sends[from] += 1;
-        self.note(0, self.now, &env);
-        self.trace.push(TraceEvent::Sent {
-            at: self.now,
-            env: env.clone(),
-            attempt,
-        });
-        // The decision point: consult the schedule, defaulting to Deliver
-        // beyond its end. The pre-decision state hash is what identifies
-        // this branch point to the explorer.
-        self.decision_hashes.push(self.state_hash);
-        let decision = self
-            .schedule
-            .get(self.cursor)
-            .copied()
-            .unwrap_or(Decision::Deliver);
-        self.cursor += 1;
-        match decision {
-            Decision::Deliver => self.schedule_delivery(env, 0),
-            Decision::Drop => {
-                self.note(1, self.now, &env);
-                self.trace.push(TraceEvent::Dropped { at: self.now, env });
-            }
-            Decision::Duplicate => {
-                self.note(2, self.now, &env);
-                self.trace.push(TraceEvent::Duplicated {
-                    at: self.now,
-                    env: env.clone(),
-                });
-                self.schedule_delivery(env.clone(), 0);
-                self.schedule_delivery(env, 0);
-            }
-            Decision::Delay(extra) => self.schedule_delivery(env, extra),
-        }
-    }
-
-    fn tick(&mut self) {
-        self.now += 1;
-        while let Some(m) = self.queue.pop_due(self.now) {
-            if self.crashed_at[m.env.to].is_some() {
-                self.note(1, self.now, &m.env);
-                self.trace.push(TraceEvent::Dropped {
-                    at: self.now,
-                    env: m.env,
-                });
-                continue;
-            }
-            self.note(3, self.now, &m.env);
-            self.trace.push(TraceEvent::Delivered {
-                at: self.now,
-                env: m.env.clone(),
-            });
-            self.inboxes[m.env.to].push_back(m.env);
-        }
-        self.tick_hashes.push(self.state_hash);
-    }
-
-    /// An idle tick only moves the clock and repeats the last state, so
-    /// an idle span is crossed in one step and recorded as one state; a
-    /// queued message still gets its own tick.
-    fn skip_to(&mut self, t: u64) {
-        while self.now < t {
-            let idle_until = self.queue.idle_until(t);
-            if idle_until > self.now {
-                self.now = idle_until;
-                self.tick_hashes.push(self.state_hash);
-            } else {
-                self.tick();
-            }
-        }
-    }
-
-    fn recv(&mut self, party: PartyId) -> Option<Envelope> {
-        if self.crashed_at[party].is_some() {
-            return None;
-        }
-        self.inboxes[party].pop_front()
-    }
-
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn is_crashed(&self, party: PartyId) -> bool {
-        self.crashed_at[party].is_some()
-    }
-
-    fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-}
-
 /// The deterministic small-world session the CLI and bench entry points
 /// check: `parties` tiny vertical slices over overlapping entity ids
 /// (bank / shop / telco), with share policies cycling through the
@@ -453,7 +264,7 @@ pub fn model_check(
     let setup = PreparedSetup::new(&session.parties, policies, session.salt, &NoopRecorder)
         .map_err(|e| format!("fault-free reference run failed: {e}"))?;
     let reference = setup
-        .run(&mut PerfectTransport::new(n), &retry)
+        .run(&mut Network::new(n), &retry)
         .map_err(|e| format!("fault-free reference run failed: {e}"))?;
 
     // The decision alphabet of non-default outcomes.
@@ -497,8 +308,8 @@ pub fn model_check(
         let mut stack: Vec<Vec<Decision>> = vec![Vec::new()];
         let mut expanded: HashSet<(u64, usize)> = HashSet::new();
         while let Some(prefix) = stack.pop() {
-            let mut transport = ScheduleTransport::new(n, prefix.clone(), crash);
-            let result = setup.run(&mut transport, &retry);
+            let mut network = Network::scheduled(n, prefix.clone(), crash);
+            let result = setup.run(&mut network, &retry);
             report.runs += 1;
             match &result {
                 Ok(_) => report.completed += 1,
@@ -515,12 +326,12 @@ pub fn model_check(
                     Decision::Delay(_) => *delays += 1,
                 }
             }
-            let consulted = transport.consulted();
+            let consulted = network.consulted();
             report.max_depth = report.max_depth.max(consulted);
-            report.total_states += transport.now();
-            state_set.extend(transport.tick_hashes.iter().copied());
+            report.total_states += network.now();
+            state_set.extend(network.tick_hashes().iter().copied());
             outcome_set.insert(mix(
-                transport.state_hash,
+                network.state_hash(),
                 (
                     match &result {
                         Ok(_) => 0u8,
@@ -528,8 +339,8 @@ pub fn model_check(
                         Err(SetupError::RetriesExhausted { .. }) => 101,
                         Err(_) => 102,
                     },
-                    TraceSummary::from_trace(transport.trace()).sent,
-                    transport.now(),
+                    TraceSummary::from_trace(network.trace()).sent,
+                    network.now(),
                 ),
             ));
 
@@ -542,7 +353,7 @@ pub fn model_check(
                 &setup.packages,
                 &reference,
                 &result,
-                transport.trace(),
+                network.trace(),
                 scheduled,
             ) {
                 report.violations.push(ViolationRecord {
@@ -562,7 +373,7 @@ pub fn model_check(
             }
             let budget_left = cfg.fault_budget - faults_used;
             for i in prefix.len()..consulted {
-                match transport.decision_hashes.get(i) {
+                match network.decision_hashes().get(i) {
                     Some(&h) if !expanded.insert((h, budget_left)) => {
                         report.pruned_subtrees += 1;
                         continue;

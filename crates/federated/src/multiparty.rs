@@ -1,16 +1,18 @@
-//! N-party vertical federated learning.
+//! The VFL session: k parties, their PSI salt, and the setup protocol
+//! run between them.
 //!
 //! The paper's exposition is two-party (Figure 1), but nothing in its
 //! analysis depends on that: with `k` silos the setup phase runs a k-way
 //! PSI and a full metadata broadcast, and every pairwise exchange carries
-//! the same §III/§IV leakage surface. This module generalises
-//! [`crate::VflSession`] accordingly.
+//! the same §III/§IV leakage surface. Two parties are the case `k = 2`.
 
 use crate::party::Party;
-use crate::protocol::{run_setup_protocol, run_setup_protocol_observed, RetryConfig, SetupError};
+use crate::protocol::{PreparedSetup, RetryConfig, SetupError};
 use crate::psi::{intersect_all, submit, IdDigest};
-use crate::transport::{PerfectTransport, Transport};
+use crate::sim::Network;
+use crate::transport::Transport;
 use mp_metadata::{MetadataPackage, SharePolicy};
+use mp_observe::NoopRecorder;
 use mp_relation::{Relation, Result};
 
 /// Alignment of N parties over their common entities: `rows[p][i]` is the
@@ -75,45 +77,25 @@ impl MultiPartySession {
     /// transport; `policies[p]` governs what party `p` discloses to the
     /// rest.
     pub fn run_setup(&self, policies: &[SharePolicy]) -> Result<MultiSetupOutcome> {
-        let mut transport = PerfectTransport::new(self.parties.len());
-        self.run_setup_over(policies, &mut transport, &RetryConfig::default())
+        let mut network = Network::new(self.parties.len());
+        self.run_setup_over(policies, &mut network, &RetryConfig::default())
             .map_err(|e| match e {
                 SetupError::Data(inner) => inner,
                 other => mp_relation::RelationError::Io(other.to_string()),
             })
     }
 
-    /// Runs the setup protocol over an arbitrary [`Transport`] — the
-    /// entry point of the fault simulator ([`crate::sim`]). Fails closed
-    /// with a typed [`SetupError`] when the transport defeats the retry
-    /// budget.
+    /// Runs the setup protocol over an arbitrary [`Transport`]. Fails
+    /// closed with a typed [`SetupError`] when the transport defeats the
+    /// retry budget. The outcome is assembled from what the parties
+    /// received, so it genuinely flowed through the transport.
     pub fn run_setup_over(
         &self,
         policies: &[SharePolicy],
         transport: &mut dyn Transport,
         retry: &RetryConfig,
     ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-        run_setup_protocol(&self.parties, policies, self.salt, transport, retry)
-    }
-
-    /// [`run_setup_over`](Self::run_setup_over) with an explicit
-    /// [`mp_observe::Recorder`]; see
-    /// [`run_setup_protocol_observed`] for what gets recorded.
-    pub fn run_setup_over_observed(
-        &self,
-        policies: &[SharePolicy],
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-        recorder: &dyn mp_observe::Recorder,
-    ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-        run_setup_protocol_observed(
-            &self.parties,
-            policies,
-            self.salt,
-            transport,
-            retry,
-            recorder,
-        )
+        PreparedSetup::new(&self.parties, policies, self.salt, &NoopRecorder)?.run(transport, retry)
     }
 }
 

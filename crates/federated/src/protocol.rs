@@ -3,10 +3,10 @@
 //! over a [`Transport`].
 //!
 //! This is the "preliminary stage of model training" whose privacy the
-//! paper analyses: after [`VflSession::run_setup`] both parties hold the
-//! other's (redacted) metadata package and an aligned view of the common
-//! population — precisely the state in which the adversarial synthesis of
-//! §II-B becomes possible.
+//! paper analyses: after [`crate::MultiPartySession::run_setup`] every
+//! party holds the others' (redacted) metadata packages and an aligned
+//! view of the common population — precisely the state in which the
+//! adversarial synthesis of §II-B becomes possible.
 //!
 //! ## Protocol shape
 //!
@@ -30,28 +30,13 @@
 
 use crate::multiparty::{MultiAlignment, MultiSetupOutcome};
 use crate::party::Party;
-use crate::psi::{intersect_all, IdDigest, PsiAlignment};
-use crate::transport::{Envelope, MsgId, PartyId, Payload, PerfectTransport, Transport};
+use crate::psi::{intersect_all, IdDigest};
+use crate::transport::{Envelope, MsgId, PartyId, Payload, Transport};
 use mp_metadata::{MetadataPackage, SharePolicy};
-use mp_observe::{Counter, NoopRecorder, Recorder};
-use mp_relation::{Relation, RelationError, Result};
+use mp_observe::{Counter, Recorder};
+use mp_relation::RelationError;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// The setup outcome for one direction of the exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SetupOutcome {
-    /// Alignment of both parties' rows over the common population.
-    pub alignment: PsiAlignment,
-    /// Party A's aligned rows (feature columns only, A's coordinates).
-    pub aligned_a: Relation,
-    /// Party B's aligned rows.
-    pub aligned_b: Relation,
-    /// The metadata A disclosed to B.
-    pub metadata_from_a: MetadataPackage,
-    /// The metadata B disclosed to A.
-    pub metadata_from_b: MetadataPackage,
-}
 
 /// How the protocol fails when the transport misbehaves beyond what
 /// retries can absorb. Setup never returns a partial outcome: it is
@@ -216,23 +201,6 @@ impl PartyMachine {
     }
 }
 
-/// Drives the k-party setup protocol over `transport` until every live
-/// party completes, a fault aborts it, or the tick budget runs out.
-///
-/// `parties[p]` discloses under `policies[p]`. The returned outcome is
-/// assembled from *received* messages (each party's package as stored by
-/// a peer, the alignment from party 0's received digest view), so the
-/// result genuinely flowed through the transport.
-pub fn run_setup_protocol(
-    parties: &[Party],
-    policies: &[SharePolicy],
-    salt: u64,
-    transport: &mut dyn Transport,
-    retry: &RetryConfig,
-) -> std::result::Result<MultiSetupOutcome, SetupError> {
-    run_setup_protocol_observed(parties, policies, salt, transport, retry, &NoopRecorder)
-}
-
 /// Protocol metric handles for one party's engine, resolved once per
 /// preparation (the socket client: once per session).
 ///
@@ -262,7 +230,7 @@ impl EngineMetrics {
 
 /// One party's half of the setup protocol, stepped explicitly.
 ///
-/// This is the unit the in-process harness ([`run_setup_protocol`])
+/// This is the unit the in-process harness ([`PreparedSetup::run`])
 /// replicates per party over a shared [`Transport`], and the unit the
 /// socket client ([`crate::serve`]) runs *alone* against a remote peer
 /// pool — the state machine is identical in both deployments, which is
@@ -331,7 +299,7 @@ impl PartyEngine {
         retry: &RetryConfig,
         fresh_id: &mut dyn FnMut() -> MsgId,
         metrics: &EngineMetrics,
-    ) -> std::result::Result<(), SetupError> {
+    ) -> Result<(), SetupError> {
         let p = self.id;
         let m = &mut self.machine;
         // -- Receive, idempotently; (re-)ack everything non-ack. -----
@@ -450,31 +418,18 @@ impl PartyEngine {
     }
 }
 
-/// [`run_setup_protocol`] with an explicit [`Recorder`].
-///
-/// Records per-party `protocol.party.<p>.{sent,recv,retransmits,
-/// backoff_ticks}` counters, the `protocol.acks_sent` total, and the
-/// `protocol.setup` span, and drives the recorder's logical clock from
-/// the transport's virtual tick clock (`set_time` each step) — so the
-/// span's duration is the protocol's length *in ticks*, never wall time.
-/// The protocol engine is single-threaded and the recorder never feeds
-/// back into protocol decisions, so every recorded value is a pure
-/// function of `(parties, policies, transport behaviour)`.
-pub fn run_setup_protocol_observed(
-    parties: &[Party],
-    policies: &[SharePolicy],
-    salt: u64,
-    transport: &mut dyn Transport,
-    retry: &RetryConfig,
-    recorder: &dyn Recorder,
-) -> std::result::Result<MultiSetupOutcome, SetupError> {
-    PreparedSetup::new(parties, policies, salt, recorder)?.run(transport, retry)
-}
-
 /// The local, failure-free half of a setup: each party's PSI submission,
 /// its redacted package and its metric handles. A run only reads them,
 /// so one preparation serves any number of runs over fresh transports —
 /// the model checker prepares once and runs every schedule from it.
+///
+/// The recorder receives per-party `protocol.party.<p>.{sent,recv,
+/// retransmits,backoff_ticks}` counters, the `protocol.acks_sent` total
+/// and the `protocol.setup` span. A run drives the recorder's logical
+/// clock from the transport's tick clock, so the span measures the
+/// protocol's length *in ticks*, never wall time, and every recorded
+/// value is a pure function of `(parties, policies, transport
+/// behaviour)`.
 pub(crate) struct PreparedSetup<'a> {
     parties: &'a [Party],
     recorder: &'a dyn Recorder,
@@ -491,7 +446,7 @@ impl<'a> PreparedSetup<'a> {
         policies: &[SharePolicy],
         salt: u64,
         recorder: &'a dyn Recorder,
-    ) -> std::result::Result<Self, SetupError> {
+    ) -> Result<Self, SetupError> {
         assert_eq!(policies.len(), parties.len(), "one policy per party");
         let mut digests = Vec::with_capacity(parties.len());
         let mut packages = Vec::with_capacity(parties.len());
@@ -514,6 +469,11 @@ impl<'a> PreparedSetup<'a> {
     /// Drives the protocol over `transport` until every live party
     /// completes, a fault aborts it, or the tick budget runs out.
     ///
+    /// `parties[p]` discloses under `policies[p]`. The returned outcome is
+    /// assembled from *received* messages (each party's package as stored
+    /// by a peer, the alignment from a live party's received digest view),
+    /// so the result genuinely flowed through the transport.
+    ///
     /// When nothing is in flight, no party can change state before the
     /// earliest retransmission timer of a live party, so the clock jumps
     /// straight to the tick before it ([`Transport::skip_to`]). The run's
@@ -522,7 +482,7 @@ impl<'a> PreparedSetup<'a> {
         &self,
         transport: &mut dyn Transport,
         retry: &RetryConfig,
-    ) -> std::result::Result<MultiSetupOutcome, SetupError> {
+    ) -> Result<MultiSetupOutcome, SetupError> {
         let n = self.parties.len();
         assert_eq!(
             transport.n_parties(),
@@ -614,17 +574,20 @@ impl<'a> PreparedSetup<'a> {
 
 /// Builds the outcome from *received* state: the alignment from the first
 /// live party's digest view (identical at every party by construction),
-/// each party's metadata from a peer's stored copy.
+/// each party's metadata from a peer's stored copy. A missing input, which
+/// a completed run cannot leave, is reported as a stall at the current
+/// tick.
 fn assemble_outcome(
     parties: &[Party],
     engines: &[PartyEngine],
     transport: &dyn Transport,
-) -> std::result::Result<MultiSetupOutcome, SetupError> {
+) -> Result<MultiSetupOutcome, SetupError> {
     let n = parties.len();
+    let stalled = SetupError::Stalled {
+        at: transport.now(),
+    };
     let viewer = (0..n).find(|&p| !transport.is_crashed(p)).unwrap_or(0);
-    let views: Vec<&[IdDigest]> = engines[viewer]
-        .digest_views()
-        .expect("completed setup has all digests"); // lint: allow(no-panic) reason="this runs only after the engine reported Completed, which requires every peer digest to have been received"
+    let views: Vec<&[IdDigest]> = engines[viewer].digest_views().ok_or(stalled.clone())?;
     let alignment = MultiAlignment {
         rows: intersect_all(&views),
     };
@@ -643,7 +606,7 @@ fn assemble_outcome(
             Some(q) => engines[q]
                 .metadata_from(p)
                 .cloned()
-                .expect("completed setup has all metadata"), // lint: allow(no-panic) reason="this runs only after the engine reported Completed, which requires every live party to hold all peer metadata"
+                .ok_or(stalled.clone())?,
             None => engines[p].own_package().clone(),
         };
         metadata.push(pkg);
@@ -655,89 +618,13 @@ fn assemble_outcome(
     })
 }
 
-/// A two-party session.
-#[derive(Debug, Clone)]
-pub struct VflSession {
-    /// Party A (by convention the active/label party).
-    pub party_a: Party,
-    /// Party B (passive).
-    pub party_b: Party,
-    /// PSI salt both parties agreed on out of band.
-    pub salt: u64,
-}
-
-impl VflSession {
-    /// Creates a session.
-    pub fn new(party_a: Party, party_b: Party, salt: u64) -> Self {
-        Self {
-            party_a,
-            party_b,
-            salt,
-        }
-    }
-
-    /// Runs PSI and the metadata exchange over a fault-free transport.
-    /// `policy_a` governs what A disclosed to B and vice versa.
-    pub fn run_setup(
-        &self,
-        policy_a: &SharePolicy,
-        policy_b: &SharePolicy,
-    ) -> Result<SetupOutcome> {
-        let mut transport = PerfectTransport::new(2);
-        self.run_setup_over(policy_a, policy_b, &mut transport, &RetryConfig::default())
-            .map_err(|e| match e {
-                SetupError::Data(inner) => inner,
-                other => RelationError::Io(other.to_string()),
-            })
-    }
-
-    /// Runs the setup protocol over an arbitrary [`Transport`] — the
-    /// entry point the fault simulator uses. Fails closed with a typed
-    /// [`SetupError`] when the transport defeats the retry budget.
-    pub fn run_setup_over(
-        &self,
-        policy_a: &SharePolicy,
-        policy_b: &SharePolicy,
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-    ) -> std::result::Result<SetupOutcome, SetupError> {
-        let parties = [self.party_a.clone(), self.party_b.clone()];
-        let policies = [*policy_a, *policy_b];
-        let multi = run_setup_protocol(&parties, &policies, self.salt, transport, retry)?;
-        Ok(two_party_outcome(multi))
-    }
-}
-
-/// Converts a two-party [`MultiSetupOutcome`] into the pairwise shape.
-fn two_party_outcome(multi: MultiSetupOutcome) -> SetupOutcome {
-    let ([metadata_from_a, metadata_from_b], [aligned_a, aligned_b], [rows_a, rows_b]) = (
-        pair(multi.metadata),
-        pair(multi.aligned),
-        pair(multi.alignment.rows),
-    );
-    SetupOutcome {
-        alignment: PsiAlignment { rows_a, rows_b },
-        aligned_a,
-        aligned_b,
-        metadata_from_a,
-        metadata_from_b,
-    }
-}
-
-/// Fixes a per-party vector to the two-party shape.
-fn pair<T>(v: Vec<T>) -> [T; 2] {
-    match <[T; 2]>::try_from(v) {
-        Ok(both) => both,
-        // lint: allow(no-panic) reason="run_setup_protocol returns exactly one entry per party and VflSession always passes two parties"
-        Err(v) => unreachable!("two-party session produced {} entries", v.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiparty::MultiPartySession;
+    use crate::sim::Network;
     use mp_metadata::Fd;
-    use mp_relation::{Attribute, Schema, Value};
+    use mp_relation::{Attribute, Relation, Schema, Value};
 
     fn parties() -> (Party, Party) {
         let schema_a = Schema::new(vec![
@@ -778,19 +665,19 @@ mod tests {
     #[test]
     fn setup_aligns_and_exchanges() {
         let (a, b) = parties();
-        let session = VflSession::new(a, b, 99);
+        let session = MultiPartySession::new(vec![a, b], 99);
         let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+            .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
             .unwrap();
         assert_eq!(out.alignment.len(), 2); // u1, u3
-        assert_eq!(out.aligned_a.n_rows(), 2);
-        assert_eq!(out.aligned_b.n_rows(), 2);
+        assert_eq!(out.aligned[0].n_rows(), 2);
+        assert_eq!(out.aligned[1].n_rows(), 2);
         // Feature-only projections: no id columns.
-        assert_eq!(out.aligned_a.arity(), 1);
-        assert_eq!(out.aligned_b.arity(), 2);
+        assert_eq!(out.aligned[0].arity(), 1);
+        assert_eq!(out.aligned[1].arity(), 2);
         // Metadata flows both ways; B's FD survives re-indexing.
-        assert_eq!(out.metadata_from_a.party, "bank");
-        assert_eq!(out.metadata_from_b.dependencies.len(), 1);
+        assert_eq!(out.metadata[0].party, "bank");
+        assert_eq!(out.metadata[1].dependencies.len(), 1);
     }
 
     #[test]
@@ -798,14 +685,14 @@ mod tests {
         let (a, b) = parties();
         let ids_a = a.ids().unwrap();
         let ids_b = b.ids().unwrap();
-        let session = VflSession::new(a, b, 5);
+        let session = MultiPartySession::new(vec![a, b], 5);
         let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+            .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
             .unwrap();
         for i in 0..out.alignment.len() {
             assert_eq!(
-                ids_a[out.alignment.rows_a[i]],
-                ids_b[out.alignment.rows_b[i]]
+                ids_a[out.alignment.rows[0][i]],
+                ids_b[out.alignment.rows[1][i]]
             );
         }
     }
@@ -813,12 +700,12 @@ mod tests {
     #[test]
     fn asymmetric_policies() {
         let (a, b) = parties();
-        let session = VflSession::new(a, b, 1);
+        let session = MultiPartySession::new(vec![a, b], 1);
         let out = session
-            .run_setup(&SharePolicy::NAMES_ONLY, &SharePolicy::FULL)
+            .run_setup(&[SharePolicy::NAMES_ONLY, SharePolicy::FULL])
             .unwrap();
-        assert!(!out.metadata_from_a.shares_domains());
-        assert!(out.metadata_from_b.shares_domains());
+        assert!(!out.metadata[0].shares_domains());
+        assert!(out.metadata[1].shares_domains());
     }
 
     #[test]
@@ -826,16 +713,18 @@ mod tests {
         let schema = Schema::new(vec![Attribute::categorical("id")]).unwrap();
         let ra = Relation::from_rows(schema.clone(), vec![vec![Value::Text("a".into())]]).unwrap();
         let rb = Relation::from_rows(schema, vec![vec![Value::Text("b".into())]]).unwrap();
-        let session = VflSession::new(
-            Party::new("a", ra, 0, vec![]).unwrap(),
-            Party::new("b", rb, 0, vec![]).unwrap(),
+        let session = MultiPartySession::new(
+            vec![
+                Party::new("a", ra, 0, vec![]).unwrap(),
+                Party::new("b", rb, 0, vec![]).unwrap(),
+            ],
             0,
         );
         let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+            .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
             .unwrap();
         assert!(out.alignment.is_empty());
-        assert_eq!(out.aligned_a.n_rows(), 0);
+        assert_eq!(out.aligned[0].n_rows(), 0);
     }
 
     #[test]
@@ -845,22 +734,21 @@ mod tests {
         let ids_a = a.ids().unwrap();
         let ids_b = b.ids().unwrap();
         let direct = crate::psi::align(&ids_a, &ids_b, 99);
-        let session = VflSession::new(a, b, 99);
+        let session = MultiPartySession::new(vec![a, b], 99);
         let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+            .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
             .unwrap();
-        assert_eq!(out.alignment, direct);
+        assert_eq!(out.alignment.rows, [direct.rows_a, direct.rows_b]);
     }
 
     #[test]
     fn trace_contains_both_phases() {
         let (a, b) = parties();
-        let session = VflSession::new(a, b, 7);
-        let mut transport = PerfectTransport::new(2);
+        let session = MultiPartySession::new(vec![a, b], 7);
+        let mut transport = Network::new(2);
         session
             .run_setup_over(
-                &SharePolicy::FULL,
-                &SharePolicy::FULL,
+                &[SharePolicy::FULL, SharePolicy::FULL],
                 &mut transport,
                 &RetryConfig::default(),
             )

@@ -4,9 +4,8 @@
 //! synthesis attack against the bank under different share policies.
 
 use crate::model::{labels_from_column, train, FeatureBlock, TrainConfig};
+use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
 use crate::party::Party;
-use crate::protocol::{RetryConfig, SetupError, SetupOutcome, VflSession};
-use crate::transport::Transport;
 use mp_core::{run_attack, AttackResult, ExperimentConfig};
 use mp_metadata::SharePolicy;
 use mp_relation::{RelationError, Result};
@@ -14,8 +13,9 @@ use mp_relation::{RelationError, Result};
 /// Outcome of the full scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// Setup artefacts (alignment + exchanged metadata).
-    pub setup: SetupOutcome,
+    /// Setup artefacts (alignment + exchanged metadata); party 0 is the
+    /// bank, party 1 the e-commerce company.
+    pub setup: MultiSetupOutcome,
     /// Accuracy of the federated model (both parties' features).
     pub federated_accuracy: f64,
     /// Accuracy of the bank training alone on the same rows.
@@ -39,45 +39,15 @@ pub fn run_scenario(
     bank_policy: &SharePolicy,
     experiment: &ExperimentConfig,
 ) -> Result<ScenarioOutcome> {
-    let session = VflSession::new(bank, ecommerce, 0xF1A7);
-    let setup = session.run_setup(bank_policy, &SharePolicy::FULL)?;
-    scenario_from_setup(&session, setup, label_column, experiment)
-}
+    let bank_columns = bank.feature_columns();
+    let session = MultiPartySession::new(vec![bank, ecommerce], 0xF1A7);
+    let setup = session.run_setup(&[*bank_policy, SharePolicy::FULL])?;
 
-/// Runs the Figure 1 scenario with the setup phase driven over an
-/// arbitrary [`Transport`] — e.g. a [`crate::sim::SimTransport`] with a
-/// seeded fault plan. Either the whole scenario runs (setup survived the
-/// faults, and the outcome is bit-identical to the fault-free one) or it
-/// fails closed with the setup's typed [`SetupError`]; training never
-/// starts from a partial exchange.
-pub fn run_scenario_over(
-    bank: Party,
-    ecommerce: Party,
-    label_column: usize,
-    bank_policy: &SharePolicy,
-    experiment: &ExperimentConfig,
-    transport: &mut dyn Transport,
-    retry: &RetryConfig,
-) -> std::result::Result<ScenarioOutcome, SetupError> {
-    let session = VflSession::new(bank, ecommerce, 0xF1A7);
-    let setup = session.run_setup_over(bank_policy, &SharePolicy::FULL, transport, retry)?;
-    scenario_from_setup(&session, setup, label_column, experiment).map_err(SetupError::Data)
-}
-
-/// Utility + privacy measurement over a completed setup.
-fn scenario_from_setup(
-    session: &VflSession,
-    setup: crate::protocol::SetupOutcome,
-    label_column: usize,
-    experiment: &ExperimentConfig,
-) -> Result<ScenarioOutcome> {
     // --- Utility: train loan approval on the aligned intersection. ------
     // Label column in aligned (feature-projected) coordinates. The label is
     // caller-supplied, so a column outside the bank's feature set is a
     // typed error, not a panic.
-    let label_pos = session
-        .party_a
-        .feature_columns()
+    let label_pos = bank_columns
         .iter()
         .position(|&c| c == label_column)
         .ok_or_else(|| {
@@ -85,13 +55,19 @@ fn scenario_from_setup(
                 "label column {label_column} is not among the bank's feature columns"
             ))
         })?;
-    let bank_features: Vec<usize> = (0..setup.aligned_a.arity())
-        .filter(|&c| c != label_pos)
-        .collect();
-    let labels = labels_from_column(&setup.aligned_a, label_pos)?;
-    let bank_block = FeatureBlock::encode(&setup.aligned_a, &bank_features)?;
-    let ecom_features: Vec<usize> = (0..setup.aligned_b.arity()).collect();
-    let ecom_block = FeatureBlock::encode(&setup.aligned_b, &ecom_features)?;
+    let ([bank_rows, ecom_rows], Some(bank_metadata)) =
+        (setup.aligned.as_slice(), setup.metadata.first())
+    else {
+        return Err(RelationError::Io(format!(
+            "two-party setup returned {} aligned slices",
+            setup.aligned.len()
+        )));
+    };
+    let bank_features: Vec<usize> = (0..bank_rows.arity()).filter(|&c| c != label_pos).collect();
+    let labels = labels_from_column(bank_rows, label_pos)?;
+    let bank_block = FeatureBlock::encode(bank_rows, &bank_features)?;
+    let ecom_features: Vec<usize> = (0..ecom_rows.arity()).collect();
+    let ecom_block = FeatureBlock::encode(ecom_rows, &ecom_features)?;
 
     let federated = train(
         vec![bank_block.clone(), ecom_block],
@@ -101,8 +77,8 @@ fn scenario_from_setup(
     let solo = train(vec![bank_block], &labels, &TrainConfig::default());
 
     // --- Privacy: the e-commerce party attacks the bank's slice. --------
-    let attack_with_deps = run_attack(&setup.aligned_a, &setup.metadata_from_a, true, experiment)?;
-    let attack_random = run_attack(&setup.aligned_a, &setup.metadata_from_a, false, experiment)?;
+    let attack_with_deps = run_attack(bank_rows, bank_metadata, true, experiment)?;
+    let attack_random = run_attack(bank_rows, bank_metadata, false, experiment)?;
 
     Ok(ScenarioOutcome {
         setup,
@@ -199,9 +175,7 @@ mod tests {
         // Without domains every generated cell is null: zero matches on
         // every non-null real column.
         for attr in &out.attack_with_deps.per_attr {
-            let real_nulls = out
-                .setup
-                .aligned_a
+            let real_nulls = out.setup.aligned[0]
                 .column(attr.attr)
                 .unwrap()
                 .iter()

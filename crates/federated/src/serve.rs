@@ -8,7 +8,7 @@
 //! client connection speaks for exactly one party of one session; the
 //! per-party state machine is the same engine the in-process harness
 //! runs, so a completed socket session is *bit-identical* to the
-//! same seeds through [`crate::PerfectTransport`] — the simulator is a
+//! same seeds through [`crate::Network::new`] — the simulator is a
 //! faithful test double for the daemon, and the sim invariant harness is
 //! the oracle the soak tests check against.
 //!
@@ -1113,7 +1113,7 @@ impl Transport for SocketTransport {
 /// One party's view of a completed socket session.
 ///
 /// Comparable against a [`MultiSetupOutcome`] from the same seeds over
-/// [`crate::PerfectTransport`] via [`outcome_matches`] — the byte-
+/// [`crate::Network::new`] via [`outcome_matches`] — the byte-
 /// identity oracle of the serve soak harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartyOutcome {
@@ -1151,10 +1151,10 @@ fn disconnect_error(party: PartyId) -> SetupError {
 
 /// Runs one party of one session against an `mpriv serve` daemon at
 /// `addr`, driving the same per-party engine the in-process harness
-/// runs ([`crate::run_setup_protocol`]).
+/// runs ([`crate::MultiPartySession::run_setup_over`]).
 ///
 /// Completes with this party's [`PartyOutcome`] (bit-identical to the
-/// same seeds over [`crate::PerfectTransport`]) or fails closed with a
+/// same seeds over [`crate::Network::new`]) or fails closed with a
 /// typed [`SetupError`] mapped from the session's abort reason.
 pub fn run_client_session(
     addr: &str,

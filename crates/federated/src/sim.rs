@@ -1,15 +1,18 @@
-//! Deterministic fault-injection simulator for the VFL setup protocol.
+//! The in-memory network and the deterministic fault-injection
+//! simulator for the VFL setup protocol.
 //!
 //! The paper's threat model lives entirely in the setup phase, so its
 //! privacy guarantees must hold not just on the happy path but under the
 //! message-level failures every real deployment sees: drops, duplicates,
 //! reordering, delays and party crashes. This module provides
 //!
+//! * [`Network`] — the one in-memory [`Transport`]: fault-free
+//!   ([`Network::new`]), driven by a seeded plan ([`Network::seeded`]) or
+//!   by an explicit decision schedule ([`Network::scheduled`], the model
+//!   checker's);
 //! * [`FaultPlan`] — a *seeded* schedule of faults. Two runs with the
 //!   same plan (same seed, same rates) inject byte-identical fault
 //!   decisions, so every failure is replayable from its seed alone;
-//! * [`SimTransport`] — a [`Transport`] applying the plan via the
-//!   workspace's deterministic `StdRng`;
 //! * [`TraceSummary`] — counts of what happened on the wire;
 //! * [`check_invariants`] — the harness asserting, for any plan, the
 //!   three protocol invariants:
@@ -24,17 +27,19 @@
 //! Replaying a CI failure: every matrix entry is `(seed, profile)`;
 //! `mpriv simulate --seed N --faults <profile>` reruns it exactly.
 
+use crate::check::Decision;
 use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
-use crate::protocol::{RetryConfig, SetupError};
+use crate::protocol::{PreparedSetup, RetryConfig, SetupError};
 use crate::transport::{
-    DeliveryQueue, Envelope, PartyId, Payload, PerfectTransport, TraceEvent, Transport,
-    TransportMetrics,
+    DeliveryQueue, Envelope, PartyId, Payload, TraceEvent, Transport, TransportMetrics,
 };
 use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{NoopRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A scheduled party crash: the party completes exactly `after_sends`
@@ -116,119 +121,244 @@ impl FaultPlan {
     }
 }
 
-/// A [`Transport`] that applies a [`FaultPlan`] deterministically.
+/// The in-memory network the setup protocol runs over in process.
+///
+/// Every envelope is queued for delivery on the tick after its send,
+/// unless its fault source decides otherwise. The source is fixed by the
+/// constructor: [`Network::new`] injects no faults, [`Network::seeded`]
+/// draws each transmission's fate from a [`FaultPlan`]'s seeded RNG, and
+/// [`Network::scheduled`] reads it from an explicit [`Decision`] vector.
+/// Crashes, inboxes, the delivery queue, the trace and the state hashes
+/// the model checker branches on are the same code for all three.
 #[derive(Debug)]
-pub struct SimTransport {
-    plan: FaultPlan,
-    rng: StdRng,
+pub struct Network {
+    source: FaultSource,
+    crashes: Vec<PartyCrash>,
     now: u64,
     queue: DeliveryQueue,
     inboxes: Vec<VecDeque<Envelope>>,
     sends: Vec<u64>,
-    crashed_at: Vec<Option<u64>>,
+    crashed: Vec<bool>,
     trace: Vec<TraceEvent>,
     metrics: TransportMetrics,
+    /// Rolling hash of the wire-event history.
+    state_hash: u64,
+    /// `state_hash` snapshot at each decision point, pre-decision; its
+    /// length is the index of the next decision point.
+    decision_hashes: Vec<u64>,
+    /// `state_hash` snapshot after each tick (the per-tick states); one
+    /// snapshot stands for a whole span of idle ticks crossed by
+    /// [`Transport::skip_to`], which all share it.
+    tick_hashes: Vec<u64>,
 }
 
-impl SimTransport {
-    /// Creates a simulated transport connecting `n_parties` parties.
-    pub fn new(n_parties: usize, plan: FaultPlan) -> Self {
+/// The fault-free network ([`Network::new`]): every envelope is delivered
+/// exactly once, in send order, on the tick after it was sent. The name
+/// stays because the `serve` workload of `perfbench` constructs it.
+pub type PerfectTransport = Network;
+
+/// Where each transmission's fate comes from.
+#[derive(Debug)]
+enum FaultSource {
+    /// Drawn from the plan's rates by an RNG seeded with its seed.
+    Seeded { plan: FaultPlan, rng: StdRng },
+    /// Decision `i` is read at decision point `i`; `Deliver` past the end.
+    Scheduled { decisions: Vec<Decision> },
+}
+
+/// What happens to one transmission. A delivered copy arrives `1 + extra`
+/// ticks after its send.
+enum Fate {
+    Drop,
+    Deliver(u64),
+    Duplicate(u64, u64),
+}
+
+impl FaultSource {
+    /// The fate of the transmission at decision point `point`. A seeded
+    /// source draws drop, then duplicate, then each copy's delay, and
+    /// draws nothing for a rate of 0.
+    fn decide(&mut self, point: usize) -> Fate {
+        match self {
+            FaultSource::Seeded { plan, rng } => {
+                if plan.drop_rate > 0.0 && rng.gen::<f64>() < plan.drop_rate {
+                    return Fate::Drop;
+                }
+                let duplicate = plan.duplicate_rate > 0.0 && rng.gen::<f64>() < plan.duplicate_rate;
+                let max_delay = plan.max_delay;
+                let mut delay = || {
+                    if max_delay > 0 {
+                        rng.gen_range(0..=max_delay)
+                    } else {
+                        0
+                    }
+                };
+                let first = delay();
+                if duplicate {
+                    Fate::Duplicate(first, delay())
+                } else {
+                    Fate::Deliver(first)
+                }
+            }
+            FaultSource::Scheduled { decisions } => match decisions.get(point) {
+                None | Some(Decision::Deliver) => Fate::Deliver(0),
+                Some(Decision::Drop) => Fate::Drop,
+                Some(Decision::Duplicate) => Fate::Duplicate(0, 0),
+                Some(Decision::Delay(extra)) => Fate::Deliver(*extra),
+            },
+        }
+    }
+}
+
+/// Folds `item` into the rolling state hash `hash`.
+pub(crate) fn mix(hash: u64, item: impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    hash.hash(&mut h);
+    item.hash(&mut h);
+    h.finish()
+}
+
+impl Network {
+    /// A fault-free network connecting `n_parties` parties.
+    pub fn new(n_parties: usize) -> Self {
+        Self::scheduled(n_parties, Vec::new(), None)
+    }
+
+    /// A network applying `plan`, with wire metrics registered on
+    /// `recorder` (see [`TransportMetrics::new`] for the names). Metrics
+    /// are observation-only: they never draw from the fault stream, so
+    /// an observed run injects exactly the faults an unobserved one does.
+    pub fn seeded(n_parties: usize, plan: FaultPlan, recorder: &dyn Recorder) -> Self {
+        let crashes = plan.crashes.clone();
         let rng = StdRng::seed_from_u64(plan.seed);
+        let mut network = Self::with_source(n_parties, FaultSource::Seeded { plan, rng }, crashes);
+        network.metrics = TransportMetrics::new(n_parties, recorder);
+        network
+    }
+
+    /// A network applying `decisions` (then delivering everything) under
+    /// an optional crash.
+    pub fn scheduled(
+        n_parties: usize,
+        decisions: Vec<Decision>,
+        crash: Option<PartyCrash>,
+    ) -> Self {
+        Self::with_source(
+            n_parties,
+            FaultSource::Scheduled { decisions },
+            crash.into_iter().collect(),
+        )
+    }
+
+    fn with_source(n_parties: usize, source: FaultSource, crashes: Vec<PartyCrash>) -> Self {
         Self {
-            plan,
-            rng,
+            source,
+            crashes,
             now: 0,
             queue: DeliveryQueue::default(),
             inboxes: vec![VecDeque::new(); n_parties],
             sends: vec![0; n_parties],
-            crashed_at: vec![None; n_parties],
+            crashed: vec![false; n_parties],
             trace: Vec::new(),
             metrics: TransportMetrics::noop(),
+            state_hash: 0,
+            decision_hashes: Vec::new(),
+            tick_hashes: Vec::new(),
         }
     }
 
-    /// [`new`](Self::new) with wire metrics registered on `recorder`
-    /// (see [`TransportMetrics::new`] for the metric names). Metrics are
-    /// observation-only: the fault-decision RNG stream is untouched, so
-    /// an observed run injects exactly the faults the unobserved run
-    /// does.
-    pub fn observed(n_parties: usize, plan: FaultPlan, recorder: &dyn Recorder) -> Self {
-        let mut transport = Self::new(n_parties, plan);
-        transport.metrics = TransportMetrics::new(n_parties, recorder);
-        transport
+    /// Decision points consulted (including defaults past a schedule).
+    pub(crate) fn consulted(&self) -> usize {
+        self.decision_hashes.len()
     }
 
-    /// Parties the plan has crashed so far.
-    pub fn crashed_parties(&self) -> Vec<PartyId> {
-        self.crashed_at
-            .iter()
-            .enumerate()
-            .filter_map(|(p, c)| c.map(|_| p))
-            .collect()
+    /// The rolling hash of the wire-event history so far.
+    pub(crate) fn state_hash(&self) -> u64 {
+        self.state_hash
     }
 
-    fn schedule(&mut self, env: Envelope, extra_event: Option<fn(u64, Envelope) -> TraceEvent>) {
-        let delay = if self.plan.max_delay > 0 {
-            self.rng.gen_range(0..=self.plan.max_delay)
-        } else {
-            0
-        };
-        if let Some(make) = extra_event {
-            self.trace.push(make(self.now, env.clone()));
-        }
-        self.queue.push(env, self.now, self.now + 1 + delay);
+    /// The state hash before each decision point, in order.
+    pub(crate) fn decision_hashes(&self) -> &[u64] {
+        &self.decision_hashes
+    }
+
+    /// The state hash after each tick or jumped idle span, in order.
+    pub(crate) fn tick_hashes(&self) -> &[u64] {
+        &self.tick_hashes
+    }
+
+    fn note(&mut self, tag: u8, env: &Envelope) {
+        let fingerprint = (env.id.0, env.from, env.to, env.payload.kind());
+        self.state_hash = mix(self.state_hash, (tag, self.now, fingerprint));
+    }
+
+    fn enqueue(&mut self, env: Envelope, extra: u64) {
+        self.queue.push(env, self.now, self.now + 1 + extra);
     }
 }
 
-impl Transport for SimTransport {
+impl Transport for Network {
     fn n_parties(&self) -> usize {
         self.inboxes.len()
     }
 
     fn send(&mut self, env: Envelope, attempt: u32) {
         let from = env.from;
-        if self.crashed_at[from].is_some() {
+        if self.crashed[from] {
             return; // a dead party transmits nothing
         }
         // Crash schedule: the party completes `after_sends` transmissions,
         // then this (and every later) send is the one that never happens.
-        if let Some(crash) = self.plan.crashes.iter().find(|c| c.party == from) {
+        if let Some(crash) = self.crashes.iter().find(|c| c.party == from) {
             if self.sends[from] >= crash.after_sends {
-                self.crashed_at[from] = Some(self.now);
+                self.crashed[from] = true;
                 self.metrics.note_crash();
                 self.trace.push(TraceEvent::Crashed {
                     at: self.now,
                     party: from,
                 });
+                self.state_hash = mix(self.state_hash, (4u8, self.now, from));
                 return;
             }
         }
         self.sends[from] += 1;
         self.metrics.note_sent(from);
+        self.note(0, &env);
         self.trace.push(TraceEvent::Sent {
             at: self.now,
             env: env.clone(),
             attempt,
         });
-        if self.plan.drop_rate > 0.0 && self.rng.gen::<f64>() < self.plan.drop_rate {
-            self.metrics.note_dropped();
-            self.trace.push(TraceEvent::Dropped { at: self.now, env });
-            return;
-        }
-        let duplicate =
-            self.plan.duplicate_rate > 0.0 && self.rng.gen::<f64>() < self.plan.duplicate_rate;
-        self.schedule(env.clone(), None);
-        if duplicate {
-            self.metrics.note_duplicated();
-            self.schedule(env, Some(|at, env| TraceEvent::Duplicated { at, env }));
+        // The decision point. The pre-decision state hash is what
+        // identifies this branch point to the model checker.
+        let point = self.decision_hashes.len();
+        self.decision_hashes.push(self.state_hash);
+        match self.source.decide(point) {
+            Fate::Drop => {
+                self.metrics.note_dropped();
+                self.note(1, &env);
+                self.trace.push(TraceEvent::Dropped { at: self.now, env });
+            }
+            Fate::Deliver(extra) => self.enqueue(env, extra),
+            Fate::Duplicate(first, second) => {
+                self.metrics.note_duplicated();
+                self.note(2, &env);
+                self.trace.push(TraceEvent::Duplicated {
+                    at: self.now,
+                    env: env.clone(),
+                });
+                self.enqueue(env.clone(), first);
+                self.enqueue(env, second);
+            }
         }
     }
 
     fn tick(&mut self) {
         self.now += 1;
         while let Some(m) = self.queue.pop_due(self.now) {
-            if self.crashed_at[m.env.to].is_some() {
+            if self.crashed[m.env.to] {
                 self.metrics.note_dropped();
+                self.note(1, &m.env);
                 self.trace.push(TraceEvent::Dropped {
                     at: self.now,
                     env: m.env,
@@ -237,21 +367,25 @@ impl Transport for SimTransport {
             }
             self.metrics
                 .note_delivered(m.env.to, self.now.saturating_sub(m.sent_at));
+            self.note(3, &m.env);
             self.trace.push(TraceEvent::Delivered {
                 at: self.now,
                 env: m.env.clone(),
             });
             self.inboxes[m.env.to].push_back(m.env);
         }
+        self.tick_hashes.push(self.state_hash);
     }
 
-    /// An idle tick only moves the clock, so idle spans are crossed in
-    /// one step; a queued message still gets its own tick.
+    /// An idle tick only moves the clock and repeats the last state, so
+    /// an idle span is crossed in one step and recorded as one state; a
+    /// queued message still gets its own tick.
     fn skip_to(&mut self, t: u64) {
         while self.now < t {
             let idle_until = self.queue.idle_until(t);
             if idle_until > self.now {
                 self.now = idle_until;
+                self.tick_hashes.push(self.state_hash);
             } else {
                 self.tick();
             }
@@ -259,7 +393,7 @@ impl Transport for SimTransport {
     }
 
     fn recv(&mut self, party: PartyId) -> Option<Envelope> {
-        if self.crashed_at[party].is_some() {
+        if self.crashed[party] {
             return None;
         }
         self.inboxes[party].pop_front()
@@ -274,7 +408,7 @@ impl Transport for SimTransport {
     }
 
     fn is_crashed(&self, party: PartyId) -> bool {
-        self.crashed_at[party].is_some()
+        self.crashed[party]
     }
 
     fn trace(&self) -> &[TraceEvent] {
@@ -353,37 +487,27 @@ pub struct SimOutcome {
 /// Runs one simulated setup under `plan` and returns the outcome plus its
 /// audit artefacts. Same session + policies + plan ⇒ same outcome, trace
 /// and summary, always.
+///
+/// The network registers its wire metrics ([`TransportMetrics`]) on
+/// `recorder`, and the protocol engine its per-party counters and the
+/// `protocol.setup` span, whose clock is the network's tick clock.
+/// Recording is observation-only: pass [`NoopRecorder`] for none, and
+/// the fault stream, trace and outcome stay byte-identical.
 pub fn simulate_setup(
-    session: &MultiPartySession,
-    policies: &[SharePolicy],
-    plan: &FaultPlan,
-    retry: &RetryConfig,
-) -> SimOutcome {
-    simulate_setup_observed(session, policies, plan, retry, &NoopRecorder)
-}
-
-/// [`simulate_setup`] with an explicit [`Recorder`]: the transport
-/// registers its wire metrics ([`TransportMetrics`]) and the protocol
-/// engine its per-party counters and setup span
-/// ([`crate::run_setup_protocol_observed`]). Recording is
-/// observation-only — the fault-decision RNG stream, the trace and the
-/// outcome are byte-identical to the unobserved run under the same plan.
-pub fn simulate_setup_observed(
     session: &MultiPartySession,
     policies: &[SharePolicy],
     plan: &FaultPlan,
     retry: &RetryConfig,
     recorder: &dyn Recorder,
 ) -> SimOutcome {
-    let mut transport = SimTransport::observed(session.parties.len(), plan.clone(), recorder);
-    let result = session.run_setup_over_observed(policies, &mut transport, retry, recorder);
-    let ticks = transport.now();
-    let trace = std::mem::take(&mut transport.trace);
+    let mut network = Network::seeded(session.parties.len(), plan.clone(), recorder);
+    let result = PreparedSetup::new(&session.parties, policies, session.salt, recorder)
+        .and_then(|setup| setup.run(&mut network, retry));
     SimOutcome {
         result,
-        summary: TraceSummary::from_trace(&trace),
-        ticks,
-        trace,
+        summary: TraceSummary::from_trace(&network.trace),
+        ticks: network.now,
+        trace: network.trace,
     }
 }
 
@@ -464,34 +588,31 @@ pub fn check_invariants(
     plan: &FaultPlan,
     retry: &RetryConfig,
 ) -> Result<InvariantReport, InvariantViolation> {
-    // Fault-free reference, and the packages the redaction audit expects.
-    let mut reference_transport = PerfectTransport::new(session.parties.len());
-    let reference = session
-        .run_setup_over(policies, &mut reference_transport, retry)
+    // One preparation serves the fault-free reference, the faulty run and
+    // the redaction audit's expected packages.
+    let n = session.parties.len();
+    let setup = PreparedSetup::new(&session.parties, policies, session.salt, &NoopRecorder)
         .map_err(InvariantViolation::ReferenceFailed)?;
-    let expected = session
-        .parties
-        .iter()
-        .zip(policies)
-        .map(|(party, policy)| party.share_metadata(policy).map(Arc::new))
-        .collect::<mp_relation::Result<Vec<_>>>()
-        .map_err(|e| InvariantViolation::ReferenceFailed(SetupError::Data(e)))?;
+    let reference = setup
+        .run(&mut Network::new(n), retry)
+        .map_err(InvariantViolation::ReferenceFailed)?;
 
-    let sim = simulate_setup(session, policies, plan, retry);
+    let mut network = Network::seeded(n, plan.clone(), &NoopRecorder);
+    let result = setup.run(&mut network, retry);
     let scheduled: Vec<PartyId> = plan.crashes.iter().map(|c| c.party).collect();
     verify_run(
         policies,
-        &expected,
+        &setup.packages,
         &reference,
-        &sim.result,
-        &sim.trace,
+        &result,
+        &network.trace,
         &scheduled,
     )?;
 
     Ok(InvariantReport {
-        completed: sim.result.is_ok(),
-        summary: sim.summary,
-        ticks: sim.ticks,
+        completed: result.is_ok(),
+        summary: TraceSummary::from_trace(&network.trace),
+        ticks: network.now,
     })
 }
 
@@ -709,8 +830,20 @@ mod tests {
     fn same_seed_same_trace() {
         let s = session();
         let plan = FaultPlan::from_names("drop,dup,reorder", 42, 2).unwrap();
-        let a = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
-        let b = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+        let a = simulate_setup(
+            &s,
+            &policies(),
+            &plan,
+            &RetryConfig::default(),
+            &NoopRecorder,
+        );
+        let b = simulate_setup(
+            &s,
+            &policies(),
+            &plan,
+            &RetryConfig::default(),
+            &NoopRecorder,
+        );
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.result.is_ok(), b.result.is_ok());
@@ -724,7 +857,9 @@ mod tests {
         let distinct: std::collections::HashSet<usize> = (0..8)
             .map(|seed| {
                 let plan = FaultPlan::from_names("drop,reorder", seed, 2).unwrap();
-                simulate_setup(&s, &pols, &plan, &retry).summary.dropped
+                simulate_setup(&s, &pols, &plan, &retry, &NoopRecorder)
+                    .summary
+                    .dropped
             })
             .collect();
         assert!(distinct.len() > 1, "eight seeds produced identical traces");
@@ -752,7 +887,13 @@ mod tests {
             drop_rate: 1.0,
             ..FaultPlan::fault_free(3)
         };
-        let sim = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+        let sim = simulate_setup(
+            &s,
+            &policies(),
+            &plan,
+            &RetryConfig::default(),
+            &NoopRecorder,
+        );
         assert!(matches!(
             sim.result,
             Err(SetupError::RetriesExhausted { .. })
@@ -784,7 +925,13 @@ mod tests {
                 }],
                 ..FaultPlan::fault_free(9)
             };
-            let sim = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+            let sim = simulate_setup(
+                &s,
+                &policies(),
+                &plan,
+                &RetryConfig::default(),
+                &NoopRecorder,
+            );
             assert_eq!(sim.result, Err(SetupError::PartyCrashed { party }));
             check_invariants(&s, &policies(), &plan, &RetryConfig::default()).unwrap();
         }
@@ -808,10 +955,10 @@ mod tests {
         let s = session();
         let plan = FaultPlan::from_names("drop,dup,reorder", 42, 2).unwrap();
         let retry = RetryConfig::default();
-        let plain = simulate_setup(&s, &policies(), &plan, &retry);
+        let plain = simulate_setup(&s, &policies(), &plan, &retry, &NoopRecorder);
 
         let registry = Registry::new();
-        let observed = simulate_setup_observed(&s, &policies(), &plan, &retry, &registry);
+        let observed = simulate_setup(&s, &policies(), &plan, &retry, &registry);
 
         // Observation must not perturb the run in any way.
         assert_eq!(plain.summary, observed.summary);

@@ -4,10 +4,11 @@
 //! broadcast — is where the paper's entire threat model lives, so this
 //! module makes its communication explicit: every artefact that crosses a
 //! trust boundary travels as a typed [`Envelope`] through a [`Transport`].
-//! The protocol engine ([`crate::run_setup_protocol`]) never hands a peer a value
-//! directly; it can only `send` envelopes and `recv` what the transport
-//! delivers. That single choke point is what makes the fault simulator
-//! ([`crate::sim`]) and its message-trace audits possible: *everything* a
+//! The protocol engine ([`crate::MultiPartySession::run_setup_over`])
+//! never hands a peer a value directly; it can only `send` envelopes and
+//! `recv` what the transport delivers. That single choke point is what
+//! makes the fault simulator ([`crate::sim`]) and its message-trace audits
+//! possible: *everything* a
 //! party ever discloses is in the trace, so redaction invariants can be
 //! checked against the wire, not against the code's good intentions.
 //!
@@ -433,9 +434,10 @@ impl TraceEvent {
 
 /// The message-passing substrate the setup protocol runs over.
 ///
-/// Implementations decide what happens between `send` and `recv`:
-/// [`PerfectTransport`] delivers everything once, in order, on the next
-/// tick; [`crate::sim::SimTransport`] applies a seeded fault plan.
+/// Implementations decide what happens between `send` and `recv`: the
+/// in-memory [`crate::sim::Network`] delivers on the next tick unless its
+/// fault source says otherwise; [`crate::serve::SocketTransport`] carries
+/// one party's envelopes over a socket.
 pub trait Transport {
     /// Number of parties attached to this transport.
     fn n_parties(&self) -> usize;
@@ -454,8 +456,8 @@ pub trait Transport {
     /// retransmission timer falls due before `t`, so every skipped tick
     /// would have delivered nothing and changed no party. The default
     /// ticks one at a time, which is correct for any transport; the
-    /// in-memory fault transports override it to move the clock in one
-    /// step, and still give a message that is in flight its own tick.
+    /// in-memory [`crate::sim::Network`] overrides it to move the clock in
+    /// one step, and still gives a message that is in flight its own tick.
     fn skip_to(&mut self, t: u64) {
         while self.now() < t {
             self.tick();
@@ -552,7 +554,7 @@ impl TransportMetrics {
     }
 }
 
-/// An envelope an in-memory transport accepted and has not yet delivered.
+/// An envelope the in-memory network accepted and has not yet delivered.
 #[derive(Debug)]
 pub(crate) struct Queued {
     /// Tick at which the envelope is due.
@@ -563,8 +565,7 @@ pub(crate) struct Queued {
     pub(crate) env: Envelope,
 }
 
-/// The in-flight queue of the in-memory fault transports
-/// ([`crate::sim::SimTransport`] and [`crate::check::ScheduleTransport`]).
+/// The in-flight queue of the in-memory [`crate::sim::Network`].
 ///
 /// Envelopes leave by move, in `(deliver_at, push order)` order. The
 /// queue stays sorted on insert — a new envelope goes behind every queued
@@ -611,75 +612,10 @@ impl DeliveryQueue {
     }
 }
 
-/// The fault-free reference transport: every envelope is delivered exactly
-/// once, in send order, on the tick after it was sent.
-#[derive(Debug, Default)]
-pub struct PerfectTransport {
-    n_parties: usize,
-    now: u64,
-    pending: Vec<Envelope>,
-    inboxes: Vec<VecDeque<Envelope>>,
-    trace: Vec<TraceEvent>,
-}
-
-impl PerfectTransport {
-    /// Creates a transport connecting `n_parties` parties.
-    pub fn new(n_parties: usize) -> Self {
-        Self {
-            n_parties,
-            now: 0,
-            pending: Vec::new(),
-            inboxes: vec![VecDeque::new(); n_parties],
-            trace: Vec::new(),
-        }
-    }
-}
-
-impl Transport for PerfectTransport {
-    fn n_parties(&self) -> usize {
-        self.n_parties
-    }
-
-    fn send(&mut self, env: Envelope, attempt: u32) {
-        self.trace.push(TraceEvent::Sent {
-            at: self.now,
-            env: env.clone(),
-            attempt,
-        });
-        self.pending.push(env);
-    }
-
-    fn tick(&mut self) {
-        self.now += 1;
-        for env in self.pending.drain(..) {
-            self.trace.push(TraceEvent::Delivered {
-                at: self.now,
-                env: env.clone(),
-            });
-            self.inboxes[env.to].push_back(env);
-        }
-    }
-
-    fn recv(&mut self, party: PartyId) -> Option<Envelope> {
-        self.inboxes[party].pop_front()
-    }
-
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::PerfectTransport;
 
     fn env(id: u64, from: PartyId, to: PartyId) -> Envelope {
         Envelope {

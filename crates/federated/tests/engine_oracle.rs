@@ -15,9 +15,10 @@
 
 use mp_federated::{
     model_check, simulate_setup, small_world_session, CheckConfig, CheckReport, Decision, Envelope,
-    FaultPlan, MsgId, PartyId, Payload, RetryConfig, ScheduleTransport, SetupError, SimTransport,
-    TraceEvent, Transport, FAULT_PROFILES,
+    FaultPlan, MsgId, Network, PartyId, Payload, RetryConfig, SetupError, TraceEvent, Transport,
+    FAULT_PROFILES,
 };
+use mp_observe::NoopRecorder;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for b in bytes {
@@ -215,7 +216,7 @@ fn seeded_simulations_are_pinned() {
         let mut fnv = FNV_OFFSET;
         for seed in 0..32 {
             let plan = FaultPlan::from_names(profile, seed, 3).unwrap();
-            let out = simulate_setup(&session, &policies, &plan, &retry);
+            let out = simulate_setup(&session, &policies, &plan, &retry, &NoopRecorder);
             got_completed += u64::from(out.result.is_ok());
             got_ticks += out.ticks;
             got_sends += out.summary.sent as u64;
@@ -226,6 +227,49 @@ fn seeded_simulations_are_pinned() {
             (completed, ticks, sends, trace_fnv),
             "profile {profile}"
         );
+    }
+}
+
+#[test]
+fn seeded_runs_replay_as_schedules() {
+    // Each seeded run, read back as a decision schedule, replays through
+    // the scheduled network to the same result and trace: a `Dropped` or
+    // `Duplicated` right after a `Sent`, at the same tick, is that send's
+    // decision, and any other send was delivered. `reorder` is left out:
+    // once delays are on, a retransmission can overtake its original, so
+    // deliveries cannot be matched to sends from the trace.
+    let (session, policies) = small_world_session(3).unwrap();
+    let retry = RetryConfig::default();
+    for profile in ["drop", "dup", "crash"] {
+        for seed in 0..32 {
+            let plan = FaultPlan::from_names(profile, seed, 3).unwrap();
+            let seeded = simulate_setup(&session, &policies, &plan, &retry, &NoopRecorder);
+            let trace = &seeded.trace;
+            let decisions: Vec<Decision> = trace
+                .iter()
+                .enumerate()
+                .filter_map(|(i, event)| {
+                    let TraceEvent::Sent { at, .. } = event else {
+                        return None;
+                    };
+                    Some(match trace.get(i + 1) {
+                        Some(TraceEvent::Dropped { at: next, .. }) if next == at => Decision::Drop,
+                        Some(TraceEvent::Duplicated { at: next, .. }) if next == at => {
+                            Decision::Duplicate
+                        }
+                        _ => Decision::Deliver,
+                    })
+                })
+                .collect();
+            let mut network = Network::scheduled(3, decisions, plan.crashes.first().copied());
+            let replayed = session.run_setup_over(&policies, &mut network, &retry);
+            assert_eq!(replayed, seeded.result, "{profile} seed {seed}");
+            assert_eq!(
+                format!("{:?}", network.trace()),
+                format!("{trace:?}"),
+                "{profile} seed {seed}"
+            );
+        }
     }
 }
 
@@ -277,13 +321,10 @@ fn skip_to_on_idle_transports_matches_ticking() {
         t.tick();
     };
     assert_skip_matches_ticks(
-        &|| Box::new(SimTransport::new(3, FaultPlan::fault_free(1))),
+        &|| Box::new(Network::seeded(3, FaultPlan::fault_free(1), &NoopRecorder)),
         &idle,
     );
-    assert_skip_matches_ticks(
-        &|| Box::new(ScheduleTransport::new(3, Vec::new(), None)),
-        &idle,
-    );
+    assert_skip_matches_ticks(&|| Box::new(Network::scheduled(3, Vec::new(), None)), &idle);
 }
 
 #[test]
@@ -301,19 +342,22 @@ fn skip_to_delivers_in_flight_messages_on_their_tick() {
         t.send(ack(2, 1, 2), 0);
         t.send(ack(3, 2, 0), 0);
     };
-    assert_skip_matches_ticks(&|| Box::new(SimTransport::new(3, sim_plan.clone())), &busy);
+    assert_skip_matches_ticks(
+        &|| Box::new(Network::seeded(3, sim_plan.clone(), &NoopRecorder)),
+        &busy,
+    );
     let schedule = vec![Decision::Delay(3), Decision::Deliver, Decision::Duplicate];
     assert_skip_matches_ticks(
-        &|| Box::new(ScheduleTransport::new(3, schedule.clone(), None)),
+        &|| Box::new(Network::scheduled(3, schedule.clone(), None)),
         &busy,
     );
 }
 
-/// Delegates every call to a `SimTransport` and counts the ticks the
+/// Delegates every call to a seeded `Network` and counts the ticks the
 /// engine executes. With `jump` off, `skip_to` ticks one tick at a time,
 /// as a transport without an override does.
 struct CountingTransport {
-    inner: SimTransport,
+    inner: Network,
     jump: bool,
     ticks: u64,
 }
@@ -362,7 +406,7 @@ fn crash_run_jumps_over_idle_ticks() {
     let retry = RetryConfig::default();
     let run = |jump| {
         let mut t = CountingTransport {
-            inner: SimTransport::new(3, plan.clone()),
+            inner: Network::seeded(3, plan.clone(), &NoopRecorder),
             jump,
             ticks: 0,
         };

@@ -14,10 +14,11 @@
 //! `mpriv simulate --seed <N> --faults <profile>`.
 
 use mp_federated::{
-    check_invariants, simulate_setup, simulate_setup_observed, FaultPlan, MultiPartySession, Party,
-    PartyCrash, RetryConfig, SetupError, FAULT_PROFILES,
+    check_invariants, simulate_setup, FaultPlan, MultiPartySession, Party, PartyCrash, RetryConfig,
+    SetupError, FAULT_PROFILES,
 };
 use mp_metadata::{Fd, SharePolicy};
+use mp_observe::NoopRecorder;
 use mp_relation::{Attribute, Relation, Schema, Value};
 
 fn party(name: &str, ids: std::ops::Range<i64>, step: i64, with_deps: bool) -> Party {
@@ -128,7 +129,7 @@ fn completed_faulty_runs_are_bit_identical() {
     let mut completed = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::from_names("drop,dup,reorder", seed, 3).unwrap();
-        let sim = simulate_setup(&session, &pols, &plan, &retry);
+        let sim = simulate_setup(&session, &pols, &plan, &retry, &NoopRecorder);
         if let Ok(outcome) = sim.result {
             completed += 1;
             assert_eq!(outcome.alignment, reference.alignment, "seed {seed}");
@@ -156,7 +157,7 @@ fn every_party_crash_aborts_with_its_id() {
             }],
             ..FaultPlan::fault_free(77)
         };
-        let sim = simulate_setup(&session, &pols, &plan, &retry);
+        let sim = simulate_setup(&session, &pols, &plan, &retry, &NoopRecorder);
         assert_eq!(
             sim.result,
             Err(SetupError::PartyCrashed { party: victim }),
@@ -198,8 +199,8 @@ fn seed_replay_is_exact() {
     let retry = RetryConfig::default();
     for profile in FAULT_PROFILES {
         let plan = FaultPlan::from_names(profile, 1234, 2).unwrap();
-        let a = simulate_setup(&session, &pols, &plan, &retry);
-        let b = simulate_setup(&session, &pols, &plan, &retry);
+        let a = simulate_setup(&session, &pols, &plan, &retry, &NoopRecorder);
+        let b = simulate_setup(&session, &pols, &plan, &retry, &NoopRecorder);
         assert_eq!(a.summary, b.summary, "profile {profile}");
         assert_eq!(a.ticks, b.ticks, "profile {profile}");
         assert_eq!(a.trace.len(), b.trace.len(), "profile {profile}");
@@ -224,9 +225,9 @@ fn metrics_observation_does_not_change_invariant_outcomes() {
     for profile in FAULT_PROFILES {
         for seed in 0..4u64 {
             let plan = FaultPlan::from_names(profile, seed, 2).unwrap();
-            let plain = simulate_setup(&session, &pols, &plan, &retry);
+            let plain = simulate_setup(&session, &pols, &plan, &retry, &NoopRecorder);
             let registry = mp_observe::Registry::new();
-            let observed = simulate_setup_observed(&session, &pols, &plan, &retry, &registry);
+            let observed = simulate_setup(&session, &pols, &plan, &retry, &registry);
             assert_eq!(plain.summary, observed.summary, "{profile} seed {seed}");
             assert_eq!(plain.ticks, observed.ticks, "{profile} seed {seed}");
             assert_eq!(

@@ -4,7 +4,7 @@
 use metadata_privacy::core::ExperimentConfig;
 use metadata_privacy::datasets::fintech_scenario;
 use metadata_privacy::federated::{
-    labels_from_column, run_scenario, train, FeatureBlock, Party, TrainConfig, VflSession,
+    labels_from_column, run_scenario, train, FeatureBlock, MultiPartySession, Party, TrainConfig,
 };
 use metadata_privacy::metadata::SharePolicy;
 
@@ -25,20 +25,20 @@ fn parties(n: usize, seed: u64) -> (Party, Party) {
 #[test]
 fn setup_then_train_from_aligned_slices() {
     let (bank, ecom) = parties(400, 9);
-    let session = VflSession::new(bank, ecom, 7);
+    let session = MultiPartySession::new(vec![bank, ecom], 7);
     let setup = session
-        .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+        .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
         .unwrap();
-    assert_eq!(setup.aligned_a.n_rows(), setup.aligned_b.n_rows());
+    assert_eq!(setup.aligned[0].n_rows(), setup.aligned[1].n_rows());
     assert_eq!(setup.alignment.len(), 320);
 
     // Label: loan_approved is bank feature position 4 (column 5 of 0..=5
     // minus the id column).
-    let labels = labels_from_column(&setup.aligned_a, 4).unwrap();
-    let bank_block = FeatureBlock::encode(&setup.aligned_a, &[0, 1, 2, 3]).unwrap();
+    let labels = labels_from_column(&setup.aligned[0], 4).unwrap();
+    let bank_block = FeatureBlock::encode(&setup.aligned[0], &[0, 1, 2, 3]).unwrap();
     let ecom_block = FeatureBlock::encode(
-        &setup.aligned_b,
-        &(0..setup.aligned_b.arity()).collect::<Vec<_>>(),
+        &setup.aligned[1],
+        &(0..setup.aligned[1].arity()).collect::<Vec<_>>(),
     )
     .unwrap();
     let model = train(
@@ -87,10 +87,10 @@ fn exchange_policies_propagate_into_scenario() {
         epsilon: 0.0,
     };
     let out = run_scenario(bank, ecom, 5, &SharePolicy::NAMES_ONLY, &experiment).unwrap();
-    assert!(!out.setup.metadata_from_a.shares_domains());
-    assert!(!out.setup.metadata_from_a.shares_dependencies());
+    assert!(!out.setup.metadata[0].shares_domains());
+    assert!(!out.setup.metadata[0].shares_dependencies());
     // E-commerce still shared fully in the scenario harness.
-    assert!(out.setup.metadata_from_b.shares_domains());
+    assert!(out.setup.metadata[1].shares_domains());
     // Utility is unaffected by the metadata policy (training uses aligned
     // data, not metadata).
     assert!(out.federated_accuracy > 0.6);
@@ -103,13 +103,13 @@ fn psi_alignment_is_entity_consistent_end_to_end() {
     let ecom_ids = data.ecommerce.relation.column_values(0).unwrap();
     let bank = Party::new("bank", data.bank.relation, 0, vec![]).unwrap();
     let ecom = Party::new("ecom", data.ecommerce.relation, 0, vec![]).unwrap();
-    let session = VflSession::new(bank, ecom, 1234);
+    let session = MultiPartySession::new(vec![bank, ecom], 1234);
     let setup = session
-        .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
+        .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
         .unwrap();
     for i in 0..setup.alignment.len() {
         assert_eq!(
-            bank_ids[setup.alignment.rows_a[i]], ecom_ids[setup.alignment.rows_b[i]],
+            bank_ids[setup.alignment.rows[0][i]], ecom_ids[setup.alignment.rows[1][i]],
             "row {i} aligned to different entities"
         );
     }
