@@ -251,7 +251,6 @@ const EXTERNAL_ROOTS: &[&str] = &[
     "bool",
     "char",
     "core",
-    "criterion",
     "f32",
     "f64",
     "i128",

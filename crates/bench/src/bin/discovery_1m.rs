@@ -1,20 +1,17 @@
-//! End-to-end million-row scale bench: streaming ingest → sharded PLI
-//! build → memory-bounded depth-2 discovery.
+//! End-to-end million-row scale check: streaming ingest → memory-bounded
+//! depth-2 discovery.
 //!
 //! Generates the planted 7-column scale relation, round-trips it through
-//! the streaming CSV path (asserting bit-identical ingest), times
-//! single-pass vs sharded PLI construction, then runs a depth-2 TANE pass
-//! under a fixed [`MemoryBudget`] (cached) and uncached, asserting both
-//! produce the same FDs. Writes `BENCH_scale.json` at the repo root —
-//! the scale companion to `BENCH_columnar.json`.
+//! the streaming CSV path (asserting bit-identical ingest), then runs a
+//! depth-2 TANE pass under a fixed [`MemoryBudget`] (cached) and uncached,
+//! asserting both produce the same FDs and that every planted dependency
+//! holds. Writes `BENCH_scale.json` at the repo root with deterministic
+//! fields only; perfbench's `scale` workload times this path.
 //!
 //! Usage: `discovery_1m [rows] [budget_mb]` (defaults: 1000000, 256).
 
 use mp_discovery::{discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig};
 use mp_relation::csv::{read_path, write_str_with, CsvOptions};
-use mp_relation::par::effective_threads;
-use mp_relation::Pli;
-use std::time::Instant;
 
 fn canon(fds: &[mp_metadata::Fd]) -> Vec<(Vec<usize>, usize)> {
     let mut v: Vec<(Vec<usize>, usize)> = fds
@@ -47,43 +44,16 @@ fn main() {
     // round-trip float formatting).
     let opts = CsvOptions::with_kind_row();
     let text = write_str_with(&rel, &opts);
+    let csv_bytes = text.len();
     let csv_path = std::env::temp_dir().join(format!("mpriv_discovery_1m_{rows}.csv"));
     std::fs::write(&csv_path, &text).expect("write temp CSV");
-    let t = Instant::now();
     let back = read_path(&csv_path, &opts).expect("streaming ingest");
-    let ingest_s = t.elapsed().as_secs_f64();
     std::fs::remove_file(&csv_path).ok();
     assert_eq!(
         rel, back,
         "streaming ingest must round-trip bit-identically"
     );
-    let ingest_rows_per_sec = rows as f64 / ingest_s.max(f64::MIN_POSITIVE);
-    println!(
-        "ingest: {} bytes in {:.2} s ({:.0} rows/s), round trip bit-identical",
-        text.len(),
-        ingest_s,
-        ingest_rows_per_sec
-    );
-
-    // Single-pass vs sharded PLI build over every column.
-    let shards = effective_threads(0).min(16);
-    let t = Instant::now();
-    let singles: Vec<Pli> = (0..rel.arity())
-        .map(|a| Pli::from_typed(rel.column(a).expect("column in range")))
-        .collect();
-    let pli_single_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let shardeds: Vec<Pli> = (0..rel.arity())
-        .map(|a| Pli::from_typed_sharded(rel.column(a).expect("column in range"), shards))
-        .collect();
-    let pli_sharded_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        singles, shardeds,
-        "sharded PLI builds must be bit-identical"
-    );
-    println!(
-        "pli build: single {pli_single_ms:.1} ms, sharded({shards}) {pli_sharded_ms:.1} ms, bit-identical"
-    );
+    println!("ingest: {csv_bytes} bytes, round trip bit-identical");
 
     // Depth-2 discovery under a fixed memory budget (cached) vs uncached.
     let config = TaneConfig {
@@ -93,25 +63,17 @@ fn main() {
     };
     let budget = MemoryBudget::from_mb(budget_mb);
     let ctx = DiscoveryContext::with_budget(&rel, ParallelConfig::default(), budget);
-    let t = Instant::now();
     let cached = discover_fds_with(&ctx, &config).expect("budgeted discovery");
-    let discovery_cached_ms = t.elapsed().as_secs_f64() * 1e3;
-    let stats = ctx.cache_stats();
-    println!("budgeted discovery: {discovery_cached_ms:.1} ms, {stats}");
+    println!("budgeted discovery: {}", ctx.cache_stats());
 
     let uncached_ctx = DiscoveryContext::new(&rel, ParallelConfig::uncached(0));
-    let t = Instant::now();
     let uncached = discover_fds_with(&uncached_ctx, &config).expect("uncached discovery");
-    let discovery_uncached_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         canon(&cached),
         canon(&uncached),
         "budgeted discovery must find the same FDs as the uncached engine"
     );
-    println!(
-        "uncached discovery: {discovery_uncached_ms:.1} ms, same {} FDs",
-        cached.len()
-    );
+    println!("uncached discovery: same {} FDs", cached.len());
 
     // Every planted dependency must be visible in the generated relation.
     for dep in &out.planted {
@@ -122,7 +84,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"rows\": {rows},\n  \"ingest_rows_per_sec\": {ingest_rows_per_sec:.0},\n  \"pli_build_single_ms\": {pli_single_ms:.1},\n  \"pli_build_sharded_ms\": {pli_sharded_ms:.1},\n  \"shards\": {shards},\n  \"discovery_cached_ms\": {discovery_cached_ms:.1},\n  \"discovery_uncached_ms\": {discovery_uncached_ms:.1},\n  \"budget_mb\": {budget_mb},\n  \"fds\": {}\n}}\n",
+        "{{\n  \"bench\": \"scale\",\n  \"rows\": {rows},\n  \"csv_bytes\": {csv_bytes},\n  \"budget_mb\": {budget_mb},\n  \"fds\": {}\n}}\n",
         cached.len()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

@@ -3,11 +3,11 @@
 //! The observability layer promises to be effectively free when nobody is
 //! listening *and* cheap when a [`mp_observe::Registry`] is attached:
 //! handles are resolved once per component and updates are single relaxed
-//! atomic operations. This binary measures the `pli_cache_10k_rows`-style
-//! workload (FD discovery over the all-classes synthetic relation, warm
-//! shared cache) with the default no-op recorder and with a live
-//! registry, and exits non-zero if the observed run is more than
-//! `OBSERVE_OVERHEAD_PCT` percent slower (default 5).
+//! atomic operations. This binary measures depth-2 FD discovery over the
+//! all-classes synthetic relation (warm shared cache) with the default
+//! no-op recorder and with a live registry, and exits non-zero if the
+//! observed run is more than `OBSERVE_OVERHEAD_PCT` percent slower
+//! (default 5).
 //!
 //! Medians over interleaved repetitions keep the guard stable on noisy
 //! CI machines; raise the threshold via the environment if a runner is
@@ -16,7 +16,7 @@
 //! Usage: `observe_overhead [rows] [reps]` (defaults: 10000, 7).
 
 use mp_datasets::all_classes_spec;
-use mp_discovery::{discover_fds_with, DiscoveryContext, ParallelConfig, TaneConfig};
+use mp_discovery::{discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig};
 use mp_observe::{Recorder, Registry};
 use mp_relation::csv::{read_stream, read_stream_observed, write_str, CsvOptions};
 use mp_relation::Relation;
@@ -30,7 +30,12 @@ use std::time::Instant;
 fn timed_pass(rel: &Relation, config: &TaneConfig, recorder: Option<Arc<dyn Recorder>>) -> u128 {
     let ctx = match recorder {
         None => DiscoveryContext::new(rel, ParallelConfig::sequential()),
-        Some(r) => DiscoveryContext::instrumented(rel, ParallelConfig::sequential(), r),
+        Some(r) => DiscoveryContext::instrumented_with_budget(
+            rel,
+            ParallelConfig::sequential(),
+            MemoryBudget::unlimited(),
+            r,
+        ),
     };
     discover_fds_with(&ctx, config).expect("warm-up pass");
     let start = Instant::now();

@@ -29,15 +29,6 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Maximum number of memoized partitions (`0` = no caching).
     pub cache_capacity: usize,
-    /// Radix shards for single-column PLI construction (`0` = auto:
-    /// sharded on large relations, single-pass on small ones; `1` =
-    /// always single-pass).
-    pub pli_shards: usize,
-    /// Byte budget for memoized partitions (`0` = unlimited): the cache
-    /// evicts by estimated retained heap ([`Pli::heap_bytes`]) on top of
-    /// the entry-count bound. Usually set via [`MemoryBudget`] and
-    /// [`DiscoveryContext::with_budget`].
-    pub cache_budget_bytes: usize,
 }
 
 impl Default for ParallelConfig {
@@ -45,8 +36,6 @@ impl Default for ParallelConfig {
         Self {
             threads: 0,
             cache_capacity: 4096,
-            pli_shards: 0,
-            cache_budget_bytes: 0,
         }
     }
 }
@@ -58,8 +47,6 @@ impl ParallelConfig {
         Self {
             threads: 1,
             cache_capacity: 4096,
-            pli_shards: 1,
-            cache_budget_bytes: 0,
         }
     }
 
@@ -68,7 +55,6 @@ impl ParallelConfig {
         Self {
             threads,
             cache_capacity: 0,
-            ..Self::default()
         }
     }
 
@@ -78,20 +64,11 @@ impl ParallelConfig {
     }
 }
 
-/// Rows below which auto shard resolution stays single-pass: sharding
-/// overhead (per-shard counting scans) only pays off once the scatter
-/// phase dominates.
-const AUTO_SHARD_MIN_ROWS: usize = 65_536;
-
-/// Upper bound on auto-resolved shards; beyond this the per-shard
-/// counting scans outweigh the extra parallelism.
-const AUTO_SHARD_MAX: usize = 16;
-
 /// A memory budget for discovery, in bytes of estimated retained
-/// partition heap (`0` = unlimited).
+/// partition heap ([`Pli::heap_bytes`]; `0` = unlimited).
 ///
-/// Threaded through [`DiscoveryContext::with_budget`], it sizes the
-/// [`PliCache`] by *bytes* rather than entry count: partitions the budget
+/// Threaded through [`DiscoveryContext::with_budget`], it bounds the
+/// [`PliCache`] by *bytes* on top of its entry count: partitions the budget
 /// cannot hold are evicted (LRU) or bypass the cache, and the lattice
 /// traversal rebuilds them on demand through the memoized intersection
 /// chain. Pressure is observable as `pli_cache.budget_evictions`.
@@ -122,11 +99,6 @@ impl MemoryBudget {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
-
-    /// `true` when no byte bound applies.
-    pub fn is_unlimited(&self) -> bool {
-        self.bytes == 0
-    }
 }
 
 /// A relation bound to a shared partition cache and a thread budget.
@@ -145,8 +117,6 @@ pub struct DiscoveryContext<'r> {
     /// Resolved once at construction; bumped (with a 1-unit clock
     /// advance) for every partition actually materialised.
     pli_builds: Counter,
-    /// Single-column partitions built through the sharded path.
-    sharded_builds: Counter,
 }
 
 impl<'r> DiscoveryContext<'r> {
@@ -156,12 +126,11 @@ impl<'r> DiscoveryContext<'r> {
     /// bitset; their context degrades to an always-miss cache (capacity
     /// forced to 0) and discovery still works, just without memoization.
     pub fn new(relation: &'r Relation, parallel: ParallelConfig) -> Self {
-        Self::instrumented(relation, parallel, Arc::new(NoopRecorder))
+        Self::with_budget(relation, parallel, MemoryBudget::unlimited())
     }
 
-    /// [`new`](Self::new) under a [`MemoryBudget`]: the budget (when
-    /// limited) overrides `parallel.cache_budget_bytes`, bounding the
-    /// partition cache by estimated retained heap bytes.
+    /// [`new`](Self::new) under a [`MemoryBudget`], bounding the partition
+    /// cache by estimated retained heap bytes as well as by entry count.
     pub fn with_budget(
         relation: &'r Relation,
         parallel: ParallelConfig,
@@ -170,27 +139,16 @@ impl<'r> DiscoveryContext<'r> {
         Self::instrumented_with_budget(relation, parallel, budget, Arc::new(NoopRecorder))
     }
 
-    /// [`instrumented`](Self::instrumented) under a [`MemoryBudget`].
+    /// [`with_budget`](Self::with_budget) with an explicit [`Recorder`].
+    /// The context registers `pli_cache.*` counters and
+    /// `discovery.pli.builds`, and advances the recorder's logical clock by
+    /// one unit per partition it materialises — which is what gives the
+    /// per-pass spans recorded by the profiler their (deterministic)
+    /// durations.
     pub fn instrumented_with_budget(
         relation: &'r Relation,
-        mut parallel: ParallelConfig,
-        budget: MemoryBudget,
-        recorder: Arc<dyn Recorder>,
-    ) -> Self {
-        if !budget.is_unlimited() {
-            parallel.cache_budget_bytes = budget.bytes();
-        }
-        Self::instrumented(relation, parallel, recorder)
-    }
-
-    /// [`new`](Self::new) with an explicit [`Recorder`]. The context
-    /// registers `pli_cache.*` counters and `discovery.pli.builds`, and
-    /// advances the recorder's logical clock by one unit per partition it
-    /// materialises — which is what gives the per-pass spans recorded by
-    /// the profiler their (deterministic) durations.
-    pub fn instrumented(
-        relation: &'r Relation,
         parallel: ParallelConfig,
+        budget: MemoryBudget,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
         let capacity = if relation.arity() > 64 {
@@ -200,20 +158,15 @@ impl<'r> DiscoveryContext<'r> {
         };
         DiscoveryContext {
             relation,
-            cache: PliCache::with_recorder_and_budget(
-                capacity,
-                parallel.cache_budget_bytes,
-                recorder.as_ref(),
-            ),
+            cache: PliCache::with_recorder_and_budget(capacity, budget.bytes(), recorder.as_ref()),
             parallel,
             pli_builds: recorder.counter("discovery.pli.builds"),
-            sharded_builds: recorder.counter("discovery.pli.sharded_builds"),
             recorder,
         }
     }
 
     /// The recorder this context reports to (a [`NoopRecorder`] unless
-    /// built via [`instrumented`](Self::instrumented)).
+    /// built via [`instrumented_with_budget`](Self::instrumented_with_budget)).
     pub fn recorder(&self) -> &dyn Recorder {
         self.recorder.as_ref()
     }
@@ -255,23 +208,7 @@ impl<'r> DiscoveryContext<'r> {
         par::par_map(items, self.parallel.threads, f)
     }
 
-    /// The resolved radix shard count for single-column PLI builds:
-    /// explicit when `parallel.pli_shards > 0`, otherwise sharded across
-    /// the thread budget on relations large enough to amortise the
-    /// per-shard scans.
-    pub fn pli_shards(&self) -> usize {
-        if self.parallel.pli_shards > 0 {
-            self.parallel.pli_shards
-        } else if self.relation.n_rows() >= AUTO_SHARD_MIN_ROWS {
-            self.parallel.effective_threads().min(AUTO_SHARD_MAX)
-        } else {
-            1
-        }
-    }
-
-    /// The single-attribute partition `Π_{a}`, memoized. Built through
-    /// the radix-sharded path when [`pli_shards`](Self::pli_shards)
-    /// resolves above 1 — bit-identical output either way.
+    /// The single-attribute partition `Π_{a}`, memoized.
     pub fn pli_of_single(&self, attr: usize) -> Result<Arc<Pli>> {
         let key = 1u64 << (attr.min(63));
         if self.cacheable() {
@@ -279,13 +216,7 @@ impl<'r> DiscoveryContext<'r> {
                 return Ok(pli);
             }
         }
-        let shards = self.pli_shards();
-        let pli = if shards > 1 {
-            self.sharded_builds.inc();
-            Pli::from_typed_sharded(self.relation.column(attr)?, shards)
-        } else {
-            Pli::from_typed(self.relation.column(attr)?)
-        };
+        let pli = Pli::from_typed(self.relation.column(attr)?);
         self.note_build();
         Ok(self.store(key, pli))
     }
@@ -411,8 +342,12 @@ mod tests {
         use mp_observe::Registry;
         let r = employee();
         let registry = Arc::new(Registry::new());
-        let ctx =
-            DiscoveryContext::instrumented(&r, ParallelConfig::sequential(), registry.clone());
+        let ctx = DiscoveryContext::instrumented_with_budget(
+            &r,
+            ParallelConfig::sequential(),
+            MemoryBudget::unlimited(),
+            registry.clone(),
+        );
         let set = AttrSet::from_iter([0usize, 2]);
         ctx.pli_of(&set).unwrap(); // builds Π_0, Π_2, Π_{0,2}
         ctx.pli_of(&set).unwrap(); // pure cache hit
@@ -427,11 +362,11 @@ mod tests {
 
     #[test]
     fn memory_budget_constructors() {
-        assert!(MemoryBudget::unlimited().is_unlimited());
-        assert!(MemoryBudget::from_mb(0).is_unlimited());
+        assert_eq!(MemoryBudget::unlimited().bytes(), 0);
+        assert_eq!(MemoryBudget::from_mb(0).bytes(), 0);
         assert_eq!(MemoryBudget::from_mb(2).bytes(), 2 * 1024 * 1024);
         assert_eq!(MemoryBudget::from_bytes(77).bytes(), 77);
-        assert!(!MemoryBudget::from_bytes(1).is_unlimited());
+        assert_eq!(MemoryBudget::from_bytes(1).bytes(), 1);
         // Saturates instead of overflowing on absurd budgets.
         assert_eq!(MemoryBudget::from_mb(usize::MAX).bytes(), usize::MAX);
     }
@@ -457,51 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_sharding_produces_identical_partitions() {
-        let r = employee();
-        let sharded_ctx = DiscoveryContext::new(
-            &r,
-            ParallelConfig {
-                pli_shards: 7,
-                ..ParallelConfig::default()
-            },
-        );
-        assert_eq!(sharded_ctx.pli_shards(), 7);
-        let plain_ctx = DiscoveryContext::new(&r, ParallelConfig::sequential());
-        assert_eq!(plain_ctx.pli_shards(), 1);
-        for a in 0..r.arity() {
-            assert_eq!(
-                *sharded_ctx.pli_of_single(a).unwrap(),
-                *plain_ctx.pli_of_single(a).unwrap(),
-                "attr {a}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_builds_counter_is_reported() {
-        use mp_observe::Registry;
-        let r = employee();
-        let registry = Arc::new(Registry::new());
-        let ctx = DiscoveryContext::instrumented(
-            &r,
-            ParallelConfig {
-                pli_shards: 4,
-                ..ParallelConfig::default()
-            },
-            registry.clone(),
-        );
-        for a in 0..r.arity() {
-            ctx.pli_of_single(a).unwrap();
-        }
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counters["discovery.pli.sharded_builds"],
-            r.arity() as u64
-        );
-    }
-
-    #[test]
     fn concurrent_pli_requests_agree() {
         let r = employee();
         let ctx = DiscoveryContext::new(
@@ -509,7 +399,6 @@ mod tests {
             ParallelConfig {
                 threads: 4,
                 cache_capacity: 64,
-                ..ParallelConfig::default()
             },
         );
         let sets: Vec<AttrSet> = (0..r.arity())

@@ -382,6 +382,7 @@ fn combinations(items: &[usize], size: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MemoryBudget;
     use mp_datasets::{employee, employee_attrs as ea};
     use mp_relation::{Attribute, Schema, Value};
 
@@ -562,42 +563,39 @@ mod tests {
             },
         )
         .unwrap();
-        for parallel in [
-            ParallelConfig::default(),
-            ParallelConfig {
-                threads: 4,
-                cache_capacity: 4096,
-                ..ParallelConfig::default()
-            },
-            ParallelConfig {
-                threads: 3,
-                cache_capacity: 8,
-                ..ParallelConfig::default()
-            },
-            ParallelConfig::uncached(4),
-            ParallelConfig::uncached(1),
-            // Forced sharded single-column builds.
-            ParallelConfig {
-                threads: 4,
-                pli_shards: 7,
-                ..ParallelConfig::default()
-            },
+        let unlimited = MemoryBudget::unlimited();
+        for (parallel, budget) in [
+            (ParallelConfig::default(), unlimited),
+            (
+                ParallelConfig {
+                    threads: 4,
+                    cache_capacity: 4096,
+                },
+                unlimited,
+            ),
+            (
+                ParallelConfig {
+                    threads: 3,
+                    cache_capacity: 8,
+                },
+                unlimited,
+            ),
+            (ParallelConfig::uncached(4), unlimited),
+            (ParallelConfig::uncached(1), unlimited),
             // Starved byte budget: every level spills and rebuilds.
-            ParallelConfig {
-                threads: 2,
-                cache_budget_bytes: 512,
-                ..ParallelConfig::default()
-            },
+            (
+                ParallelConfig {
+                    threads: 2,
+                    ..ParallelConfig::default()
+                },
+                MemoryBudget::from_bytes(512),
+            ),
             // Byte budget of a single small partition.
-            ParallelConfig {
-                threads: 1,
-                cache_budget_bytes: 4096,
-                pli_shards: 3,
-                ..ParallelConfig::default()
-            },
+            (ParallelConfig::sequential(), MemoryBudget::from_bytes(4096)),
         ] {
-            let got = discover_fds(
-                &out.relation,
+            let ctx = DiscoveryContext::with_budget(&out.relation, parallel, budget);
+            let got = discover_fds_with(
+                &ctx,
                 &TaneConfig {
                     max_lhs: 2,
                     g3_threshold: 0.0,
@@ -606,7 +604,7 @@ mod tests {
             )
             .unwrap();
             // Not just the same set: the same Vec, element for element.
-            assert_eq!(got, reference, "{parallel:?}");
+            assert_eq!(got, reference, "{parallel:?} {budget:?}");
         }
     }
 

@@ -1,12 +1,18 @@
 //! Property tests for the discovery engine's PLI cache: partitions served
 //! from the cache must be *bit-identical* to partitions rebuilt from
 //! scratch, for arbitrary relations, attribute sets, cache budgets, and
-//! request orders.
+//! request orders; and the partition layer's counters must obey their
+//! conservation law at every thread count, capacity and byte budget.
 
-use mp_discovery::{DiscoveryContext, ParallelConfig};
+use mp_discovery::{
+    discover_fds_with, DependencyProfile, DiscoveryContext, MemoryBudget, ParallelConfig,
+    ProfileConfig, TaneConfig,
+};
 use mp_metadata::{pli_of_set, AttrSet};
+use mp_observe::Registry;
 use mp_relation::{Attribute, Relation, Schema, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn build(rows: Vec<Vec<i64>>, n_attrs: usize) -> Relation {
     let attrs: Vec<Attribute> = (0..n_attrs)
@@ -35,7 +41,6 @@ proptest! {
         let parallel = ParallelConfig {
             threads: 1,
             cache_capacity: cache_capacity.unwrap_or(0),
-        ..ParallelConfig::default()
         };
         let cached = DiscoveryContext::new(&rel, parallel);
         let reference = DiscoveryContext::new(&rel, ParallelConfig::uncached(1));
@@ -60,7 +65,7 @@ proptest! {
         // Cache hit (second request) must return the same Arc contents as
         // the miss that populated it, even after other sets evicted it.
         let rel = build(rows, 4);
-        let ctx = DiscoveryContext::new(&rel, ParallelConfig { threads: 1, cache_capacity: 2, ..ParallelConfig::default() });
+        let ctx = DiscoveryContext::new(&rel, ParallelConfig { threads: 1, cache_capacity: 2 });
         let set = AttrSet::from_iter(set.iter().copied());
         let first = ctx.pli_of(&set).unwrap();
         // Churn the tiny cache with every single-attribute partition.
@@ -69,5 +74,54 @@ proptest! {
         }
         let second = ctx.pli_of(&set).unwrap();
         prop_assert_eq!(&*first, &*second);
+    }
+}
+
+proptest! {
+    // Each case runs 36 configurations, so fewer cases than above.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn every_cache_miss_builds_exactly_once(
+        rows in prop::collection::vec(prop::collection::vec(0i64..5, 4), 2..40),
+    ) {
+        // A cached context materialises a partition exactly when a lookup
+        // misses (hits build nothing), so
+        // `discovery.pli.builds == pli_cache.misses`, whatever the thread
+        // schedule or the evictions a byte budget forces. An uncached
+        // context never consults the cache, yet still builds.
+        let rel = build(rows, 4);
+        let fd = TaneConfig::default();
+        // The passes that draw partitions from the context (FD, AFD, ND);
+        // DD, CFD and MFD never touch it and only add time.
+        let profile = ProfileConfig { dd: None, cfd: None, mfd: None, ..ProfileConfig::paper() };
+        for threads in [1usize, 2, 4] {
+            for cache_capacity in [0usize, 1, 8, 4096] {
+                for budget in [0usize, 512, 4096] {
+                    let registry = Arc::new(Registry::new());
+                    let ctx = DiscoveryContext::instrumented_with_budget(
+                        &rel,
+                        ParallelConfig { threads, cache_capacity },
+                        MemoryBudget::from_bytes(budget),
+                        registry.clone(),
+                    );
+                    discover_fds_with(&ctx, &fd).unwrap();
+                    DependencyProfile::discover_with(&ctx, &profile).unwrap();
+                    let counters = registry.snapshot().counters;
+                    let (builds, hits, misses) = (
+                        counters["discovery.pli.builds"],
+                        counters["pli_cache.hits"],
+                        counters["pli_cache.misses"],
+                    );
+                    let at = format!("threads {threads}, capacity {cache_capacity}, budget {budget} B");
+                    if cache_capacity == 0 {
+                        prop_assert_eq!((hits, misses), (0, 0), "{}", at);
+                        prop_assert!(builds > 0, "{}", at);
+                    } else {
+                        prop_assert_eq!(builds, misses, "{}", at);
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! must account for exactly those evictions.
 
 use mp_discovery::{
-    discover_fds, discover_fds_naive, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig,
+    discover_fds, discover_fds_naive, discover_fds_with, DiscoveryContext, MemoryBudget,
+    ParallelConfig, TaneConfig,
 };
 use mp_metadata::{pli_of_set, AttrSet};
 
@@ -16,7 +17,6 @@ fn capacity_one_alternating_singletons_stay_bit_identical() {
         ParallelConfig {
             threads: 1,
             cache_capacity: 1,
-            ..ParallelConfig::default()
         },
     );
 
@@ -52,7 +52,6 @@ fn capacity_one_alternating_pairs_stay_bit_identical() {
         ParallelConfig {
             threads: 1,
             cache_capacity: 1,
-            ..ParallelConfig::default()
         },
     );
 
@@ -102,7 +101,6 @@ fn starved_byte_budget_alternating_requests_stay_bit_identical() {
         ParallelConfig {
             threads: 1,
             cache_capacity: 4096,
-            ..ParallelConfig::default()
         },
         MemoryBudget::from_bytes(budget),
     );
@@ -129,22 +127,22 @@ fn starved_byte_budget_alternating_requests_stay_bit_identical() {
 
 #[test]
 fn byte_budgeted_discovery_output_matches_naive_oracle() {
-    // Full TANE under a starved byte budget (and sharded single-column
-    // builds) must reproduce the naive baseline exactly — spilling and
-    // rebuilding partitions may cost time, never correctness.
+    // Full TANE under a starved byte budget must reproduce the naive
+    // baseline exactly — spilling and rebuilding partitions may cost time,
+    // never correctness.
     for rel in [mp_datasets::employee(), mp_datasets::echocardiogram()] {
         let naive = discover_fds_naive(&rel, 2).unwrap();
+        let parallel = ParallelConfig {
+            threads: 2,
+            cache_capacity: 4096,
+        };
         let config = TaneConfig {
             max_lhs: 2,
             g3_threshold: 0.0,
-            parallel: ParallelConfig {
-                threads: 2,
-                cache_capacity: 4096,
-                cache_budget_bytes: 512,
-                pli_shards: 5,
-            },
+            parallel,
         };
-        let engine = discover_fds(&rel, &config).unwrap();
+        let ctx = DiscoveryContext::with_budget(&rel, parallel, MemoryBudget::from_bytes(512));
+        let engine = discover_fds_with(&ctx, &config).unwrap();
         let canon = |fds: &[mp_metadata::Fd]| {
             let mut v: Vec<(Vec<usize>, usize)> = fds
                 .iter()
@@ -169,7 +167,6 @@ fn capacity_one_discovery_output_matches_naive_oracle() {
             parallel: ParallelConfig {
                 threads: 2,
                 cache_capacity: 1,
-                ..ParallelConfig::default()
             },
         };
         let engine = discover_fds(&rel, &config).unwrap();

@@ -34,12 +34,10 @@ fn engine_configs() -> Vec<ParallelConfig> {
         ParallelConfig {
             threads: 3,
             cache_capacity: 8,
-            ..ParallelConfig::default()
         },
         ParallelConfig {
             threads: 2,
             cache_capacity: 1,
-            ..ParallelConfig::default()
         },
         ParallelConfig::uncached(4),
     ]

@@ -73,46 +73,7 @@ impl Pli {
             }
         }
         // Rows were scattered in index order, so each cluster is sorted.
-        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="empty and singleton clusters were dropped by the retain above"
-        Self {
-            clusters,
-            n_rows: codes.len(),
-        }
-    }
-
-    /// Sharded [`Pli::from_typed`]: grouping codes come from the column's
-    /// typed layout, cluster construction is radix-sharded across
-    /// `shards` threads (see [`Pli::from_codes_sharded`]).
-    pub fn from_typed_sharded(column: &Column, shards: usize) -> Self {
-        let (codes, n_codes) = column.group_codes();
-        Self::from_codes_sharded(&codes, n_codes, shards)
-    }
-
-    /// Sharded [`Pli::from_codes`]: radix-splits the code space into
-    /// `shards` contiguous ranges, builds each range's clusters in
-    /// parallel via [`crate::par::par_map`], then merges by concatenation
-    /// plus the same first-element sort `from_codes` ends with.
-    ///
-    /// The ranges partition the code space, so shard outputs are disjoint
-    /// and cover every cluster exactly once; after the final sort the
-    /// result is bit-identical to the single-pass build — the merge
-    /// equivalence the oracle and property tests pin.
-    pub fn from_codes_sharded(codes: &[u32], n_codes: usize, shards: usize) -> Self {
-        let shards = shards.max(1).min(n_codes.max(1));
-        if shards <= 1 {
-            return Self::from_codes(codes, n_codes);
-        }
-        let per = n_codes.div_ceil(shards);
-        // The last ranges can collapse to empty when `per` over-covers.
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|s| ((s * per).min(n_codes), ((s + 1) * per).min(n_codes)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let shard_clusters = crate::par::par_map(ranges, shards, |(lo, hi)| {
-            clusters_for_code_range(codes, lo, hi)
-        });
-        let mut clusters: Vec<Vec<usize>> = shard_clusters.into_iter().flatten().collect();
-        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="per-shard kernels only emit clusters of len >= 2"
+        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="only codes counted at least twice get a cluster"
         Self {
             clusters,
             n_rows: codes.len(),
@@ -314,38 +275,6 @@ impl Pli {
     }
 }
 
-/// The per-shard kernel of [`Pli::from_codes_sharded`]: the clusters of
-/// [`Pli::from_codes`] restricted to codes in `lo..hi`, in the same
-/// (code-major, then row-major) emission order.
-fn clusters_for_code_range(codes: &[u32], lo: usize, hi: usize) -> Vec<Vec<usize>> {
-    let width = hi - lo;
-    let mut counts = vec![0u32; width];
-    for &c in codes {
-        let c = c as usize;
-        if c >= lo && c < hi {
-            counts[c - lo] += 1;
-        }
-    }
-    let mut slot = vec![usize::MAX; width];
-    let mut clusters: Vec<Vec<usize>> = Vec::new();
-    for (code, &count) in counts.iter().enumerate() {
-        if count >= 2 {
-            slot[code] = clusters.len();
-            clusters.push(Vec::with_capacity(count as usize));
-        }
-    }
-    for (row, &c) in codes.iter().enumerate() {
-        let c = c as usize;
-        if c >= lo && c < hi {
-            let s = slot[c - lo];
-            if s != usize::MAX {
-                clusters[s].push(row);
-            }
-        }
-    }
-    clusters
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,57 +407,6 @@ mod tests {
         assert_eq!(p.clusters(), &[vec![0, 1, 6], vec![3, 4]]);
         assert_eq!(p, Pli::from_column(&vals(&[1, 1, 2, 0, 0, 3, 1])));
         assert!(Pli::from_codes(&[], 0).is_key());
-    }
-
-    #[test]
-    fn sharded_build_is_bit_identical_to_single_pass() {
-        // Fixed-seed splitmix-style oracle over assorted shapes: the
-        // sharded build must reproduce `from_codes` exactly — same
-        // clusters, same order — for every shard count.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for &(n_rows, n_codes) in &[
-            (0usize, 0usize),
-            (1, 2),
-            (64, 3),
-            (1000, 17),
-            (1000, 1000),
-            (4096, 257),
-        ] {
-            let codes: Vec<u32> = (0..n_rows)
-                .map(|_| {
-                    if n_codes == 0 {
-                        0
-                    } else {
-                        next() % n_codes as u32
-                    }
-                })
-                .collect();
-            let single = Pli::from_codes(&codes, n_codes);
-            for shards in [1usize, 2, 7, 64] {
-                let sharded = Pli::from_codes_sharded(&codes, n_codes, shards);
-                assert_eq!(
-                    sharded, single,
-                    "rows={n_rows} codes={n_codes} shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn from_typed_sharded_matches_from_typed() {
-        let mut col = Column::default();
-        for i in 0..100 {
-            col.push_value(Value::Int(i % 7));
-        }
-        for shards in [1usize, 2, 7, 64] {
-            assert_eq!(Pli::from_typed_sharded(&col, shards), Pli::from_typed(&col));
-        }
     }
 
     #[test]

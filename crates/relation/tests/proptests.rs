@@ -135,20 +135,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_pli_build_matches_single_pass(
-        codes in prop::collection::vec(0u32..40, 0..200),
-        shards in 1usize..70,
-    ) {
-        // Radix-sharded construction must be bit-identical to the
-        // single-pass build for arbitrary code streams and shard counts.
-        let n_codes = 40;
-        prop_assert_eq!(
-            Pli::from_codes_sharded(&codes, n_codes, shards),
-            Pli::from_codes(&codes, n_codes)
-        );
-    }
-
-    #[test]
     fn chunked_csv_ingest_matches_whole_string_read(
         rows in prop::collection::vec((0i64..50, "[a-z ,\"\n]{0,6}", prop::option::of(-100.0f64..100.0)), 1..30),
     ) {

@@ -78,7 +78,6 @@ fn fd_leakage_bound_holds_with_parallel_discovery() {
         ParallelConfig {
             threads: 4,
             cache_capacity: 4096,
-            ..ParallelConfig::default()
         },
     );
     let profile = DependencyProfile::discover_with(&ctx, &threaded(4)).unwrap();
@@ -124,7 +123,6 @@ fn random_leakage_bound_unaffected_by_engine_config() {
         ParallelConfig {
             threads: 4,
             cache_capacity: 8,
-            ..ParallelConfig::default()
         },
         ParallelConfig::uncached(4),
     ] {
