@@ -31,17 +31,4 @@ fn main() {
     print!("{}", mp_bench::reports::identifiability_report());
     print!("{sep}");
     print!("{}", mp_bench::reports::discovery_report());
-    print!("{sep}");
-    // Consolidated audit of the evaluation dataset (extension API).
-    let rel = mp_datasets::echocardiogram();
-    let profile =
-        mp_discovery::DependencyProfile::discover(&rel, &mp_discovery::ProfileConfig::paper())
-            .expect("profiling");
-    let audit = mp_core::PrivacyAudit::run(
-        &rel,
-        profile.to_dependencies(),
-        &mp_core::AuditConfig::default(),
-    )
-    .expect("audit");
-    print!("{}", audit.render(&rel));
 }

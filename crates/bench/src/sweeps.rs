@@ -5,9 +5,9 @@
 //! `mp_core::analytical` against Monte-Carlo runs of the corresponding
 //! `mp_synth` generator and prints the series side by side.
 
-use mp_core::analytical;
-use mp_core::TextTable;
-use mp_relation::{Domain, Value};
+use mp_core::{analytical, attr_matches, TextTable};
+use mp_relation::{AttrKind, Domain, Value};
+use mp_synth::collect_typed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,9 +33,9 @@ pub fn sweep_random(n: usize, rounds: usize) -> String {
         let theta = dom.theta(0.0);
         let empirical = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let real = mp_synth::sample_column(&dom, n, &mut rng);
-            let syn = mp_synth::sample_column(&dom, n, &mut rng);
-            real.iter().zip(&syn).filter(|(a, b)| a == b).count()
+            let real = mp_synth::sample_typed_column(&dom, n, &mut rng);
+            let syn = mp_synth::sample_typed_column(&dom, n, &mut rng);
+            attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..n)
         });
         t.push_row(vec![
             card.to_string(),
@@ -276,14 +276,16 @@ pub fn sweep_ofd(rounds: usize) -> String {
         let lhs: Vec<Value> = (0..m * 20).map(|i| Value::Int((i % m) as i64)).collect();
         // Real mapping: i ↦ i·(card_y/m) — strictly increasing.
         let stride = (card_y / m).max(1) as i64;
-        let real: Vec<Value> = lhs
-            .iter()
-            .map(|v| Value::Int(v.as_i64().unwrap() * stride))
-            .collect();
+        let real = collect_typed(
+            lhs.iter()
+                .map(|v| Value::Int(v.as_i64().unwrap() * stride))
+                .collect(),
+        );
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let syn = mp_synth::generate_ofd_column(&lhs, &dom, lhs.len(), &mut rng);
-            (0..m).filter(|&i| syn[i] == real[i]).count()
+            // Score the m mapping positions (rows 0..m enumerate X once).
+            attr_matches(&real, &collect_typed(syn), AttrKind::Categorical, 0.0, 0..m)
         });
         t.push_row(vec![
             card_y.to_string(),
@@ -339,12 +341,19 @@ pub fn sweep_cfd(n: usize, rounds: usize) -> String {
                 real_y.push(Value::Int(rng.gen_range(0..card_y - 1) as i64));
             }
         }
+        let real_y = collect_typed(real_y);
         let cfd = ConditionalFd::constant(0, 0i64, 1, 7i64);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 19);
             let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
             let sy = mp_synth::generate_cfd_column(&cfd, &[&sx], &dom_y, n, &mut rng);
-            (0..n).filter(|&i| sy[i] == real_y[i]).count()
+            attr_matches(
+                &real_y,
+                &collect_typed(sy),
+                AttrKind::Categorical,
+                0.0,
+                0..n,
+            )
         });
         t.push_row(vec![
             target_support.to_string(),
@@ -374,7 +383,7 @@ pub fn sweep_defense(n: usize, rounds: usize) -> String {
     let eps = 1.0;
     let dom = Domain::continuous(0.0, range);
     let mut rng = StdRng::seed_from_u64(8);
-    let real = mp_synth::sample_column(&dom, n, &mut rng);
+    let real = mp_synth::sample_typed_column(&dom, n, &mut rng);
     let mut t = TextTable::new(vec![
         "widen factor".into(),
         "analytic N·2ε/range'".into(),
@@ -389,10 +398,8 @@ pub fn sweep_defense(n: usize, rounds: usize) -> String {
         let shared = g.apply_domain(&dom, None);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 41);
-            let syn = mp_synth::sample_column(&shared, n, &mut rng);
-            (0..n)
-                .filter(|&i| (real[i].as_f64().unwrap() - syn[i].as_f64().unwrap()).abs() <= eps)
-                .count()
+            let syn = mp_synth::sample_typed_column(&shared, n, &mut rng);
+            attr_matches(&real, &syn, AttrKind::Continuous, eps, 0..n)
         });
         let analytic = n as f64 * 2.0 * eps / shared.range().unwrap();
         t.push_row(vec![
@@ -433,9 +440,9 @@ pub fn sweep_distribution(n: usize, rounds: usize) -> String {
         );
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 91);
-            let real = mp_synth::sample_column_from_distribution(&dist, n, &mut rng);
-            let syn = mp_synth::sample_column_from_distribution(&dist, n, &mut rng);
-            real.iter().zip(&syn).filter(|(a, b)| a == b).count()
+            let real = mp_synth::sample_typed_column_from_distribution(&dist, n, &mut rng);
+            let syn = mp_synth::sample_typed_column_from_distribution(&dist, n, &mut rng);
+            attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..n)
         });
         t.push_row(vec![
             format!("{skew:.1}"),

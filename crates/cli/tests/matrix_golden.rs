@@ -6,7 +6,8 @@
 //! markdown artefacts are byte-reproducible — across repeated runs *and*
 //! across worker-thread counts, because the sweep order is fixed and
 //! `par_map` preserves it. These tests pin the echocardiogram matrix
-//! against golden files and assert both halves of that contract.
+//! against golden files, pin the full default matrix (all three datasets,
+//! all 420 cells) by hash, and assert both halves of that contract.
 //!
 //! To regenerate after an *intentional* change:
 //! `cargo run -p mp-cli --bin mpriv -- audit --matrix --datasets echocardiogram \
@@ -47,11 +48,16 @@ fn tmp(name: &str) -> PathBuf {
 /// Runs the pinned matrix configuration with `--out`/`--md` sinks and
 /// returns `(stdout, json, markdown)`.
 fn run_matrix(extra: &[&str], tag: &str) -> (String, String, String) {
+    run_args(&[&ARGS[..], extra].concat(), tag)
+}
+
+/// Runs `mpriv` with `args` plus `--out`/`--md` sinks and returns
+/// `(stdout, json, markdown)`.
+fn run_args(args: &[&str], tag: &str) -> (String, String, String) {
     let json_path = tmp(&format!("{tag}.json"));
     let md_path = tmp(&format!("{tag}.md"));
     let output = mpriv()
-        .args(ARGS)
-        .args(extra)
+        .args(args)
         .arg("--out")
         .arg(&json_path)
         .arg("--md")
@@ -72,6 +78,35 @@ fn run_matrix(extra: &[&str], tag: &str) -> (String, String, String) {
 
 fn golden(name: &str) -> String {
     std::fs::read_to_string(fixture(name)).unwrap()
+}
+
+/// FNV-1a-64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The default matrix — echocardiogram, bank and car × 7 classes × 5
+/// policies × the 4 default adversaries, 420 cells — at 8 rounds, pinned
+/// by FNV-1a-64 and byte length. The echocardiogram golden above covers
+/// 140 of these cells; this is the byte-level pin on the other 280.
+/// Regenerate with `mpriv audit --matrix --rounds 8 --out m.json --md m.md`.
+#[test]
+fn default_matrix_pins_all_420_cells() {
+    let (stdout, json, md) = run_args(&["audit", "--matrix", "--rounds", "8"], "all");
+    assert_eq!(json.matches("\"dataset\": ").count(), 420);
+    assert_eq!(
+        (fnv1a64(json.as_bytes()), json.len()),
+        (0x19a2_a3e3_4404_d0fa, 128_453),
+        "default matrix JSON drifted; regenerate the pin if intended"
+    );
+    assert_eq!(
+        (fnv1a64(md.as_bytes()), md.len()),
+        (0xea3f_62f3_c484_02a2, 8_027),
+        "default matrix markdown drifted; regenerate the pin if intended"
+    );
+    assert_eq!(stdout, md, "stdout must be exactly the markdown artefact");
 }
 
 #[test]

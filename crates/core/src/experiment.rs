@@ -12,11 +12,11 @@
 //!   isolates the contribution of a single dependency class per attribute,
 //!   exactly as the paper's per-row methodology does.
 
-use crate::leakage::{measure_all, AttrLeakage};
+use crate::leakage::{attr_matches, attr_mse, measure_all_with, AttrLeakage};
 use mp_metadata::{Dependency, MetadataPackage};
-use mp_relation::{AttrKind, Domain, Relation, Result, Value};
+use mp_relation::{Domain, Relation, Result, Value};
 
-use mp_synth::{Adversary, SynthConfig};
+use mp_synth::{derive_column, determinant_order, Adversary, SynthConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -108,7 +108,7 @@ pub fn run_attack(
             use_dependencies,
         };
         let syn = adversary.synthesize(&synth_cfg)?;
-        let measured = measure_all(real, &syn, config.epsilon)?;
+        let measured = measure_all_with(real, &syn, config.epsilon, &mp_observe::NoopRecorder)?;
         for (a, m) in acc.iter_mut().zip(measured) {
             a.push(&m);
         }
@@ -143,15 +143,15 @@ pub fn run_cell(
             None => mp_synth::sample_column(&domains[attr], n, &mut rng),
             Some(dep) => {
                 // Generate determinants uniformly, then derive.
-                let lhs_cols: Vec<Vec<Value>> = lhs_order(dep)
+                let lhs_cols: Vec<Vec<Value>> = determinant_order(dep)
                     .into_iter()
                     .map(|a| mp_synth::sample_column(&domains[a], n, &mut rng))
                     .collect();
                 let lhs_refs: Vec<&[Value]> = lhs_cols.iter().map(Vec::as_slice).collect();
-                derive(dep, &lhs_refs, &domains[attr], n, &mut rng)
+                derive_column(dep, &lhs_refs, &domains[attr], n, &mut rng)
             }
         };
-        acc.push_column(real, attr, &syn_col, config.epsilon)?;
+        acc.push_column(real, attr, syn_col, config.epsilon)?;
     }
     Ok(acc.finish())
 }
@@ -175,7 +175,7 @@ pub fn run_cell_with_known_lhs(
     let n = real.n_rows();
     let name = real.schema().attribute(attr)?.name.clone();
     let mut acc = RoundAccumulator::new(attr, name);
-    let lhs_owned: Vec<Vec<Value>> = lhs_order(dep)
+    let lhs_owned: Vec<Vec<Value>> = determinant_order(dep)
         .into_iter()
         .map(|a| real.column_values(a))
         .collect::<Result<_>>()?;
@@ -183,46 +183,10 @@ pub fn run_cell_with_known_lhs(
 
     for round in 0..config.rounds {
         let mut rng = StdRng::seed_from_u64(config.round_seed(round));
-        let syn_col = derive(dep, &lhs_cols, &domains[attr], n, &mut rng);
-        acc.push_column(real, attr, &syn_col, config.epsilon)?;
+        let syn_col = derive_column(dep, &lhs_cols, &domains[attr], n, &mut rng);
+        acc.push_column(real, attr, syn_col, config.epsilon)?;
     }
     Ok(acc.finish())
-}
-
-/// Determinant columns in the order the class's generator expects:
-/// tableau order for CFDs (pattern cells are positional), sorted-set order
-/// for everything else.
-fn lhs_order(dep: &Dependency) -> Vec<usize> {
-    match dep {
-        Dependency::Cfd(c) => c.lhs.iter().map(|(a, _)| *a).collect(),
-        _ => dep.lhs().iter().collect(),
-    }
-}
-
-fn derive(
-    dep: &Dependency,
-    lhs: &[&[Value]],
-    rhs_domain: &Domain,
-    n: usize,
-    rng: &mut StdRng,
-) -> Vec<Value> {
-    match dep {
-        Dependency::Fd(_) => mp_synth::generate_fd_column(lhs, rhs_domain, n, rng),
-        Dependency::Afd(afd) => {
-            mp_synth::generate_afd_column(lhs, rhs_domain, afd.g3_threshold, n, rng)
-        }
-        Dependency::Od(od) => {
-            // lint: allow(no-literal-index) reason="unary dependencies carry exactly one LHS attribute by construction"
-            mp_synth::generate_od_column(lhs[0], rhs_domain, od.direction, n, rng)
-        }
-        Dependency::Nd(nd) => mp_synth::generate_nd_column(lhs[0], rhs_domain, nd.k, n, rng), // lint: allow(no-literal-index) reason="unary dependencies carry exactly one LHS attribute by construction"
-        Dependency::Dd(dd) => {
-            // lint: allow(no-literal-index) reason="unary dependencies carry exactly one LHS attribute by construction"
-            mp_synth::generate_dd_column(lhs[0], rhs_domain, dd.eps_lhs, dd.delta_rhs, n, rng)
-        }
-        Dependency::Ofd(_) => mp_synth::generate_ofd_column(lhs[0], rhs_domain, n, rng), // lint: allow(no-literal-index) reason="unary dependencies carry exactly one LHS attribute by construction"
-        Dependency::Cfd(cfd) => mp_synth::generate_cfd_column(cfd, lhs, rhs_domain, n, rng),
-    }
 }
 
 /// Accumulates per-round match counts and MSEs for one attribute.
@@ -250,38 +214,23 @@ impl RoundAccumulator {
         }
     }
 
+    /// Scores one generated column against `real`'s attribute `attr`
+    /// through the leakage kernel, over the rows both columns hold.
     fn push_column(
         &mut self,
         real: &Relation,
         attr: usize,
-        syn_col: &[Value],
+        syn_col: Vec<Value>,
         epsilon: f64,
     ) -> Result<()> {
         let real_col = real.column(attr)?;
         let kind = real.schema().attribute(attr)?.kind;
-        let matches = real_col
-            .iter()
-            .zip(syn_col)
-            .filter(|(x, y)| match kind {
-                AttrKind::Categorical => *x == y.as_value_ref(),
-                AttrKind::Continuous => match (x.as_f64(), y.as_f64()) {
-                    (Some(a), Some(b)) => (a - b).abs() <= epsilon,
-                    _ => false,
-                },
-            })
-            .count();
+        let syn_col = mp_synth::collect_typed(syn_col);
+        let rows = 0..real_col.len().min(syn_col.len());
+        let matches = attr_matches(real_col, &syn_col, kind, epsilon, rows.clone());
         self.matches.push(matches as f64);
-
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (x, y) in real_col.iter().zip(syn_col) {
-            if let (Some(a), Some(b)) = (x.as_f64(), y.as_f64()) {
-                sum += (a - b) * (a - b);
-                n += 1;
-            }
-        }
-        if n > 0 {
-            self.mses.push(sum / n as f64);
+        if let Some(mse) = attr_mse(real_col, &syn_col, rows) {
+            self.mses.push(mse);
         }
         Ok(())
     }

@@ -13,19 +13,27 @@
 //! The evaluation additionally reports MSE for continuous attributes, as
 //! the paper's Table III does, interpreting MSE "as an indicator of a value
 //! of ε to indicate leakage".
+//!
+//! [`attr_matches`] is the one implementation of both definitions. It
+//! scores any row subset, so the whole-relation counts below, the Table
+//! III/IV cells ([`crate::experiment`]), the audit-matrix cells (scored on
+//! the PSI-aligned rows only) and the HFL permutation baseline all share
+//! it; [`attr_mse`] is the one MSE.
 
-use mp_relation::{Column, Relation, RelationError, Result};
+use mp_relation::{AttrKind, Column, Relation, RelationError, Result};
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Index-aligned Value-equality matches between two columns, exploiting the
-/// typed layouts: dictionary-encoded columns are compared by `u32` code
-/// after remapping the synthetic dictionary into the real one, integer and
-/// float columns directly on their primitive slices with the null bitmaps.
-/// Mismatched layouts fall back to the row-wise [`ValueRef`] comparison,
-/// which defines the semantics the fast paths must reproduce.
+/// Index-aligned Value-equality matches between two columns over `rows`,
+/// exploiting the typed layouts: dictionary-encoded columns are compared
+/// by `u32` code after remapping the synthetic dictionary into the real
+/// one, integer and float columns directly on their primitive slices with
+/// the null bitmaps. Mismatched layouts fall back to the row-wise
+/// [`ValueRef`] comparison, which defines the semantics the fast paths
+/// must reproduce.
 ///
 /// [`ValueRef`]: mp_relation::ValueRef
-pub(crate) fn aligned_value_matches(a: &Column, b: &Column) -> usize {
+fn aligned_value_matches(a: &Column, b: &Column, rows: impl Iterator<Item = usize>) -> usize {
     match (a, b) {
         (
             Column::Categorical {
@@ -53,9 +61,7 @@ pub(crate) fn aligned_value_matches(a: &Column, b: &Column) -> usize {
                 db.iter()
                     .map(|s| first.get(s.as_str()).copied().unwrap_or(u32::MAX)),
             );
-            ca.iter()
-                .zip(cb)
-                .filter(|&(&x, &y)| canon[x as usize] == remap[y as usize])
+            rows.filter(|&i| canon[ca[i] as usize] == remap[cb[i] as usize])
                 .count()
         }
         (
@@ -67,7 +73,7 @@ pub(crate) fn aligned_value_matches(a: &Column, b: &Column) -> usize {
                 values: vb,
                 nulls: nb,
             },
-        ) => (0..va.len())
+        ) => rows
             .filter(|&i| match (na.get(i), nb.get(i)) {
                 (true, true) => true,
                 (false, false) => va[i] == vb[i],
@@ -85,7 +91,7 @@ pub(crate) fn aligned_value_matches(a: &Column, b: &Column) -> usize {
                 nulls: nb,
                 ..
             },
-        ) => (0..va.len())
+        ) => rows
             .filter(|&i| match (na.get(i), nb.get(i)) {
                 (true, true) => true,
                 // `==` already treats -0.0 like 0.0, and any Int rows in the
@@ -95,29 +101,71 @@ pub(crate) fn aligned_value_matches(a: &Column, b: &Column) -> usize {
                 _ => false,
             })
             .count(),
-        _ => (0..a.len())
-            .filter(|&i| a.value_ref(i) == b.value_ref(i))
-            .count(),
+        _ => rows.filter(|&i| a.value_ref(i) == b.value_ref(i)).count(),
     }
 }
 
-/// Calls `f(x, y)` for every index-aligned row where both columns hold a
+/// Calls `f(x, y)` for every row of `rows` where both columns hold a
 /// numeric value, reading `&[f64]` slices under the null bitmaps when both
 /// sides are float columns.
-fn for_each_numeric_pair(a: &Column, b: &Column, mut f: impl FnMut(f64, f64)) {
+fn for_each_numeric_pair(
+    a: &Column,
+    b: &Column,
+    rows: impl Iterator<Item = usize>,
+    mut f: impl FnMut(f64, f64),
+) {
     if let (Some((va, na)), Some((vb, nb))) = (a.as_float_parts(), b.as_float_parts()) {
-        for i in 0..va.len() {
+        for i in rows {
             if !na.get(i) && !nb.get(i) {
                 f(va[i], vb[i]);
             }
         }
         return;
     }
-    for i in 0..a.len() {
+    for i in rows {
         if let (Some(x), Some(y)) = (a.f64_at(i), b.f64_at(i)) {
             f(x, y);
         }
     }
+}
+
+/// Index-aligned leakage of one attribute over `rows`: Definition 2.2
+/// (exact [`Value`](mp_relation::Value) equality, null matching null) for
+/// a categorical `kind`, Definition 2.3 (`|real − syn| ≤ epsilon`, both
+/// sides numeric) for a continuous one. Every row in `rows` must be in
+/// bounds for both columns; callers pass the rows both columns hold.
+pub fn attr_matches(
+    real: &Column,
+    syn: &Column,
+    kind: AttrKind,
+    epsilon: f64,
+    rows: impl Iterator<Item = usize>,
+) -> usize {
+    match kind {
+        AttrKind::Categorical => aligned_value_matches(real, syn, rows),
+        AttrKind::Continuous => {
+            let mut count = 0usize;
+            for_each_numeric_pair(real, syn, rows, |x, y| {
+                if (x - y).abs() <= epsilon {
+                    count += 1;
+                }
+            });
+            count
+        }
+    }
+}
+
+/// Mean squared error between two columns over the rows of `rows` where
+/// both are numeric, summed in row order (the paper's Table III metric).
+/// `None` if no such row exists.
+pub fn attr_mse(real: &Column, syn: &Column, rows: impl Iterator<Item = usize>) -> Option<f64> {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for_each_numeric_pair(real, syn, rows, |x, y| {
+        sum += (x - y) * (x - y);
+        n += 1;
+    });
+    (n > 0).then(|| sum / n as f64)
 }
 
 /// Number of index-aligned exact matches on a categorical attribute
@@ -125,10 +173,8 @@ fn for_each_numeric_pair(a: &Column, b: &Column, mut f: impl FnMut(f64, f64)) {
 /// echocardiogram evaluation. Dictionary-encoded columns are counted by
 /// `u32` code equality after remapping dictionaries.
 pub fn categorical_matches(real: &Relation, syn: &Relation, attr: usize) -> Result<usize> {
-    let a = real.column(attr)?;
-    let b = syn.column(attr)?;
-    check_aligned(real, syn)?;
-    Ok(aligned_value_matches(a, b))
+    let (a, b, rows) = aligned_columns(real, syn, attr)?;
+    Ok(attr_matches(a, b, AttrKind::Categorical, 0.0, rows))
 }
 
 /// Number of index-aligned ε-close matches on a continuous attribute
@@ -139,32 +185,16 @@ pub fn continuous_matches(
     attr: usize,
     epsilon: f64,
 ) -> Result<usize> {
-    let a = real.column(attr)?;
-    let b = syn.column(attr)?;
-    check_aligned(real, syn)?;
-    let mut count = 0usize;
-    for_each_numeric_pair(a, b, |x, y| {
-        if (x - y).abs() <= epsilon {
-            count += 1;
-        }
-    });
-    Ok(count)
+    let (a, b, rows) = aligned_columns(real, syn, attr)?;
+    Ok(attr_matches(a, b, AttrKind::Continuous, epsilon, rows))
 }
 
 /// Mean squared error between the real and synthetic columns over rows
 /// where both are numeric (the paper's Table III metric), computed over the
 /// typed `&[f64]` slices with the null masks. `None` if no such rows exist.
 pub fn mse(real: &Relation, syn: &Relation, attr: usize) -> Result<Option<f64>> {
-    let a = real.column(attr)?;
-    let b = syn.column(attr)?;
-    check_aligned(real, syn)?;
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for_each_numeric_pair(a, b, |x, y| {
-        sum += (x - y) * (x - y);
-        n += 1;
-    });
-    Ok((n > 0).then(|| sum / n as f64))
+    let (a, b, rows) = aligned_columns(real, syn, attr)?;
+    Ok(attr_mse(a, b, rows))
 }
 
 /// Tuple-level leakage over an attribute subset `attrs`: the number of rows
@@ -189,8 +219,8 @@ pub fn tuple_matches(
     'rows: for i in 0..real.n_rows() {
         for (kind, xs, ys) in &checks {
             let matched = match kind {
-                mp_relation::AttrKind::Categorical => xs.value_ref(i) == ys.value_ref(i),
-                mp_relation::AttrKind::Continuous => match (xs.f64_at(i), ys.f64_at(i)) {
+                AttrKind::Categorical => xs.value_ref(i) == ys.value_ref(i),
+                AttrKind::Continuous => match (xs.f64_at(i), ys.f64_at(i)) {
                     (Some(x), Some(y)) => (x - y).abs() <= epsilon,
                     _ => false,
                 },
@@ -211,10 +241,23 @@ pub fn leakage_rate(real: &Relation, syn: &Relation, attr: usize, epsilon: f64) 
         return Ok(0.0);
     }
     let matches = match real.schema().attribute(attr)?.kind {
-        mp_relation::AttrKind::Categorical => categorical_matches(real, syn, attr)?,
-        mp_relation::AttrKind::Continuous => continuous_matches(real, syn, attr, epsilon)?,
+        AttrKind::Categorical => categorical_matches(real, syn, attr)?,
+        AttrKind::Continuous => continuous_matches(real, syn, attr, epsilon)?,
     };
     Ok(matches as f64 / real.n_rows() as f64)
+}
+
+/// Attribute `attr`'s column on both sides of a row-aligned pair, with the
+/// range of every row.
+fn aligned_columns<'a>(
+    real: &'a Relation,
+    syn: &'a Relation,
+    attr: usize,
+) -> Result<(&'a Column, &'a Column, Range<usize>)> {
+    let a = real.column(attr)?;
+    let b = syn.column(attr)?;
+    check_aligned(real, syn)?;
+    Ok((a, b, 0..real.n_rows()))
 }
 
 fn check_aligned(real: &Relation, syn: &Relation) -> Result<()> {
@@ -256,15 +299,12 @@ pub struct AttrLeakage {
 }
 
 /// Measures leakage on every attribute of an aligned pair, with `epsilon`
-/// as the continuous match tolerance.
-pub fn measure_all(real: &Relation, syn: &Relation, epsilon: f64) -> Result<Vec<AttrLeakage>> {
-    measure_all_with(real, syn, epsilon, &mp_observe::NoopRecorder)
-}
-
-/// [`measure_all`] with an explicit [`mp_observe::Recorder`]: counts every
+/// as the continuous match tolerance, through [`attr_matches`] and
+/// [`attr_mse`] over all rows. The [`mp_observe::Recorder`] counts every
 /// compared cell (`core.leakage.cells_compared`), every index-aligned
 /// match (`core.leakage.matches`), and buckets each attribute's match
-/// rate, in whole percent, into `core.leakage.match_rate_pct`. All values
+/// rate, in whole percent, into `core.leakage.match_rate_pct`; pass
+/// [`mp_observe::NoopRecorder`] to measure without recording. All values
 /// are integers derived from the comparison itself, so snapshots are
 /// byte-stable for a fixed input pair.
 pub fn measure_all_with(
@@ -274,32 +314,29 @@ pub fn measure_all_with(
     recorder: &dyn mp_observe::Recorder,
 ) -> Result<Vec<AttrLeakage>> {
     check_arity(real, syn)?;
+    check_aligned(real, syn)?;
     let cells = recorder.counter("core.leakage.cells_compared");
     let matched = recorder.counter("core.leakage.matches");
     let rate_pct = recorder.histogram(
         "core.leakage.match_rate_pct",
         &[0, 1, 5, 10, 25, 50, 75, 90, 100],
     );
-    let n_rows = real.n_rows() as u64;
-    (0..real.arity())
-        .map(|attr| {
-            let name = real.schema().attribute(attr)?.name.clone();
-            let matches = match real.schema().attribute(attr)?.kind {
-                mp_relation::AttrKind::Categorical => categorical_matches(real, syn, attr)? as f64,
-                mp_relation::AttrKind::Continuous => {
-                    continuous_matches(real, syn, attr, epsilon)? as f64
-                }
-            };
-            cells.add(n_rows);
-            matched.add(matches as u64);
-            if let Some(pct) = (matches as u64 * 100).checked_div(n_rows) {
+    let n_rows = real.n_rows();
+    real.schema()
+        .iter()
+        .map(|(attr, attribute)| {
+            let (a, b) = (real.column(attr)?, syn.column(attr)?);
+            let matches = attr_matches(a, b, attribute.kind, epsilon, 0..n_rows) as u64;
+            cells.add(n_rows as u64);
+            matched.add(matches);
+            if let Some(pct) = (matches * 100).checked_div(n_rows as u64) {
                 rate_pct.record(pct);
             }
             Ok(AttrLeakage {
                 attr,
-                name,
-                matches,
-                mse: mse(real, syn, attr)?,
+                name: attribute.name.clone(),
+                matches: matches as f64,
+                mse: attr_mse(a, b, 0..n_rows),
             })
         })
         .collect()
@@ -398,13 +435,13 @@ mod tests {
     fn measure_all_rejects_arity_mismatch() {
         let (real, _) = pair();
         let narrow = real.project(&[0]).unwrap();
-        assert!(measure_all(&real, &narrow, 0.0).is_err());
+        assert!(measure_all_with(&real, &narrow, 0.0, &mp_observe::NoopRecorder).is_err());
     }
 
     #[test]
     fn measure_all_spans_schema() {
         let (real, syn) = pair();
-        let all = measure_all(&real, &syn, 0.1).unwrap();
+        let all = measure_all_with(&real, &syn, 0.1, &mp_observe::NoopRecorder).unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].matches, 3.0);
         assert_eq!(all[1].matches, 2.0);
@@ -418,7 +455,10 @@ mod tests {
         let (real, syn) = pair();
         let registry = Registry::new();
         let observed = measure_all_with(&real, &syn, 0.1, &registry).unwrap();
-        assert_eq!(observed, measure_all(&real, &syn, 0.1).unwrap());
+        assert_eq!(
+            observed,
+            measure_all_with(&real, &syn, 0.1, &mp_observe::NoopRecorder).unwrap()
+        );
         let snap = registry.snapshot();
         // 2 attributes × 4 rows.
         assert_eq!(snap.counters["core.leakage.cells_compared"], 8);

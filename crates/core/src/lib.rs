@@ -4,8 +4,11 @@
 //! attack-evaluation harness of *"Will Sharing Metadata Leak Privacy?"*
 //! (Zhan & Hai, ICDE 2024):
 //!
-//! * [`leakage`] — Definitions 2.2/2.3: index-aligned categorical exact
-//!   matching, continuous ε-matching, MSE, tuple-level leakage;
+//! * [`leakage`] — Definitions 2.2/2.3: one per-attribute kernel
+//!   ([`attr_matches`]: categorical exact matching, continuous ε-matching,
+//!   over any row subset) and one MSE ([`attr_mse`]) behind every
+//!   whole-relation count, every Table III/IV cell and every matrix cell,
+//!   plus tuple-level leakage;
 //! * [`identifiability`] — Definition 2.1: identifiable tuples, minimal
 //!   identifying attribute sets, per-attribute uniqueness profiles;
 //! * [`analytical`] — the §III/§IV expected-leakage formulas (binomial
@@ -20,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod analytical;
-pub mod audit;
 pub mod defense;
 pub mod experiment;
 pub mod identifiability;
@@ -30,7 +32,6 @@ pub mod metric;
 pub mod report;
 pub mod seed;
 
-pub use audit::{AuditConfig, CfdRisk, PolicyOutcome, PrivacyAudit};
 pub use defense::{bucketize_column, generalize_to_k, k_anonymity};
 pub use experiment::{
     run_attack, run_cell, run_cell_with_known_lhs, AttackResult, AttrSummary, ExperimentConfig,
@@ -39,8 +40,8 @@ pub use identifiability::{
     identifiability_rate, identifiable_tuples, minimal_identifying_sets, uniqueness_profile,
 };
 pub use leakage::{
-    categorical_matches, continuous_matches, leakage_rate, measure_all, measure_all_with, mse,
-    tuple_matches, AttrLeakage,
+    attr_matches, attr_mse, categorical_matches, continuous_matches, leakage_rate,
+    measure_all_with, mse, tuple_matches, AttrLeakage,
 };
 pub use matrix::{
     LeakageMatrix, MatrixCell, MatrixConfig, MatrixDataset, MatrixPolicy, MetadataClass,

@@ -1,8 +1,7 @@
 //! The leakage-audit matrix: metadata class × share policy × adversary.
 //!
-//! [`PrivacyAudit`](crate::PrivacyAudit) answers "how bad is this one
-//! table under the four preset policies"; the matrix answers the paper's
-//! full question systematically. Every cell fixes a coordinate
+//! The matrix answers the paper's question systematically: every cell
+//! fixes a coordinate
 //!
 //! * **metadata class** — which dependency class rides along with the
 //!   domains (domains-only, +FD, +OD, +ND, +DD, +OFD, +CFD), isolating
@@ -15,19 +14,21 @@
 //!   collusion and noisy domains ([`mp_synth::AdversaryModel`]);
 //!
 //! and measures empirical cells-leaked (mean index-aligned matches per
-//! round, Definitions 2.2/2.3), the §III-A analytical expectation
-//! `Σ N·θ_A`, and the delta against the same-seed random-generation
-//! baseline — the number that operationalises "does this dependency class
-//! add leakage *beyond* domains". Every cell is independently
-//! reproducible: its RNG stream is derived from its coordinate alone via
-//! [`crate::seed_for`], so the matrix is byte-identical across runs and
-//! thread counts (cells are parallelised with the order-preserving
-//! [`mp_relation::par::par_map`]).
+//! round, Definitions 2.2/2.3, scored on the aligned rows by the same
+//! [`attr_matches`] kernel as Tables III/IV), the §III-A analytical
+//! expectation `Σ N·θ_A`, and the delta against the same-seed
+//! random-generation baseline — the number that operationalises "does
+//! this dependency class add leakage *beyond* domains". Every cell is
+//! independently reproducible: its RNG stream is derived from its
+//! coordinate alone via [`crate::seed_for`], so the matrix is
+//! byte-identical across runs and thread counts (cells are parallelised
+//! with the order-preserving [`mp_relation::par::par_map`]).
 
+use crate::leakage::attr_matches;
 use mp_metadata::{Dependency, MetadataPackage, SharePolicy};
 use mp_observe::Recorder;
 use mp_relation::par::par_map;
-use mp_relation::{AttrKind, Column, Relation, RelationError, Result};
+use mp_relation::{Relation, RelationError, Result};
 use mp_synth::{Adversary, AdversaryModel, SynthConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -259,34 +260,6 @@ fn alignment_permutation(dataset: &str, n: usize) -> Vec<usize> {
     perm
 }
 
-/// Index-aligned matches between real and synthetic columns, restricted
-/// to the scored `rows`. Continuous attributes use Definition 2.3
-/// (ε-ball, both values present); everything else uses Definition 2.2
-/// (exact [`mp_relation::ValueRef`] equality, the same semantics as
-/// [`crate::leakage`]).
-fn matches_on_rows(
-    real: &Column,
-    syn: &Column,
-    kind: AttrKind,
-    rows: &[usize],
-    epsilon: f64,
-) -> usize {
-    let mut matched = 0;
-    for &i in rows {
-        let hit = match kind {
-            AttrKind::Continuous => match (real.f64_at(i), syn.f64_at(i)) {
-                (Some(x), Some(y)) => (x - y).abs() <= epsilon,
-                _ => false,
-            },
-            _ => real.value_ref(i) == syn.value_ref(i),
-        };
-        if hit {
-            matched += 1;
-        }
-    }
-    matched
-}
-
 fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<MatrixCell> {
     let relation = &spec.dataset.relation;
     let n = relation.n_rows();
@@ -348,15 +321,10 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<Mat
         let mut leaked_random = 0usize;
         for (attr, attribute) in relation.schema().iter() {
             let real = relation.column(attr)?;
-            leaked += matches_on_rows(
-                real,
-                with_deps.column(attr)?,
-                attribute.kind,
-                &scored,
-                epsilon,
-            );
-            leaked_random +=
-                matches_on_rows(real, random.column(attr)?, attribute.kind, &scored, epsilon);
+            let score =
+                |syn| attr_matches(real, syn, attribute.kind, epsilon, scored.iter().copied());
+            leaked += score(with_deps.column(attr)?);
+            leaked_random += score(random.column(attr)?);
         }
         per_round.push(leaked as f64);
         per_round_random.push(leaked_random as f64);

@@ -1,13 +1,12 @@
-//! Cell-seed derivation for the audit and matrix harnesses.
+//! Cell-seed derivation for the audit matrix.
 //!
 //! Every experiment in this crate is seeded, and the seed must identify
-//! *which* experiment: the audit of PR ≤ 8 reused `base_seed + round` for
-//! every policy, so round `r` of the `full` policy and round `r` of the
-//! `domains` policy drew identical random streams — their results were
-//! correlated, not independent measurements. [`seed_for`] fixes this with
-//! one documented derivation used by both [`crate::audit`] and
-//! [`crate::matrix`]: the seed is a hash of the full cell coordinate
-//! `(dataset, policy, adversary, round)`, so
+//! *which* experiment: seeding round `r` of every policy with
+//! `base_seed + round` makes round `r` of the `full` policy and round `r`
+//! of the `domains` policy draw identical random streams — correlated
+//! results, not independent measurements. [`seed_for`] is the one
+//! derivation [`crate::matrix`] uses instead: the seed is a hash of the
+//! full cell coordinate `(dataset, policy, adversary, round)`, so
 //!
 //! * every matrix cell is independently reproducible from its coordinate
 //!   alone (no ambient base seed needed), and
@@ -57,7 +56,7 @@ fn fnv1a_labels(dataset: &str, policy: &str, adversary: &str) -> u64 {
 /// bijection on `u64` and `splitmix64` is a bijection, so **for a fixed
 /// label triple, distinct rounds can never collide** (proved as a
 /// property test). Across label triples, collisions would require an
-/// FNV-1a collision; the preset audit/matrix label space is pinned
+/// FNV-1a collision; the preset matrix label space is pinned
 /// collision-free by the tests below.
 pub fn seed_for(dataset: &str, policy: &str, adversary: &str, round: u64) -> u64 {
     let h = fnv1a_labels(dataset, policy, adversary);

@@ -430,14 +430,17 @@ fn dd_configs() -> [DdConfig; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    #[test]
     fn dd_tight_delta_matches_quadratic_loop(r in relation()) {
         assert_tight_delta_matches(&r)?;
     }
 
+    #[test]
     fn dd_tight_delta_matches_quadratic_loop_on_nan_and_inf(r in relation_where(Just(true))) {
         assert_tight_delta_matches(&r)?;
     }
 
+    #[test]
     fn dd_discovery_matches_reference(r in relation_where(any::<bool>())) {
         for config in dd_configs() {
             // Debug text compares NaN thresholds and the sign of zero.
@@ -450,6 +453,7 @@ proptest! {
 
     // ---- OD / OFD -----------------------------------------------------------
 
+    #[test]
     fn od_discovery_matches_holds(r in relation()) {
         for exclude_constant in [true, false] {
             for include_descending in [true, false] {
@@ -459,6 +463,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn ofd_discovery_matches_holds(r in relation()) {
         for exclude_constant in [true, false] {
             prop_assert_eq!(
@@ -470,6 +475,7 @@ proptest! {
 
     // ---- CFD ----------------------------------------------------------------
 
+    #[test]
     fn cfd_discovery_matches_fd_filtered_cluster_scan(r in relation(), min_support in 1usize..5) {
         for exclude_fd_pairs in [true, false] {
             let config = CfdConfig { min_support, exclude_fd_pairs };
@@ -479,6 +485,7 @@ proptest! {
 
     // ---- MFD ----------------------------------------------------------------
 
+    #[test]
     fn mfd_delta_matches_metric_fd_tight_delta(r in relation()) {
         // An unbounded fraction keeps every pair, so each δ is compared.
         let every = MfdConfig { delta_fraction: f64::INFINITY, exclude_fds: false };

@@ -9,8 +9,8 @@
 //! whole of HFL's metadata alignment), and the permutation baseline that
 //! replaces index-aligned leakage when no alignment exists.
 
-use mp_core::ExperimentConfig;
-use mp_relation::{AttrKind, Relation, Result};
+use mp_core::{attr_matches, ExperimentConfig};
+use mp_relation::{Relation, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,15 +61,9 @@ pub fn permutation_baseline(
         for i in (1..n).rev() {
             perm.swap(i, rng.gen_range(0..=i));
         }
-        total += (0..n)
-            .filter(|&i| match kind {
-                AttrKind::Categorical => real_col.value_ref(perm[i]) == syn_col.value_ref(i),
-                AttrKind::Continuous => match (real_col.f64_at(perm[i]), syn_col.f64_at(i)) {
-                    (Some(x), Some(y)) => (x - y).abs() <= config.epsilon,
-                    _ => false,
-                },
-            })
-            .count();
+        // Row i of the permuted real column is real row perm[i], scored
+        // against synthetic row i.
+        total += attr_matches(&real_col.select(&perm), syn_col, kind, config.epsilon, 0..n);
     }
     Ok(total as f64 / config.rounds as f64)
 }

@@ -74,10 +74,12 @@ fn merged(a: &Snapshot, b: &Snapshot) -> Snapshot {
 }
 
 proptest! {
+    #[test]
     fn merge_is_commutative(a in snapshot_strategy(), b in snapshot_strategy()) {
         prop_assert_eq!(merged(&a, &b), merged(&b, &a));
     }
 
+    #[test]
     fn merge_is_associative(
         a in snapshot_strategy(),
         b in snapshot_strategy(),
@@ -86,6 +88,7 @@ proptest! {
         prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
     }
 
+    #[test]
     fn merge_identity_is_the_empty_snapshot(a in snapshot_strategy()) {
         // Merging the zero-clock empty snapshot changes nothing, on
         // either side.
@@ -94,6 +97,7 @@ proptest! {
         prop_assert_eq!(merged(&empty, &a), a.clone());
     }
 
+    #[test]
     fn serialization_is_deterministic_and_key_sorted(a in snapshot_strategy()) {
         let json = a.to_json();
         // Pure function of the value: a clone built through merge with
@@ -128,6 +132,7 @@ proptest! {
         prop_assert!(json.ends_with('\n'), "snapshot JSON must end in a newline");
     }
 
+    #[test]
     fn histogram_bounds_are_strictly_increasing(
         raw in prop::collection::vec(0u64..50, 0..12),
     ) {
@@ -145,6 +150,7 @@ proptest! {
         prop_assert_eq!(bounds, expect);
     }
 
+    #[test]
     fn histogram_accounts_for_every_recorded_value(
         raw_bounds in prop::collection::vec(1u64..100, 1..8),
         values in prop::collection::vec(0u64..120, 0..40),

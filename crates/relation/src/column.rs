@@ -14,9 +14,11 @@
 //!   bitmap marking rows that materialise as [`Value::Int`] (mixed
 //!   int/float numeric columns are stored unified as `f64`; only integers
 //!   exactly representable in an `f64` take this path).
-//! * [`Column::Boxed`] — the boxed fallback for the rare heterogeneous
-//!   column a typed layout cannot represent losslessly (e.g. an integer
-//!   beyond ±2^53 mixed with floats). Semantically identical to the
+//! * [`Column::Boxed`] — the boxed fallback for the one heterogeneous
+//!   column a typed layout cannot represent losslessly: an integer beyond
+//!   ±2^53 mixed with floats, which CSV ingest produces from a numeric
+//!   column such as `9007199254740993` / `0.5` / `1` (a text/number mix
+//!   is read as text instead). Semantically identical to the
 //!   pre-columnar `Vec<Value>` storage.
 //!
 //! `Value` remains the *boundary* type: CSV I/O, serde exchange packages

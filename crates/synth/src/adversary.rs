@@ -19,7 +19,7 @@ use crate::sampler::{collect_typed, sample_typed_column, sample_typed_column_fro
 use mp_metadata::{Dependency, MetadataPackage, PlanStep};
 use mp_relation::{AttrKind, Attribute, Column, Domain, Relation, Result, Schema, Value};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Options for the synthesis attack.
 #[derive(Debug, Clone)]
@@ -111,7 +111,21 @@ impl Adversary {
                 (PlanStep::Free { .. }, Some(dom)) => sample_typed_column(dom, n, &mut rng),
                 (PlanStep::Derive { dep, .. }, Some(dom)) => {
                     let dep = &self.package.dependencies[*dep];
-                    collect_typed(self.derive_column(dep, &columns, dom, n, &mut rng))
+                    // The mapping/interval generators work on owned values —
+                    // the typed determinant columns materialise at this
+                    // boundary only.
+                    let lhs_owned: Vec<Vec<Value>> = determinant_order(dep)
+                        .into_iter()
+                        .map(|a| {
+                            columns[a]
+                                .as_ref()
+                                // lint: allow(no-panic) reason="the plan topologically orders dependents after their determinants; absence is a planner bug"
+                                .expect("determinant generated before dependent")
+                                .to_values()
+                        })
+                        .collect();
+                    let lhs: Vec<&[Value]> = lhs_owned.iter().map(Vec::as_slice).collect();
+                    collect_typed(derive_column(dep, &lhs, dom, n, &mut rng))
                 }
             };
             columns[attr] = Some(col);
@@ -136,64 +150,44 @@ impl Adversary {
             .collect();
         Relation::from_typed_columns(Schema::new(attrs)?, columns)
     }
+}
 
-    /// Generates one dependent column through `dep`, given the columns
-    /// already generated (the plan guarantees the determinants exist).
-    fn derive_column(
-        &self,
-        dep: &Dependency,
-        columns: &[Option<Column>],
-        rhs_domain: &Domain,
-        n: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Value> {
-        // The mapping/interval generators work on owned values — the
-        // typed determinant columns materialise at this boundary only.
-        let lhs_owned: Vec<Vec<Value>> = dep
-            .lhs()
-            .iter()
-            .map(|a| {
-                columns[a]
-                    .as_ref()
-                    // lint: allow(no-panic) reason="the plan topologically orders dependents after their determinants; absence is a planner bug"
-                    .expect("determinant generated before dependent")
-                    .to_values()
-            })
-            .collect();
-        let lhs_cols: Vec<&[Value]> = lhs_owned.iter().map(Vec::as_slice).collect();
-        match dep {
-            Dependency::Fd(_) => generate_fd_column(&lhs_cols, rhs_domain, n, rng),
-            Dependency::Afd(afd) => {
-                generate_afd_column(&lhs_cols, rhs_domain, afd.g3_threshold, n, rng)
-            }
+/// The determinant attributes of `dep` in the order [`derive_column`]
+/// takes their columns: tableau order for a CFD (its pattern cells are
+/// positional), sorted-set order for every other class.
+pub fn determinant_order(dep: &Dependency) -> Vec<usize> {
+    match dep {
+        Dependency::Cfd(cfd) => cfd.lhs.iter().map(|(a, _)| *a).collect(),
+        _ => dep.lhs().iter().collect(),
+    }
+}
+
+/// Generates the dependent column of `dep` from its determinant columns
+/// `lhs`, given in [`determinant_order`]: the one dependency-class →
+/// generator dispatch, shared by [`Adversary::synthesize`] and the
+/// per-cell harness behind the paper's Tables III/IV. Draws from `rng`
+/// only inside the class's generator.
+pub fn derive_column<R: Rng + ?Sized>(
+    dep: &Dependency,
+    lhs: &[&[Value]],
+    rhs_domain: &Domain,
+    n: usize,
+    rng: &mut R,
+) -> Vec<Value> {
+    match dep {
+        Dependency::Fd(_) => generate_fd_column(lhs, rhs_domain, n, rng),
+        Dependency::Afd(afd) => generate_afd_column(lhs, rhs_domain, afd.g3_threshold, n, rng),
+        // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
+        Dependency::Od(od) => generate_od_column(lhs[0], rhs_domain, od.direction, n, rng),
+        // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
+        Dependency::Nd(nd) => generate_nd_column(lhs[0], rhs_domain, nd.k, n, rng),
+        Dependency::Dd(dd) => {
             // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-            Dependency::Od(od) => generate_od_column(lhs_cols[0], rhs_domain, od.direction, n, rng),
-            // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-            Dependency::Nd(nd) => generate_nd_column(lhs_cols[0], rhs_domain, nd.k, n, rng),
-            Dependency::Dd(dd) => {
-                // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-                generate_dd_column(lhs_cols[0], rhs_domain, dd.eps_lhs, dd.delta_rhs, n, rng)
-            }
-            // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-            Dependency::Ofd(_) => generate_ofd_column(lhs_cols[0], rhs_domain, n, rng),
-            Dependency::Cfd(cfd) => {
-                // CFD pattern cells are positional; rebuild the columns in
-                // tableau order rather than sorted-set order.
-                let cols_owned: Vec<Vec<Value>> = cfd
-                    .lhs
-                    .iter()
-                    .map(|(a, _)| {
-                        columns[*a]
-                            .as_ref()
-                            // lint: allow(no-panic) reason="the plan topologically orders dependents after their determinants; absence is a planner bug"
-                            .expect("determinant generated before dependent")
-                            .to_values()
-                    })
-                    .collect();
-                let cols: Vec<&[Value]> = cols_owned.iter().map(Vec::as_slice).collect();
-                generate_cfd_column(cfd, &cols, rhs_domain, n, rng)
-            }
+            generate_dd_column(lhs[0], rhs_domain, dd.eps_lhs, dd.delta_rhs, n, rng)
         }
+        // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
+        Dependency::Ofd(_) => generate_ofd_column(lhs[0], rhs_domain, n, rng),
+        Dependency::Cfd(cfd) => generate_cfd_column(cfd, lhs, rhs_domain, n, rng),
     }
 }
 

@@ -14,6 +14,8 @@
 //! * [`generate_dd_column`] — Markov-chain ε/δ-ball generation (§IV-D);
 //! * [`generate_ofd_column`] — the directed-random-walk strict mapping
 //!   (§IV-E);
+//! * [`derive_column`] — the one dependency-class → generator dispatch,
+//!   taking determinant columns in [`determinant_order`];
 //! * [`Adversary`] — the orchestrator that turns a received
 //!   [`mp_metadata::MetadataPackage`] into a full `R_syn`, following the
 //!   dependency graph's generation plan.
@@ -32,7 +34,7 @@ mod interval;
 mod mapping;
 mod sampler;
 
-pub use adversary::{Adversary, SynthConfig};
+pub use adversary::{derive_column, determinant_order, Adversary, SynthConfig};
 pub use adversary_model::AdversaryModel;
 pub use cfd_gen::generate_cfd_column;
 pub use interval::{generate_dd_column, generate_od_column, generate_sd_column};
