@@ -77,7 +77,11 @@ impl Config {
         rules.insert(
             "no-wall-clock".to_owned(),
             RuleScope {
-                allow_paths: vec!["crates/bench".to_owned(), "perfbench".to_owned()],
+                allow_paths: vec![
+                    "crates/bench/src/bin/observe_overhead.rs".to_owned(),
+                    "crates/bench/tests/serve_backpressure.rs".to_owned(),
+                    "perfbench".to_owned(),
+                ],
                 ..RuleScope::default()
             },
         );
@@ -428,6 +432,14 @@ forbidden = ["mp-relation -> mp-discovery", "mp-relation -> mp-federated"]
         assert!(c
             .scope("no-unordered-iteration")
             .applies_to("crates/observe/src/snapshot.rs"));
+        // The bench crate's CI gates are clock-free; only the overhead
+        // guard and the backpressure test may read wall time.
+        assert!(c
+            .scope("no-wall-clock")
+            .applies_to("crates/bench/src/bin/model_check.rs"));
+        assert!(!c
+            .scope("no-wall-clock")
+            .applies_to("crates/bench/src/bin/observe_overhead.rs"));
     }
 
     #[test]

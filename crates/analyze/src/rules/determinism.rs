@@ -6,8 +6,9 @@ use super::{scan_token_seqs, Context, Lint, TestPolicy, TokenSeq};
 use crate::diagnostics::Diagnostic;
 
 /// `no-wall-clock`: no `Instant::now`, `SystemTime` or `thread::sleep`
-/// outside `crates/bench` — simulated time uses logical clocks
-/// (`mp_observe::Clock`, transport ticks), never the host's.
+/// outside the paths `analyze.toml` allows (perfbench and the two bench
+/// files whose purpose is wall time) — simulated time uses logical
+/// clocks (`mp_observe::Clock`, transport ticks), never the host's.
 pub struct NoWallClock;
 
 impl Lint for NoWallClock {
@@ -16,7 +17,7 @@ impl Lint for NoWallClock {
     }
 
     fn description(&self) -> &'static str {
-        "wall-clock time (Instant::now, SystemTime, thread::sleep) is only allowed in crates/bench; use logical clocks"
+        "wall-clock time (Instant::now, SystemTime, thread::sleep) is only allowed in perfbench and the bench overhead guard; use logical clocks"
     }
 
     fn check(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {

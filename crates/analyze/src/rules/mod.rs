@@ -255,12 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowed_in_bench() {
-        let ws = ws_with(
-            "crates/bench/src/lib.rs",
-            "pub fn f() { let _ = std::time::Instant::now(); }\n",
-        );
-        assert!(rule_hits("no-wall-clock", &ws).is_empty());
+    fn wall_clock_allowed_only_in_the_overhead_guard_of_bench() {
+        let src = "pub fn f() { let _ = std::time::Instant::now(); }\n";
+        let guard = ws_with("crates/bench/src/bin/observe_overhead.rs", src);
+        assert!(rule_hits("no-wall-clock", &guard).is_empty());
+        let gate = ws_with("crates/bench/src/bin/model_check.rs", src);
+        assert_eq!(rule_hits("no-wall-clock", &gate), vec!["1:33"]);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Bench + smoke harness for the leakage-audit matrix (`mp_core::matrix`).
 //!
 //! Sweeps the full shipped configuration — echocardiogram, bank and car
-//! across every metadata class × share policy, once per adversary model —
-//! timing each adversary's sweep separately, and re-checks the paper's
-//! §III-B conclusion (*FDs add no extra leakage over domains*) on the
-//! measured cells. Writes `BENCH_audit.json` at the repo root. Exits
-//! non-zero if the FD claim fails, any sweep comes back empty, or the
-//! thread-count determinism contract breaks.
+//! across every metadata class × share policy × the four adversary
+//! models of `mpriv audit --matrix` — in one [`LeakageMatrix::run`], and
+//! re-checks the paper's §III-B conclusion (*FDs add no extra leakage
+//! over domains*) on the measured cells. Writes `BENCH_audit.json` at the
+//! repo root; every field is deterministic. Exits non-zero if the FD
+//! claim fails, the matrix comes back empty, or the thread-count
+//! determinism contract breaks.
 //!
 //! Usage: `audit_matrix [rounds]` (default 24).
 
 use mp_core::{LeakageMatrix, MatrixConfig, MatrixDataset};
 use mp_observe::NoopRecorder;
 use mp_synth::AdversaryModel;
-use std::time::Instant;
 
 const EPSILON: f64 = 0.5;
 
@@ -44,50 +44,21 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("rounds must be a number"))
         .unwrap_or(24);
-    let adversaries = [
-        AdversaryModel::Baseline,
-        AdversaryModel::PartialAlignment { aligned_pct: 50 },
-        AdversaryModel::Collusion { parties: 2 },
-        AdversaryModel::NoisyDomains { noise_pct: 10 },
-    ];
     let datasets = datasets();
-
-    // One timed sweep per adversary model, so the per-model cost is
-    // visible in the artefact (collusion pools packages, partial scores
-    // fewer rows — their costs differ).
-    let mut adversary_ms = Vec::new();
-    let mut all_cells = Vec::new();
-    let mut total_rounds = 0u64;
-    let started = Instant::now();
-    for adversary in adversaries {
-        let config = MatrixConfig {
-            rounds,
-            epsilon: EPSILON,
-            threads: 0,
-            adversaries: vec![adversary],
-        };
-        let t0 = Instant::now();
-        let matrix =
-            LeakageMatrix::run(&datasets, &config, &NoopRecorder).expect("matrix sweep failed");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{:<10} {:>4} cells in {ms:>8.1} ms",
-            adversary.label(),
-            matrix.cells.len()
-        );
-        total_rounds += (matrix.cells.len() * rounds * 2) as u64;
-        adversary_ms.push((adversary.label(), ms));
-        all_cells.extend(matrix.cells);
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-
-    // Recombine the sweeps so the §III-B check sees every adversary.
-    let combined = LeakageMatrix {
-        cells: all_cells,
+    let config = MatrixConfig {
         rounds,
         epsilon: EPSILON,
+        threads: 0,
+        adversaries: vec![
+            AdversaryModel::Baseline,
+            AdversaryModel::PartialAlignment { aligned_pct: 50 },
+            AdversaryModel::Collusion { parties: 2 },
+            AdversaryModel::NoisyDomains { noise_pct: 10 },
+        ],
     };
-    let violations = combined.fd_adds_no_extra_leakage();
+    let matrix =
+        LeakageMatrix::run(&datasets, &config, &NoopRecorder).expect("matrix sweep failed");
+    let violations = matrix.fd_adds_no_extra_leakage();
     let fd_clean = violations.is_empty();
     for v in &violations {
         eprintln!("§III-B violation: {v}");
@@ -109,22 +80,16 @@ fn main() {
         .to_json();
     let deterministic = json_t1 == json_t4;
 
-    let cells = combined.cells.len();
-    let leaking = combined.cells.iter().filter(|c| c.leaks).count();
-    let cells_per_sec = cells as f64 / wall_s.max(1e-9);
+    let cells = matrix.cells.len();
+    let leaking = matrix.cells.iter().filter(|c| c.leaks).count();
+    let total_rounds = cells * rounds * 2;
     println!(
         "audit matrix: {cells} cells ({leaking} leaking), {rounds} rounds, \
-         {total_rounds} synth rounds, {cells_per_sec:.1} cells/s, fd clean {fd_clean}, \
-         thread-determinism {deterministic}"
+         {total_rounds} synth rounds, fd clean {fd_clean}, thread-determinism {deterministic}"
     );
 
-    let adversary_json = adversary_ms
-        .iter()
-        .map(|(label, ms)| format!("\"{label}\": {ms:.2}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"audit\",\n  \"cells\": {cells},\n  \"rounds\": {rounds},\n  \"synth_rounds\": {total_rounds},\n  \"cells_per_sec\": {cells_per_sec:.2},\n  \"adversary_ms\": {{ {adversary_json} }},\n  \"fd_no_extra_leakage\": {fd_clean},\n  \"thread_deterministic\": {deterministic},\n  \"leaking_cells\": {leaking},\n  \"schema_version\": 1\n}}\n"
+        "{{\n  \"bench\": \"audit\",\n  \"cells\": {cells},\n  \"rounds\": {rounds},\n  \"synth_rounds\": {total_rounds},\n  \"fd_no_extra_leakage\": {fd_clean},\n  \"thread_deterministic\": {deterministic},\n  \"leaking_cells\": {leaking},\n  \"schema_version\": 1\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
     std::fs::write(path, &json).expect("write BENCH_audit.json");

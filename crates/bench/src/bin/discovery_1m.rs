@@ -59,7 +59,6 @@ fn main() {
     let config = TaneConfig {
         max_lhs: 2,
         g3_threshold: 0.0,
-        ..TaneConfig::default()
     };
     let budget = MemoryBudget::from_mb(budget_mb);
     let ctx = DiscoveryContext::with_budget(&rel, ParallelConfig::default(), budget);

@@ -2,15 +2,14 @@
 //! enumerates *every* fault interleaving (drop / duplicate / delay /
 //! crash schedules) the bounded world admits via
 //! [`mp_federated::model_check`], then writes `BENCH_check.json` at the
-//! repo root. Every field except the `timing` block is deterministic,
-//! and CI fails unless each of them equals the committed file and
-//! `"violations"` is 0. Exits non-zero on any violation, or if the
-//! outcome counters do not add up to the schedules run.
+//! repo root. Every field is deterministic, and CI fails unless the
+//! file equals the committed one and `"violations"` is 0. Exits non-zero
+//! on any violation, or if the outcome counters do not add up to the
+//! schedules run.
 //!
 //! Usage: `model_check [parties] [fault_budget]` (defaults 3 and 2).
 
 use mp_federated::{model_check, small_world_session, CheckConfig};
-use std::time::Instant;
 
 fn main() {
     let parties: usize = std::env::args()
@@ -27,11 +26,7 @@ fn main() {
     };
     let (session, policies) = small_world_session(parties).expect("session bounds");
 
-    let start = Instant::now();
     let report = model_check(&session, &policies, &cfg).expect("model check setup");
-    let elapsed = start.elapsed().as_secs_f64();
-    let states_per_sec = report.total_states as f64 / elapsed.max(1e-9);
-
     println!(
         "{} parties, budget {}: {} schedules, {} states ({} distinct), {} violations",
         report.parties,
@@ -40,12 +35,6 @@ fn main() {
         report.total_states,
         report.distinct_states,
         report.violations.len()
-    );
-    println!(
-        "{:.2} s, {:.0} states/s, {:.0} schedules/s",
-        elapsed,
-        states_per_sec,
-        report.runs as f64 / elapsed.max(1e-9)
     );
     for v in &report.violations {
         eprintln!("VIOLATION [{}]: {}", v.schedule, v.violation);
@@ -59,7 +48,6 @@ fn main() {
          \"faults_injected\": {{ \"drops\": {}, \"duplicates\": {}, \"delays\": {} }},\n  \
          \"max_depth\": {},\n  \"total_states\": {},\n  \"distinct_states\": {},\n  \
          \"distinct_outcomes\": {},\n  \"pruned_subtrees\": {},\n  \
-         \"timing\": {{ \"elapsed_s\": {elapsed:.3}, \"states_per_sec\": {states_per_sec:.0} }},\n  \
          \"violations\": {}\n}}\n",
         report.parties,
         cfg.max_ticks,

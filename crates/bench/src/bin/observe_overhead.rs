@@ -83,7 +83,6 @@ fn main() {
     let config = TaneConfig {
         max_lhs: 2,
         g3_threshold: 0.0,
-        ..TaneConfig::default()
     };
 
     // Interleaved sampling so drift (thermal, noisy neighbours) hits both

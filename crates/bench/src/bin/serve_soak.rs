@@ -9,10 +9,11 @@
 //!
 //! Every completed session is checked bit-identical to the same seeds
 //! through the in-process [`mp_federated::Network::new`] oracle, and
-//! every faulted session must abort with a *typed* error. Reports
-//! sessions/sec, p50/p99 setup latency and the abort rate; writes
+//! every faulted session must abort with a *typed* error. Reports the
+//! completed and aborted sessions and the relay's counters; writes
 //! `BENCH_serve.json` at the repo root. Exits non-zero on any oracle
-//! divergence, untyped failure, or zero completed sessions.
+//! divergence, untyped failure, clean-session failure, unbounded queue,
+//! or zero completed sessions. Wall time is perfbench's `serve` workload.
 //!
 //! Usage: `serve_soak [sessions]` (default 64).
 
@@ -25,7 +26,7 @@ use mp_metadata::SharePolicy;
 use mp_observe::NoopRecorder;
 use std::io::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const ROWS: usize = 40;
 const SALT: u64 = 0xF1A7;
@@ -126,7 +127,6 @@ fn faulty_party(addr: &str, session: u64, fault: Fault) {
 
 struct SessionResult {
     fault: Fault,
-    elapsed: Duration,
     /// `Ok(matches_oracle)` for completed sessions, the typed error text
     /// otherwise.
     outcome: Result<bool, String>,
@@ -143,7 +143,6 @@ fn run_one(
 ) -> SessionResult {
     let fault = fault_for(index);
     let session = index + 1;
-    let start = Instant::now();
     let retry = soak_retry();
 
     let partner: std::thread::JoinHandle<Option<Result<mp_federated::PartyOutcome, SetupError>>> = {
@@ -171,7 +170,6 @@ fn run_one(
     let cfg = ClientConfig::new(session, 0, 2, retry);
     let mine = run_client_session(addr, &cfg, &parties[0], &POLICIES[0], SALT, &NoopRecorder);
     let partner_result = partner.join().expect("party thread never panics");
-    let elapsed = start.elapsed();
 
     match fault {
         Fault::None => {
@@ -186,7 +184,6 @@ fn run_one(
             }
             SessionResult {
                 fault,
-                elapsed,
                 outcome: match error {
                     None => Ok(matches),
                     Some(e) => Err(e),
@@ -206,7 +203,6 @@ fn run_one(
             );
             SessionResult {
                 fault,
-                elapsed,
                 outcome: Err(match &mine {
                     Err(e) => e.to_string(),
                     Ok(_) => "faulted session completed".to_owned(),
@@ -215,14 +211,6 @@ fn run_one(
             }
         }
     }
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 fn main() {
@@ -244,7 +232,6 @@ fn main() {
     let server = Server::start("127.0.0.1:0", cfg, Arc::new(NoopRecorder)).expect("bind");
     let addr = server.addr().to_owned();
 
-    let wall = Instant::now();
     let handles: Vec<_> = (0..sessions)
         .map(|i| {
             let addr = addr.clone();
@@ -257,7 +244,6 @@ fn main() {
         .into_iter()
         .map(|h| h.join().expect("session thread never panics"))
         .collect();
-    let wall_s = wall.elapsed().as_secs_f64();
     let report = server.shutdown();
 
     let mut completed = 0u64;
@@ -265,7 +251,6 @@ fn main() {
     let mut oracle_mismatches = 0u64;
     let mut untyped_failures = 0u64;
     let mut clean_failures = 0u64;
-    let mut latencies_ms: Vec<f64> = Vec::new();
     let mut fault_counts = [0u64; 3];
     for r in &results {
         fault_counts[r.fault as usize] += 1;
@@ -275,7 +260,6 @@ fn main() {
         match &r.outcome {
             Ok(matches) => {
                 completed += 1;
-                latencies_ms.push(r.elapsed.as_secs_f64() * 1e3);
                 if !matches {
                     oracle_mismatches += 1;
                 }
@@ -289,10 +273,6 @@ fn main() {
             }
         }
     }
-    latencies_ms.sort_by(f64::total_cmp);
-    let p50 = percentile(&latencies_ms, 0.50);
-    let p99 = percentile(&latencies_ms, 0.99);
-    let sessions_per_sec = completed as f64 / wall_s.max(1e-9);
     let abort_rate = aborted as f64 / sessions as f64;
 
     println!(
@@ -300,15 +280,12 @@ fn main() {
         fault_counts[0], fault_counts[1], fault_counts[2], completed, aborted
     );
     println!(
-        "throughput {sessions_per_sec:.1} sessions/s, setup latency p50 {p50:.1} ms, p99 {p99:.1} ms"
-    );
-    println!(
         "oracle mismatches {oracle_mismatches}, untyped failures {untyped_failures}, max queue depth {} (cap {queue_cap})",
         report.max_queue_depth
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"sessions\": {sessions},\n  \"parties_per_session\": 2,\n  \"rows_per_party\": {ROWS},\n  \"faults\": {{ \"clean\": {}, \"reset\": {}, \"stall\": {} }},\n  \"completed\": {completed},\n  \"aborted\": {aborted},\n  \"abort_rate\": {abort_rate:.4},\n  \"sessions_per_sec\": {sessions_per_sec:.2},\n  \"p50_ms\": {p50:.2},\n  \"p99_ms\": {p99:.2},\n  \"oracle_mismatches\": {oracle_mismatches},\n  \"untyped_failures\": {untyped_failures},\n  \"server\": {{ \"sessions_started\": {}, \"sessions_completed\": {}, \"sessions_aborted\": {}, \"frames_in\": {}, \"frames_routed\": {}, \"spoof_rejected\": {}, \"max_queue_depth\": {}, \"queue_cap\": {queue_cap} }}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"sessions\": {sessions},\n  \"parties_per_session\": 2,\n  \"rows_per_party\": {ROWS},\n  \"faults\": {{ \"clean\": {}, \"reset\": {}, \"stall\": {} }},\n  \"completed\": {completed},\n  \"aborted\": {aborted},\n  \"abort_rate\": {abort_rate:.4},\n  \"oracle_mismatches\": {oracle_mismatches},\n  \"untyped_failures\": {untyped_failures},\n  \"server\": {{ \"sessions_started\": {}, \"sessions_completed\": {}, \"sessions_aborted\": {}, \"frames_in\": {}, \"frames_routed\": {}, \"spoof_rejected\": {}, \"max_queue_depth\": {}, \"queue_cap\": {queue_cap} }}\n}}\n",
         fault_counts[0],
         fault_counts[1],
         fault_counts[2],

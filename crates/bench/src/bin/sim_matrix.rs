@@ -1,7 +1,8 @@
 //! CI fault-injection matrix: 32 seeds × 4 fault profiles through the
-//! invariant harness ([`mp_federated::check_invariants`]), plus a
-//! wall-clock-vs-fault-rate sweep. Exits non-zero on the first invariant
-//! violation; writes `BENCH_sim.json` at the repo root.
+//! invariant harness ([`mp_federated::check_invariants`]), plus a sweep
+//! of retransmissions and ticks over the drop rate. Every field of the
+//! `BENCH_sim.json` it writes at the repo root is deterministic. Exits
+//! non-zero on any invariant violation.
 //!
 //! Usage: `sim_matrix [seeds]` (default 32).
 
@@ -11,7 +12,6 @@ use mp_federated::{
 };
 use mp_metadata::SharePolicy;
 use mp_observe::NoopRecorder;
-use std::time::Instant;
 
 fn session(rows: usize) -> MultiPartySession {
     let data = mp_datasets::fintech_scenario(rows, 42);
@@ -41,12 +41,10 @@ fn main() {
     for profile in FAULT_PROFILES {
         let mut completed = 0usize;
         let mut aborted = 0usize;
-        let mut total_ms = 0.0f64;
         let mut total_ticks = 0u64;
         let mut total_sent = 0usize;
         for seed in 0..seeds {
             let plan = FaultPlan::from_names(profile, seed, sess.parties.len()).unwrap();
-            let start = Instant::now();
             match check_invariants(&sess, &policies, &plan, &retry) {
                 Ok(report) => {
                     if report.completed {
@@ -62,50 +60,43 @@ fn main() {
                     eprintln!("VIOLATION [{profile}, seed {seed}]: {v}");
                 }
             }
-            total_ms += start.elapsed().as_secs_f64() * 1e3;
         }
         let runs = seeds as f64;
         println!(
-            "{profile:>8}: {completed} completed, {aborted} aborted, {:.2} ms/run, {:.0} ticks/run",
-            total_ms / runs,
+            "{profile:>8}: {completed} completed, {aborted} aborted, {:.0} ticks/run",
             total_ticks as f64 / runs
         );
         profile_rows.push(format!(
             "{{ \"profile\": \"{profile}\", \"seeds\": {seeds}, \"completed\": {completed}, \
-             \"aborted\": {aborted}, \"mean_ms\": {:.3}, \"mean_ticks\": {:.1}, \"mean_sent\": {:.1} }}",
-            total_ms / runs,
+             \"aborted\": {aborted}, \"mean_ticks\": {:.1}, \"mean_sent\": {:.1} }}",
             total_ticks as f64 / runs,
             total_sent as f64 / runs
         ));
     }
 
-    // --- Setup wall-clock vs fault (drop) rate. -------------------------
+    // --- Retransmissions and ticks vs fault (drop) rate. ----------------
     let mut rate_rows = Vec::new();
+    let rate_seeds = seeds.min(16);
     for drop_pct in [0u32, 10, 20, 30, 40] {
-        let mut ms = Vec::new();
         let mut retx = 0usize;
         let mut ticks = 0u64;
-        for seed in 0..seeds.min(16) {
+        for seed in 0..rate_seeds {
             let plan = FaultPlan {
                 drop_rate: f64::from(drop_pct) / 100.0,
                 ..FaultPlan::fault_free(seed)
             };
-            let start = Instant::now();
             let sim = simulate_setup(&sess, &policies, &plan, &retry, &NoopRecorder);
-            ms.push(start.elapsed().as_secs_f64() * 1e3);
             retx += sim.summary.retransmissions;
             ticks += sim.ticks;
         }
-        ms.sort_by(f64::total_cmp);
-        let median = ms[ms.len() / 2];
-        let runs = ms.len() as f64;
+        let runs = rate_seeds as f64;
         println!(
-            "drop {drop_pct:>2}%: median {median:.2} ms, {:.1} retransmissions/run, {:.0} ticks/run",
+            "drop {drop_pct:>2}%: {:.1} retransmissions/run, {:.0} ticks/run",
             retx as f64 / runs,
             ticks as f64 / runs
         );
         rate_rows.push(format!(
-            "{{ \"drop_rate\": {:.2}, \"median_ms\": {median:.3}, \"mean_retransmissions\": {:.2}, \"mean_ticks\": {:.1} }}",
+            "{{ \"drop_rate\": {:.2}, \"mean_retransmissions\": {:.2}, \"mean_ticks\": {:.1} }}",
             f64::from(drop_pct) / 100.0,
             retx as f64 / runs,
             ticks as f64 / runs
@@ -113,7 +104,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"seeds\": {seeds},\n  \"profiles\": [\n    {}\n  ],\n  \"wallclock_vs_drop_rate\": [\n    {}\n  ],\n  \"violations\": {violations}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"seeds\": {seeds},\n  \"profiles\": [\n    {}\n  ],\n  \"drop_rate_sweep\": [\n    {}\n  ],\n  \"violations\": {violations}\n}}\n",
         profile_rows.join(",\n    "),
         rate_rows.join(",\n    ")
     );

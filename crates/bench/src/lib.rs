@@ -1,9 +1,10 @@
 //! # mp-bench — reproduction harness
 //!
-//! Library backing the reproduction binaries (`table3`, `table4`,
-//! `sweep_*`, `identifiability_report`, `discovery_report`, `repro_all`).
-//! See DESIGN.md §5 for the experiment index mapping every table/figure
-//! and in-text claim to its regeneration target. Timing lives in the
+//! Library backing the `repro` binary: `repro <target>` regenerates one
+//! table, sweep or report and `repro all` every one of them. See
+//! DESIGN.md §5 for the experiment index mapping every table/figure and
+//! in-text claim to its target. The crate's other binaries write the
+//! deterministic `BENCH_*.json` counters CI gates on. Timing lives in the
 //! repository benchmark (`perfbench/`), not here.
 
 #![warn(missing_docs)]

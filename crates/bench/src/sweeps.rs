@@ -214,8 +214,8 @@ pub fn sweep_od(samples: usize) -> String {
     )
 }
 
-/// A6 (§IV-D): DD ε sweep — leakage grows quadratically in ε_y and stays
-/// below the pair-level random baseline.
+/// A6 (§IV-D): DD ε sweep — leakage grows roughly quadratically in ε_y
+/// and stays near the pair-level random baseline.
 pub fn sweep_dd(n: usize, rounds: usize) -> String {
     let (range_x, range_y) = (100.0, 50.0);
     let mut t = TextTable::new(vec![

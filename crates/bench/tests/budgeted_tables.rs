@@ -4,9 +4,7 @@
 //! paper-table outputs byte-identical.
 
 use mp_bench::tables::{table3, table4};
-use mp_discovery::{
-    discover_fds, discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig,
-};
+use mp_discovery::{discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig};
 use mp_metadata::Fd;
 
 const ROUNDS: usize = 3;
@@ -26,9 +24,12 @@ fn budgeted_discovery_matches_sequential_on_echocardiogram() {
     let config = TaneConfig {
         max_lhs: 2,
         g3_threshold: 0.0,
-        parallel: ParallelConfig::sequential(),
     };
-    let sequential = discover_fds(&rel, &config).unwrap();
+    let sequential = discover_fds_with(
+        &DiscoveryContext::new(&rel, ParallelConfig::sequential()),
+        &config,
+    )
+    .unwrap();
 
     let ctx = DiscoveryContext::with_budget(
         &rel,
@@ -62,7 +63,6 @@ fn table_reproduction_is_byte_identical_around_budgeted_discovery() {
     let config = TaneConfig {
         max_lhs: 2,
         g3_threshold: 0.0,
-        parallel,
     };
     let ctx = DiscoveryContext::with_budget(&rel, parallel, MemoryBudget::from_bytes(8192));
     discover_fds_with(&ctx, &config).unwrap();

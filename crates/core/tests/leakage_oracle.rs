@@ -259,6 +259,23 @@ fn kernel_counts_nulls_nan_and_signed_zero_like_value_equality() {
     assert_eq!(attr_mse(&real, &syn, [0].into_iter()), None);
 }
 
+#[test]
+fn boxed_integers_above_2_pow_53_match_floats_by_exact_value() {
+    // Definition 2.2 is exact equality: the float 2^53 matches Int(2^53)
+    // (row 1) and not Int(2^53 + 1) (row 0), though both round to it.
+    const P53: i64 = 1 << 53;
+    let real = Column::Boxed(vec![Value::Int(P53 + 1), Value::Int(P53)]);
+    let syn = Column::Boxed(vec![Value::Float(P53 as f64), Value::Float(P53 as f64)]);
+    assert_eq!(
+        attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..2),
+        1
+    );
+    assert_eq!(
+        attr_matches(&real, &syn, AttrKind::Categorical, 0.0, [0].into_iter()),
+        0
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

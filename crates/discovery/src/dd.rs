@@ -9,7 +9,7 @@
 //! Each source attribute is sorted once (`O(n log n)`); every target's
 //! `δ_Y` is then one two-pointer window pass over that order (`O(n)`).
 
-use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::engine::DiscoveryContext;
 use mp_metadata::DifferentialDep;
 use mp_relation::{AttrKind, Column, Relation, Result};
 use std::collections::VecDeque;
@@ -156,14 +156,8 @@ fn window_delta(pairs: &[(f64, f64)], eps: f64) -> Option<f64> {
 }
 
 /// Discovers informative differential dependencies between continuous
-/// attribute pairs.
-pub fn discover_dds(relation: &Relation, config: &DdConfig) -> Result<Vec<DifferentialDep>> {
-    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
-    discover_dds_with(&ctx, config)
-}
-
-/// [`discover_dds`] against a shared [`DiscoveryContext`]. Each source
-/// attribute is sorted once (`O(n log n)`) and each target costs one
+/// attribute pairs of the context's relation. Each source attribute is
+/// sorted once (`O(n log n)`) and each target costs one
 /// linear window pass over that order (`O(n)`); the source attributes fan
 /// out on the context's thread budget and merge in attribute order, so
 /// the output is identical to the sequential scan.
@@ -212,8 +206,15 @@ pub fn discover_dds_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ParallelConfig;
     use mp_datasets::all_classes_spec;
     use mp_relation::{Attribute, Schema};
+
+    /// DD discovery over a fresh context with the default budget.
+    fn dds_of(relation: &Relation, config: &DdConfig) -> Vec<DifferentialDep> {
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+        discover_dds_with(&ctx, config).unwrap()
+    }
 
     fn xy(rows: &[(f64, f64)]) -> Relation {
         let schema =
@@ -239,7 +240,7 @@ mod tests {
     #[test]
     fn discovered_dds_hold_and_are_tight() {
         let out = all_classes_spec(200, 12).generate().unwrap();
-        let dds = discover_dds(&out.relation, &DdConfig::default()).unwrap();
+        let dds = dds_of(&out.relation, &DdConfig::default());
         // mono(3) is a monotone rescaling of x(2): their DD must be found
         // in both directions.
         assert!(dds.iter().any(|d| d.lhs == 2 && d.rhs == 3));
@@ -260,21 +261,20 @@ mod tests {
         // noisy(6) has ±5 noise on a 100-range x; with delta_fraction tiny
         // the pair is not informative.
         let out = all_classes_spec(300, 13).generate().unwrap();
-        let dds = discover_dds(
+        let dds = dds_of(
             &out.relation,
             &DdConfig {
                 eps_fraction: 0.05,
                 delta_fraction: 0.02,
             },
-        )
-        .unwrap();
+        );
         assert!(!dds.iter().any(|d| d.lhs == 2 && d.rhs == 6));
     }
 
     #[test]
     fn categorical_attributes_ignored() {
         let out = all_classes_spec(100, 14).generate().unwrap();
-        let dds = discover_dds(&out.relation, &DdConfig::default()).unwrap();
+        let dds = dds_of(&out.relation, &DdConfig::default());
         for d in &dds {
             for a in [d.lhs, d.rhs] {
                 assert_eq!(
@@ -289,13 +289,10 @@ mod tests {
     fn degenerate_inputs() {
         let r = xy(&[(1.0, 1.0)]);
         assert_eq!(tight_delta(&r, 0, 1, 1.0).unwrap(), None);
-        assert!(discover_dds(&r, &DdConfig::default()).unwrap().is_empty());
+        assert!(dds_of(&r, &DdConfig::default()).is_empty());
 
         // Constant x: zero range → skipped.
         let r = xy(&[(1.0, 1.0), (1.0, 5.0)]);
-        assert!(discover_dds(&r, &DdConfig::default())
-            .unwrap()
-            .iter()
-            .all(|d| d.lhs != 0));
+        assert!(dds_of(&r, &DdConfig::default()).iter().all(|d| d.lhs != 0));
     }
 }

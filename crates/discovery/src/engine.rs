@@ -103,12 +103,11 @@ impl MemoryBudget {
 
 /// A relation bound to a shared partition cache and a thread budget.
 ///
-/// Create one context per relation and pass it to the `*_with` discovery
-/// entry points ([`discover_fds_with`](crate::discover_fds_with),
+/// Create one context per relation and pass it to the discovery entry
+/// points ([`discover_fds_with`](crate::discover_fds_with),
 /// [`DependencyProfile::discover_with`](crate::DependencyProfile::discover_with),
-/// …) to share partitions across passes; the plain entry points create a
-/// private context per call. The context is `Sync`: worker threads
-/// spawned by a pass borrow it concurrently.
+/// …) to share partitions across passes. The context is `Sync`: worker
+/// threads spawned by a pass borrow it concurrently.
 pub struct DiscoveryContext<'r> {
     relation: &'r Relation,
     cache: PliCache,

@@ -6,9 +6,9 @@
 //! ND `X →≤k Y` only when the bound is *informative*: much smaller than
 //! `|dom(Y)|`, since `k = |dom(Y)|` holds for every pair vacuously.
 
-use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::engine::DiscoveryContext;
 use mp_metadata::NumericalDep;
-use mp_relation::{Relation, Result};
+use mp_relation::Result;
 
 /// Options for ND discovery.
 #[derive(Debug, Clone)]
@@ -32,21 +32,17 @@ impl Default for NdConfig {
     }
 }
 
-/// Discovers informative numerical dependencies between attribute pairs.
+/// Discovers informative numerical dependencies between attribute pairs
+/// of the context's relation.
 ///
 /// Each reported ND carries the *tightest* `k` for which it holds on the
 /// relation, so `NumericalDep::holds` is true by construction and false
 /// for `k − 1` (asserted in tests).
-pub fn discover_nds(relation: &Relation, config: &NdConfig) -> Result<Vec<NumericalDep>> {
-    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
-    discover_nds_with(&ctx, config)
-}
-
-/// [`discover_nds`] against a shared [`DiscoveryContext`]: LHS partitions
-/// and RHS signatures come from the context's PLI cache (so a preceding
-/// FD pass has already paid for them), and the pair sweep fans out over
-/// determinants on the context's thread budget. Output is identical to
-/// the sequential scan.
+///
+/// LHS partitions and RHS signatures come from the context's PLI cache
+/// (so a preceding FD pass has already paid for them), and the pair sweep
+/// fans out over determinants on the context's thread budget. Output is
+/// identical to the sequential scan.
 pub fn discover_nds_with(
     ctx: &DiscoveryContext<'_>,
     config: &NdConfig,
@@ -113,12 +109,20 @@ fn max_fanout(lhs_pli: &mp_relation::Pli, rhs_sig: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ParallelConfig;
     use mp_datasets::{all_classes_spec, echocardiogram};
+    use mp_relation::Relation;
+
+    /// ND discovery over a fresh context with the default budget.
+    fn nds_of(relation: &Relation, config: &NdConfig) -> Vec<NumericalDep> {
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+        discover_nds_with(&ctx, config).unwrap()
+    }
 
     #[test]
     fn planted_bounded_fanout_found() {
         let out = all_classes_spec(600, 4).generate().unwrap();
-        let nds = discover_nds(&out.relation, &NdConfig::default()).unwrap();
+        let nds = nds_of(&out.relation, &NdConfig::default());
         // Planted: base(0) →≤3 fan(4); discovery reports the tightest k ≤ 3.
         let nd = nds
             .iter()
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn tightness_of_reported_k() {
         let out = all_classes_spec(400, 10).generate().unwrap();
-        let nds = discover_nds(&out.relation, &NdConfig::default()).unwrap();
+        let nds = nds_of(&out.relation, &NdConfig::default());
         assert!(!nds.is_empty());
         for nd in &nds {
             assert!(nd.holds(&out.relation).unwrap());
@@ -146,15 +150,14 @@ mod tests {
     fn echocardiogram_group_survival_nd() {
         use mp_datasets::echocardiogram::attrs::*;
         let r = echocardiogram();
-        let nds = discover_nds(
+        let nds = nds_of(
             &r,
             &NdConfig {
                 max_k: 24,
                 max_fanout_ratio: 0.6,
                 exclude_fds: true,
             },
-        )
-        .unwrap();
+        );
         assert!(
             nds.iter().any(|d| d.lhs == GROUP && d.rhs == SURVIVAL),
             "planted group →≤k survival ND must be informative"
@@ -164,19 +167,18 @@ mod tests {
     #[test]
     fn fd_pairs_excluded_by_default() {
         let out = all_classes_spec(300, 6).generate().unwrap();
-        let nds = discover_nds(&out.relation, &NdConfig::default()).unwrap();
+        let nds = nds_of(&out.relation, &NdConfig::default());
         // base(0) → fd_child(1) is an FD (k = 1): excluded.
         assert!(!nds.iter().any(|d| d.lhs == 0 && d.rhs == 1));
 
-        let with_fds = discover_nds(
+        let with_fds = nds_of(
             &out.relation,
             &NdConfig {
                 exclude_fds: false,
                 max_k: 32,
                 max_fanout_ratio: 0.5,
             },
-        )
-        .unwrap();
+        );
         assert!(with_fds
             .iter()
             .any(|d| d.lhs == 0 && d.rhs == 1 && d.k == 1));
@@ -185,23 +187,20 @@ mod tests {
     #[test]
     fn uninformative_pairs_skipped() {
         let out = all_classes_spec(300, 6).generate().unwrap();
-        let strict = discover_nds(
+        let strict = nds_of(
             &out.relation,
             &NdConfig {
                 max_k: 1,
                 max_fanout_ratio: 0.01,
                 exclude_fds: true,
             },
-        )
-        .unwrap();
+        );
         assert!(strict.is_empty());
     }
 
     #[test]
     fn empty_relation() {
         let out = all_classes_spec(0, 0).generate().unwrap();
-        assert!(discover_nds(&out.relation, &NdConfig::default())
-            .unwrap()
-            .is_empty());
+        assert!(nds_of(&out.relation, &NdConfig::default()).is_empty());
     }
 }

@@ -103,23 +103,18 @@ pub(crate) fn sweep(xs: &Column, order: &[usize], ys: &Column, descending: bool)
     o
 }
 
-/// Discovers all pairwise order dependencies of `relation`.
+/// Discovers all pairwise order dependencies of the context's relation.
 ///
 /// The validation semantics are exactly [`OrderDep::holds`]: tuples with a
 /// null on either side are skipped, X-ties must be Y-ties, and Y must be
 /// monotone in the direction of the dependency. When a pair satisfies both
 /// directions (possible only if Y is constant across distinct X values,
 /// which `exclude_constant` usually rules out), both are returned.
-pub fn discover_ods(relation: &Relation, config: &OdConfig) -> Result<Vec<OrderDep>> {
-    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
-    discover_ods_with(&ctx, config)
-}
-
-/// [`discover_ods`] against a shared [`DiscoveryContext`]: the candidate
-/// set fans out over determinants on the context's thread budget (each
-/// determinant's column sort and RHS sweeps are independent), and results
-/// are merged in determinant order, so the output is identical to the
-/// sequential scan.
+///
+/// The candidate set fans out over determinants on the context's thread
+/// budget (each determinant's column sort and RHS sweeps are
+/// independent), and results are merged in determinant order, so the
+/// output is identical to the sequential scan.
 pub fn discover_ods_with(ctx: &DiscoveryContext<'_>, config: &OdConfig) -> Result<Vec<OrderDep>> {
     let relation = ctx.relation();
     let m = relation.arity();
@@ -237,7 +232,10 @@ pub fn discover_approx_ods(
     threshold: f64,
     config: &OdConfig,
 ) -> Result<Vec<(OrderDep, f64)>> {
-    let exact = discover_ods(relation, config)?;
+    let exact = discover_ods_with(
+        &DiscoveryContext::new(relation, ParallelConfig::default()),
+        config,
+    )?;
     let m = relation.arity();
     let mut out = Vec::new();
     for lhs in 0..m {
@@ -269,9 +267,15 @@ mod tests {
     use mp_datasets::{echocardiogram, employee};
     use mp_relation::{Attribute, Schema};
 
+    /// OD discovery over a fresh context with the default budget.
+    fn ods_of(relation: &Relation, config: &OdConfig) -> Vec<OrderDep> {
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+        discover_ods_with(&ctx, config).unwrap()
+    }
+
     #[test]
     fn employee_ods() {
-        let ods = discover_ods(&employee(), &OdConfig::default()).unwrap();
+        let ods = ods_of(&employee(), &OdConfig::default());
         // Salary ≤ → Age ≤ (salaries unique, ages monotone).
         assert!(ods.contains(&OrderDep::ascending(3, 1)));
         // Age does not order salary (ties on 22 break it).
@@ -286,7 +290,7 @@ mod tests {
     fn echocardiogram_planted_ods_found() {
         use mp_datasets::echocardiogram::attrs::*;
         let r = echocardiogram();
-        let ods = discover_ods(&r, &OdConfig::default()).unwrap();
+        let ods = ods_of(&r, &OdConfig::default());
         for (l, rr) in [
             (AGE, GROUP),
             (WALL_MOTION_SCORE, WALL_MOTION_INDEX),
@@ -314,18 +318,17 @@ mod tests {
             ],
         )
         .unwrap();
-        let ods = discover_ods(&r, &OdConfig::default()).unwrap();
+        let ods = ods_of(&r, &OdConfig::default());
         assert!(ods.contains(&OrderDep::descending(0, 1)));
         assert!(!ods.contains(&OrderDep::ascending(0, 1)));
 
-        let no_desc = discover_ods(
+        let no_desc = ods_of(
             &r,
             &OdConfig {
                 include_descending: false,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(no_desc.iter().all(|od| od.lhs != 0 || od.rhs != 1));
     }
 
@@ -341,15 +344,14 @@ mod tests {
             vec![vec![1.0.into(), "k".into()], vec![2.0.into(), "k".into()]],
         )
         .unwrap();
-        assert!(discover_ods(&r, &OdConfig::default()).unwrap().is_empty());
-        let with_const = discover_ods(
+        assert!(ods_of(&r, &OdConfig::default()).is_empty());
+        let with_const = ods_of(
             &r,
             &OdConfig {
                 exclude_constant: false,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(with_const.contains(&OrderDep::ascending(0, 1)));
     }
 
@@ -358,7 +360,7 @@ mod tests {
         let schema =
             Schema::new(vec![Attribute::continuous("x"), Attribute::continuous("y")]).unwrap();
         let r = Relation::empty(schema);
-        assert!(discover_ods(&r, &OdConfig::default()).unwrap().is_empty());
+        assert!(ods_of(&r, &OdConfig::default()).is_empty());
     }
 
     #[test]
@@ -367,7 +369,7 @@ mod tests {
         // definition-level validator on a relation with nulls and ties.
         let out = mp_datasets::all_classes_spec(120, 33).generate().unwrap();
         let r = &out.relation;
-        let ods = discover_ods(r, &OdConfig::default()).unwrap();
+        let ods = ods_of(r, &OdConfig::default());
         for lhs in 0..r.arity() {
             for rhs in 0..r.arity() {
                 if lhs == rhs {
@@ -453,7 +455,7 @@ mod tests {
     #[test]
     fn approx_discovery_excludes_exact_ods() {
         let r = echocardiogram();
-        let exact = discover_ods(&r, &OdConfig::default()).unwrap();
+        let exact = ods_of(&r, &OdConfig::default());
         let approx = discover_approx_ods(&r, 0.1, &OdConfig::default()).unwrap();
         for (od, err) in &approx {
             assert!(!exact.contains(od), "{od:?} is exact");

@@ -7,23 +7,17 @@
 //! exact semantics of [`OrderedFd::holds`]. Constant columns are excluded
 //! (an OFD onto a constant holds only for constant X and says nothing).
 
-use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::engine::DiscoveryContext;
 use crate::od::{non_null_constant, sorted_non_null, sweep};
 use mp_metadata::OrderedFd;
-use mp_relation::{Relation, Result};
+use mp_relation::Result;
 
-/// Discovers all pairwise ordered functional dependencies.
+/// Discovers all pairwise ordered functional dependencies of the
+/// context's relation.
 ///
 /// `exclude_constant` skips pairs where either side is constant over its
-/// non-null rows.
-pub fn discover_ofds(relation: &Relation, exclude_constant: bool) -> Result<Vec<OrderedFd>> {
-    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
-    discover_ofds_with(&ctx, exclude_constant)
-}
-
-/// [`discover_ofds`] against a shared [`DiscoveryContext`]: the
-/// determinants fan out on the context's thread budget, merged in
-/// determinant order.
+/// non-null rows. The determinants fan out on the context's thread
+/// budget, merged in determinant order.
 pub fn discover_ofds_with(
     ctx: &DiscoveryContext<'_>,
     exclude_constant: bool,
@@ -65,11 +59,19 @@ pub fn discover_ofds_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ParallelConfig;
     use mp_datasets::{echocardiogram, employee};
+    use mp_relation::Relation;
+
+    /// OFD discovery over a fresh context with the default budget.
+    fn ofds_of(relation: &Relation, exclude_constant: bool) -> Vec<OrderedFd> {
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+        discover_ofds_with(&ctx, exclude_constant).unwrap()
+    }
 
     #[test]
     fn employee_ofds() {
-        let ofds = discover_ofds(&employee(), true).unwrap();
+        let ofds = ofds_of(&employee(), true);
         // Name → Salary: lexicographic names happen to order salaries.
         assert!(ofds.contains(&OrderedFd::new(0, 3)));
         // Salary → Age violated: ages repeat across distinct salaries.
@@ -79,7 +81,7 @@ mod tests {
     #[test]
     fn echocardiogram_planted_ofd_found() {
         use mp_datasets::echocardiogram::attrs::*;
-        let ofds = discover_ofds(&echocardiogram(), true).unwrap();
+        let ofds = ofds_of(&echocardiogram(), true);
         assert!(ofds.contains(&OrderedFd::new(WALL_MOTION_SCORE, WALL_MOTION_INDEX)));
         assert!(ofds.contains(&OrderedFd::new(WALL_MOTION_INDEX, WALL_MOTION_SCORE)));
     }
@@ -87,7 +89,7 @@ mod tests {
     #[test]
     fn every_discovered_ofd_holds() {
         let out = mp_datasets::all_classes_spec(150, 40).generate().unwrap();
-        for ofd in discover_ofds(&out.relation, true).unwrap() {
+        for ofd in ofds_of(&out.relation, true) {
             assert!(ofd.holds(&out.relation).unwrap());
         }
     }
@@ -96,7 +98,7 @@ mod tests {
     fn ofd_implies_fd_and_od() {
         use mp_metadata::{Fd, OrderDep};
         let r = echocardiogram();
-        for ofd in discover_ofds(&r, true).unwrap() {
+        for ofd in ofds_of(&r, true) {
             // The order part is implied unconditionally (nulls are skipped
             // by both validators).
             assert!(OrderDep::ascending(ofd.lhs, ofd.rhs).holds(&r).unwrap());
@@ -114,7 +116,7 @@ mod tests {
         use mp_datasets::echocardiogram::attrs::NAME;
         // attr 10 ("name") is constant: no OFDs may involve it when
         // exclusion is on.
-        let ofds = discover_ofds(&echocardiogram(), true).unwrap();
+        let ofds = ofds_of(&echocardiogram(), true);
         assert!(ofds.iter().all(|d| d.lhs != NAME && d.rhs != NAME));
     }
 }

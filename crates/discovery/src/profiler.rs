@@ -2,7 +2,7 @@
 
 use crate::cfd::{discover_cfds, CfdConfig};
 use crate::dd::{discover_dds_with, DdConfig};
-use crate::engine::DiscoveryContext;
+use crate::engine::{DiscoveryContext, ParallelConfig};
 use crate::mfd::{discover_mfds, MfdConfig};
 use crate::nd::{discover_nds_with, NdConfig};
 use crate::od::{discover_ods_with, OdConfig};
@@ -43,7 +43,6 @@ impl ProfileConfig {
             fd: TaneConfig {
                 max_lhs: 1,
                 g3_threshold: 0.0,
-                ..TaneConfig::default()
             },
             afd_threshold: Some(0.05),
             od: OdConfig::default(),
@@ -81,12 +80,12 @@ pub struct DependencyProfile {
 impl DependencyProfile {
     /// Runs every configured discovery pass.
     ///
-    /// A [`DiscoveryContext`] is created from `config.fd.parallel` and
+    /// A [`DiscoveryContext`] with the default [`ParallelConfig`] is
     /// shared by every pass, so PLIs built during FD discovery are reused
     /// by the AFD, OD and ND passes. Use [`DependencyProfile::discover_with`]
-    /// to supply (and inspect) the context yourself.
+    /// to choose the thread and cache budget (and inspect the context).
     pub fn discover(relation: &Relation, config: &ProfileConfig) -> Result<Self> {
-        let ctx = DiscoveryContext::new(relation, config.fd.parallel);
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
         Self::discover_with(&ctx, config)
     }
 
@@ -258,7 +257,6 @@ mod tests {
 
     #[test]
     fn shared_context_profile_matches_and_hits_cache() {
-        use crate::engine::ParallelConfig;
         let out = all_classes_spec(300, 19).generate().unwrap();
         let config = ProfileConfig::paper();
         let baseline = DependencyProfile::discover(&out.relation, &config).unwrap();

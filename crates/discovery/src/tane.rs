@@ -7,7 +7,7 @@
 //! traversed level by level; candidate right-hand sides are pruned with
 //! TANE's `C⁺` sets and key pruning.
 
-use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::engine::DiscoveryContext;
 use mp_metadata::{AttrSet, Fd};
 use mp_relation::{Pli, Relation, Result};
 use std::collections::{HashMap, HashSet};
@@ -23,10 +23,6 @@ pub struct TaneConfig {
     /// discovers approximate FDs (AFDs) that hold after removing at most
     /// this fraction of tuples.
     pub g3_threshold: f64,
-    /// Thread and PLI-cache budget. Only consulted by [`discover_fds`],
-    /// which builds a private [`DiscoveryContext`] from it;
-    /// [`discover_fds_with`] uses the budget of the context it is given.
-    pub parallel: ParallelConfig,
 }
 
 impl Default for TaneConfig {
@@ -34,7 +30,6 @@ impl Default for TaneConfig {
         Self {
             max_lhs: 3,
             g3_threshold: 0.0,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -66,8 +61,8 @@ struct Node {
     cplus: Bits,
 }
 
-/// Discovers the minimal non-trivial FDs of `relation` with LHS size up to
-/// `config.max_lhs`.
+/// Discovers the minimal non-trivial FDs of the context's relation with
+/// LHS size up to `config.max_lhs`.
 ///
 /// With `g3_threshold = 0` the result is exactly the set of minimal valid
 /// FDs (every returned FD holds; every valid FD within the depth bound is
@@ -75,26 +70,17 @@ struct Node {
 /// generalisation: returned FDs have `g3 ≤ threshold` and no strict subset
 /// of their LHS does.
 ///
-/// Builds a private [`DiscoveryContext`] from `config.parallel`; to share
-/// one PLI cache across several discovery calls, use
-/// [`discover_fds_with`].
+/// The context's PLI cache memoizes every LHS partition the lattice
+/// touches (so a later pass — the approximate sweep, ND discovery, a
+/// repeated run — reuses them), and each lattice level's candidate tests,
+/// key minimality checks and child-PLI constructions are evaluated on the
+/// context's thread budget. The result is identical to the sequential
+/// traversal for every thread count and cache capacity: nodes are
+/// processed in sorted attribute-set order and merged sequentially.
 ///
 /// # Errors
 /// Propagates column-access errors; relations wider than 64 attributes are
 /// rejected via `RelationError::IndexOutOfBounds`.
-pub fn discover_fds(relation: &Relation, config: &TaneConfig) -> Result<Vec<Fd>> {
-    let ctx = DiscoveryContext::new(relation, config.parallel);
-    discover_fds_with(&ctx, config)
-}
-
-/// [`discover_fds`] against a caller-supplied [`DiscoveryContext`]: the
-/// context's PLI cache memoizes every LHS partition the lattice touches
-/// (so a later pass — the approximate sweep, ND discovery, a repeated
-/// run — reuses them), and each lattice level's candidate tests, key
-/// minimality checks and child-PLI constructions are evaluated on the
-/// context's thread budget. The result is identical to the sequential
-/// traversal for every thread count and cache capacity: nodes are
-/// processed in sorted attribute-set order and merged sequentially.
 pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Result<Vec<Fd>> {
     let relation = ctx.relation();
     let m = relation.arity();
@@ -382,7 +368,7 @@ fn combinations(items: &[usize], size: usize) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MemoryBudget;
+    use crate::engine::{MemoryBudget, ParallelConfig};
     use mp_datasets::{employee, employee_attrs as ea};
     use mp_relation::{Attribute, Schema, Value};
 
@@ -390,8 +376,13 @@ mod tests {
         TaneConfig {
             max_lhs,
             g3_threshold: 0.0,
-            ..TaneConfig::default()
         }
+    }
+
+    /// FD discovery over a fresh context with the default budget.
+    fn fds_of(relation: &Relation, config: &TaneConfig) -> Vec<Fd> {
+        let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+        discover_fds_with(&ctx, config).unwrap()
     }
 
     /// Canonical form for comparing FD sets.
@@ -407,7 +398,7 @@ mod tests {
 
     #[test]
     fn employee_single_attr_fds() {
-        let fds = discover_fds(&employee(), &exact(1)).unwrap();
+        let fds = fds_of(&employee(), &exact(1));
         // Name is a key: Name → everything.
         for rhs in [ea::AGE, ea::DEPARTMENT, ea::SALARY] {
             assert!(fds
@@ -432,7 +423,7 @@ mod tests {
     fn tane_matches_naive_on_employee() {
         let r = employee();
         for depth in 1..=3 {
-            let tane = canon(discover_fds(&r, &exact(depth)).unwrap());
+            let tane = canon(fds_of(&r, &exact(depth)));
             let naive = canon(discover_fds_naive(&r, depth).unwrap());
             assert_eq!(tane, naive, "depth {depth}");
         }
@@ -442,7 +433,7 @@ mod tests {
     fn tane_matches_naive_on_synthetic() {
         for seed in [3u64, 17] {
             let out = mp_datasets::all_classes_spec(80, seed).generate().unwrap();
-            let tane = canon(discover_fds(&out.relation, &exact(2)).unwrap());
+            let tane = canon(fds_of(&out.relation, &exact(2)));
             let naive = canon(discover_fds_naive(&out.relation, 2).unwrap());
             assert_eq!(tane, naive, "seed {seed}");
         }
@@ -451,7 +442,7 @@ mod tests {
     #[test]
     fn discovers_planted_fd() {
         let out = mp_datasets::all_classes_spec(300, 9).generate().unwrap();
-        let fds = discover_fds(&out.relation, &exact(1)).unwrap();
+        let fds = fds_of(&out.relation, &exact(1));
         // Planted: base(0) → fd_child(1).
         assert!(fds
             .iter()
@@ -470,7 +461,7 @@ mod tests {
             vec![vec!["a".into(), "z".into()], vec!["b".into(), "z".into()]],
         )
         .unwrap();
-        let fds = discover_fds(&r, &exact(2)).unwrap();
+        let fds = fds_of(&r, &exact(2));
         assert!(fds.iter().any(|f| f.lhs.is_empty() && f.rhs == 1));
         // And no non-minimal {0} → 1 is emitted.
         assert!(!fds
@@ -483,19 +474,17 @@ mod tests {
         let out = mp_datasets::all_classes_spec(400, 21).generate().unwrap();
         // afd_child(5) is a 5%-perturbed function of base(0): exact TANE
         // must not find 0 → 5, approximate TANE (10%) must.
-        let exact_fds = discover_fds(&out.relation, &exact(1)).unwrap();
+        let exact_fds = fds_of(&out.relation, &exact(1));
         assert!(!exact_fds
             .iter()
             .any(|f| f.lhs == AttrSet::single(0) && f.rhs == 5));
-        let approx = discover_fds(
+        let approx = fds_of(
             &out.relation,
             &TaneConfig {
                 max_lhs: 1,
                 g3_threshold: 0.10,
-                ..TaneConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(approx
             .iter()
             .any(|f| f.lhs == AttrSet::single(0) && f.rhs == 5));
@@ -505,10 +494,10 @@ mod tests {
     fn empty_and_degenerate_relations() {
         let schema = Schema::new(vec![Attribute::categorical("a")]).unwrap();
         let empty = Relation::empty(schema.clone());
-        assert!(discover_fds(&empty, &exact(2)).unwrap().is_empty());
+        assert!(fds_of(&empty, &exact(2)).is_empty());
 
         let single = Relation::from_rows(schema, vec![vec![Value::Null]]).unwrap();
-        let fds = discover_fds(&single, &exact(1)).unwrap();
+        let fds = fds_of(&single, &exact(1));
         // One row: the column is constant → ∅ → 0.
         assert!(fds.iter().any(|f| f.lhs.is_empty() && f.rhs == 0));
     }
@@ -532,7 +521,7 @@ mod tests {
             vec!["a1".into(), "b1".into(), "x".into()],
         ];
         let r = Relation::from_rows(schema, rows).unwrap();
-        let fds = discover_fds(&r, &exact(2)).unwrap();
+        let fds = fds_of(&r, &exact(2));
         assert!(fds
             .iter()
             .any(|f| f.lhs == AttrSet::from_iter([0, 1]) && f.rhs == 2));
@@ -547,22 +536,15 @@ mod tests {
     #[test]
     fn max_lhs_bounds_depth() {
         let out = mp_datasets::all_classes_spec(100, 2).generate().unwrap();
-        let fds = discover_fds(&out.relation, &exact(2)).unwrap();
+        let fds = fds_of(&out.relation, &exact(2));
         assert!(fds.iter().all(|f| f.lhs.len() <= 2));
     }
 
     #[test]
     fn output_is_identical_across_thread_and_cache_budgets() {
         let out = mp_datasets::all_classes_spec(150, 41).generate().unwrap();
-        let reference = discover_fds(
-            &out.relation,
-            &TaneConfig {
-                max_lhs: 2,
-                g3_threshold: 0.0,
-                parallel: ParallelConfig::sequential(),
-            },
-        )
-        .unwrap();
+        let sequential = DiscoveryContext::new(&out.relation, ParallelConfig::sequential());
+        let reference = discover_fds_with(&sequential, &exact(2)).unwrap();
         let unlimited = MemoryBudget::unlimited();
         for (parallel, budget) in [
             (ParallelConfig::default(), unlimited),
@@ -594,15 +576,7 @@ mod tests {
             (ParallelConfig::sequential(), MemoryBudget::from_bytes(4096)),
         ] {
             let ctx = DiscoveryContext::with_budget(&out.relation, parallel, budget);
-            let got = discover_fds_with(
-                &ctx,
-                &TaneConfig {
-                    max_lhs: 2,
-                    g3_threshold: 0.0,
-                    parallel,
-                },
-            )
-            .unwrap();
+            let got = discover_fds_with(&ctx, &exact(2)).unwrap();
             // Not just the same set: the same Vec, element for element.
             assert_eq!(got, reference, "{parallel:?} {budget:?}");
         }

@@ -12,8 +12,9 @@
 
 use mp_datasets::scale_relation;
 use mp_discovery::{
-    discover_cfds, discover_dds, discover_mfds, discover_ods, discover_ofds, tight_delta,
-    CfdConfig, DdConfig, DependencyProfile, MfdConfig, OdConfig, ProfileConfig,
+    discover_cfds, discover_dds_with, discover_mfds, discover_ods_with, discover_ofds_with,
+    tight_delta, CfdConfig, DdConfig, DependencyProfile, DiscoveryContext, MfdConfig, OdConfig,
+    ParallelConfig, ProfileConfig,
 };
 use mp_metadata::{ConditionalFd, DifferentialDep, Fd, MetricFd, OrderDep, OrderedFd};
 use mp_relation::{AttrKind, Attribute, Pli, Relation, Schema, Value};
@@ -442,10 +443,11 @@ proptest! {
 
     #[test]
     fn dd_discovery_matches_reference(r in relation_where(any::<bool>())) {
+        let ctx = DiscoveryContext::new(&r, ParallelConfig::default());
         for config in dd_configs() {
             // Debug text compares NaN thresholds and the sign of zero.
             prop_assert_eq!(
-                format!("{:?}", discover_dds(&r, &config).unwrap()),
+                format!("{:?}", discover_dds_with(&ctx, &config).unwrap()),
                 format!("{:?}", reference_dds(&r, &config))
             );
         }
@@ -455,19 +457,24 @@ proptest! {
 
     #[test]
     fn od_discovery_matches_holds(r in relation()) {
+        let ctx = DiscoveryContext::new(&r, ParallelConfig::default());
         for exclude_constant in [true, false] {
             for include_descending in [true, false] {
                 let config = OdConfig { exclude_constant, include_descending };
-                prop_assert_eq!(discover_ods(&r, &config).unwrap(), reference_ods(&r, &config));
+                prop_assert_eq!(
+                    discover_ods_with(&ctx, &config).unwrap(),
+                    reference_ods(&r, &config)
+                );
             }
         }
     }
 
     #[test]
     fn ofd_discovery_matches_holds(r in relation()) {
+        let ctx = DiscoveryContext::new(&r, ParallelConfig::default());
         for exclude_constant in [true, false] {
             prop_assert_eq!(
-                discover_ofds(&r, exclude_constant).unwrap(),
+                discover_ofds_with(&ctx, exclude_constant).unwrap(),
                 reference_ofds(&r, exclude_constant)
             );
         }

@@ -4,8 +4,8 @@
 //! must account for exactly those evictions.
 
 use mp_discovery::{
-    discover_fds, discover_fds_naive, discover_fds_with, DiscoveryContext, MemoryBudget,
-    ParallelConfig, TaneConfig,
+    discover_fds_naive, discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig,
+    TaneConfig,
 };
 use mp_metadata::{pli_of_set, AttrSet};
 
@@ -139,7 +139,6 @@ fn byte_budgeted_discovery_output_matches_naive_oracle() {
         let config = TaneConfig {
             max_lhs: 2,
             g3_threshold: 0.0,
-            parallel,
         };
         let ctx = DiscoveryContext::with_budget(&rel, parallel, MemoryBudget::from_bytes(512));
         let engine = discover_fds_with(&ctx, &config).unwrap();
@@ -161,15 +160,18 @@ fn capacity_one_discovery_output_matches_naive_oracle() {
     // baseline exactly — eviction may cost time, never correctness.
     for rel in [mp_datasets::employee(), mp_datasets::echocardiogram()] {
         let naive = discover_fds_naive(&rel, 2).unwrap();
-        let config = TaneConfig {
-            max_lhs: 2,
-            g3_threshold: 0.0,
-            parallel: ParallelConfig {
+        let ctx = DiscoveryContext::new(
+            &rel,
+            ParallelConfig {
                 threads: 2,
                 cache_capacity: 1,
             },
+        );
+        let config = TaneConfig {
+            max_lhs: 2,
+            g3_threshold: 0.0,
         };
-        let engine = discover_fds(&rel, &config).unwrap();
+        let engine = discover_fds_with(&ctx, &config).unwrap();
         let canon = |fds: &[mp_metadata::Fd]| {
             let mut v: Vec<(Vec<usize>, usize)> = fds
                 .iter()

@@ -8,8 +8,7 @@
 //! two sides share no code path beyond the `Pli` primitive itself.
 
 use mp_discovery::{
-    discover_fds, discover_fds_naive, discover_fds_with, DiscoveryContext, ParallelConfig,
-    TaneConfig,
+    discover_fds_naive, discover_fds_with, DiscoveryContext, ParallelConfig, TaneConfig,
 };
 use mp_relation::{Attribute, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -43,6 +42,15 @@ fn engine_configs() -> Vec<ParallelConfig> {
     ]
 }
 
+/// The engine's FDs of `rel` over a fresh context with budget `parallel`.
+fn engine_fds(
+    rel: &Relation,
+    parallel: ParallelConfig,
+    config: &TaneConfig,
+) -> Vec<mp_metadata::Fd> {
+    discover_fds_with(&DiscoveryContext::new(rel, parallel), config).unwrap()
+}
+
 /// Round-trips `rel` through the `Value` boundary twice — typed columns →
 /// `Value` rows → typed columns, and typed columns → `Value` columns →
 /// typed columns — asserting both reconstructions are identical relations.
@@ -73,18 +81,17 @@ fn roundtrip_through_values(rel: &Relation, label: &str) -> Relation {
 fn assert_matches_oracle(rel: &Relation, max_lhs: usize, label: &str) {
     let naive = canon(discover_fds_naive(rel, max_lhs).unwrap());
     let roundtripped = roundtrip_through_values(rel, label);
+    let config = TaneConfig {
+        max_lhs,
+        g3_threshold: 0.0,
+    };
     for parallel in engine_configs() {
-        let config = TaneConfig {
-            max_lhs,
-            g3_threshold: 0.0,
-            parallel,
-        };
-        let engine = canon(discover_fds(rel, &config).unwrap());
+        let engine = canon(engine_fds(rel, parallel, &config));
         assert_eq!(
             engine, naive,
             "{label}: engine ({parallel:?}) disagrees with naive oracle at depth {max_lhs}"
         );
-        let engine_rt = canon(discover_fds(&roundtripped, &config).unwrap());
+        let engine_rt = canon(engine_fds(&roundtripped, parallel, &config));
         assert_eq!(
             engine_rt, naive,
             "{label}: engine ({parallel:?}) disagrees with naive oracle on the \
@@ -124,9 +131,8 @@ fn shared_context_matches_fresh_context() {
     let config = TaneConfig {
         max_lhs: 2,
         g3_threshold: 0.0,
-        ..TaneConfig::default()
     };
-    let cold = discover_fds(&rel, &config).unwrap();
+    let cold = engine_fds(&rel, ParallelConfig::default(), &config);
 
     let ctx = DiscoveryContext::new(&rel, ParallelConfig::default());
     let first = discover_fds_with(&ctx, &config).unwrap();
@@ -159,11 +165,11 @@ proptest! {
 
         let naive = canon(discover_fds_naive(&rel, depth).unwrap());
         for parallel in engine_configs() {
-            let tane = discover_fds(
+            let tane = engine_fds(
                 &rel,
-                &TaneConfig { max_lhs: depth, g3_threshold: 0.0, parallel },
-            )
-            .unwrap();
+                parallel,
+                &TaneConfig { max_lhs: depth, g3_threshold: 0.0 },
+            );
             prop_assert_eq!(canon(tane.clone()), naive.clone());
 
             // Soundness: every discovered FD holds.
@@ -184,11 +190,11 @@ proptest! {
         let data: Vec<Vec<Value>> =
             rows.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect();
         let rel = Relation::from_rows(schema, data).unwrap();
-        let approx = discover_fds(
+        let approx = engine_fds(
             &rel,
-            &TaneConfig { max_lhs: 2, g3_threshold: threshold, ..TaneConfig::default() },
-        )
-        .unwrap();
+            ParallelConfig::default(),
+            &TaneConfig { max_lhs: 2, g3_threshold: threshold },
+        );
         // Every reported AFD really has g3 within the threshold (floored to
         // a violation count, as the implementation documents).
         let n = rel.n_rows() as f64;
@@ -216,9 +222,9 @@ proptest! {
         let rel = Relation::from_rows(schema, data).unwrap();
 
         let mut outputs = Vec::new();
+        let config = TaneConfig { max_lhs: 3, g3_threshold: threshold };
         for parallel in engine_configs() {
-            let config = TaneConfig { max_lhs: 3, g3_threshold: threshold, parallel };
-            outputs.push(discover_fds(&rel, &config).unwrap());
+            outputs.push(engine_fds(&rel, parallel, &config));
         }
         for pair in outputs.windows(2) {
             // Vec equality, not set equality: output order must also be

@@ -3,8 +3,11 @@
 //!
 //! The paper's §III-B transitivity argument ("if A → B and B → C, then the
 //! value of A will decide B, which in turn decides C") is the `implies`
-//! machinery here; the generation graph uses minimal covers so the
-//! adversary never materialises redundant mappings.
+//! machinery here. It is a reasoning aid over shared FDs, not part of the
+//! attack: the generation graph ([`crate::DependencyGraph`]) derives each
+//! attribute from one shared dependency whose determinant is already
+//! generated (an FD first), reading the dependencies as shared, redundant
+//! ones included; it never builds an [`FdSet`].
 
 use crate::attrset::AttrSet;
 use crate::dependency::Fd;

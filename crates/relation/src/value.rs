@@ -81,6 +81,22 @@ pub(crate) fn float_total_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// Exact order of an integer against a float, NaN greatest. An `f64` at
+/// or beyond ±2^63 lies outside every `i64`; otherwise the integer part
+/// of `f` is an exact `i64`, and its fractional part breaks a tie.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_POW_63 {
+        Ordering::Less
+    } else if f < -TWO_POW_63 {
+        Ordering::Greater
+    } else {
+        let whole = f.trunc();
+        i.cmp(&(whole as i64))
+            .then_with(|| float_total_cmp(0.0, f - whole))
+    }
+}
+
 impl Value {
     /// Returns `true` if the value is [`Value::Null`].
     #[inline]
@@ -226,17 +242,10 @@ impl Ord for ValueRef<'_> {
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (Float(a), Float(b)) => float_total_cmp(*a, *b),
-            // Cross numeric comparison: compare as floats, fall back to the
-            // exact integer order when the float comparison ties (guards
-            // against precision loss above 2^53).
-            (Int(a), Float(b)) => match float_total_cmp(*a as f64, *b) {
-                Ordering::Equal => Ordering::Equal,
-                o => o,
-            },
-            (Float(a), Int(b)) => match float_total_cmp(*a, *b as f64) {
-                Ordering::Equal => Ordering::Equal,
-                o => o,
-            },
+            // Cross numeric comparison by exact value: above 2^53 an `f64`
+            // cast would round the integer and tie distinct values.
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -424,6 +433,47 @@ mod tests {
         let a = Value::Int(i64::MAX);
         let b = Value::Int(i64::MAX - 1);
         assert!(a > b);
+    }
+
+    #[test]
+    fn int_float_equality_is_exact_and_transitive() {
+        const P53: i64 = 1 << 53;
+        let (above, exact, float) = (
+            Value::Int(P53 + 1),
+            Value::Int(P53),
+            Value::Float(P53 as f64),
+        );
+        assert_eq!(float, exact);
+        assert_ne!(above, exact);
+        assert_ne!(above, float);
+        assert_eq!(above.cmp(&float), Ordering::Greater);
+        assert_eq!(float.cmp(&above), Ordering::Less);
+        assert_eq!(hash_of(&float), hash_of(&exact));
+    }
+
+    #[test]
+    fn int_float_order_at_fractions_zero_and_the_i64_edges() {
+        use Ordering::*;
+        for (i, f, want) in [
+            (3, 2.5, Greater),
+            (-3, -2.5, Less),
+            (2, 2.5, Less),
+            (-2, -2.5, Greater),
+            (0, -0.0, Equal),
+            (i64::MAX, f64::INFINITY, Less),
+            (i64::MAX, f64::NAN, Less),
+            (i64::MAX, 9_223_372_036_854_775_808.0, Less),
+            (i64::MIN, -9_223_372_036_854_775_808.0, Equal),
+            (i64::MIN, -9.3e18, Greater),
+            (i64::MIN, f64::NEG_INFINITY, Greater),
+        ] {
+            assert_eq!(Value::Int(i).cmp(&Value::Float(f)), want, "{i} vs {f}");
+            assert_eq!(
+                Value::Float(f).cmp(&Value::Int(i)),
+                want.reverse(),
+                "{f} vs {i}"
+            );
+        }
     }
 
     #[test]

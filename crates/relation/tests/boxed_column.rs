@@ -6,7 +6,7 @@
 //! [`Column::Boxed`]: mp_relation::Column::Boxed
 
 use mp_relation::csv::{self, CsvOptions};
-use mp_relation::Value;
+use mp_relation::{Column, Value};
 
 fn repr(text: &str) -> &'static str {
     let relation = csv::read_str(text, &CsvOptions::default()).unwrap();
@@ -45,4 +45,24 @@ fn neighbouring_inputs_take_typed_layouts() {
     assert_eq!(repr("a\n9007199254740993\n1\n"), "i64");
     // A text/number mix is read as text.
     assert_eq!(repr("a\n9007199254740993\nx\n"), "dict");
+}
+
+/// An integer and a float are equal only when their values are: the
+/// float 2^53 groups with `Int(2^53)` and never with `Int(2^53 + 1)`,
+/// whatever the row order.
+#[test]
+fn boxed_partition_groups_by_exact_value_in_any_row_order() {
+    const P53: i64 = 1 << 53;
+    let (exact, float, above) = (
+        Value::Int(P53),
+        Value::Float(P53 as f64),
+        Value::Int(P53 + 1),
+    );
+    for (rows, want) in [
+        (vec![exact.clone(), float.clone(), above.clone()], [0, 0, 1]),
+        (vec![above, float, exact], [0, 1, 1]),
+    ] {
+        let (codes, bound) = Column::Boxed(rows.clone()).group_codes();
+        assert_eq!((codes.as_slice(), bound), (&want[..], 2), "{rows:?}");
+    }
 }

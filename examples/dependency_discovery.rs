@@ -6,7 +6,8 @@
 
 use metadata_privacy::datasets::{all_classes_spec, echocardiogram};
 use metadata_privacy::discovery::{
-    discover_fds, discover_fds_naive, DependencyProfile, ProfileConfig, TaneConfig,
+    discover_fds_naive, discover_fds_with, DependencyProfile, DiscoveryContext, ParallelConfig,
+    ProfileConfig, TaneConfig,
 };
 use metadata_privacy::metadata::Dependency;
 
@@ -63,12 +64,11 @@ fn main() {
     }
 
     // ── TANE vs the exhaustive baseline ─────────────────────────────────
-    let tane = discover_fds(
-        &out.relation,
+    let tane = discover_fds_with(
+        &DiscoveryContext::new(&out.relation, ParallelConfig::default()),
         &TaneConfig {
             max_lhs: 2,
             g3_threshold: 0.0,
-            ..TaneConfig::default()
         },
     )
     .expect("TANE runs");

@@ -43,21 +43,22 @@ fn domains() -> Vec<Domain> {
     ]
 }
 
-fn threaded(threads: usize) -> ProfileConfig {
-    let mut config = ProfileConfig::paper();
-    config.fd.parallel = ParallelConfig {
+/// The paper profile of `real`, discovered on `threads` threads.
+fn threaded(real: &Relation, threads: usize) -> DependencyProfile {
+    let parallel = ParallelConfig {
         threads,
         ..ParallelConfig::default()
     };
-    config
+    let ctx = DiscoveryContext::new(real, parallel);
+    DependencyProfile::discover_with(&ctx, &ProfileConfig::paper()).unwrap()
 }
 
 #[test]
 fn profile_is_thread_count_invariant() {
     let real = mapped_relation(2);
-    let baseline = DependencyProfile::discover(&real, &threaded(1)).unwrap();
+    let baseline = threaded(&real, 1);
     for threads in [2usize, 4, 8] {
-        let profile = DependencyProfile::discover(&real, &threaded(threads)).unwrap();
+        let profile = threaded(&real, threads);
         assert_eq!(
             format!("{baseline:?}"),
             format!("{profile:?}"),
@@ -80,7 +81,7 @@ fn fd_leakage_bound_holds_with_parallel_discovery() {
             cache_capacity: 4096,
         },
     );
-    let profile = DependencyProfile::discover_with(&ctx, &threaded(4)).unwrap();
+    let profile = DependencyProfile::discover_with(&ctx, &ProfileConfig::paper()).unwrap();
     let fd = profile
         .fds
         .iter()

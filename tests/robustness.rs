@@ -3,7 +3,10 @@
 //! panic, on malformed or adversarial inputs.
 
 use metadata_privacy::core::{identifiability_rate, run_attack, ExperimentConfig};
-use metadata_privacy::discovery::{discover_fds, DependencyProfile, ProfileConfig, TaneConfig};
+use metadata_privacy::discovery::{
+    discover_fds_with, DependencyProfile, DiscoveryContext, ParallelConfig, ProfileConfig,
+    TaneConfig,
+};
 use metadata_privacy::metadata::AttributeMeta;
 use metadata_privacy::prelude::*;
 use metadata_privacy::relation::{csv, Attribute, RelationError, Schema};
@@ -30,7 +33,8 @@ fn sixty_five_attribute_relation_rejected_by_tane() {
         .collect();
     let schema = Schema::new(attrs).unwrap();
     let rel = Relation::from_rows(schema, vec![(0..65).map(Value::Int).collect()]).unwrap();
-    let err = discover_fds(&rel, &TaneConfig::default()).unwrap_err();
+    let ctx = DiscoveryContext::new(&rel, ParallelConfig::default());
+    let err = discover_fds_with(&ctx, &TaneConfig::default()).unwrap_err();
     assert!(matches!(err, RelationError::IndexOutOfBounds { .. }));
 }
 
