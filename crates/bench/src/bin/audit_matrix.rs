@@ -5,14 +5,15 @@
 //! models of `mpriv audit --matrix` — in one [`LeakageMatrix::run`], and
 //! re-checks the paper's §III-B conclusion (*FDs add no extra leakage
 //! over domains*) on the measured cells. Writes `BENCH_audit.json` at the
-//! repo root; every field is deterministic. Exits non-zero if the FD
-//! claim fails, the matrix comes back empty, or the thread-count
-//! determinism contract breaks.
+//! repo root; every field is deterministic (`synth_draws` counts the
+//! `synthesize` calls the sweep made). Exits non-zero if the FD claim
+//! fails, the matrix comes back empty, or the thread-count determinism
+//! contract breaks.
 //!
 //! Usage: `audit_matrix [rounds]` (default 24).
 
 use mp_core::{LeakageMatrix, MatrixConfig, MatrixDataset};
-use mp_observe::NoopRecorder;
+use mp_observe::{NoopRecorder, Registry};
 use mp_synth::AdversaryModel;
 
 const EPSILON: f64 = 0.5;
@@ -56,8 +57,9 @@ fn main() {
             AdversaryModel::NoisyDomains { noise_pct: 10 },
         ],
     };
-    let matrix =
-        LeakageMatrix::run(&datasets, &config, &NoopRecorder).expect("matrix sweep failed");
+    let registry = Registry::new();
+    let matrix = LeakageMatrix::run(&datasets, &config, &registry).expect("matrix sweep failed");
+    let draws = registry.snapshot().counters["matrix.synth.draws"];
     let violations = matrix.fd_adds_no_extra_leakage();
     let fd_clean = violations.is_empty();
     for v in &violations {
@@ -89,7 +91,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"audit\",\n  \"cells\": {cells},\n  \"rounds\": {rounds},\n  \"synth_rounds\": {total_rounds},\n  \"fd_no_extra_leakage\": {fd_clean},\n  \"thread_deterministic\": {deterministic},\n  \"leaking_cells\": {leaking},\n  \"schema_version\": 1\n}}\n"
+        "{{\n  \"bench\": \"audit\",\n  \"cells\": {cells},\n  \"rounds\": {rounds},\n  \"synth_rounds\": {total_rounds},\n  \"synth_draws\": {draws},\n  \"fd_no_extra_leakage\": {fd_clean},\n  \"thread_deterministic\": {deterministic},\n  \"leaking_cells\": {leaking},\n  \"schema_version\": 1\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
     std::fs::write(path, &json).expect("write BENCH_audit.json");

@@ -25,7 +25,7 @@
 //! with the order-preserving [`mp_relation::par::par_map`]).
 
 use crate::leakage::attr_matches;
-use mp_metadata::{Dependency, MetadataPackage, SharePolicy};
+use mp_metadata::{Dependency, MetadataPackage, PlanStep, SharePolicy};
 use mp_observe::Recorder;
 use mp_relation::par::par_map;
 use mp_relation::{Relation, RelationError, Result};
@@ -240,6 +240,8 @@ pub struct LeakageMatrix {
 /// Work order for one cell; self-contained so cells parallelise freely.
 struct CellSpec<'a> {
     dataset: &'a MatrixDataset,
+    /// The dataset's full-disclosure package without dependencies.
+    described: &'a MetadataPackage,
     class: MetadataClass,
     policy: MatrixPolicy,
     adversary: AdversaryModel,
@@ -260,18 +262,21 @@ fn alignment_permutation(dataset: &str, n: usize) -> Vec<usize> {
     perm
 }
 
-fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<MatrixCell> {
+/// Evaluates one cell; also returns the synthesis draws it made.
+fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<(MatrixCell, usize)> {
     let relation = &spec.dataset.relation;
     let n = relation.n_rows();
 
-    let class_deps: Vec<Dependency> = spec
+    // Domains do not depend on the dependency list, so the described
+    // package only takes this row's class.
+    let mut package = spec.described.clone();
+    package.dependencies = spec
         .dataset
         .dependencies
         .iter()
         .filter(|d| spec.class.keeps(d))
         .cloned()
         .collect();
-    let package = MetadataPackage::describe(spec.dataset.name.clone(), relation, class_deps)?;
     let shared = spec.policy.apply(&package);
     let effective = spec
         .adversary
@@ -293,6 +298,20 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<Mat
     let policy_label = format!("{}/{}", spec.class.label(), spec.policy.label());
     let generation_label = spec.adversary.generation_label();
     let attacker = Adversary::new(effective.clone());
+    let derives = attacker
+        .plan()
+        .iter()
+        .enumerate()
+        .any(|(attr, step)| *step != PlanStep::Free { attr });
+    let leaked_by = |config: SynthConfig| -> Result<usize> {
+        let syn = attacker.synthesize(&config)?;
+        let mut leaked = 0usize;
+        for (attr, attribute) in relation.schema().iter() {
+            let (real, syn) = (relation.column(attr)?, syn.column(attr)?);
+            leaked += attr_matches(real, syn, attribute.kind, epsilon, scored.iter().copied());
+        }
+        Ok(leaked)
+    };
 
     let mut per_round = Vec::with_capacity(rounds);
     let mut per_round_random = Vec::with_capacity(rounds);
@@ -303,29 +322,15 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<Mat
             &generation_label,
             round as u64,
         );
-        let with_deps = attacker.synthesize(&SynthConfig {
-            n_rows: n,
-            seed,
-            use_dependencies: true,
-        })?;
+        let leaked = leaked_by(SynthConfig::with_dependencies(n, seed))?;
         // Same seed, dependencies ignored: the §III-A baseline. Where the
-        // package carries no dependencies the two plans coincide and the
-        // delta is exactly zero.
-        let random = attacker.synthesize(&SynthConfig {
-            n_rows: n,
-            seed,
-            use_dependencies: false,
-        })?;
-
-        let mut leaked = 0usize;
-        let mut leaked_random = 0usize;
-        for (attr, attribute) in relation.schema().iter() {
-            let real = relation.column(attr)?;
-            let score =
-                |syn| attr_matches(real, syn, attribute.kind, epsilon, scored.iter().copied());
-            leaked += score(with_deps.column(attr)?);
-            leaked_random += score(random.column(attr)?);
-        }
+        // plan derives nothing that draw would repeat this one, so its
+        // count is reused and the delta is exactly zero.
+        let leaked_random = if derives {
+            leaked_by(SynthConfig::random_baseline(n, seed))?
+        } else {
+            leaked
+        };
         per_round.push(leaked as f64);
         per_round_random.push(leaked_random as f64);
     }
@@ -359,7 +364,7 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<Mat
         "withhold domains and types (paper §VI)"
     };
 
-    Ok(MatrixCell {
+    let cell = MatrixCell {
         dataset: spec.dataset.name.clone(),
         class: spec.class.label(),
         policy: spec.policy.label(),
@@ -373,7 +378,8 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<Mat
         delta_vs_random,
         leaks,
         mitigation,
-    })
+    };
+    Ok((cell, rounds * (1 + usize::from(derives))))
 }
 
 impl LeakageMatrix {
@@ -391,13 +397,18 @@ impl LeakageMatrix {
         recorder: &dyn Recorder,
     ) -> Result<LeakageMatrix> {
         let rounds = config.rounds.max(1);
+        let described = datasets
+            .iter()
+            .map(|d| MetadataPackage::describe(d.name.clone(), &d.relation, Vec::new()))
+            .collect::<Result<Vec<_>>>()?;
         let mut specs = Vec::new();
-        for dataset in datasets {
+        for (dataset, described) in datasets.iter().zip(&described) {
             for adversary in &config.adversaries {
                 for class in MetadataClass::ALL {
                     for policy in MatrixPolicy::ALL {
                         specs.push(CellSpec {
                             dataset,
+                            described,
                             class,
                             policy,
                             adversary: *adversary,
@@ -412,13 +423,21 @@ impl LeakageMatrix {
         let results = par_map(specs, config.threads, |spec| {
             evaluate_cell(&spec, rounds, config.epsilon)
         });
-        let cells = results.into_iter().collect::<Result<Vec<MatrixCell>>>()?;
+        let (cells, draws): (Vec<MatrixCell>, Vec<usize>) = results
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         drop(guard);
 
         recorder.counter("matrix.cells").add(cells.len() as u64);
+        // `rounds` counts both arms each cell reports, `draws` the calls.
         recorder
             .counter("matrix.synth.rounds")
             .add((cells.len() * rounds * 2) as u64);
+        recorder
+            .counter("matrix.synth.draws")
+            .add(draws.iter().sum::<usize>() as u64);
         for adversary in &config.adversaries {
             let label = adversary.label();
             let owned = cells.iter().filter(|c| c.adversary == label).count();
@@ -794,6 +813,13 @@ mod tests {
             snap.counters["matrix.synth.rounds"],
             (m.cells.len() * 6 * 2) as u64
         );
+        // Only the fd row under full, recommended and redact-odd derives,
+        // for both adversaries: `OrderDep::ascending(1, 1)` is trivial.
+        let derives = m.cells.iter().filter(|c| c.class == "fd" && c.n_deps > 0);
+        assert_eq!(derives.count(), 6);
+        let draws = snap.counters["matrix.synth.draws"];
+        assert_eq!(draws, (6 * (m.cells.len() + 6)) as u64);
+        assert!(draws <= snap.counters["matrix.synth.rounds"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::mapping::{
 };
 use crate::sampler::{collect_typed, sample_typed_column, sample_typed_column_from_distribution};
 use mp_metadata::{Dependency, MetadataPackage, PlanStep};
-use mp_relation::{AttrKind, Attribute, Column, Domain, Relation, Result, Schema, Value};
+use mp_relation::{AttrKind, Attribute, Bitmap, Column, Domain, Relation, Result, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,13 +58,22 @@ impl SynthConfig {
 #[derive(Debug, Clone)]
 pub struct Adversary {
     package: MetadataPackage,
+    plan: Vec<PlanStep>,
 }
 
 impl Adversary {
     /// Creates an adversary holding the (possibly redacted) metadata it
-    /// received.
+    /// received, planning its generation order once.
     pub fn new(package: MetadataPackage) -> Self {
-        Self { package }
+        let plan = package
+            .dependency_graph()
+            .map(|g| g.plan())
+            .unwrap_or_else(|_| {
+                (0..package.arity())
+                    .map(|attr| PlanStep::Free { attr })
+                    .collect()
+            });
+        Self { package, plan }
     }
 
     /// The metadata the adversary holds.
@@ -72,28 +81,36 @@ impl Adversary {
         &self.package
     }
 
+    /// The plan [`Adversary::synthesize`] follows with dependencies. Where
+    /// it is dependency-blind (every attribute [`PlanStep::Free`], in index
+    /// order), both [`SynthConfig::use_dependencies`] settings draw alike.
+    pub fn plan(&self) -> &[PlanStep] {
+        &self.plan
+    }
+
     /// Synthesises `R_syn`.
     ///
     /// Attributes without a shared domain cannot be generated and come out
     /// as all-null columns (the adversary knows the name but nothing about
     /// the values) — this is exactly why the paper's recommended policy of
-    /// withholding domains blocks the attack.
+    /// withholding domains blocks the attack. All-null columns are built
+    /// typed, free columns take [`sample_typed_column`]'s layouts, and
+    /// derived columns fold owned values.
     pub fn synthesize(&self, config: &SynthConfig) -> Result<Relation> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.n_rows;
         let arity = self.package.arity();
         let mut columns: Vec<Option<Column>> = vec![None; arity];
 
+        let blind;
         let plan = if config.use_dependencies {
-            self.package
-                .dependency_graph()
-                .map(|g| g.plan())
-                .unwrap_or_else(|_| (0..arity).map(|attr| PlanStep::Free { attr }).collect())
+            &self.plan
         } else {
-            (0..arity).map(|attr| PlanStep::Free { attr }).collect()
+            blind = (0..arity).map(|attr| PlanStep::Free { attr }).collect();
+            &blind
         };
 
-        for step in &plan {
+        for step in plan {
             let attr = step.attr();
             let meta = &self.package.attributes[attr];
             let domain = meta.domain.as_ref();
@@ -107,7 +124,10 @@ impl Adversary {
             }
             let col = match (step, domain) {
                 // No domain shared: nothing to sample from.
-                (_, None) => collect_typed(vec![Value::Null; n]),
+                (_, None) => Column::Int {
+                    values: vec![0; n],
+                    nulls: Bitmap::filled(n, true),
+                },
                 (PlanStep::Free { .. }, Some(dom)) => sample_typed_column(dom, n, &mut rng),
                 (PlanStep::Derive { dep, .. }, Some(dom)) => {
                     let dep = &self.package.dependencies[*dep];

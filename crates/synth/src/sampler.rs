@@ -45,8 +45,9 @@ pub fn sample_column<R: Rng + ?Sized>(domain: &Domain, n: usize, rng: &mut R) ->
 ///
 /// Continuous domains fill an `f64` buffer with no `Value` boxing; all-text
 /// categorical domains share their value list as the dictionary and sample
-/// `u32` codes. Mixed-type categorical domains fall back to pushing owned
-/// values.
+/// `u32` codes; non-empty all-`Int`/`Null` domains fill `Column::Int` (a
+/// null row holds `0` under a set bit). Empty domains and other mixes fall
+/// back to pushing owned values.
 pub fn sample_typed_column<R: Rng + ?Sized>(domain: &Domain, n: usize, rng: &mut R) -> Column {
     match domain {
         Domain::Continuous { min, max } => {
@@ -77,6 +78,21 @@ pub fn sample_typed_column<R: Rng + ?Sized>(domain: &Domain, n: usize, rng: &mut
                 .map(|_| rng.gen_range(0..vals.len()) as u32 + 1)
                 .collect();
             Column::Categorical { dict, codes }
+        }
+        Domain::Categorical(vals)
+            if !vals.is_empty()
+                && vals
+                    .iter()
+                    .all(|v| matches!(v, Value::Int(_) | Value::Null)) =>
+        {
+            let mut values = Vec::with_capacity(n);
+            let mut nulls = Bitmap::new();
+            for _ in 0..n {
+                let v = &vals[rng.gen_range(0..vals.len())];
+                values.push(v.as_i64().unwrap_or(0));
+                nulls.push(v.is_null());
+            }
+            Column::Int { values, nulls }
         }
         _ => collect_typed(sample_column(domain, n, rng)),
     }

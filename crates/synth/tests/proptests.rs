@@ -2,13 +2,18 @@
 //! that drove it, over randomised domains, sizes and seeds.
 
 use mp_metadata::{
-    ConditionalFd, DifferentialDep, Fd, MetricFd, NumericalDep, OrderDep, OrderDirection, OrderedFd,
+    ConditionalFd, Dependency, DifferentialDep, Fd, MetadataPackage, MetricFd, NumericalDep,
+    OrderDep, OrderDirection, OrderedFd, PlanStep, SharePolicy,
 };
-use mp_relation::{Attribute, Domain, Relation, Schema, Value};
+use mp_relation::{Attribute, Column, Domain, Relation, Schema, Value};
 use mp_synth::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::mem::discriminant;
+
+/// Row counts around the null bitmap's 64-bit word boundaries.
+const ROW_COUNTS: [usize; 6] = [0, 1, 63, 64, 65, 500];
 
 fn rel2(x: Vec<Value>, x_cat: bool, y: Vec<Value>, y_cat: bool) -> Relation {
     let attr = |name: &str, cat: bool| {
@@ -31,8 +36,103 @@ fn lhs_column(n: usize, card: usize, seed: u64) -> Vec<Value> {
     sample_column(&dom, n, &mut rng)
 }
 
+/// Every categorical layout `sample_typed_column` tells apart — `Int`,
+/// `Int`+`Null`, `Null` only, `Text`, `Text`+`Null`, `Int`+`Float`,
+/// `Int`+`Text`, empty — plus a continuous range and a point range.
+fn domain_shapes(card: i64) -> Vec<Domain> {
+    let ints = || (0..card).map(Value::Int);
+    let texts = || (0..card).map(|i| Value::Text(format!("t{i}")));
+    let categorical = |vals: Vec<Value>| Domain::categorical(vals);
+    vec![
+        categorical(ints().collect()),
+        categorical(ints().chain([Value::Null]).collect()),
+        categorical(vec![Value::Null]),
+        categorical(texts().collect()),
+        categorical(texts().chain([Value::Null]).collect()),
+        categorical(ints().chain([Value::Float(0.5)]).collect()),
+        categorical(ints().chain([Value::from("x")]).collect()),
+        Domain::Categorical(Vec::new()),
+        Domain::continuous(-2.0, 3.0),
+        Domain::continuous(4.0, 4.0),
+    ]
+}
+
+/// Packages over the employee table, each with whether its stored plan
+/// is dependency-blind: no dependencies; only the trivial FD
+/// `Name → Name`; an FD that derives `Age`; and that FD with every domain
+/// withheld, which derives an attribute that has no domain.
+fn plan_packages() -> Vec<(MetadataPackage, bool)> {
+    let rel = mp_datasets::employee();
+    let describe =
+        |deps: Vec<Dependency>| MetadataPackage::describe("employee", &rel, deps).unwrap();
+    let deriving = describe(vec![Fd::new(0usize, 1).into()]);
+    vec![
+        (describe(Vec::new()), true),
+        (describe(vec![Fd::new(0usize, 0).into()]), true),
+        (SharePolicy::PAPER_RECOMMENDED.apply(&deriving), false),
+        (deriving, false),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn typed_sampler_matches_the_boxed_path(seed in any::<u64>(), card in 1i64..12) {
+        for domain in domain_shapes(card) {
+            for n in ROW_COUNTS {
+                let mut typed_rng = StdRng::seed_from_u64(seed);
+                let mut boxed_rng = StdRng::seed_from_u64(seed);
+                let typed = sample_typed_column(&domain, n, &mut typed_rng);
+                let boxed = collect_typed(sample_column(&domain, n, &mut boxed_rng));
+                prop_assert_eq!(&typed, &boxed, "{} at n = {}", domain, n);
+                // Same layout, and bit for bit outside dictionary order.
+                if n > 0 {
+                    prop_assert_eq!(discriminant(&typed), discriminant(&boxed));
+                    if !matches!(typed, Column::Categorical { .. }) {
+                        prop_assert_eq!(format!("{typed:?}"), format!("{boxed:?}"));
+                    }
+                }
+                prop_assert_eq!(typed_rng.gen::<u64>(), boxed_rng.gen::<u64>());
+            }
+        }
+    }
+
+    #[test]
+    fn undomained_attributes_synthesize_the_boxed_all_null_column(seed in any::<u64>()) {
+        let rel = mp_datasets::employee();
+        let pkg = MetadataPackage::describe("employee", &rel, Vec::new()).unwrap();
+        let adversary = Adversary::new(SharePolicy::NAMES_ONLY.apply(&pkg));
+        for n in ROW_COUNTS {
+            let syn = adversary.synthesize(&SynthConfig::with_dependencies(n, seed)).unwrap();
+            let boxed = collect_typed(vec![Value::Null; n]);
+            for attr in 0..syn.arity() {
+                let col = syn.column(attr).unwrap();
+                prop_assert_eq!(col, &boxed);
+                prop_assert_eq!(format!("{col:?}"), format!("{boxed:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn dependency_blind_plan_synthesizes_the_random_baseline(
+        seed in any::<u64>(),
+        n in 0usize..80,
+    ) {
+        for (pkg, blind) in plan_packages() {
+            let adversary = Adversary::new(pkg);
+            let plan = adversary.plan();
+            let is_blind =
+                plan.iter().enumerate().all(|(attr, step)| *step == PlanStep::Free { attr });
+            prop_assert_eq!(is_blind, blind);
+            if is_blind {
+                prop_assert_eq!(
+                    adversary.synthesize(&SynthConfig::with_dependencies(n, seed)).unwrap(),
+                    adversary.synthesize(&SynthConfig::random_baseline(n, seed)).unwrap()
+                );
+            }
+        }
+    }
 
     #[test]
     fn fd_generator_always_satisfies_fd(
