@@ -119,6 +119,13 @@ pub fn sweep_fd(n: usize, rounds: usize) -> String {
     )
 }
 
+/// Seed of A3's round `round` in the ε row labelled `eps`: each row draws
+/// rounds of its own, so the rows are independent estimates rather than
+/// one sample read six times.
+fn afd_round_seed(eps: &str, round: u64) -> u64 {
+    mp_core::seed_for("sweeps", "A3", eps, round)
+}
+
 /// A3 (§IV-A): AFD sweep over the g3 budget ε — totals stay at the FD/
 /// random level for every ε.
 pub fn sweep_afd(n: usize, rounds: usize) -> String {
@@ -134,8 +141,9 @@ pub fn sweep_afd(n: usize, rounds: usize) -> String {
         "scattered part".into(),
     ]);
     for eps in [0.0, 0.05, 0.1, 0.2, 0.35, 0.5] {
-        let emp = mean_matches(rounds, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+        let label = format!("{eps:.2}");
+        let emp = mean_matches(rounds, |round| {
+            let mut rng = StdRng::seed_from_u64(afd_round_seed(&label, round));
             let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
             let sy = mp_synth::generate_afd_column(&[&sx], &dom_y, eps, n, &mut rng);
             (0..n)
@@ -144,7 +152,7 @@ pub fn sweep_afd(n: usize, rounds: usize) -> String {
         });
         let (structured, scattered) = analytical::fd::afd_split(n, eps, card_x, card_y);
         t.push_row(vec![
-            format!("{eps:.2}"),
+            label,
             format!("{:.2}", structured + scattered),
             format!("{emp:.2}"),
             format!("{structured:.2}"),
@@ -493,10 +501,25 @@ mod tests {
 
     #[test]
     fn real_columns_seed_no_round_draws() {
-        // `repro` runs 200 rounds; A2 seeds `r` and `r + 5000`, A3 `r`.
-        for seed in [real_seed("A2"), real_seed("A3")] {
-            assert!((0..200).all(|r| seed != r && seed != r + 5000));
+        // `repro` runs 200 rounds; A2 seeds `r` and `r + 5000`.
+        let seed = real_seed("A2");
+        assert!((0..200).all(|r| seed != r && seed != r + 5000));
+    }
+
+    #[test]
+    fn afd_rows_draw_independent_rounds() {
+        // No two ε rows share a round seed, and no round re-draws the
+        // real columns.
+        let mut seeds = std::collections::BTreeSet::new();
+        for eps in ["0.00", "0.05", "0.10", "0.20", "0.35", "0.50"] {
+            for round in 0..200 {
+                assert!(
+                    seeds.insert(afd_round_seed(eps, round)),
+                    "{eps} round {round}"
+                );
+            }
         }
+        assert!(!seeds.contains(&real_seed("A3")));
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn repro_all_pins_every_target() {
         ("table3", 0x3a8c_7c30_84c7_7136, 2_055),
         ("sweep_random", 0xd5bc_022c_fe6d_812a, 709),
         ("sweep_fd", 0xf4dd_6664_9dd5_d8e6, 478),
-        ("sweep_afd", 0x6a6e_6797_ec52_e015, 591),
+        ("sweep_afd", 0xb8db_171f_0e24_a8aa, 591),
         ("sweep_nd", 0x4e4e_f5c3_2471_fbfb, 858),
         ("sweep_od", 0x7742_f607_a892_c9b2, 378),
         ("sweep_dd", 0x2b3a_4878_1a88_17e1, 390),

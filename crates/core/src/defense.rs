@@ -27,8 +27,7 @@ pub fn k_anonymity(relation: &Relation, qi: &[usize]) -> Result<usize> {
     }
     Ok(pli
         .clusters()
-        .iter()
-        .map(Vec::len)
+        .map(<[u32]>::len)
         .min()
         .unwrap_or(relation.n_rows()))
 }

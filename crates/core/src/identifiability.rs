@@ -22,7 +22,7 @@ pub fn identifiable_tuples(relation: &Relation, max_size: usize) -> Result<Vec<b
         let mut in_cluster = vec![false; n];
         for cluster in pli.clusters() {
             for &r in cluster {
-                in_cluster[r] = true;
+                in_cluster[r as usize] = true;
             }
         }
         for r in 0..n {
@@ -60,7 +60,7 @@ pub fn minimal_identifying_sets(
             continue;
         }
         let pli = mp_metadata::pli_of_set(relation, &set)?;
-        let unique = !pli.clusters().iter().any(|c| c.contains(&row));
+        let unique = !pli.clusters().flatten().any(|&r| r as usize == row);
         if unique {
             minimal.push(set);
         }

@@ -60,10 +60,10 @@ pub fn discover_cfds(relation: &Relation, config: &CfdConfig) -> Result<Vec<Cond
                 let Some((&row0, rest)) = cluster.split_first() else {
                     continue;
                 };
-                let y = rhs_codes.get(row0);
-                if rest.iter().all(|&r| rhs_codes.get(r) == y) {
+                let y = rhs_codes.get(row0 as usize);
+                if rest.iter().all(|&r| rhs_codes.get(r as usize) == y) {
                     if cluster.len() >= config.min_support {
-                        constant_rows.push(row0);
+                        constant_rows.push(row0 as usize);
                     }
                 } else {
                     fd_holds = false;

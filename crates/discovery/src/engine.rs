@@ -11,7 +11,7 @@
 
 use mp_metadata::AttrSet;
 use mp_observe::{Counter, NoopRecorder, Recorder};
-use mp_relation::{par, Pli, PliCache, PliCacheStats, Relation, Result};
+use mp_relation::{par, Pli, PliCache, PliCacheStats, Relation, Result, Signature};
 use std::sync::Arc;
 
 /// Thread and cache budget for a discovery run.
@@ -260,10 +260,10 @@ impl<'r> DiscoveryContext<'r> {
         Ok(self.store(key, pli))
     }
 
-    /// `g3` violation count of `lhs → rhs` against a precomputed RHS full
+    /// `g3` violation count of `lhs → rhs` against a precomputed RHS
     /// signature, using the memoized LHS partition.
-    pub fn lhs_violations(&self, lhs: &AttrSet, rhs_full_sig: &[usize]) -> Result<usize> {
-        Ok(self.pli_of(lhs)?.g3_violations(rhs_full_sig))
+    pub fn lhs_violations(&self, lhs: &AttrSet, rhs: &Signature) -> Result<usize> {
+        Ok(self.pli_of(lhs)?.g3_violations(rhs))
     }
 
     fn cacheable(&self) -> bool {

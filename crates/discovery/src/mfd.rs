@@ -85,7 +85,7 @@ fn max_cluster_spread(pli: &Pli, ys: &Column) -> f64 {
     let mut delta = 0.0f64;
     for cluster in pli.clusters() {
         let (mut count, mut lo, mut hi) = (0usize, f64::INFINITY, f64::NEG_INFINITY);
-        for y in cluster.iter().filter_map(|&r| ys.f64_at(r)) {
+        for y in cluster.iter().filter_map(|&r| ys.f64_at(r as usize)) {
             count += 1;
             lo = lo.min(y);
             hi = hi.max(y);
@@ -146,11 +146,12 @@ pub fn discover_variable_cfds(
                     let Some(&row0) = cluster.first() else {
                         continue;
                     };
-                    let subset = relation.select_rows(cluster)?;
+                    let rows: Vec<usize> = cluster.iter().map(|&r| r as usize).collect();
+                    let subset = relation.select_rows(&rows)?;
                     if Fd::new(fd_lhs, rhs).holds(&subset)? {
                         out.push(ConditionalFd::variable(
                             cond,
-                            cond_col.value(row0),
+                            cond_col.value(row0 as usize),
                             fd_lhs,
                             rhs,
                         ));

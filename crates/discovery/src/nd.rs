@@ -8,7 +8,7 @@
 
 use crate::engine::DiscoveryContext;
 use mp_metadata::NumericalDep;
-use mp_relation::Result;
+use mp_relation::{Result, Signature};
 
 /// Options for ND discovery.
 #[derive(Debug, Clone)]
@@ -55,9 +55,9 @@ pub fn discover_nds_with(
     let distinct: Vec<usize> = (0..m)
         .map(|c| relation.distinct_count(c))
         .collect::<Result<_>>()?;
-    // RHS full signatures, shared by every determinant's sweep.
-    let rhs_sigs: Vec<Vec<usize>> = (0..m)
-        .map(|c| Ok(ctx.pli_of_single(c)?.full_signature()))
+    // RHS signatures, shared by every determinant's sweep.
+    let rhs_sigs: Vec<Signature> = (0..m)
+        .map(|c| Ok(ctx.pli_of_single(c)?.signature()))
         .collect::<Result<_>>()?;
 
     let per_lhs: Vec<Result<Vec<NumericalDep>>> = ctx.par_map((0..m).collect(), |lhs| {
@@ -67,7 +67,7 @@ pub fn discover_nds_with(
             if lhs == rhs {
                 continue;
             }
-            let k = max_fanout(&lhs_pli, &rhs_sigs[rhs]);
+            let k = lhs_pli.max_fanout(&rhs_sigs[rhs]);
             if k == 0 {
                 continue;
             }
@@ -88,22 +88,6 @@ pub fn discover_nds_with(
         out.extend(found?);
     }
     Ok(out)
-}
-
-/// Tightest fanout bound from a stripped LHS partition and an RHS full
-/// signature — the same computation as [`NumericalDep::max_fanout`], but
-/// over partitions the discovery context has already built.
-fn max_fanout(lhs_pli: &mp_relation::Pli, rhs_sig: &[usize]) -> usize {
-    let mut max = if rhs_sig.is_empty() { 0 } else { 1 };
-    let mut seen: Vec<usize> = Vec::new();
-    for cluster in lhs_pli.clusters() {
-        seen.clear();
-        seen.extend(cluster.iter().map(|&r| rhs_sig[r]));
-        seen.sort_unstable();
-        seen.dedup();
-        max = max.max(seen.len());
-    }
-    max
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use crate::engine::DiscoveryContext;
 use mp_metadata::{AttrSet, Fd};
-use mp_relation::{Pli, Relation, Result};
+use mp_relation::{Pli, Relation, Result, Signature};
 use std::collections::{HashMap, HashSet};
 
 /// Limits and thresholds for FD discovery.
@@ -94,14 +94,14 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
         return Ok(results);
     }
 
-    // Full signatures of single attributes, for g3 checks.
-    let mut rhs_sigs: Vec<Vec<usize>> = Vec::with_capacity(m);
+    // Signatures of single attributes, for g3 checks.
+    let mut rhs_sigs: Vec<Signature> = Vec::with_capacity(m);
     // Level 1 nodes.
     // lint: allow(no-unordered-iteration) reason="level keys are collected and sorted before every traversal below"
     let mut level: HashMap<AttrSet, Node> = HashMap::new();
     for a in 0..m {
         let pli = ctx.pli_of_single(a)?;
-        rhs_sigs.push(pli.full_signature());
+        rhs_sigs.push(pli.signature());
         level.insert(
             AttrSet::single(a),
             Node {
@@ -307,8 +307,8 @@ pub fn discover_fds_naive(relation: &Relation, max_lhs: usize) -> Result<Vec<Fd>
     if m == 0 || relation.n_rows() == 0 {
         return Ok(results);
     }
-    let rhs_sigs: Vec<Vec<usize>> = (0..m)
-        .map(|a| Ok(Pli::from_typed(relation.column(a)?).full_signature()))
+    let rhs_sigs: Vec<Signature> = (0..m)
+        .map(|a| Ok(Pli::from_typed(relation.column(a)?).signature()))
         .collect::<Result<_>>()?;
 
     for (rhs, rhs_sig) in rhs_sigs.iter().enumerate() {

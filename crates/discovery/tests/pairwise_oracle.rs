@@ -153,11 +153,13 @@ fn reference_cfds(relation: &Relation, config: &CfdConfig) -> Vec<ConditionalFd>
             }
             let ys = relation.column_values(rhs).unwrap();
             for cluster in pli.clusters() {
-                let y = &ys[cluster[0]];
-                if cluster.len() >= config.min_support && cluster.iter().all(|&r| &ys[r] == y) {
+                let y = &ys[cluster[0] as usize];
+                if cluster.len() >= config.min_support
+                    && cluster.iter().all(|&r| &ys[r as usize] == y)
+                {
                     out.push(ConditionalFd::constant(
                         lhs,
-                        xs[cluster[0]].clone(),
+                        xs[cluster[0] as usize].clone(),
                         rhs,
                         y.clone(),
                     ));

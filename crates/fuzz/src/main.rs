@@ -169,6 +169,14 @@ fn report_finding(finding: &Finding) -> Result<(), String> {
                 path.display()
             );
         }
+        FindingKind::PathDivergence { detail } => {
+            eprintln!(
+                "[{}] PATH divergence on {} bytes -> {}\n{detail}",
+                finding.target,
+                finding.input.len(),
+                path.display()
+            );
+        }
         FindingKind::RoundTripDivergence { first, second } => {
             eprintln!(
                 "[{}] ROUND-TRIP divergence ({} -> {} vs {} bytes) -> {}",

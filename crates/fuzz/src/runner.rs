@@ -51,6 +51,12 @@ pub enum FindingKind {
         /// What the second decode/encode produced (empty on rejection).
         second: Vec<u8>,
     },
+    /// Two decode paths that must agree gave different results
+    /// ([`TargetOutcome::Diverged`]).
+    PathDivergence {
+        /// Both paths' results.
+        detail: String,
+    },
 }
 
 /// One input that violated the target contract.
@@ -88,6 +94,7 @@ fn signature(outcome: &TargetOutcome) -> u64 {
     match outcome {
         TargetOutcome::Rejected { error } => (0u8, error).hash(&mut h),
         TargetOutcome::Accepted { canonical } => (1u8, canonical).hash(&mut h),
+        TargetOutcome::Diverged { detail } => (2u8, detail).hash(&mut h),
     }
     h.finish()
 }
@@ -105,15 +112,24 @@ fn execute(target: &dyn FuzzTarget, input: &[u8]) -> Result<TargetOutcome, Strin
     })
 }
 
-/// Checks the full target contract on one input: no panic, and accepted
-/// inputs canonicalise to a decode/encode fixed point. `Ok(outcome)`
-/// means the contract held.
+/// Checks the full target contract on one input: no panic, decode paths
+/// that must agree do, and accepted inputs canonicalise to a
+/// decode/encode fixed point. `Ok(outcome)` means the contract held, and
+/// is then never [`TargetOutcome::Diverged`].
 pub fn check_input(target: &dyn FuzzTarget, input: &[u8]) -> Result<TargetOutcome, Finding> {
+    let diverged = |input: &[u8], detail: String| Finding {
+        target: target.name(),
+        input: input.to_vec(),
+        kind: FindingKind::PathDivergence { detail },
+    };
     let outcome = execute(target, input).map_err(|message| Finding {
         target: target.name(),
         input: input.to_vec(),
         kind: FindingKind::Panic { message },
     })?;
+    if let TargetOutcome::Diverged { detail } = outcome {
+        return Err(diverged(input, detail));
+    }
     if let TargetOutcome::Accepted { canonical } = &outcome {
         match execute(target, canonical) {
             Err(message) => {
@@ -143,6 +159,7 @@ pub fn check_input(target: &dyn FuzzTarget, input: &[u8]) -> Result<TargetOutcom
                     },
                 })
             }
+            Ok(TargetOutcome::Diverged { detail }) => return Err(diverged(canonical, detail)),
             Ok(TargetOutcome::Accepted { .. }) => {}
         }
     }
@@ -184,7 +201,7 @@ pub fn fuzz_target(
                 signatures.insert(signature(&outcome));
                 match outcome {
                     TargetOutcome::Accepted { .. } => report.accepted += 1,
-                    TargetOutcome::Rejected { .. } => report.rejected += 1,
+                    _ => report.rejected += 1,
                 }
             }
             Err(finding) => report.findings.push(finding),
@@ -207,7 +224,7 @@ pub fn fuzz_target(
             Ok(outcome) => {
                 match outcome {
                     TargetOutcome::Accepted { .. } => report.accepted += 1,
-                    TargetOutcome::Rejected { .. } => report.rejected += 1,
+                    _ => report.rejected += 1,
                 }
                 // Coverage-light feedback: a never-seen outcome signature
                 // marks an input that reached new decoder behaviour.
@@ -229,9 +246,10 @@ mod tests {
     use super::*;
     use crate::target::registry;
 
-    /// A deliberately broken target: panics on `0xFF`, and violates the
+    /// A deliberately broken target: panics on `0xFF`, violates the
     /// fixed-point contract for inputs starting with `b'x'` by prepending
-    /// another `b'x'` on every encode.
+    /// another `b'x'` on every encode, and reports diverging decode paths
+    /// for inputs starting with `b'd'`.
     struct BuggyTarget;
 
     impl FuzzTarget for BuggyTarget {
@@ -247,6 +265,11 @@ mod tests {
         fn run(&self, input: &[u8]) -> TargetOutcome {
             if input.contains(&0xFF) {
                 panic!("boom");
+            }
+            if input.first() == Some(&b'd') {
+                return TargetOutcome::Diverged {
+                    detail: "paths disagree".to_owned(),
+                };
             }
             if input.first() == Some(&b'x') {
                 let mut grown = input.to_vec();
@@ -291,6 +314,15 @@ mod tests {
         let finding = check_input(&BuggyTarget, &[b'a', 0xFF]).unwrap_err();
         assert_eq!(finding.input, vec![b'a', 0xFF]);
         assert!(matches!(finding.kind, FindingKind::Panic { ref message } if message == "boom"));
+    }
+
+    #[test]
+    fn check_input_flags_diverging_paths() {
+        let finding = check_input(&BuggyTarget, b"d1").unwrap_err();
+        assert_eq!(finding.input, b"d1".to_vec());
+        assert!(
+            matches!(finding.kind, FindingKind::PathDivergence { ref detail } if detail == "paths disagree")
+        );
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! * accepted inputs re-encode to a *canonical* form that survives a
 //!   second decode/encode round trip bit-identically.
 
+use crate::XorShift64;
 use mp_federated::net::{decode_stream, encode_stream, AbortReason, FrameError, SessionFrame};
 use mp_federated::{Envelope, MsgId, Payload, WireError};
 use mp_metadata::{Fd, MetadataPackage};
 use mp_relation::csv::{self, CsvOptions};
 use mp_relation::{Attribute, Relation, Schema, Value};
+use std::io::Read;
 
 /// What one execution of a target produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +29,12 @@ pub enum TargetOutcome {
     Accepted {
         /// Canonical re-encoded bytes; must be a round-trip fixed point.
         canonical: Vec<u8>,
+    },
+    /// Two decode paths that must agree did not (CSV: the whole-string
+    /// read and the short-read streaming read).
+    Diverged {
+        /// Both paths' results.
+        detail: String,
     },
 }
 
@@ -59,8 +67,28 @@ pub fn by_name(name: &str) -> Option<Box<dyn FuzzTarget>> {
 }
 
 /// CSV ingest: [`mp_relation::csv::read_str`] under default options,
-/// canonicalised by [`mp_relation::csv::write_str`].
+/// canonicalised by [`mp_relation::csv::write_str`]. The same bytes also
+/// go through [`mp_relation::csv::read_stream`] in reads of 1–7 bytes,
+/// which must give the same relation or the same typed error.
 pub struct CsvTarget;
+
+/// A reader that returns 1–7 bytes per call, the lengths drawn from
+/// `rng`, so chunk boundaries fall inside records, quoted fields, CRLF
+/// pairs and multi-byte scalars.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    rng: XorShift64,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.rng.below(7)).min(buf.len()).min(self.bytes.len());
+        let (head, rest) = self.bytes.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.bytes = rest;
+        Ok(n)
+    }
+}
 
 impl FuzzTarget for CsvTarget {
     fn name(&self) -> &'static str {
@@ -99,7 +127,25 @@ impl FuzzTarget for CsvTarget {
                 error: "input is not UTF-8".to_owned(),
             };
         };
-        match csv::read_str(text, &CsvOptions::default()) {
+        let opts = CsvOptions::default();
+        let whole = csv::read_str(text, &opts);
+        // FNV-1a of the input seeds the read lengths.
+        let seed = input.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let reader = ShortReads {
+            bytes: input,
+            rng: XorShift64::new(seed),
+        };
+        let streamed = csv::read_stream(reader, &opts);
+        // Debug output shows layouts and dictionary order, which `==`
+        // on relations does not compare.
+        if format!("{whole:?}") != format!("{streamed:?}") {
+            return TargetOutcome::Diverged {
+                detail: format!("read_str: {whole:?}\nshort reads: {streamed:?}"),
+            };
+        }
+        match whole {
             Err(e) => TargetOutcome::Rejected {
                 error: e.to_string(),
             },
@@ -407,15 +453,13 @@ mod tests {
                                 "{} seed {i} canonical form is not a fixed point",
                                 target.name()
                             ),
-                            TargetOutcome::Rejected { error } => panic!(
-                                "{} seed {i} canonical form rejected: {error}",
+                            other => panic!(
+                                "{} seed {i} canonical form not accepted: {other:?}",
                                 target.name()
                             ),
                         }
                     }
-                    TargetOutcome::Rejected { error } => {
-                        panic!("{} seed {i} rejected: {error}", target.name())
-                    }
+                    other => panic!("{} seed {i} not accepted: {other:?}", target.name()),
                 }
             }
         }

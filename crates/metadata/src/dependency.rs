@@ -9,7 +9,7 @@
 
 use crate::attrset::AttrSet;
 use crate::cfd::ConditionalFd;
-use mp_relation::{Pli, Relation, Result, Value};
+use mp_relation::{Pli, Relation, Result, Signature, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -42,7 +42,7 @@ impl Fd {
     /// Exact validation against a relation via partition refinement.
     pub fn holds(&self, relation: &Relation) -> Result<bool> {
         let lhs_pli = pli_of_set(relation, &self.lhs)?;
-        let rhs_sig = Pli::from_column(&relation.column_values(self.rhs)?).full_signature();
+        let rhs_sig = Pli::from_column(&relation.column_values(self.rhs)?).signature();
         Ok(lhs_pli.satisfies_fd(&rhs_sig))
     }
 
@@ -50,7 +50,7 @@ impl Fd {
     /// tuples to remove for it to hold (0 iff it holds exactly).
     pub fn g3_error(&self, relation: &Relation) -> Result<f64> {
         let lhs_pli = pli_of_set(relation, &self.lhs)?;
-        let rhs_sig = Pli::from_column(&relation.column_values(self.rhs)?).full_signature();
+        let rhs_sig = Pli::from_column(&relation.column_values(self.rhs)?).signature();
         Ok(lhs_pli.g3_error(&rhs_sig))
     }
 }
@@ -191,15 +191,21 @@ impl NumericalDep {
     /// empty relation.
     pub fn max_fanout(lhs: usize, rhs: usize, relation: &Relation) -> Result<usize> {
         let lhs_pli = Pli::from_column(&relation.column_values(lhs)?);
-        let rhs_sig = Pli::from_column(&relation.column_values(rhs)?).full_signature();
+        let rhs_sig = Pli::from_column(&relation.column_values(rhs)?).signature();
+        let ids = rhs_sig.ids();
         let mut max = if relation.n_rows() == 0 { 0 } else { 1 };
-        let mut seen: Vec<usize> = Vec::new();
+        let mut seen: Vec<u32> = Vec::new();
         for cluster in lhs_pli.clusters() {
             seen.clear();
-            seen.extend(cluster.iter().map(|&r| rhs_sig[r]));
+            seen.extend(cluster.iter().map(|&r| ids[r as usize]));
             seen.sort_unstable();
+            // Every row in no RHS cluster is a distinct value of its own.
+            let singletons = seen
+                .iter()
+                .filter(|&&id| id == Signature::SINGLETON)
+                .count();
             seen.dedup();
-            max = max.max(seen.len());
+            max = max.max(seen.len() - usize::from(singletons > 0) + singletons);
         }
         Ok(max)
     }

@@ -41,7 +41,10 @@ impl MetricFd {
         let pli = Pli::from_column(&relation.column_values(lhs)?);
         let mut delta = 0.0f64;
         for cluster in pli.clusters() {
-            let nums: Vec<f64> = cluster.iter().filter_map(|&r| ys[r].as_f64()).collect();
+            let nums: Vec<f64> = cluster
+                .iter()
+                .filter_map(|&r| ys[r as usize].as_f64())
+                .collect();
             if nums.len() < 2 {
                 continue;
             }

@@ -873,26 +873,36 @@ impl StreamingColumnBuilder {
     /// Appends one value, promoting the physical layout as needed (see
     /// [`Column::push_value`]).
     pub fn push(&mut self, v: Value) {
-        match &v {
-            Value::Text(_) => self.saw_text = true,
-            Value::Int(_) | Value::Float(_) => self.saw_numeric = true,
-            Value::Null => {}
+        match v {
+            Value::Text(s) => self.push_text(&s),
+            Value::Int(_) | Value::Float(_) => {
+                self.saw_numeric = true;
+                self.column.push_value(v);
+            }
+            Value::Null => self.column.push_value(v),
         }
-        if let (Column::Categorical { dict, codes }, Value::Text(s)) = (&mut self.column, &v) {
+    }
+
+    /// Appends one text cell. A categorical column finds the label in its
+    /// dictionary by `&str` and allocates only for a label it has not
+    /// seen; any other layout takes the [`Column::push_value`] path.
+    pub(crate) fn push_text(&mut self, s: &str) {
+        self.saw_text = true;
+        if let Column::Categorical { dict, codes } = &mut self.column {
             // Fast dictionary path with the hash lookup.
-            let code = match self.dict_lookup.get(s.as_str()) {
+            let code = match self.dict_lookup.get(s) {
                 Some(&c) => c,
                 None => {
-                    dict.push(s.clone());
+                    dict.push(s.to_owned());
                     let c = dict.len() as u32;
-                    self.dict_lookup.insert(s.clone(), c);
+                    self.dict_lookup.insert(s.to_owned(), c);
                     c
                 }
             };
             codes.push(code);
             return;
         }
-        self.column.push_value(v);
+        self.column.push_value(Value::Text(s.to_owned()));
         // The first text promotes the column to Categorical; seed the
         // lookup so subsequent pushes take the fast path.
         if let Column::Categorical { dict, .. } = &self.column {

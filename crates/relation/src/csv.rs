@@ -18,8 +18,9 @@ use crate::column::StreamingColumnBuilder;
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::{AttrKind, Attribute, Schema};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use mp_observe::{Counter, Histogram, Recorder};
+use std::fmt::Write as _;
 use std::io::Read;
 use std::path::Path;
 
@@ -66,9 +67,8 @@ impl CsvOptions {
 }
 
 /// Lookahead carried across a chunk boundary: the previous character
-/// cannot be classified until the next one is seen — exactly the
-/// one-character peek the old whole-string parser got from `Peekable`,
-/// reified so scanning can pause at any byte.
+/// cannot be classified until the next one is seen, so the scan can
+/// pause at any byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     /// No lookahead outstanding.
@@ -81,26 +81,88 @@ enum Pending {
     Cr,
 }
 
+/// Where the text of one closed field lives.
+#[derive(Debug, Clone, Copy)]
+enum Span {
+    /// `chunk[start..end]` of the chunk being scanned.
+    Chunk(usize, usize),
+    /// `owned[start..end]` of the splitter's buffer.
+    Owned(usize, usize),
+}
+
+/// The field being scanned.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// Unquoted and begun at this byte of the current chunk. A field
+    /// still borrowed when its chunk ends moves to `owned`, so at a chunk
+    /// boundary a borrowed field is always empty.
+    Borrowed(usize),
+    /// Its text so far is `owned[start..]`: it held a quote or crossed a
+    /// chunk boundary.
+    Owned(usize),
+}
+
+/// One record handed to the sink: its fields, each borrowed from the
+/// chunk being scanned or from the splitter's owned buffer.
+struct Record<'a> {
+    chunk: &'a str,
+    owned: &'a str,
+    spans: &'a [Span],
+}
+
+impl<'a> Record<'a> {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn text(&self, span: Span) -> &'a str {
+        let text = match span {
+            Span::Chunk(start, end) => self.chunk.get(start..end),
+            Span::Owned(start, end) => self.owned.get(start..end),
+        };
+        text.unwrap_or_default()
+    }
+
+    fn first(&self) -> Option<&'a str> {
+        self.spans.first().map(|&s| self.text(s))
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.spans.iter().map(|&s| self.text(s))
+    }
+}
+
 /// Incremental CSV record splitter: text goes in as arbitrary chunks,
-/// complete records come out through a sink as soon as they close.
+/// complete records come out through a sink as soon as their terminator
+/// is scanned.
+///
+/// Scans bytes, stopping only at `"`, `\r`, `\n` and the delimiter; an
+/// unquoted field is handed on as a slice of the chunk. Only quoted
+/// fields and fields that cross a chunk boundary are copied, into one
+/// buffer the splitter reuses record after record.
 ///
 /// Handles quoted fields (including embedded delimiters, escaped quotes
-/// and embedded newlines), strips a leading UTF-8 BOM, and accepts `\n`
-/// or `\r\n` record terminators. Malformed input — a bare `\r` outside
-/// quotes or a quote left open at end of input — is a typed error (with
-/// the 1-based line number where the offence *started*), never a silent
-/// misparse. Fully-empty records (blank lines) are dropped before they
-/// reach the sink.
+/// and embedded newlines; text after a closing quote joins the field),
+/// strips a leading UTF-8 BOM, and accepts `\n` or `\r\n` record
+/// terminators. Malformed input — a bare `\r` outside quotes or a quote
+/// left open at end of input — is a typed error (with the 1-based line
+/// number where the offence *started*), never a silent misparse.
+/// Fully-empty records (blank lines) are dropped before they reach the
+/// sink.
 #[derive(Debug)]
 struct RecordSplitter {
     delimiter: char,
-    record: Vec<String>,
-    field: String,
+    /// The bytes that stop an unquoted scan: `"`, `\r`, `\n` and the
+    /// delimiter's first byte.
+    stops: [bool; 256],
+    /// Closed fields of the current record.
+    spans: Vec<Span>,
+    /// Text of the current record's fields that could not be borrowed.
+    owned: String,
+    field: Field,
     in_quotes: bool,
     line: usize,
     quote_opened_at: usize,
-    /// Any character processed yet (after BOM stripping)?
-    any: bool,
     pending: Pending,
     /// Before the very first character, where a BOM is a marker rather
     /// than content.
@@ -109,26 +171,27 @@ struct RecordSplitter {
 
 impl RecordSplitter {
     fn new(delimiter: char) -> Self {
+        let mut stops = [false; 256];
+        let mut utf8 = [0u8; 4];
+        let lead = delimiter
+            .encode_utf8(&mut utf8)
+            .bytes()
+            .next()
+            .unwrap_or(b'"');
+        for b in [b'"', b'\r', b'\n', lead] {
+            stops[usize::from(b)] = true;
+        }
         Self {
             delimiter,
-            record: Vec::new(),
-            field: String::new(),
+            stops,
+            spans: Vec::new(),
+            owned: String::new(),
+            field: Field::Borrowed(0),
             in_quotes: false,
             line: 1,
             quote_opened_at: 1,
-            any: false,
             pending: Pending::None,
             at_start: true,
-        }
-    }
-
-    /// Closes the current record, dropping the single-empty-field records
-    /// blank lines produce.
-    fn end_record(&mut self, sink: &mut dyn FnMut(Vec<String>)) {
-        self.record.push(std::mem::take(&mut self.field));
-        let record = std::mem::take(&mut self.record);
-        if !matches!(record.as_slice(), [f] if f.is_empty()) {
-            sink(record);
         }
     }
 
@@ -139,83 +202,189 @@ impl RecordSplitter {
         }
     }
 
+    /// Moves a borrowed field's text so far, `chunk[start..end]`, into
+    /// `owned`.
+    fn own_field(&mut self, chunk: &str, end: usize) {
+        if let Field::Borrowed(start) = self.field {
+            let at = self.owned.len();
+            self.owned
+                .push_str(chunk.get(start..end).unwrap_or_default());
+            self.field = Field::Owned(at);
+        }
+    }
+
+    /// Closes the current field at `end` and starts the next at `next`.
+    fn close_field(&mut self, end: usize, next: usize) {
+        self.spans.push(match self.field {
+            Field::Borrowed(start) => Span::Chunk(start, end),
+            Field::Owned(start) => Span::Owned(start, self.owned.len()),
+        });
+        self.field = Field::Borrowed(next);
+    }
+
+    /// Hands the current record's closed fields to the sink, dropping the
+    /// single-empty-field records blank lines produce, and starts afresh.
+    fn end_record(&mut self, chunk: &str, sink: &mut dyn FnMut(&Record<'_>)) {
+        let record = Record {
+            chunk,
+            owned: &self.owned,
+            spans: &self.spans,
+        };
+        if !matches!(record.first(), Some("") if record.len() == 1) {
+            sink(&record);
+        }
+        self.spans.clear();
+        self.owned.clear();
+    }
+
+    /// The first stop byte at or after `from` (a delimiter only where the
+    /// whole delimiter matches), or `chunk.len()`.
+    fn next_stop(&self, chunk: &str, mut from: usize) -> usize {
+        let bytes = chunk.as_bytes();
+        loop {
+            let Some(at) = bytes
+                .get(from..)
+                .and_then(|rest| rest.iter().position(|&b| self.stops[usize::from(b)]))
+            else {
+                return bytes.len();
+            };
+            let i = from + at;
+            if self.delimiter.is_ascii()
+                || matches!(bytes.get(i), Some(b'"' | b'\r' | b'\n'))
+                || chunk
+                    .get(i..)
+                    .is_some_and(|s| s.starts_with(self.delimiter))
+            {
+                return i;
+            }
+            from = i + 1;
+        }
+    }
+
     /// Scans one chunk. Framing errors surface eagerly; everything else
     /// waits for [`finish`](Self::finish).
-    fn feed(&mut self, chunk: &str, sink: &mut dyn FnMut(Vec<String>)) -> Result<()> {
-        for c in chunk.chars() {
-            if self.at_start {
-                // Spreadsheet exports routinely prefix a UTF-8 BOM; left
-                // in place it would silently corrupt the first header
-                // name ("\u{FEFF}name").
-                self.at_start = false;
-                if c == '\u{FEFF}' {
-                    continue;
-                }
+    fn feed(&mut self, chunk: &str, sink: &mut dyn FnMut(&Record<'_>)) -> Result<()> {
+        let bytes = chunk.as_bytes();
+        let mut pos = 0;
+        if self.at_start && !chunk.is_empty() {
+            // Spreadsheet exports routinely prefix a UTF-8 BOM; left in
+            // place it would silently corrupt the first header name
+            // ("\u{FEFF}name").
+            self.at_start = false;
+            if chunk.starts_with('\u{FEFF}') {
+                pos = '\u{FEFF}'.len_utf8();
             }
-            self.any = true;
+        }
+        if let Field::Borrowed(_) = self.field {
+            self.field = Field::Borrowed(pos);
+        }
+        while let Some(&b) = bytes.get(pos) {
             match self.pending {
                 Pending::Quote => {
                     self.pending = Pending::None;
-                    if c == '"' {
-                        self.field.push('"');
+                    if b == b'"' {
+                        self.owned.push('"');
+                        pos += 1;
                         continue;
                     }
-                    // The quote closed the field; reprocess `c` unquoted.
+                    // The quote closed the field; rescan `b` unquoted.
                     self.in_quotes = false;
                 }
                 Pending::Cr => {
                     self.pending = Pending::None;
-                    if c == '\n' {
-                        self.line += 1;
-                        self.end_record(sink);
-                        continue;
+                    if b != b'\n' {
+                        // A bare CR would otherwise vanish, silently
+                        // gluing two fields together.
+                        return Err(self.bare_cr());
                     }
-                    // A bare CR would previously vanish, silently gluing
-                    // two fields together.
-                    return Err(self.bare_cr());
+                    self.line += 1;
+                    pos += 1;
+                    self.end_record(chunk, sink);
+                    self.field = Field::Borrowed(pos);
+                    continue;
                 }
                 Pending::None => {}
             }
             if self.in_quotes {
-                match c {
-                    '"' => self.pending = Pending::Quote,
-                    '\n' => {
+                let end = bytes
+                    .get(pos..)
+                    .and_then(|rest| rest.iter().position(|&c| c == b'"' || c == b'\n'))
+                    .map_or(bytes.len(), |at| pos + at);
+                self.owned.push_str(chunk.get(pos..end).unwrap_or_default());
+                match bytes.get(end) {
+                    Some(b'"') => self.pending = Pending::Quote,
+                    Some(_) => {
                         self.line += 1;
-                        self.field.push(c);
+                        self.owned.push('\n');
                     }
-                    _ => self.field.push(c),
+                    None => {}
                 }
-            } else {
-                match c {
-                    '"' => {
-                        self.in_quotes = true;
-                        self.quote_opened_at = self.line;
-                    }
-                    '\r' => self.pending = Pending::Cr,
-                    '\n' => {
-                        self.line += 1;
-                        self.end_record(sink);
-                    }
-                    c if c == self.delimiter => self.record.push(std::mem::take(&mut self.field)),
-                    _ => self.field.push(c),
+                pos = end + 1;
+                continue;
+            }
+            let end = self.next_stop(chunk, pos);
+            if let Field::Owned(_) = self.field {
+                self.owned.push_str(chunk.get(pos..end).unwrap_or_default());
+            }
+            pos = end;
+            match bytes.get(pos) {
+                None => {}
+                Some(b'"') => {
+                    self.own_field(chunk, pos);
+                    self.in_quotes = true;
+                    self.quote_opened_at = self.line;
+                    pos += 1;
+                }
+                Some(b'\r') => {
+                    // The record may end here; its `\n` is checked next.
+                    self.close_field(pos, pos + 1);
+                    self.pending = Pending::Cr;
+                    pos += 1;
+                }
+                Some(b'\n') => {
+                    self.close_field(pos, pos + 1);
+                    self.line += 1;
+                    pos += 1;
+                    self.end_record(chunk, sink);
+                }
+                Some(_) => {
+                    let next = pos + self.delimiter.len_utf8();
+                    self.close_field(pos, next);
+                    pos = next;
                 }
             }
+        }
+        // The chunk is about to go: copy what the record still borrows,
+        // keeping the open field's text at the end of `owned`.
+        let open = match self.field {
+            Field::Owned(start) => self.owned.split_off(start),
+            Field::Borrowed(start) => chunk.get(start..).unwrap_or_default().to_owned(),
+        };
+        for span in &mut self.spans {
+            if let Span::Chunk(start, end) = *span {
+                let at = self.owned.len();
+                self.owned
+                    .push_str(chunk.get(start..end).unwrap_or_default());
+                *span = Span::Owned(at, self.owned.len());
+            }
+        }
+        if !open.is_empty() || matches!(self.field, Field::Owned(_)) {
+            self.field = Field::Owned(self.owned.len());
+            self.owned.push_str(&open);
         }
         Ok(())
     }
 
     /// Flushes end-of-input state: resolves outstanding lookahead, rejects
     /// unterminated quotes, and emits the final unterminated record.
-    fn finish(&mut self, sink: &mut dyn FnMut(Vec<String>)) -> Result<()> {
+    fn finish(&mut self, sink: &mut dyn FnMut(&Record<'_>)) -> Result<()> {
         match self.pending {
-            Pending::Quote => {
-                // A quote as the very last character closes its field.
-                self.pending = Pending::None;
-                self.in_quotes = false;
-            }
+            // A quote as the very last character closes its field.
+            Pending::Quote => self.in_quotes = false,
             Pending::Cr => return Err(self.bare_cr()),
             Pending::None => {}
         }
+        self.pending = Pending::None;
         if self.in_quotes {
             return Err(RelationError::Csv {
                 line: self.quote_opened_at,
@@ -225,35 +394,24 @@ impl RecordSplitter {
                 ),
             });
         }
-        if self.any && (!self.field.is_empty() || !self.record.is_empty()) {
-            self.end_record(sink);
+        if let Field::Borrowed(_) = self.field {
+            self.field = Field::Borrowed(0);
         }
+        self.close_field(0, 0);
+        self.end_record("", sink);
         Ok(())
     }
 }
 
-/// Splits raw CSV text into records of string fields.
-///
-/// One-shot wrapper over the incremental splitter (see `RecordSplitter`
-/// for the framing rules): the whole text is fed as a single chunk, so
-/// the result is identical to any chunked scan of the same bytes.
-pub fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut splitter = RecordSplitter::new(delimiter);
-    let mut sink = |r: Vec<String>| records.push(r);
-    splitter.feed(text, &mut sink)?;
-    splitter.finish(&mut sink)?;
-    Ok(records)
-}
-
-/// Parses one field into a [`Value`], using `null_tokens`.
-fn parse_field(field: &str, null_tokens: &[String]) -> Value {
+/// Parses one field, using `null_tokens`. Integers are tried first, then
+/// finite floats; text is borrowed, not copied.
+fn parse_field<'a>(field: &'a str, null_tokens: &[String]) -> ValueRef<'a> {
     let trimmed = field.trim();
     if trimmed.is_empty() || null_tokens.iter().any(|t| t == trimmed) {
-        return Value::Null;
+        return ValueRef::Null;
     }
     if let Ok(i) = trimmed.parse::<i64>() {
-        return Value::Int(i);
+        return ValueRef::Int(i);
     }
     // Only finite numerics count as numbers: `nan`/`inf` parse as f64 but
     // must stay text, or text columns containing them would not round-trip.
@@ -261,10 +419,10 @@ fn parse_field(field: &str, null_tokens: &[String]) -> Value {
         if f.is_finite() {
             // `-0.0` would display as "-0", which re-reads as integer 0;
             // normalise so serialisation is a byte-stable fixed point.
-            return Value::Float(if f == 0.0 { 0.0 } else { f });
+            return ValueRef::Float(if f == 0.0 { 0.0 } else { f });
         }
     }
-    Value::Text(trimmed.to_owned())
+    ValueRef::Text(trimmed)
 }
 
 /// Streaming record consumer: header and `#kinds` handling, ragged-row
@@ -313,7 +471,7 @@ impl<'o> StreamIngest<'o> {
         self.records
     }
 
-    fn accept(&mut self, record: Vec<String>) {
+    fn accept(&mut self, record: &Record<'_>) {
         self.records += 1;
         if self.names.is_none() {
             self.arity = record.len();
@@ -321,7 +479,7 @@ impl<'o> StreamIngest<'o> {
                 .map(|_| StreamingColumnBuilder::new())
                 .collect();
             if self.opts.has_header {
-                self.names = Some(record);
+                self.names = Some(record.fields().map(str::to_owned).collect());
                 self.awaiting_kinds = self.opts.kind_row;
                 return;
             }
@@ -356,7 +514,7 @@ impl<'o> StreamIngest<'o> {
 
     /// Parses the `#kinds` annotation row (always reported as line 2, its
     /// position in every format the writer emits).
-    fn take_kinds(&mut self, row: Vec<String>) {
+    fn take_kinds(&mut self, row: &Record<'_>) {
         if row.len() != self.arity {
             self.defer(RelationError::Csv {
                 line: 2,
@@ -391,7 +549,7 @@ impl<'o> StreamIngest<'o> {
         };
         let mut kinds = Vec::with_capacity(self.arity);
         kinds.push(first_kind);
-        for (c, f) in row.iter().enumerate().skip(1) {
+        for (c, f) in row.fields().enumerate().skip(1) {
             match parse_kind(f, c) {
                 Ok(k) => kinds.push(k),
                 Err(e) => {
@@ -403,7 +561,7 @@ impl<'o> StreamIngest<'o> {
         self.declared_kinds = Some(kinds);
     }
 
-    fn push_data(&mut self, record: Vec<String>) {
+    fn push_data(&mut self, record: &Record<'_>) {
         if self.deferred.is_some() {
             // The result is already doomed; keep scanning only so later
             // framing errors can take precedence.
@@ -416,8 +574,11 @@ impl<'o> StreamIngest<'o> {
             });
             return;
         }
-        for (builder, field) in self.builders.iter_mut().zip(&record) {
-            builder.push(parse_field(field, &self.opts.null_tokens));
+        for (builder, field) in self.builders.iter_mut().zip(record.fields()) {
+            match parse_field(field, &self.opts.null_tokens) {
+                ValueRef::Text(text) => builder.push_text(text),
+                cell => builder.push(cell.to_value()),
+            }
         }
         self.data_rows += 1;
     }
@@ -483,7 +644,7 @@ impl<'o> StreamIngest<'o> {
 pub fn read_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
     let mut splitter = RecordSplitter::new(opts.delimiter);
     let mut ingest = StreamIngest::new(opts);
-    let mut sink = |r: Vec<String>| ingest.accept(r);
+    let mut sink = |r: &Record<'_>| ingest.accept(r);
     splitter.feed(text, &mut sink)?;
     splitter.finish(&mut sink)?;
     ingest.finalize()
@@ -525,7 +686,7 @@ fn invalid_utf8() -> RelationError {
 fn feed_bytes(
     splitter: &mut RecordSplitter,
     bytes: &[u8],
-    sink: &mut dyn FnMut(Vec<String>),
+    sink: &mut dyn FnMut(&Record<'_>),
 ) -> Result<Vec<u8>> {
     match std::str::from_utf8(bytes) {
         Ok(s) => {
@@ -568,7 +729,7 @@ fn read_stream_impl<R: Read>(
         };
         let rows_before = ingest.records_seen();
         {
-            let mut sink = |r: Vec<String>| ingest.accept(r);
+            let mut sink = |r: &Record<'_>| ingest.accept(r);
             if carry.is_empty() {
                 carry = feed_bytes(&mut splitter, &buf[..n], &mut sink)?;
             } else {
@@ -588,7 +749,7 @@ fn read_stream_impl<R: Read>(
         return Err(invalid_utf8());
     }
     {
-        let mut sink = |r: Vec<String>| ingest.accept(r);
+        let mut sink = |r: &Record<'_>| ingest.accept(r);
         splitter.finish(&mut sink)?;
     }
     if let Some(m) = metrics {
@@ -643,38 +804,46 @@ pub fn write_str(relation: &Relation) -> String {
 
 /// Serialises a relation, optionally emitting the `#kinds` annotation row
 /// so kinds round-trip through [`read_str`] with the same options.
+///
+/// Each cell is written straight from its column into the output: text
+/// is quoted (with `"` doubled) only when it holds a comma, quote, `\n`
+/// or `\r`, or starts with U+FEFF; nulls print as `?`, numbers by their
+/// `Display`.
 pub fn write_str_with(relation: &Relation, opts: &CsvOptions) -> String {
     let mut out = String::new();
-    let names: Vec<&str> = relation
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| a.name.as_str())
-        .collect();
-    out.push_str(
-        &names
-            .iter()
-            .map(|n| escape(n))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    let attrs = relation.schema().attributes();
+    for (i, a) in attrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_field(&mut out, &a.name);
+    }
     out.push('\n');
     if opts.kind_row {
-        let attrs = relation.schema().attributes();
-        let mut fields = Vec::with_capacity(attrs.len());
         for (i, a) in attrs.iter().enumerate() {
-            if i == 0 {
-                fields.push(format!("#kinds={}", a.kind));
-            } else {
-                fields.push(a.kind.to_string());
-            }
+            let _ = match i {
+                0 => write!(out, "#kinds={}", a.kind),
+                _ => write!(out, ",{}", a.kind),
+            };
         }
-        out.push_str(&fields.join(","));
         out.push('\n');
     }
-    for row in relation.rows() {
-        let fields: Vec<String> = row.iter().map(|v| escape(&v.to_string())).collect();
-        out.push_str(&fields.join(","));
+    let columns: Vec<_> = (0..relation.arity())
+        .filter_map(|c| relation.column(c).ok())
+        .collect();
+    for row in 0..relation.n_rows() {
+        for (c, column) in columns.iter().enumerate() {
+            if c > 0 {
+                out.push(',');
+            }
+            match column.value_ref(row) {
+                ValueRef::Text(s) => push_field(&mut out, s),
+                // Numbers and `?` never hold a character that needs quotes.
+                cell => {
+                    let _ = write!(out, "{cell}");
+                }
+            }
+        }
         out.push('\n');
     }
     out
@@ -686,14 +855,23 @@ pub fn write_path(relation: &Relation, path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-fn escape(field: &str) -> String {
+/// Appends one text field, quoted (with `"` doubled) iff it holds a
+/// delimiter, quote, `\n` or `\r`, or starts with U+FEFF.
+fn push_field(out: &mut String, field: &str) {
     // `\r` must be quoted or the reader sees a bare-CR framing error; a
     // leading U+FEFF must be quoted or the reader's BOM strip would eat
     // it when the field opens the file.
     if field.contains([',', '"', '\n', '\r']) || field.starts_with('\u{FEFF}') {
-        format!("\"{}\"", field.replace('"', "\"\""))
+        out.push('"');
+        for c in field.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
     } else {
-        field.to_owned()
+        out.push_str(field);
     }
 }
 
@@ -945,6 +1123,119 @@ NaN
             let again = read_str(&first, &CsvOptions::default())
                 .unwrap_or_else(|e| panic!("canonical form of {text:?} rejected: {e}"));
             assert_eq!(write_str(&again), first, "not a fixed point for {text:?}");
+        }
+    }
+
+    /// The row-wise writer the typed one replaced — a `Vec<Value>` per
+    /// row, two `String`s per cell and a `join` — kept as the reference
+    /// the typed writer must match byte for byte.
+    fn row_wise_write(relation: &Relation, opts: &CsvOptions) -> String {
+        fn escape(field: &str) -> String {
+            if field.contains([',', '"', '\n', '\r']) || field.starts_with('\u{FEFF}') {
+                format!("\"{}\"", field.replace('"', "\"\""))
+            } else {
+                field.to_owned()
+            }
+        }
+        let mut out = String::new();
+        let names: Vec<&str> = relation
+            .schema()
+            .attributes()
+            .iter()
+            .map(|a| a.name.as_str())
+            .collect();
+        out.push_str(
+            &names
+                .iter()
+                .map(|n| escape(n))
+                .collect::<Vec<_>>()
+                .join(","),
+        );
+        out.push('\n');
+        if opts.kind_row {
+            let attrs = relation.schema().attributes();
+            let mut fields = Vec::with_capacity(attrs.len());
+            for (i, a) in attrs.iter().enumerate() {
+                if i == 0 {
+                    fields.push(format!("#kinds={}", a.kind));
+                } else {
+                    fields.push(a.kind.to_string());
+                }
+            }
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        for row in relation.rows() {
+            let fields: Vec<String> = row.iter().map(|v| escape(&v.to_string())).collect();
+            out.push_str(&fields.join(","));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn typed_writer_matches_row_wise_reference() {
+        let schema = Schema::new(vec![
+            Attribute::categorical("\u{FEFF}id"),
+            Attribute::categorical("label, \"quoted\""),
+            Attribute::continuous("x"),
+            Attribute::continuous("n"),
+            Attribute::continuous("mixed"),
+        ])
+        .unwrap();
+        let rows = vec![
+            vec![
+                1.into(),
+                "plain".into(),
+                (-0.0).into(),
+                i64::MAX.into(),
+                2.into(),
+            ],
+            vec![
+                Value::Null,
+                "a,b".into(),
+                1e-300.into(),
+                i64::MIN.into(),
+                2.5.into(),
+            ],
+            vec![
+                3.into(),
+                "say \"hi\"".into(),
+                Value::Null,
+                9007199254740993.into(),
+                Value::Null,
+            ],
+            vec![
+                4.into(),
+                "line\nbreak\r\n".into(),
+                2.5.into(),
+                Value::Null,
+                (-3).into(),
+            ],
+            vec![
+                5.into(),
+                "\u{FEFF}bom".into(),
+                f64::MAX.into(),
+                0.into(),
+                1e21.into(),
+            ],
+            vec![6.into(), "".into(), 0.1.into(), (-7).into(), 0.into()],
+            vec![7.into(), Value::Null, 1.0.into(), 7.into(), (-0.5).into()],
+        ];
+        let typed = Relation::from_rows(schema, rows).unwrap();
+        assert_eq!(typed.column(4).unwrap().repr_name(), "f64");
+        // An integer beyond 2^53 mixed with floats reads as a boxed column.
+        let boxed = read_str(
+            "x,y\n9007199254740993,a\n0.5,b\n1,\n",
+            &CsvOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(boxed.column(0).unwrap().repr_name(), "boxed");
+        let empty = Relation::empty(boxed.schema().clone());
+        for rel in [&typed, &boxed, &empty] {
+            for opts in [CsvOptions::default(), CsvOptions::with_kind_row()] {
+                assert_eq!(write_str_with(rel, &opts), row_wise_write(rel, &opts));
+            }
         }
     }
 

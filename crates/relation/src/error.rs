@@ -53,6 +53,12 @@ pub enum RelationError {
     Io(String),
     /// The operation requires a non-empty relation.
     EmptyRelation,
+    /// A relation would hold more rows than partitions can address
+    /// ([`Relation::MAX_ROWS`](crate::Relation::MAX_ROWS)).
+    TooManyRows {
+        /// The row count that was refused.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -101,6 +107,11 @@ impl fmt::Display for RelationError {
             }
             RelationError::Io(msg) => write!(f, "I/O error: {msg}"),
             RelationError::EmptyRelation => write!(f, "operation requires a non-empty relation"),
+            RelationError::TooManyRows { rows } => write!(
+                f,
+                "relation of {rows} rows exceeds the {} rows partitions can address",
+                u32::MAX
+            ),
         }
     }
 }

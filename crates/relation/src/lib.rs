@@ -45,7 +45,7 @@ mod value;
 pub use column::{Bitmap, Column, ColumnBuilder, StreamingColumnBuilder};
 pub use domain::Domain;
 pub use error::{RelationError, Result};
-pub use partition::Pli;
+pub use partition::{Pli, Signature};
 pub use pli_cache::{PliCache, PliCacheStats};
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{AttrKind, Attribute, Schema};

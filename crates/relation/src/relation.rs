@@ -24,7 +24,19 @@ pub struct Relation {
     n_rows: usize,
 }
 
+/// Refuses a row count beyond [`Relation::MAX_ROWS`].
+fn check_rows(n_rows: usize) -> Result<()> {
+    if n_rows > Relation::MAX_ROWS {
+        return Err(RelationError::TooManyRows { rows: n_rows });
+    }
+    Ok(())
+}
+
 impl Relation {
+    /// The most rows a relation may hold: stripped partitions
+    /// ([`Pli`](crate::Pli)) store row ids as `u32`.
+    pub const MAX_ROWS: usize = u32::MAX as usize;
+
     /// Creates an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
         let columns = (0..schema.arity()).map(|_| Column::default()).collect();
@@ -58,6 +70,7 @@ impl Relation {
             });
         }
         let n_rows = columns.first().map_or(0, Vec::len);
+        check_rows(n_rows)?;
         let mut typed = Vec::with_capacity(columns.len());
         for (i, col) in columns.into_iter().enumerate() {
             let attr = schema.attribute(i)?.clone();
@@ -93,6 +106,7 @@ impl Relation {
             });
         }
         let n_rows = columns.first().map_or(0, Column::len);
+        check_rows(n_rows)?;
         for (i, col) in columns.iter().enumerate() {
             let attr = schema.attribute(i)?;
             if col.len() != n_rows {
@@ -238,6 +252,7 @@ impl Relation {
     /// Appends a row (type-checked; a failed row leaves the relation
     /// unchanged).
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
+        check_rows(self.n_rows + 1)?;
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
                 expected: self.schema.arity(),
@@ -264,6 +279,7 @@ impl Relation {
                 got: other.schema().arity(),
             });
         }
+        check_rows(self.n_rows + other.n_rows)?;
         for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
             mine.extend_from(theirs);
         }
@@ -375,6 +391,7 @@ impl RelationBuilder {
 
     /// Appends a row (a failed row leaves no partial state).
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<&mut Self> {
+        check_rows(self.n_rows + 1)?;
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
                 expected: self.schema.arity(),
@@ -690,6 +707,15 @@ mod tests {
         assert_eq!(cols[0].as_seq().unwrap().len(), 3);
         let back = Relation::from_content(&content).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn row_count_is_capped_at_u32() {
+        assert_eq!(check_rows(Relation::MAX_ROWS), Ok(()));
+        let over = Relation::MAX_ROWS + 1;
+        let err = check_rows(over).unwrap_err();
+        assert_eq!(err, RelationError::TooManyRows { rows: over });
+        assert!(err.to_string().contains(&over.to_string()), "{err}");
     }
 
     #[test]
