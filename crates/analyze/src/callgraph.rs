@@ -371,20 +371,11 @@ impl CallGraph {
     pub fn fn_index(&self, file: usize, item_idx: usize) -> usize {
         self.fn_base[file] + item_idx
     }
-
-    /// Resolved workspace callees of site `si` (empty for external calls;
-    /// `None` marks an unresolved, pessimistic edge).
-    pub fn callees_of(&self, si: usize) -> Option<&[usize]> {
-        match &self.sites[si].callee {
-            Callee::Fns(v) => Some(v),
-            Callee::Unresolved(_) => None,
-        }
-    }
 }
 
 /// Maps each file index to its crate's (package name, path ident) by the
 /// longest manifest-directory prefix.
-fn crate_map(ws: &Workspace) -> BTreeMap<usize, (String, String)> {
+pub(crate) fn crate_map(ws: &Workspace) -> BTreeMap<usize, (String, String)> {
     // (dir, package) pairs; root manifest has dir "".
     let mut dirs: Vec<(String, String)> = ws
         .manifests

@@ -68,8 +68,8 @@ pub struct Report {
     pub manifests_scanned: usize,
     /// Names of the rules that ran, sorted.
     pub rules: Vec<String>,
-    /// Per-crate debt counters (panic sites, tainted functions), keyed by
-    /// package name — the input to `--ratchet`.
+    /// Per-crate debt counters (panic sites, tainted functions, bare-`pub`
+    /// items), keyed by package name — the input to `--ratchet`.
     pub facts: BTreeMap<String, CrateCounts>,
 }
 
@@ -124,9 +124,10 @@ impl Report {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
-                "    {}: {{\"panic_sites\": {}, \"tainted_fns\": {}}}",
+                "    {}: {{\"panic_sites\": {}, \"pub_items\": {}, \"tainted_fns\": {}}}",
                 json_string(name),
                 c.panic_sites,
+                c.pub_items,
                 c.tainted_fns
             );
         }
@@ -209,6 +210,7 @@ mod tests {
             CrateCounts {
                 panic_sites: 4,
                 tainted_fns: 1,
+                pub_items: 7,
             },
         );
         Report {
@@ -256,7 +258,9 @@ mod tests {
         assert!(j1.contains("\"schema_version\": 2"));
         assert!(j1.contains("\"violations\": 3"));
         assert!(j1.contains("\"chain\": [\"a.rs:9: demo::top\", \"b.rs:2: demo::deep\"]"));
-        assert!(j1.contains("\"mp-demo\": {\"panic_sites\": 4, \"tainted_fns\": 1}"));
+        assert!(
+            j1.contains("\"mp-demo\": {\"panic_sites\": 4, \"pub_items\": 7, \"tainted_fns\": 1}")
+        );
     }
 
     #[test]

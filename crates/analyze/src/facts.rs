@@ -20,7 +20,7 @@
 //! cascade instead of requiring an allow at every transitive caller.
 //! Suppressions never sever edges in `fuzzed-decoder-no-panic` files.
 
-use crate::callgraph::{is_test_fn, CallGraph, Callee};
+use crate::callgraph::{crate_map, is_test_fn, CallGraph, Callee};
 use crate::config::Config;
 use crate::rules::{is_literal_index, matches_at, PANIC_SEQS};
 use crate::workspace::Workspace;
@@ -146,6 +146,11 @@ pub struct CrateCounts {
     /// Non-test functions containing at least one local taint source
     /// (suppressed or not).
     pub tainted_fns: usize,
+    /// Non-test item declarations (`fn`, `struct`, `enum`, `trait`,
+    /// `type`, `const`, `static`, `mod`) with bare `pub` visibility: the
+    /// public surface. `pub(crate)`/`pub(super)` items, `pub use`
+    /// re-exports and `pub` struct fields do not count.
+    pub pub_items: usize,
 }
 
 impl CrateCounts {
@@ -156,6 +161,7 @@ impl CrateCounts {
     pub const ZERO: CrateCounts = CrateCounts {
         panic_sites: 0,
         tainted_fns: 0,
+        pub_items: 0,
     };
 }
 
@@ -584,7 +590,33 @@ impl FactDb {
                 entry.tainted_fns += 1;
             }
         }
+        for (fi, (name, _)) in crate_map(ws) {
+            self.counts.entry(name).or_default().pub_items += pub_items(&ws.files[fi]);
+        }
     }
+}
+
+/// Keywords that open an item declaration after a visibility.
+const ITEM_KEYWORDS: [&str; 8] = [
+    "const", "enum", "fn", "mod", "static", "struct", "trait", "type",
+];
+
+/// Non-test item declarations in `file` with bare `pub` visibility: `pub`
+/// directly followed by an item keyword, so `pub(crate)`, `pub use` and
+/// `pub` fields (`pub name:`) fall out.
+fn pub_items(file: &crate::source::SourceFile) -> usize {
+    if file.role == crate::source::FileRole::Test {
+        return 0;
+    }
+    let src = file.text.as_str();
+    file.code_tokens()
+        .zip(file.code_tokens().skip(1))
+        .filter(|(vis, keyword)| {
+            vis.text(src) == "pub"
+                && ITEM_KEYWORDS.contains(&keyword.text(src))
+                && !file.in_test_region(vis.start)
+        })
+        .count()
 }
 
 /// Seeds in ascending function order (determinism).

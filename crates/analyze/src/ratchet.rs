@@ -1,6 +1,7 @@
 //! The burn-down ratchet: `analyze-baseline.toml` pins per-crate debt
 //! counters (lexical panic sites, locally-tainted functions — suppressed
-//! ones included, because a reasoned allow is still recorded debt), and
+//! ones included, because a reasoned allow is still recorded debt — and
+//! bare-`pub` items, the public surface), and
 //! `--ratchet` fails the run when any counter *rises*. When counters fall,
 //! the run stays green and a tightened baseline is suggested so the
 //! improvement gets locked in.
@@ -24,8 +25,8 @@ pub struct Baseline {
 
 impl Baseline {
     /// Parses the baseline file: `[crate-name]` sections with
-    /// `panic_sites = N` / `tainted_fns = N` integer keys. Unknown keys are
-    /// errors — a typo must not silently unpin a counter.
+    /// `panic_sites = N` / `pub_items = N` / `tainted_fns = N` integer keys.
+    /// Unknown keys are errors — a typo must not silently unpin a counter.
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let mut counts: BTreeMap<String, CrateCounts> = BTreeMap::new();
         let mut current: Option<String> = None;
@@ -67,10 +68,12 @@ impl Baseline {
             };
             match key.trim() {
                 "panic_sites" => entry.panic_sites = value,
+                "pub_items" => entry.pub_items = value,
                 "tainted_fns" => entry.tainted_fns = value,
                 other => {
                     return Err(format!(
-                        "line {lineno}: unknown key `{other}` (expected panic_sites or tainted_fns)"
+                        "line {lineno}: unknown key `{other}` \
+                         (expected panic_sites, pub_items or tainted_fns)"
                     ));
                 }
             }
@@ -90,8 +93,8 @@ impl Baseline {
         for (name, c) in counts {
             let _ = write!(
                 out,
-                "\n[{name}]\npanic_sites = {}\ntainted_fns = {}\n",
-                c.panic_sites, c.tainted_fns
+                "\n[{name}]\npanic_sites = {}\npub_items = {}\ntainted_fns = {}\n",
+                c.panic_sites, c.pub_items, c.tainted_fns
             );
         }
         out
@@ -134,6 +137,7 @@ pub fn compare(baseline: &Baseline, current: &BTreeMap<String, CrateCounts>) -> 
         let now = current.get(name).unwrap_or(&zero);
         for (what, was, is) in [
             ("panic_sites", pinned.panic_sites, now.panic_sites),
+            ("pub_items", pinned.pub_items, now.pub_items),
             ("tainted_fns", pinned.tainted_fns, now.tainted_fns),
         ] {
             if is > was {
@@ -217,6 +221,7 @@ mod tests {
                     CrateCounts {
                         panic_sites: p,
                         tainted_fns: t,
+                        pub_items: 0,
                     },
                 )
             })
@@ -252,6 +257,25 @@ mod tests {
         assert!(!out.passed());
         assert_eq!(out.regressions, vec!["mp-core: panic_sites rose 3 -> 4"]);
         assert_eq!(out.improvements, vec!["mp-core: tainted_fns fell 1 -> 0"]);
+    }
+
+    #[test]
+    fn pub_items_ratchet_like_debt() {
+        let with_pub = |n: usize| {
+            let mut c = counts(&[("mp-core", 3, 1)]);
+            c.get_mut("mp-core").unwrap().pub_items = n;
+            c
+        };
+        let rendered = Baseline::render(&with_pub(120));
+        assert!(rendered.contains("[mp-core]\npanic_sites = 3\npub_items = 120\ntainted_fns = 1\n"));
+        let baseline = Baseline::parse(&rendered).expect("own rendering parses");
+        assert_eq!(baseline.counts, with_pub(120));
+        let out = compare(&baseline, &with_pub(121));
+        assert!(!out.passed());
+        assert_eq!(out.regressions, vec!["mp-core: pub_items rose 120 -> 121"]);
+        let out = compare(&baseline, &with_pub(119));
+        assert!(out.passed());
+        assert_eq!(out.improvements, vec!["mp-core: pub_items fell 120 -> 119"]);
     }
 
     #[test]

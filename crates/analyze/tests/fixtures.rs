@@ -3,7 +3,8 @@
 //! visible interprocedurally — an indirect panic chain, a regression pin
 //! for the poisoned-lock chain found in the real workspace, a two-hop
 //! determinism taint into a serialization path, a two-lock ordering
-//! cycle, and a fuzzed-decoder file whose suppression is ignored.
+//! cycle, and a fuzzed-decoder file whose suppression is ignored — plus
+//! a public-surface file for the `pub_items` counter.
 //!
 //! To regenerate after an intentional diagnostic change:
 //!
@@ -85,4 +86,14 @@ fn honoured_suppression_stays_silent() {
             .any(|d| d.path == "crates/app/src/lib.rs" && d.line == 21),
         "the reasoned allow on parse_flag's unwrap was not honoured"
     );
+}
+
+#[test]
+fn pub_items_count_bare_pub_declarations_only() {
+    // fx-util's lib.rs declares 9 bare-`pub` items; surface.rs adds 6 and
+    // holds one each of `pub use`, a `pub` field, `pub(crate)`,
+    // `pub(super)` and a `pub fn` in `#[cfg(test)]`, none of which count.
+    let report = analyze_mini();
+    assert_eq!(report.facts["fx-util"].pub_items, 9 + 6);
+    assert_eq!(report.facts["fx-app"].pub_items, 7);
 }

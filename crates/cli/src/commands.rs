@@ -36,10 +36,10 @@ pub fn policy_by_name(name: &str) -> Result<SharePolicy, String> {
 /// retained heap bytes (partitions spill and rebuild on demand).
 ///
 /// Discovery metrics go to `recorder` ([`NoopRecorder`] for none).
-/// Callers that collect metrics should pass
-/// [`ParallelConfig::sequential`]: the shared PLI cache is consulted in
-/// nondeterministic order under a thread pool, so hit/miss counts are
-/// only byte-reproducible sequentially.
+/// Without a byte budget, the report, the cache statistics and the
+/// metrics are the same at every thread count. They depend on the
+/// schedule only when the budget evicts: the threads then race for which
+/// partitions stay resident.
 pub fn profile(
     relation: &Relation,
     parallel: ParallelConfig,
@@ -51,7 +51,7 @@ pub fn profile(
         .map_err(|e| e.to_string())?;
     let stats = ctx.cache_stats();
     let mut out = format!(
-        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs\nPLI cache: {} ({} threads)\n\n",
+        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs\nPLI cache: {}\n\n",
         relation.n_rows(),
         relation.arity(),
         profile.fds.len(),
@@ -61,7 +61,6 @@ pub fn profile(
         profile.dds.len(),
         profile.ofds.len(),
         stats,
-        ctx.threads(),
     );
     let names: Vec<String> = relation
         .schema()

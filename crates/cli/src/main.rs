@@ -61,8 +61,9 @@ fn run(argv: &[String]) -> Result<String, String> {
                 mp_discovery::MemoryBudget::from_mb(budget_mb)
             };
             match parsed.options.get("metrics-json") {
-                // Sequential: shared-cache hit/miss order is racy under a
-                // thread pool, and the snapshot must be byte-reproducible.
+                // Sequential: under a byte budget that evicts, the shared
+                // cache's hit/miss counts depend on the thread schedule,
+                // and the snapshot must be byte-reproducible.
                 Some(path) => {
                     let registry = Arc::new(Registry::new());
                     // Observed ingest: the streaming decoder's chunk/record

@@ -28,7 +28,6 @@ pub mod experiment;
 pub mod identifiability;
 pub mod leakage;
 pub mod matrix;
-pub mod metric;
 pub mod report;
 pub mod seed;
 
@@ -45,9 +44,6 @@ pub use leakage::{
 };
 pub use matrix::{
     LeakageMatrix, MatrixCell, MatrixConfig, MatrixDataset, MatrixPolicy, MetadataClass,
-};
-pub use metric::{
-    continuous_matches_metric, distance_series, tuple_distance_matches, ScalarMetric, VectorMetric,
 };
 pub use report::{na_cell, TextTable};
 pub use seed::seed_for;

@@ -9,7 +9,6 @@
 //! else is near-key noise. Useful as a contrast dataset in tests and
 //! benches.
 
-use mp_metadata::{Dependency, Fd, OrderDep};
 use mp_relation::{Attribute, Relation, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +31,7 @@ pub mod iris_attrs {
 }
 
 /// Builds the reconstruction with the given seed.
-pub fn iris_like_with_seed(seed: u64) -> Relation {
+fn iris_like_with_seed(seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = Schema::new(vec![
         Attribute::continuous("sepal_length"),
@@ -80,20 +79,20 @@ pub fn iris_like() -> Relation {
     iris_like_with_seed(0x1815)
 }
 
-/// The dependencies guaranteed by construction.
-pub fn iris_dependencies() -> Vec<Dependency> {
-    use iris_attrs::*;
-    vec![
-        Fd::new(PETAL_LENGTH, SPECIES).into(),
-        OrderDep::ascending(PETAL_LENGTH, SPECIES).into(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iris_attrs::*;
+    use mp_metadata::{Dependency, Fd, OrderDep};
     use mp_relation::Domain;
+
+    /// The dependencies guaranteed by construction.
+    fn iris_dependencies() -> Vec<Dependency> {
+        vec![
+            Fd::new(PETAL_LENGTH, SPECIES).into(),
+            OrderDep::ascending(PETAL_LENGTH, SPECIES).into(),
+        ]
+    }
 
     #[test]
     fn shape_and_domains() {

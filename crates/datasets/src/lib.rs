@@ -32,5 +32,5 @@ pub use echocardiogram::{
 pub use employee::{attrs as employee_attrs, employee};
 pub use fintech::{fintech_scenario, FintechParty, FintechScenario};
 pub use generator::{all_classes_spec, ColumnSpec, SyntheticRelation, SyntheticSpec};
-pub use iris::{iris_attrs, iris_dependencies, iris_like, iris_like_with_seed, IRIS_ROWS};
+pub use iris::{iris_attrs, iris_like, IRIS_ROWS};
 pub use scale::{scale_relation, SCALE_ARITY, SCALE_BASE_CARDINALITY};

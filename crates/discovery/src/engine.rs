@@ -57,11 +57,6 @@ impl ParallelConfig {
             cache_capacity: 0,
         }
     }
-
-    /// The resolved worker count (`threads == 0` → machine parallelism).
-    pub fn effective_threads(&self) -> usize {
-        par::effective_threads(self.threads)
-    }
 }
 
 /// A memory budget for discovery, in bytes of estimated retained
@@ -185,11 +180,6 @@ impl<'r> DiscoveryContext<'r> {
     /// The configured budget.
     pub fn parallel(&self) -> &ParallelConfig {
         &self.parallel
-    }
-
-    /// The resolved worker count.
-    pub fn threads(&self) -> usize {
-        self.parallel.effective_threads()
     }
 
     /// Snapshot of the shared cache's counters.

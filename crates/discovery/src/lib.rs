@@ -34,9 +34,7 @@ mod tane;
 pub use cfd::{discover_cfds, CfdConfig};
 pub use dd::{discover_dds_with, tight_delta, DdConfig};
 pub use engine::{DiscoveryContext, MemoryBudget, ParallelConfig};
-pub use mfd::{
-    discover_mfds, discover_sds, discover_variable_cfds, MfdConfig, SdConfig, VariableCfdConfig,
-};
+pub use mfd::{discover_mfds, MfdConfig};
 pub use nd::{discover_nds_with, NdConfig};
 pub use od::{discover_approx_ods, discover_ods_with, od_error, od_violations, OdConfig};
 pub use ofd::discover_ofds_with;

@@ -125,3 +125,44 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn unbudgeted_profile_metrics_are_thread_count_invariant() {
+    // Without a byte budget nothing is evicted, so every partition the
+    // profile asks for is built exactly once whatever the schedule: the
+    // metrics snapshot and the cache statistics (the `mpriv profile`
+    // report line) must not depend on the thread count.
+    let relations = [
+        mp_datasets::employee(),
+        mp_datasets::echocardiogram(),
+        mp_datasets::bank_table(200).relation,
+        mp_datasets::all_classes_spec(500, 7)
+            .generate()
+            .unwrap()
+            .relation,
+    ];
+    for (i, rel) in relations.iter().enumerate() {
+        let run = |threads: usize| {
+            let registry = Arc::new(Registry::new());
+            let ctx = DiscoveryContext::instrumented_with_budget(
+                rel,
+                ParallelConfig {
+                    threads,
+                    ..ParallelConfig::default()
+                },
+                MemoryBudget::unlimited(),
+                registry.clone(),
+            );
+            DependencyProfile::discover_with(&ctx, &ProfileConfig::paper()).unwrap();
+            (registry.snapshot().to_json(), ctx.cache_stats().to_string())
+        };
+        let sequential = run(1);
+        for threads in [2, 4] {
+            assert_eq!(
+                run(threads),
+                sequential,
+                "relation {i} at {threads} threads"
+            );
+        }
+    }
+}

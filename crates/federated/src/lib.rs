@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-mod bloom;
 pub mod check;
 pub mod horizontal;
 pub mod model;
@@ -41,9 +40,6 @@ pub mod serve;
 pub mod sim;
 pub mod transport;
 
-pub use bloom::{
-    bloom_candidate_rows, bloom_candidate_rows_windowed, windowed_filters, BloomFilter,
-};
 pub use check::{
     model_check, small_world_session, CheckConfig, CheckReport, Decision, ViolationRecord,
     MAX_PARTIES,

@@ -240,6 +240,14 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The body length claimed by the prefix `bytes` starts with, once all 4
+/// prefix bytes are there.
+fn len_prefix(bytes: &[u8]) -> Option<u32> {
+    let mut buf = [0u8; 4];
+    buf.copy_from_slice(bytes.get(..4)?);
+    Some(u32::from_le_bytes(buf))
+}
+
 fn read_u64(body: &[u8], at: usize) -> Option<u64> {
     let chunk = body.get(at..at.checked_add(8)?)?;
     let mut buf = [0u8; 8];
@@ -465,12 +473,9 @@ impl FrameBuffer {
     /// Decodes the next complete frame, if the buffer holds one.
     pub fn next_frame(&mut self) -> Result<Option<SessionFrame>, FrameError> {
         let avail = &self.buf[self.consumed..];
-        let Some(prefix) = avail.get(..4) else {
+        let Some(len) = len_prefix(avail) else {
             return Ok(None);
         };
-        let mut lenb = [0u8; 4];
-        lenb.copy_from_slice(prefix);
-        let len = u32::from_le_bytes(lenb);
         if len == 0 {
             return Err(FrameError::ZeroLength {
                 offset: self.consumed,
@@ -493,6 +498,19 @@ impl FrameBuffer {
         self.consumed += total;
         Ok(Some(frame))
     }
+
+    /// Bytes still missing from the frame that starts at the first
+    /// undecoded byte: 0 when nothing is pending, else up to the 4-byte
+    /// length prefix or up to the end of the body it claims.
+    fn missing_bytes(&self) -> usize {
+        let avail = &self.buf[self.consumed..];
+        let wanted = match len_prefix(avail) {
+            Some(len) => 4usize.saturating_add(len as usize),
+            None if avail.is_empty() => 0,
+            None => 4,
+        };
+        wanted.saturating_sub(avail.len())
+    }
 }
 
 /// Strictly decodes a complete byte string as a sequence of frames.
@@ -502,42 +520,19 @@ impl FrameBuffer {
 /// fuzz target drives, paired with [`encode_stream`] as its canonical
 /// re-encoding.
 pub fn decode_stream(bytes: &[u8]) -> Result<Vec<SessionFrame>, FrameError> {
+    let mut buffer = FrameBuffer::new();
+    buffer.extend(bytes);
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let Some(prefix) = bytes.get(pos..pos + 4) else {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-                needed: pos + 4 - bytes.len(),
-            });
-        };
-        let mut lenb = [0u8; 4];
-        lenb.copy_from_slice(prefix);
-        let len = u32::from_le_bytes(lenb);
-        if len == 0 {
-            return Err(FrameError::ZeroLength { offset: pos });
-        }
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge {
-                claimed: len,
-                cap: MAX_FRAME_BYTES,
-            });
-        }
-        let total = 4usize.saturating_add(len as usize);
-        let end = pos.saturating_add(total);
-        let Some(frame_bytes) = bytes.get(pos + 4..end) else {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-                needed: end - bytes.len(),
-            });
-        };
-        let (&kind, body) = frame_bytes
-            .split_first()
-            .ok_or(FrameError::BadKind { kind: 0 })?;
-        frames.push(decode_body(kind, body)?);
-        pos = end;
+    while let Some(frame) = buffer.next_frame()? {
+        frames.push(frame);
     }
-    Ok(frames)
+    match buffer.missing_bytes() {
+        0 => Ok(frames),
+        needed => Err(FrameError::Truncated {
+            offset: bytes.len(),
+            needed,
+        }),
+    }
 }
 
 /// Serialises a frame sequence; the canonical inverse of

@@ -130,11 +130,6 @@ impl MetadataPackage {
         Ok(pkg)
     }
 
-    /// `true` if any attribute's distribution is shared.
-    pub fn shares_distributions(&self) -> bool {
-        self.attributes.iter().any(|a| a.distribution.is_some())
-    }
-
     /// Number of attributes described.
     pub fn arity(&self) -> usize {
         self.attributes.len()

@@ -28,7 +28,6 @@ mod inference;
 mod mfd;
 mod pool;
 mod redaction;
-mod seq;
 
 pub use attrset::AttrSet;
 pub use cfd::{ConditionalFd, PatternCell};
@@ -41,7 +40,6 @@ pub use exchange::{AttributeMeta, ExchangeError, MetadataPackage, FORMAT_VERSION
 pub use generalization::DomainGeneralization;
 pub use graph::{DependencyGraph, PlanStep};
 pub use inference::FdSet;
-pub use mfd::{discover_inds, InclusionDep, MetricFd};
+pub use mfd::MetricFd;
 pub use pool::PoolError;
 pub use redaction::SharePolicy;
-pub use seq::SequentialDep;

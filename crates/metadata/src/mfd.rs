@@ -7,7 +7,7 @@
 //! between the FD (δ = 0) and the unconstrained pair; its generation and
 //! privacy behaviour interpolate the paper's FD and DD analyses.
 
-use mp_relation::{Pli, Relation, Result, Value};
+use mp_relation::{Pli, Relation, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -71,73 +71,10 @@ impl fmt::Display for MetricFd {
     }
 }
 
-/// An inclusion dependency (IND) `R.A ⊆ S.B` between two relations —
-/// the cross-silo metadata used during VFL schema matching (the paper's
-/// Figure 1 parties must first agree which columns refer to the same
-/// concepts).
-///
-/// Privacy note: *declaring* an IND to a partner asserts that every value
-/// of your column appears in theirs — the partner can then intersect its
-/// own column with generated candidates, shrinking the effective domain
-/// of yours. Like domains, INDs are value-level metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InclusionDep {
-    /// Column of the including relation (ours).
-    pub from_attr: usize,
-    /// Column of the included-in relation (theirs).
-    pub to_attr: usize,
-}
-
-impl InclusionDep {
-    /// Creates `from.from_attr ⊆ to.to_attr`.
-    pub fn new(from_attr: usize, to_attr: usize) -> Self {
-        Self { from_attr, to_attr }
-    }
-
-    /// Exact validation: every non-null value of `from`'s column appears
-    /// in `to`'s column.
-    pub fn holds(&self, from: &Relation, to: &Relation) -> Result<bool> {
-        let to_vals = to.column_values(self.to_attr)?;
-        let mut haystack: Vec<&Value> = to_vals.iter().collect();
-        haystack.sort();
-        haystack.dedup();
-        Ok(from
-            .column_values(self.from_attr)?
-            .iter()
-            .filter(|v| !v.is_null())
-            .all(|v| haystack.binary_search(&v).is_ok()))
-    }
-}
-
-impl fmt::Display for InclusionDep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "IND from.{} ⊆ to.{}", self.from_attr, self.to_attr)
-    }
-}
-
-/// Discovers all unary INDs from `from` into `to`: pairs `(a, b)` with
-/// `from.a ⊆ to.b`, skipping empty `from` columns (vacuous).
-pub fn discover_inds(from: &Relation, to: &Relation) -> Result<Vec<InclusionDep>> {
-    let mut out = Vec::new();
-    for a in 0..from.arity() {
-        let non_null = from.column(a)?.null_count() < from.n_rows();
-        if !non_null {
-            continue;
-        }
-        for b in 0..to.arity() {
-            let ind = InclusionDep::new(a, b);
-            if ind.holds(from, to)? {
-                out.push(ind);
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_relation::{Attribute, Schema};
+    use mp_relation::{Attribute, Schema, Value};
 
     fn rel(vals: &[(&str, f64)]) -> Relation {
         let schema = Schema::new(vec![
@@ -202,51 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn ind_semantics() {
-        let from = rel(&[("a", 1.0), ("b", 2.0)]);
-        let to = rel(&[("a", 1.0), ("b", 5.0), ("c", 9.0)]);
-        assert!(InclusionDep::new(0, 0).holds(&from, &to).unwrap());
-        assert!(!InclusionDep::new(1, 1).holds(&from, &to).unwrap()); // 2.0 ∉ {1,5,9}
-        assert!(!InclusionDep::new(0, 1).holds(&from, &to).unwrap());
-    }
-
-    #[test]
-    fn ind_nulls_are_ignored_on_the_from_side() {
-        let schema = Schema::new(vec![Attribute::categorical("k")]).unwrap();
-        let from =
-            Relation::from_rows(schema.clone(), vec![vec!["a".into()], vec![Value::Null]]).unwrap();
-        let to = Relation::from_rows(schema, vec![vec!["a".into()]]).unwrap();
-        assert!(InclusionDep::new(0, 0).holds(&from, &to).unwrap());
-    }
-
-    #[test]
-    fn ind_discovery() {
-        let from = rel(&[("a", 1.0), ("b", 2.0)]);
-        let to = rel(&[("a", 1.0), ("b", 2.0), ("c", 3.0)]);
-        let inds = discover_inds(&from, &to).unwrap();
-        assert!(inds.contains(&InclusionDep::new(0, 0)));
-        assert!(inds.contains(&InclusionDep::new(1, 1)));
-        assert!(!inds.contains(&InclusionDep::new(0, 1)));
-        // Every discovered IND holds.
-        for ind in &inds {
-            assert!(ind.holds(&from, &to).unwrap());
-        }
-    }
-
-    #[test]
-    fn ind_discovery_skips_all_null_columns() {
-        let schema = Schema::new(vec![Attribute::categorical("k")]).unwrap();
-        let from = Relation::from_rows(schema.clone(), vec![vec![Value::Null]]).unwrap();
-        let to = Relation::from_rows(schema, vec![vec!["a".into()]]).unwrap();
-        assert!(discover_inds(&from, &to).unwrap().is_empty());
-    }
-
-    #[test]
     fn displays() {
         assert_eq!(
             MetricFd::new(0, 1, 2.5).to_string(),
             "MFD 0 -> 1 (delta=2.5)"
         );
-        assert_eq!(InclusionDep::new(2, 3).to_string(), "IND from.2 ⊆ to.3");
     }
 }

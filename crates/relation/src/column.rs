@@ -301,14 +301,6 @@ impl Column {
         }
     }
 
-    /// The integer data and null mask of a [`Column::Int`] column.
-    pub fn as_int_parts(&self) -> Option<(&[i64], &Bitmap)> {
-        match self {
-            Column::Int { values, nulls } => Some((values, nulls)),
-            _ => None,
-        }
-    }
-
     /// The dictionary and codes of a [`Column::Categorical`] column.
     pub fn as_categorical_parts(&self) -> Option<(&[String], &[u32])> {
         match self {
@@ -498,7 +490,7 @@ impl Column {
     /// first non-null value's layout; `Int` + `Float` unify as `Float`
     /// when exact, and anything unrepresentable falls back to
     /// [`Column::Boxed`]). Storage-level only — kind/homogeneity checking
-    /// happens in [`ColumnBuilder`] / `Relation`.
+    /// happens in `Relation`'s constructors.
     pub fn push_value(&mut self, v: Value) {
         match v {
             Value::Null => match self {
@@ -736,114 +728,34 @@ impl PartialEq for Column {
 
 impl Eq for Column {}
 
-/// Incremental, kind-checked builder of one typed column.
+/// Incremental, kind-agnostic builder of one typed column.
 ///
-/// Performs the same homogeneity checks as the pre-columnar substrate
-/// (continuous columns accept any numeric; categorical columns accept a
-/// single non-null variant established by the first non-null value) and
-/// keeps a hash lookup for dictionary codes so bulk categorical builds
-/// cost O(1) per cell instead of a linear dictionary scan.
-#[derive(Debug, Clone)]
-pub struct ColumnBuilder {
-    attr: Attribute,
-    column: Column,
-    dict_lookup: HashMap<String, u32>,
-}
-
-impl ColumnBuilder {
-    /// Starts an empty builder for `attr`.
-    pub fn new(attr: Attribute) -> Self {
-        Self {
-            attr,
-            column: Column::default(),
-            dict_lookup: HashMap::new(),
-        }
-    }
-
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.column.len()
-    }
-
-    /// `true` when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.column.is_empty()
-    }
-
-    /// Checks `v` against the attribute's kind and the column's
-    /// established type without appending. Row-wise relation builders
-    /// pre-check every cell of a row so a failed row leaves no partial
-    /// state behind.
-    pub fn check(&self, v: &Value) -> Result<()> {
-        check_kind(&self.attr, &self.column, v)
-    }
-
-    /// Checks `v` against the attribute's kind and the column's
-    /// established type, then appends it.
-    pub fn push(&mut self, v: Value) -> Result<()> {
-        check_kind(&self.attr, &self.column, &v)?;
-        if let (Column::Categorical { dict, codes }, Value::Text(s)) = (&mut self.column, &v) {
-            // Fast dictionary path with the hash lookup.
-            let code = match self.dict_lookup.get(s.as_str()) {
-                Some(&c) => c,
-                None => {
-                    dict.push(s.clone());
-                    let c = dict.len() as u32;
-                    self.dict_lookup.insert(s.clone(), c);
-                    c
-                }
-            };
-            codes.push(code);
-            return Ok(());
-        }
-        self.column.push_value(v);
-        // The first text promotes the column to Categorical; seed the
-        // lookup so subsequent pushes take the fast path.
-        if let Column::Categorical { dict, .. } = &self.column {
-            if self.dict_lookup.len() != dict.len() {
-                self.dict_lookup = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.clone(), (i + 1) as u32))
-                    .collect();
-            }
-        }
-        Ok(())
-    }
-
-    /// Finishes the build.
-    pub fn finish(self) -> Column {
-        self.column
-    }
-}
-
-/// Incremental, kind-*agnostic* builder of one typed column, for streaming
-/// ingest.
-///
-/// Unlike [`ColumnBuilder`], no homogeneity checking happens while rows
-/// arrive: a CSV column's attribute kind is only known once the whole
-/// column has been seen (or a `#kinds` row declared it up front), so kind
-/// validation is deferred to finalisation
-/// ([`Relation::from_typed_columns`](crate::Relation::from_typed_columns)
-/// runs the whole-column equivalent of the per-value checks). Promotion
-/// rules are exactly [`Column::push_value`]'s, and categorical appends use
-/// the same hashed dictionary fast path as [`ColumnBuilder`], so the
-/// finished column is identical to one built by pushing the same values
-/// through either path.
+/// No homogeneity checking happens while rows arrive. Builders that know
+/// the attribute up front ([`RelationBuilder`](crate::RelationBuilder),
+/// [`Relation::from_columns`](crate::Relation::from_columns)) check each
+/// value against the column built so far before pushing it; CSV ingest
+/// learns a column's kind only once the whole column has been seen (or a
+/// `#kinds` row declared it), so it defers validation to
+/// [`Relation::from_typed_columns`](crate::Relation::from_typed_columns).
+/// Promotion rules are exactly [`Column::push_value`]'s, but categorical
+/// appends find their code through a hashed dictionary lookup, so bulk
+/// builds cost O(1) per cell instead of a linear dictionary scan. The
+/// finished column, dictionary order included, is the one that pushing
+/// the same values through [`Column::push_value`] builds.
 ///
 /// The builder also tracks whether any text and any numeric value was
 /// pushed — the two facts CSV kind inference and the mixed-column
 /// stringify pass need, gathered here so ingest never has to re-scan the
 /// column.
 #[derive(Debug, Clone, Default)]
-pub struct StreamingColumnBuilder {
+pub struct ColumnBuilder {
     column: Column,
     dict_lookup: HashMap<String, u32>,
     saw_text: bool,
     saw_numeric: bool,
 }
 
-impl StreamingColumnBuilder {
+impl ColumnBuilder {
     /// Starts an empty builder.
     pub fn new() -> Self {
         Self::default()
@@ -860,14 +772,20 @@ impl StreamingColumnBuilder {
     }
 
     /// `true` when any [`Value::Text`] was pushed.
-    pub fn saw_text(&self) -> bool {
+    pub(crate) fn saw_text(&self) -> bool {
         self.saw_text
     }
 
     /// `true` when any non-null numeric ([`Value::Int`] / [`Value::Float`])
     /// was pushed.
-    pub fn saw_numeric(&self) -> bool {
+    pub(crate) fn saw_numeric(&self) -> bool {
         self.saw_numeric
+    }
+
+    /// Checks `v` against `attr`'s kind and the type the column has
+    /// established so far, without appending.
+    pub(crate) fn check(&self, attr: &Attribute, v: &Value) -> Result<()> {
+        check_kind(attr, &self.column, v)
     }
 
     /// Appends one value, promoting the physical layout as needed (see
@@ -1030,12 +948,19 @@ pub(crate) fn check_column_kind(attr: &Attribute, col: &Column) -> Result<()> {
 mod tests {
     use super::*;
 
-    fn col_from(attr: Attribute, values: &[Value]) -> Column {
-        let mut b = ColumnBuilder::new(attr);
+    /// Builds a column the way `Relation::from_columns` does: each value
+    /// is kind-checked against the column so far, then pushed.
+    fn try_col_from(attr: &Attribute, values: &[Value]) -> Result<Column> {
+        let mut b = ColumnBuilder::new();
         for v in values {
-            b.push(v.clone()).unwrap();
+            b.check(attr, v)?;
+            b.push(v.clone());
         }
-        b.finish()
+        Ok(b.finish())
+    }
+
+    fn col_from(attr: Attribute, values: &[Value]) -> Column {
+        try_col_from(&attr, values).unwrap()
     }
 
     #[test]
@@ -1143,9 +1068,11 @@ mod tests {
 
     #[test]
     fn kind_checks_match_boxed_semantics() {
-        let mut b = ColumnBuilder::new(Attribute::continuous("age"));
-        b.push(Value::Int(3)).unwrap();
-        let err = b.push("old".into()).unwrap_err();
+        let err = try_col_from(
+            &Attribute::continuous("age"),
+            &[Value::Int(3), "old".into()],
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             RelationError::TypeMismatch {
@@ -1155,9 +1082,11 @@ mod tests {
             }
         ));
 
-        let mut b = ColumnBuilder::new(Attribute::categorical("name"));
-        b.push("x".into()).unwrap();
-        let err = b.push(Value::Int(3)).unwrap_err();
+        let err = try_col_from(
+            &Attribute::categorical("name"),
+            &["x".into(), Value::Int(3)],
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             RelationError::TypeMismatch {
@@ -1180,11 +1109,8 @@ mod tests {
                 Value::Float(0.0),
             ],
         ] {
-            let mut b = ColumnBuilder::new(Attribute::categorical("x"));
-            let col = match vals.iter().try_for_each(|v| b.push(v.clone()).map(|_| ())) {
-                Ok(()) => b.finish(),
-                Err(_) => Column::Boxed(vals.clone()),
-            };
+            let col = try_col_from(&Attribute::categorical("x"), &vals)
+                .unwrap_or_else(|_| Column::Boxed(vals.clone()));
             let (codes, bound) = col.group_codes();
             assert!(codes.iter().all(|&c| (c as usize) < bound));
             for i in 0..vals.len() {
@@ -1242,7 +1168,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builder_matches_push_value_layouts() {
+    fn builder_matches_push_value_layouts() {
         for vals in [
             vec!["a".into(), Value::Null, "b".into(), "a".into()],
             vec![Value::Int(1), Value::Float(2.5), Value::Null],
@@ -1250,7 +1176,7 @@ mod tests {
             vec![Value::Int(i64::MAX), Value::Float(0.5)],
             vec![Value::Null, "z".into(), Value::Int(3)],
         ] {
-            let mut b = StreamingColumnBuilder::new();
+            let mut b = ColumnBuilder::new();
             for v in &vals {
                 b.push(v.clone());
             }
@@ -1266,8 +1192,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builder_tracks_text_and_numeric() {
-        let mut b = StreamingColumnBuilder::new();
+    fn builder_tracks_text_and_numeric() {
+        let mut b = ColumnBuilder::new();
         assert!(!b.saw_text() && !b.saw_numeric() && b.is_empty());
         b.push(Value::Null);
         assert!(!b.saw_text() && !b.saw_numeric());

@@ -7,14 +7,14 @@
 //!
 //! Ingest is *streaming*: [`read_path`] / [`read_stream`] decode the input
 //! in fixed-size chunks through an incremental record splitter straight
-//! into typed-column builders ([`crate::StreamingColumnBuilder`]), so peak
+//! into typed-column builders ([`crate::ColumnBuilder`]), so peak
 //! memory is the typed columns plus one chunk — never the whole file as a
 //! `String` plus a boxed row copy. [`read_str`] runs the same machinery
 //! over a single in-memory chunk, which makes the two paths identical by
 //! construction: same `Relation`, same typed errors, independent of where
 //! chunk boundaries fall.
 
-use crate::column::StreamingColumnBuilder;
+use crate::column::ColumnBuilder;
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::{AttrKind, Attribute, Schema};
@@ -443,7 +443,7 @@ struct StreamIngest<'o> {
     /// The next record may be the `#kinds` annotation row.
     awaiting_kinds: bool,
     declared_kinds: Option<Vec<AttrKind>>,
-    builders: Vec<StreamingColumnBuilder>,
+    builders: Vec<ColumnBuilder>,
     /// Data records consumed so far (drives ragged-row line numbers).
     data_rows: usize,
     /// All records consumed so far (header and `#kinds` included).
@@ -475,9 +475,7 @@ impl<'o> StreamIngest<'o> {
         self.records += 1;
         if self.names.is_none() {
             self.arity = record.len();
-            self.builders = (0..self.arity)
-                .map(|_| StreamingColumnBuilder::new())
-                .collect();
+            self.builders = (0..self.arity).map(|_| ColumnBuilder::new()).collect();
             if self.opts.has_header {
                 self.names = Some(record.fields().map(str::to_owned).collect());
                 self.awaiting_kinds = self.opts.kind_row;
@@ -619,7 +617,7 @@ impl<'o> StreamIngest<'o> {
                 kind == AttrKind::Categorical && builder.saw_text() && builder.saw_numeric();
             let mut column = builder.finish();
             if stringify {
-                let mut rebuilt = StreamingColumnBuilder::new();
+                let mut rebuilt = ColumnBuilder::new();
                 for row in 0..column.len() {
                     let v = column.value(row);
                     if v.as_f64().is_some() {

@@ -42,7 +42,7 @@ mod schema;
 mod stats;
 mod value;
 
-pub use column::{Bitmap, Column, ColumnBuilder, StreamingColumnBuilder};
+pub use column::{Bitmap, Column, ColumnBuilder};
 pub use domain::Domain;
 pub use error::{RelationError, Result};
 pub use partition::{Pli, Signature};

@@ -81,9 +81,10 @@ impl Relation {
                     got: col.len(),
                 });
             }
-            let mut b = ColumnBuilder::new(attr);
+            let mut b = ColumnBuilder::new();
             for v in col {
-                b.push(v)?;
+                b.check(&attr, &v)?;
+                b.push(v);
             }
             typed.push(b.finish());
         }
@@ -168,11 +169,6 @@ impl Relation {
         Ok(self.column(index)?.to_values())
     }
 
-    /// The column named `name` materialised as owned [`Value`]s.
-    pub fn column_values_by_name(&self, name: &str) -> Result<Vec<Value>> {
-        Ok(self.column_by_name(name)?.to_values())
-    }
-
     /// The cell at (`row`, `col`), materialised.
     pub fn value(&self, row: usize, col: usize) -> Result<Value> {
         Ok(self.value_ref(row, col)?.to_value())
@@ -218,15 +214,6 @@ impl Relation {
             columns,
             n_rows: self.n_rows,
         })
-    }
-
-    /// Projection by attribute names.
-    pub fn project_names(&self, names: &[&str]) -> Result<Relation> {
-        let indices: Vec<usize> = names
-            .iter()
-            .map(|n| self.schema.index_of(n))
-            .collect::<Result<_>>()?;
-        self.project(&indices)
     }
 
     /// Horizontal slice keeping only the tuples at `row_indices`
@@ -294,18 +281,6 @@ impl Relation {
         let mut order: Vec<usize> = (0..self.n_rows).collect();
         order.sort_by(|&a, &b| key.value_ref(a).cmp(&key.value_ref(b)));
         self.select_rows(&order)
-    }
-
-    /// Rows where `predicate` holds on the value of column `col`.
-    pub fn filter_rows<F>(&self, col: usize, predicate: F) -> Result<Relation>
-    where
-        F: Fn(ValueRef<'_>) -> bool,
-    {
-        let column = self.column(col)?;
-        let keep: Vec<usize> = (0..self.n_rows)
-            .filter(|&r| predicate(column.value_ref(r)))
-            .collect();
-        self.select_rows(&keep)
     }
 
     /// Number of distinct values in column `col` (nulls count as one value).
@@ -377,11 +352,7 @@ pub struct RelationBuilder {
 impl RelationBuilder {
     /// Starts an empty builder over `schema`.
     pub fn new(schema: Schema) -> Self {
-        let builders = schema
-            .attributes()
-            .iter()
-            .map(|a| ColumnBuilder::new(a.clone()))
-            .collect();
+        let builders = (0..schema.arity()).map(|_| ColumnBuilder::new()).collect();
         Self {
             schema,
             builders,
@@ -398,11 +369,17 @@ impl RelationBuilder {
                 got: row.len(),
             });
         }
-        for (b, v) in self.builders.iter().zip(&row) {
-            b.check(v)?;
+        for ((attr, b), v) in self
+            .schema
+            .attributes()
+            .iter()
+            .zip(&self.builders)
+            .zip(&row)
+        {
+            b.check(attr, v)?;
         }
         for (b, v) in self.builders.iter_mut().zip(row) {
-            b.push(v)?;
+            b.push(v);
         }
         self.n_rows += 1;
         Ok(self)
@@ -546,7 +523,7 @@ mod tests {
     #[test]
     fn projection_and_selection() {
         let r = sample();
-        let p = r.project_names(&["dept", "name"]).unwrap();
+        let p = r.project(&[2, 0]).unwrap();
         assert_eq!(p.arity(), 2);
         assert_eq!(p.column(0).unwrap().value(0), Value::Text("Sales".into()));
 
@@ -679,21 +656,6 @@ mod tests {
         // Stability: Bob (row 1) precedes Charlie (row 2) among age ties.
         assert_eq!(r.value(1, 0).unwrap(), Value::Text("Bob".into()));
         assert_eq!(r.value(2, 0).unwrap(), Value::Text("Charlie".into()));
-    }
-
-    #[test]
-    fn filter_rows_by_predicate() {
-        let r = sample()
-            .filter_rows(2, |v| v == ValueRef::Text("Sales"))
-            .unwrap();
-        assert_eq!(r.n_rows(), 2);
-        assert!(r
-            .column(2)
-            .unwrap()
-            .iter()
-            .all(|v| v == ValueRef::Text("Sales")));
-        let none = sample().filter_rows(2, |_| false).unwrap();
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -131,56 +131,6 @@ pub fn generate_dd_column<R: Rng + ?Sized>(
     out
 }
 
-/// Generates a dependent column under an **SD** `X ↦ Y (gaps ∈ [lo, hi])`:
-/// the distinct determinant values, in ascending order, receive Y values
-/// built by a cumulative walk whose steps are uniform in `[lo, hi]`,
-/// started uniformly in the domain and clamped to it. X-ties share a
-/// value (as in OD generation), so the generated pair satisfies the SD.
-pub fn generate_sd_column<R: Rng + ?Sized>(
-    lhs_col: &[Value],
-    rhs_domain: &Domain,
-    min_gap: f64,
-    max_gap: f64,
-    n_rows: usize,
-    rng: &mut R,
-) -> Vec<Value> {
-    let (dom_min, dom_max) = match rhs_domain {
-        Domain::Continuous { min, max } => (*min, *max),
-        Domain::Categorical(_) => {
-            return (0..n_rows)
-                .map(|_| sample_uniform(rhs_domain, rng))
-                .collect();
-        }
-    };
-    let mut distinct: Vec<&Value> = lhs_col.iter().collect();
-    distinct.sort();
-    distinct.dedup();
-    if distinct.is_empty() {
-        return Vec::new();
-    }
-    let mut y = if dom_max > dom_min {
-        rng.gen_range(dom_min..=dom_max)
-    } else {
-        dom_min
-    };
-    let mut seq = Vec::with_capacity(distinct.len());
-    seq.push(y);
-    for _ in 1..distinct.len() {
-        let step = if max_gap > min_gap {
-            rng.gen_range(min_gap..=max_gap)
-        } else {
-            min_gap
-        };
-        y += step;
-        seq.push(y);
-    }
-    let mapping: HashMap<&Value, Value> = distinct
-        .into_iter()
-        .zip(seq.into_iter().map(Value::Float))
-        .collect();
-    (0..n_rows).map(|r| mapping[&lhs_col[r]].clone()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,29 +266,5 @@ mod tests {
         let dom = Domain::categorical(vec!["a", "b"]);
         let y = generate_dd_column(&x, &dom, 1.0, 0.5, 2, &mut rng);
         assert!(y.iter().all(|v| dom.contains(v)));
-    }
-
-    #[test]
-    fn sd_generation_satisfies_sd() {
-        use mp_metadata::SequentialDep;
-        let mut rng = StdRng::seed_from_u64(30);
-        let x: Vec<Value> = (0..80).map(|i| Value::Float((i % 8) as f64)).collect();
-        let dom = Domain::continuous(0.0, 100.0);
-        let y = generate_sd_column(&x, &dom, 0.5, 2.0, 80, &mut rng);
-        let r = rel(Attribute::continuous("x"), x, Attribute::continuous("y"), y);
-        assert!(SequentialDep::new(0, 1, 0.5, 2.0).holds(&r).unwrap());
-        // Bounded positive gaps imply the ascending OD too.
-        assert!(OrderDep::ascending(0, 1).holds(&r).unwrap());
-    }
-
-    #[test]
-    fn sd_generation_fixed_gap() {
-        use mp_metadata::SequentialDep;
-        let mut rng = StdRng::seed_from_u64(31);
-        let x: Vec<Value> = (0..5).map(Value::Int).collect();
-        let dom = Domain::continuous(0.0, 10.0);
-        let y = generate_sd_column(&x, &dom, 1.0, 1.0, 5, &mut rng);
-        let r = rel(Attribute::continuous("x"), x, Attribute::continuous("y"), y);
-        assert!(SequentialDep::new(0, 1, 1.0, 1.0).holds(&r).unwrap());
     }
 }

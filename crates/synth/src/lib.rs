@@ -37,7 +37,7 @@ mod sampler;
 pub use adversary::{derive_column, determinant_order, Adversary, SynthConfig};
 pub use adversary_model::AdversaryModel;
 pub use cfd_gen::generate_cfd_column;
-pub use interval::{generate_dd_column, generate_od_column, generate_sd_column};
+pub use interval::{generate_dd_column, generate_od_column};
 pub use mapping::{
     generate_afd_column, generate_fd_column, generate_nd_column, generate_ofd_column, DEFAULT_BINS,
 };

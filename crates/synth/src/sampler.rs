@@ -8,7 +8,7 @@
 //! a continuous domain.
 
 use mp_metadata::Distribution;
-use mp_relation::{Bitmap, Column, Domain, Value};
+use mp_relation::{Bitmap, Column, ColumnBuilder, Domain, Value};
 use rand::Rng;
 
 /// Samples one value uniformly from `domain`.
@@ -129,11 +129,11 @@ pub fn sample_typed_column_from_distribution<R: Rng + ?Sized>(
 /// Folds owned values into a typed column (the `Value` boundary of the
 /// generators that still work row-wise).
 pub fn collect_typed(values: Vec<Value>) -> Column {
-    let mut col = Column::default();
+    let mut builder = ColumnBuilder::new();
     for v in values {
-        col.push_value(v);
+        builder.push(v);
     }
-    col
+    builder.finish()
 }
 
 /// Samples one value from a shared [`Distribution`] — the adversary's

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use mp_federated::{run_scenario, MultiPartySession, Party};
     pub use mp_metadata::{
         Afd, AttrSet, ConditionalFd, Dependency, DependencyGraph, DifferentialDep, Distribution,
-        DomainGeneralization, Fd, FdSet, InclusionDep, MetadataPackage, MetricFd, NumericalDep,
-        OrderDep, OrderedFd, SequentialDep, SharePolicy,
+        DomainGeneralization, Fd, FdSet, MetadataPackage, MetricFd, NumericalDep, OrderDep,
+        OrderedFd, SharePolicy,
     };
     pub use mp_relation::{AttrKind, Attribute, Domain, Pli, Relation, Schema, Value};
     pub use mp_synth::{Adversary, SynthConfig};

@@ -1,9 +1,9 @@
-//! Integration tests for the extension features: CFDs, metrics, defenses
-//! and the HFL contrast — each exercised through the full public API.
+//! Integration tests for the extension features: CFDs, defenses,
+//! distribution sharing and the HFL contrast — each exercised through the
+//! full public API.
 
 use metadata_privacy::core::{
-    analytical, bucketize_column, k_anonymity, run_attack, ExperimentConfig, ScalarMetric,
-    VectorMetric,
+    analytical, bucketize_column, k_anonymity, run_attack, ExperimentConfig,
 };
 use metadata_privacy::datasets::{echocardiogram, fintech_scenario};
 use metadata_privacy::discovery::{discover_cfds, CfdConfig};
@@ -129,37 +129,6 @@ fn defense_chain_k_anonymity_and_attack() {
 }
 
 #[test]
-fn metric_layer_consistency() {
-    let real = echocardiogram();
-    let pkg = MetadataPackage::describe("h", &real, vec![]).unwrap();
-    let adv = Adversary::new(pkg);
-    let syn = adv
-        .synthesize(&SynthConfig::random_baseline(real.n_rows(), 6))
-        .unwrap();
-
-    use metadata_privacy::core::{continuous_matches, continuous_matches_metric};
-    use metadata_privacy::datasets::echocardiogram::attrs::EPSS;
-    // Absolute metric agrees with the default definition at every ε.
-    for eps in [0.0, 0.5, 2.0, 10.0] {
-        assert_eq!(
-            continuous_matches(&real, &syn, EPSS, eps).unwrap(),
-            continuous_matches_metric(&real, &syn, EPSS, eps, ScalarMetric::Absolute).unwrap()
-        );
-    }
-    // Vector metrics nest: Chebyshev ≤ Euclidean ≤ Manhattan distances
-    // imply match-count ordering at fixed ε.
-    use metadata_privacy::core::tuple_distance_matches;
-    let attrs = [0usize, 5, 6];
-    let cheb = tuple_distance_matches(&real, &syn, &attrs, 3.0, VectorMetric::Chebyshev).unwrap();
-    let eucl = tuple_distance_matches(&real, &syn, &attrs, 3.0, VectorMetric::Euclidean).unwrap();
-    let manh = tuple_distance_matches(&real, &syn, &attrs, 3.0, VectorMetric::Manhattan).unwrap();
-    assert!(
-        cheb >= eucl && eucl >= manh,
-        "cheb {cheb} eucl {eucl} manh {manh}"
-    );
-}
-
-#[test]
 fn hfl_split_schema_compatibility_and_recombination() {
     let real = echocardiogram();
     let parts = horizontal_split(&real, 4).unwrap();
@@ -239,28 +208,4 @@ fn distribution_sharing_leaks_more_than_domains_on_skewed_data() {
         (measured_amp - expected_amp).abs() < 0.25 * expected_amp,
         "measured amplification {measured_amp} vs analytic {expected_amp}"
     );
-}
-
-#[test]
-fn inclusion_dependencies_across_parties() {
-    use metadata_privacy::metadata::{discover_inds, InclusionDep};
-    // The bank's customer ids are a subset of... themselves restricted:
-    // build two slices where the IND holds one way only.
-    let data = fintech_scenario(80, 12);
-    let bank = &data.bank.relation;
-    let ecom = &data.ecommerce.relation;
-    // Shared customers: ecom ids ⊄ bank ids (ecom has X-prefixed extras),
-    // but the intersection slice's ids ⊆ both.
-    assert!(!InclusionDep::new(0, 0).holds(ecom, bank).unwrap());
-    let shared_rows: Vec<usize> = (0..ecom.n_rows())
-        .filter(|&r| {
-            let id = ecom.value_ref(r, 0).unwrap();
-            bank.column(0).unwrap().iter().any(|v| v == id)
-        })
-        .collect();
-    let shared = ecom.select_rows(&shared_rows).unwrap();
-    assert!(InclusionDep::new(0, 0).holds(&shared, bank).unwrap());
-    // Discovery over the shared slice finds at least the id ⊆ id IND.
-    let inds = discover_inds(&shared, bank).unwrap();
-    assert!(inds.contains(&InclusionDep::new(0, 0)));
 }
