@@ -6,10 +6,19 @@
 //! `mp_synth` generator and prints the series side by side.
 
 use mp_core::{analytical, attr_matches, TextTable};
-use mp_relation::{AttrKind, Domain, Value};
-use mp_synth::collect_typed;
+use mp_relation::{AttrKind, Column, Domain, Value};
+use mp_synth::DomainPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Rows where both synthetic columns equal their real counterparts.
+fn pair_matches(sx: &Column, sy: &Column, real_x: &Column, real_y: &Column) -> usize {
+    (0..sx.len())
+        .filter(|&i| {
+            sx.value_ref(i) == real_x.value_ref(i) && sy.value_ref(i) == real_y.value_ref(i)
+        })
+        .count()
+}
 
 fn mean_matches<F>(rounds: usize, mut one_round: F) -> f64
 where
@@ -31,10 +40,11 @@ pub fn sweep_random(n: usize, rounds: usize) -> String {
     for card in [2usize, 3, 4, 8, 16, 64, 256, 1024] {
         let dom = Domain::categorical((0..card as i64).collect::<Vec<_>>());
         let theta = dom.theta(0.0);
+        let pool = DomainPool::new(&dom);
         let empirical = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let real = mp_synth::sample_typed_column(&dom, n, &mut rng);
-            let syn = mp_synth::sample_typed_column(&dom, n, &mut rng);
+            let real = pool.sample(n, &mut rng);
+            let syn = pool.sample(n, &mut rng);
             attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..n)
         });
         t.push_row(vec![
@@ -59,18 +69,19 @@ fn real_seed(sweep: &str) -> u64 {
 
 /// Real data for the FD/AFD sweeps: X uniform over `card_x`, Y a true
 /// mapping of X into `card_y`.
-fn mapped_real(n: usize, card_x: usize, card_y: usize, seed: u64) -> (Vec<Value>, Vec<Value>) {
+fn mapped_real(n: usize, card_x: usize, card_y: usize, seed: u64) -> (Column, Column) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let x = mp_synth::sample_column(
-        &Domain::categorical((0..card_x as i64).collect::<Vec<_>>()),
-        n,
-        &mut rng,
-    );
+    let x = ints_to(card_x).sample(n, &mut rng);
     let y = x
         .iter()
-        .map(|v| Value::Int(v.as_i64().unwrap() % card_y as i64))
+        .map(|v| Value::Int(v.to_value().as_i64().unwrap() % card_y as i64))
         .collect();
     (x, y)
+}
+
+/// The pool of the integer domain `0..card`.
+fn ints_to(card: usize) -> DomainPool {
+    DomainPool::new(&Domain::categorical((0..card as i64).collect::<Vec<_>>()))
 }
 
 /// A2 (§III-B): FD-driven pair generation vs the random baseline over a
@@ -85,23 +96,18 @@ pub fn sweep_fd(n: usize, rounds: usize) -> String {
     ]);
     for card_x in [5usize, 10, 20, 40] {
         let (real_x, real_y) = mapped_real(n, card_x, card_y, real_seed("A2"));
-        let dom_x = Domain::categorical((0..card_x as i64).collect::<Vec<_>>());
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
+        let (dom_x, dom_y) = (ints_to(card_x), ints_to(card_y));
         let fd_emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
+            let sx = dom_x.sample(n, &mut rng);
             let sy = mp_synth::generate_fd_column(&[&sx], &dom_y, n, &mut rng);
-            (0..n)
-                .filter(|&i| sx[i] == real_x[i] && sy[i] == real_y[i])
-                .count()
+            pair_matches(&sx, &sy, &real_x, &real_y)
         });
         let rand_emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 5000);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
-            let sy = mp_synth::sample_column(&dom_y, n, &mut rng);
-            (0..n)
-                .filter(|&i| sx[i] == real_x[i] && sy[i] == real_y[i])
-                .count()
+            let sx = dom_x.sample(n, &mut rng);
+            let sy = dom_y.sample(n, &mut rng);
+            pair_matches(&sx, &sy, &real_x, &real_y)
         });
         t.push_row(vec![
             card_x.to_string(),
@@ -131,8 +137,7 @@ fn afd_round_seed(eps: &str, round: u64) -> u64 {
 pub fn sweep_afd(n: usize, rounds: usize) -> String {
     let (card_x, card_y) = (10usize, 5usize);
     let (real_x, real_y) = mapped_real(n, card_x, card_y, real_seed("A3"));
-    let dom_x = Domain::categorical((0..card_x as i64).collect::<Vec<_>>());
-    let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
+    let (dom_x, dom_y) = (ints_to(card_x), ints_to(card_y));
     let mut t = TextTable::new(vec![
         "ε (g3)".into(),
         "analytic total".into(),
@@ -144,11 +149,9 @@ pub fn sweep_afd(n: usize, rounds: usize) -> String {
         let label = format!("{eps:.2}");
         let emp = mean_matches(rounds, |round| {
             let mut rng = StdRng::seed_from_u64(afd_round_seed(&label, round));
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
+            let sx = dom_x.sample(n, &mut rng);
             let sy = mp_synth::generate_afd_column(&[&sx], &dom_y, eps, n, &mut rng);
-            (0..n)
-                .filter(|&i| sx[i] == real_x[i] && sy[i] == real_y[i])
-                .count()
+            pair_matches(&sx, &sy, &real_x, &real_y)
         });
         let (structured, scattered) = analytical::fd::afd_split(n, eps, card_x, card_y);
         t.push_row(vec![
@@ -180,17 +183,14 @@ pub fn sweep_nd(n: usize, rounds: usize) -> String {
     ]);
     for k in [1usize, 2, 4, 8, 12, 16] {
         let mut rng = StdRng::seed_from_u64(13);
-        let dom_x = Domain::categorical((0..card_x as i64).collect::<Vec<_>>());
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
-        let real_x = mp_synth::sample_column(&dom_x, n, &mut rng);
+        let (dom_x, dom_y) = (ints_to(card_x), ints_to(card_y));
+        let real_x = dom_x.sample(n, &mut rng);
         let real_y = mp_synth::generate_nd_column(&real_x, &dom_y, k, n, &mut rng);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 31);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
+            let sx = dom_x.sample(n, &mut rng);
             let sy = mp_synth::generate_nd_column(&sx, &dom_y, k, n, &mut rng);
-            (0..n)
-                .filter(|&i| sx[i] == real_x[i] && sy[i] == real_y[i])
-                .count()
+            pair_matches(&sx, &sy, &real_x, &real_y)
         });
         t.push_row(vec![
             k.to_string(),
@@ -239,21 +239,20 @@ pub fn sweep_dd(n: usize, rounds: usize) -> String {
         "random-pair baseline".into(),
     ]);
     for eps in [0.5, 1.0, 2.0, 4.0, 8.0] {
-        let dom_x = Domain::continuous(0.0, range_x);
-        let dom_y = Domain::continuous(0.0, range_y);
+        let dom_x = DomainPool::new(&Domain::continuous(0.0, range_x));
+        let dom_y = DomainPool::new(&Domain::continuous(0.0, range_y));
         let mut rng = StdRng::seed_from_u64(19);
-        let real_x = mp_synth::sample_column(&dom_x, n, &mut rng);
+        let real_x = dom_x.sample(n, &mut rng);
         let real_y = mp_synth::generate_dd_column(&real_x, &dom_y, eps, eps, n, &mut rng);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 77);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
+            let sx = dom_x.sample(n, &mut rng);
             let sy = mp_synth::generate_dd_column(&sx, &dom_y, eps, eps, n, &mut rng);
+            let close = |a: &Column, b: &Column, i| {
+                (a.f64_at(i).unwrap() - b.f64_at(i).unwrap()).abs() <= eps
+            };
             (0..n)
-                .filter(|&i| {
-                    let dx = (sx[i].as_f64().unwrap() - real_x[i].as_f64().unwrap()).abs();
-                    let dy = (sy[i].as_f64().unwrap() - real_y[i].as_f64().unwrap()).abs();
-                    dx <= eps && dy <= eps
-                })
+                .filter(|&i| close(&sx, &real_x, i) && close(&sy, &real_y, i))
                 .count()
         });
         let analytic = analytical::dd::expected_matches(n, eps, range_x, eps, range_y);
@@ -286,20 +285,18 @@ pub fn sweep_ofd(rounds: usize) -> String {
         "empirical".into(),
     ]);
     for card_y in [6usize, 8, 12, 24, 48] {
-        let dom = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
-        let lhs: Vec<Value> = (0..m * 20).map(|i| Value::Int((i % m) as i64)).collect();
+        let dom = ints_to(card_y);
+        let lhs: Column = (0..m * 20).map(|i| Value::Int((i % m) as i64)).collect();
         // Real mapping: i ↦ i·(card_y/m) — strictly increasing.
         let stride = (card_y / m).max(1) as i64;
-        let real = collect_typed(
-            lhs.iter()
-                .map(|v| Value::Int(v.as_i64().unwrap() * stride))
-                .collect(),
-        );
+        let real: Column = (0..m * 20)
+            .map(|i| Value::Int((i % m) as i64 * stride))
+            .collect();
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let syn = mp_synth::generate_ofd_column(&lhs, &dom, lhs.len(), &mut rng);
             // Score the m mapping positions (rows 0..m enumerate X once).
-            attr_matches(&real, &collect_typed(syn), AttrKind::Categorical, 0.0, 0..m)
+            attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..m)
         });
         t.push_row(vec![
             card_y.to_string(),
@@ -330,8 +327,7 @@ pub fn sweep_ofd(rounds: usize) -> String {
 pub fn sweep_cfd(n: usize, rounds: usize) -> String {
     use mp_metadata::ConditionalFd;
     let (card_x, card_y) = (4usize, 8usize);
-    let dom_x = Domain::categorical((0..card_x as i64).collect::<Vec<_>>());
-    let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
+    let (dom_x, dom_y) = (ints_to(card_x), ints_to(card_y));
     let mut t = TextTable::new(vec![
         "support s".into(),
         "random baseline N/|Dy|".into(),
@@ -355,19 +351,13 @@ pub fn sweep_cfd(n: usize, rounds: usize) -> String {
                 real_y.push(Value::Int(rng.gen_range(0..card_y - 1) as i64));
             }
         }
-        let real_y = collect_typed(real_y);
+        let real_y: Column = real_y.into_iter().collect();
         let cfd = ConditionalFd::constant(0, 0i64, 1, 7i64);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 19);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
+            let sx = dom_x.sample(n, &mut rng);
             let sy = mp_synth::generate_cfd_column(&cfd, &[&sx], &dom_y, n, &mut rng);
-            attr_matches(
-                &real_y,
-                &collect_typed(sy),
-                AttrKind::Categorical,
-                0.0,
-                0..n,
-            )
+            attr_matches(&real_y, &sy, AttrKind::Categorical, 0.0, 0..n)
         });
         t.push_row(vec![
             target_support.to_string(),
@@ -397,7 +387,7 @@ pub fn sweep_defense(n: usize, rounds: usize) -> String {
     let eps = 1.0;
     let dom = Domain::continuous(0.0, range);
     let mut rng = StdRng::seed_from_u64(8);
-    let real = mp_synth::sample_typed_column(&dom, n, &mut rng);
+    let real = DomainPool::new(&dom).sample(n, &mut rng);
     let mut t = TextTable::new(vec![
         "widen factor".into(),
         "analytic N·2ε/range'".into(),
@@ -410,9 +400,10 @@ pub fn sweep_defense(n: usize, rounds: usize) -> String {
             suppress_below: 0,
         };
         let shared = g.apply_domain(&dom, None);
+        let pool = DomainPool::new(&shared);
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 41);
-            let syn = mp_synth::sample_typed_column(&shared, n, &mut rng);
+            let syn = pool.sample(n, &mut rng);
             attr_matches(&real, &syn, AttrKind::Continuous, eps, 0..n)
         });
         let analytic = n as f64 * 2.0 * eps / shared.range().unwrap();
@@ -454,8 +445,8 @@ pub fn sweep_distribution(n: usize, rounds: usize) -> String {
         );
         let emp = mean_matches(rounds, |seed| {
             let mut rng = StdRng::seed_from_u64(seed + 91);
-            let real = mp_synth::sample_typed_column_from_distribution(&dist, n, &mut rng);
-            let syn = mp_synth::sample_typed_column_from_distribution(&dist, n, &mut rng);
+            let real = mp_synth::sample_distribution(&dist, n, &mut rng);
+            let syn = mp_synth::sample_distribution(&dist, n, &mut rng);
             attr_matches(&real, &syn, AttrKind::Categorical, 0.0, 0..n)
         });
         t.push_row(vec![

@@ -106,7 +106,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(55);
         let dom_x = Domain::categorical((0i64..card_x as i64).collect::<Vec<_>>());
         let dom_y = Domain::categorical((0i64..card_y as i64).collect::<Vec<_>>());
-        let real_x = mp_synth::sample_column(&dom_x, n, &mut rng);
+        let (pool_x, pool_y) = (
+            mp_synth::DomainPool::new(&dom_x),
+            mp_synth::DomainPool::new(&dom_y),
+        );
+        let real_x = pool_x.sample(n, &mut rng).to_values();
         let real_y: Vec<Value> = real_x
             .iter()
             .map(|v| {
@@ -125,11 +129,11 @@ mod tests {
         let mut random_hits = 0usize;
         for round in 0..rounds {
             let mut rng = StdRng::seed_from_u64(round as u64);
-            let sx = mp_synth::sample_column(&dom_x, n, &mut rng);
-            let sy = mp_synth::generate_cfd_column(&cfd, &[&sx], &dom_y, n, &mut rng);
-            pattern_hits += (0..n).filter(|&i| sy[i] == real_y[i]).count();
-            let ry = mp_synth::sample_column(&dom_y, n, &mut rng);
-            random_hits += (0..n).filter(|&i| ry[i] == real_y[i]).count();
+            let sx = pool_x.sample(n, &mut rng);
+            let sy = mp_synth::generate_cfd_column(&cfd, &[&sx], &pool_y, n, &mut rng);
+            pattern_hits += (0..n).filter(|&i| sy.value(i) == real_y[i]).count();
+            let ry = pool_y.sample(n, &mut rng);
+            random_hits += (0..n).filter(|&i| ry.value(i) == real_y[i]).count();
         }
         let pattern_mean = pattern_hits as f64 / rounds as f64;
         let random_mean = random_hits as f64 / rounds as f64;

@@ -105,8 +105,8 @@ mod tests {
         let mut total = 0usize;
         for round in 0..rounds {
             let mut rng = StdRng::seed_from_u64(round as u64);
-            let real = mp_synth::sample_column_from_distribution(&d, n, &mut rng);
-            let syn = mp_synth::sample_column_from_distribution(&d, n, &mut rng);
+            let real = mp_synth::sample_distribution(&d, n, &mut rng).to_values();
+            let syn = mp_synth::sample_distribution(&d, n, &mut rng).to_values();
             total += real.iter().zip(&syn).filter(|(a, b)| a == b).count();
         }
         let mean = total as f64 / rounds as f64;

@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_rhs_matches_agree() {
-        use mp_relation::{Domain, Value};
+        use mp_relation::{Column, Domain, Value};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -139,10 +139,16 @@ mod tests {
 
         // FD-driven generation: adversary generates B via a random mapping
         // keyed on the REAL A (so only the B-cell correctness is at play).
+        let real_a: Column = real_a.into_iter().collect();
+        let pool_b = mp_synth::DomainPool::new(&dom_b);
         let mut total = 0usize;
         for _ in 0..rounds {
-            let syn_b = mp_synth::generate_fd_column(&[&real_a], &dom_b, n, &mut rng);
-            total += real_b.iter().zip(&syn_b).filter(|(x, y)| x == y).count();
+            let syn_b = mp_synth::generate_fd_column(&[&real_a], &pool_b, n, &mut rng);
+            total += real_b
+                .iter()
+                .zip(syn_b.iter())
+                .filter(|(x, y)| x.as_value_ref() == *y)
+                .count();
         }
         let mean = total as f64 / rounds as f64;
         let expected = expected_rhs_matches(n, card_b);

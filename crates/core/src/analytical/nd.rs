@@ -162,10 +162,11 @@ mod tests {
         let mut total = 0usize;
         for round in 0..rounds {
             let mut rng = StdRng::seed_from_u64(1000 + round as u64);
-            let syn_x = mp_synth::sample_column(&dom_x, n, &mut rng);
-            let syn_y = mp_synth::generate_nd_column(&syn_x, &dom_y, k, n, &mut rng);
+            let syn_x = mp_synth::DomainPool::new(&dom_x).sample(n, &mut rng);
+            let pool_y = mp_synth::DomainPool::new(&dom_y);
+            let syn_y = mp_synth::generate_nd_column(&syn_x, &pool_y, k, n, &mut rng);
             total += (0..n)
-                .filter(|&i| syn_x[i] == real_x[i] && syn_y[i] == real_y[i])
+                .filter(|&i| syn_x.value(i) == real_x[i] && syn_y.value(i) == real_y[i])
                 .count();
         }
         let mean = total as f64 / rounds as f64;

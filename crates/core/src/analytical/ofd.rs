@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_walk_element_hits() {
-        use mp_relation::{Domain, Value};
+        use mp_relation::{Column, Domain, Value};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -110,16 +110,13 @@ mod tests {
             .map(|v| Value::Int(v.as_i64().unwrap() * 3))
             .collect();
 
+        let (pool, x): (_, Column) = (mp_synth::DomainPool::new(&dom), lhs.into_iter().collect());
         let mut element_hits = 0usize;
         for round in 0..rounds {
             let mut rng = StdRng::seed_from_u64(round as u64);
-            let syn = mp_synth::generate_ofd_column(&lhs, &dom, lhs.len(), &mut rng);
+            let syn = mp_synth::generate_ofd_column(&x, &pool, x.len(), &mut rng);
             // Count mapping positions that agree (measure on distinct lhs).
-            for i in 0..m {
-                if syn[i] == real[i] {
-                    element_hits += 1;
-                }
-            }
+            element_hits += (0..m).filter(|&i| syn.value(i) == real[i]).count();
         }
         let mean = element_hits as f64 / rounds as f64;
         // Positional agreement is below the element-overlap mean m²/d but

@@ -100,8 +100,9 @@ mod tests {
         let dom = Domain::categorical((0i64..7).collect::<Vec<_>>());
         let n = 7000usize;
         let mut rng = StdRng::seed_from_u64(99);
-        let real = mp_synth::sample_column(&dom, n, &mut rng);
-        let syn = mp_synth::sample_column(&dom, n, &mut rng);
+        let pool = mp_synth::DomainPool::new(&dom);
+        let real = pool.sample(n, &mut rng).to_values();
+        let syn = pool.sample(n, &mut rng).to_values();
         let matches = real
             .iter()
             .zip(&syn)

@@ -12,11 +12,11 @@
 //!   isolates the contribution of a single dependency class per attribute,
 //!   exactly as the paper's per-row methodology does.
 
-use crate::leakage::{attr_matches, attr_mse, measure_all_with, AttrLeakage};
+use crate::leakage::{attr_matches_cached, attr_mse, measure_all_with, AttrLeakage, RemapCache};
 use mp_metadata::{Dependency, MetadataPackage};
-use mp_relation::{Domain, Relation, Result, Value};
+use mp_relation::{Column, Domain, Relation, Result};
 
-use mp_synth::{derive_column, determinant_order, Adversary, SynthConfig};
+use mp_synth::{derive_column, determinant_order, Adversary, DomainPool, SynthConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -136,22 +136,23 @@ pub fn run_cell(
     let n = real.n_rows();
     let name = real.schema().attribute(attr)?.name.clone();
     let mut acc = RoundAccumulator::new(attr, name);
+    let pools: Vec<DomainPool> = domains.iter().map(DomainPool::new).collect();
 
     for round in 0..config.rounds {
         let mut rng = StdRng::seed_from_u64(config.round_seed(round));
-        let syn_col: Vec<Value> = match dep {
-            None => mp_synth::sample_column(&domains[attr], n, &mut rng),
+        let syn_col = match dep {
+            None => pools[attr].sample(n, &mut rng),
             Some(dep) => {
                 // Generate determinants uniformly, then derive.
-                let lhs_cols: Vec<Vec<Value>> = determinant_order(dep)
+                let lhs: Vec<Column> = determinant_order(dep)
                     .into_iter()
-                    .map(|a| mp_synth::sample_column(&domains[a], n, &mut rng))
+                    .map(|a| pools[a].sample(n, &mut rng))
                     .collect();
-                let lhs_refs: Vec<&[Value]> = lhs_cols.iter().map(Vec::as_slice).collect();
-                derive_column(dep, &lhs_refs, &domains[attr], n, &mut rng)
+                let lhs: Vec<&Column> = lhs.iter().collect();
+                derive_column(dep, &lhs, &pools[attr], n, &mut rng)
             }
         };
-        acc.push_column(real, attr, syn_col, config.epsilon)?;
+        acc.push_column(real, attr, &syn_col, config.epsilon)?;
     }
     Ok(acc.finish())
 }
@@ -175,16 +176,16 @@ pub fn run_cell_with_known_lhs(
     let n = real.n_rows();
     let name = real.schema().attribute(attr)?.name.clone();
     let mut acc = RoundAccumulator::new(attr, name);
-    let lhs_owned: Vec<Vec<Value>> = determinant_order(dep)
+    let lhs: Vec<&Column> = determinant_order(dep)
         .into_iter()
-        .map(|a| real.column_values(a))
+        .map(|a| real.column(a))
         .collect::<Result<_>>()?;
-    let lhs_cols: Vec<&[Value]> = lhs_owned.iter().map(Vec::as_slice).collect();
+    let pool = DomainPool::new(&domains[attr]);
 
     for round in 0..config.rounds {
         let mut rng = StdRng::seed_from_u64(config.round_seed(round));
-        let syn_col = derive_column(dep, &lhs_cols, &domains[attr], n, &mut rng);
-        acc.push_column(real, attr, syn_col, config.epsilon)?;
+        let syn_col = derive_column(dep, &lhs, &pool, n, &mut rng);
+        acc.push_column(real, attr, &syn_col, config.epsilon)?;
     }
     Ok(acc.finish())
 }
@@ -195,6 +196,7 @@ struct RoundAccumulator {
     name: String,
     matches: Vec<f64>,
     mses: Vec<f64>,
+    remap: RemapCache,
 }
 
 impl RoundAccumulator {
@@ -204,6 +206,7 @@ impl RoundAccumulator {
             name,
             matches: Vec::new(),
             mses: Vec::new(),
+            remap: RemapCache::default(),
         }
     }
 
@@ -220,16 +223,22 @@ impl RoundAccumulator {
         &mut self,
         real: &Relation,
         attr: usize,
-        syn_col: Vec<Value>,
+        syn_col: &Column,
         epsilon: f64,
     ) -> Result<()> {
         let real_col = real.column(attr)?;
         let kind = real.schema().attribute(attr)?.kind;
-        let syn_col = mp_synth::collect_typed(syn_col);
         let rows = 0..real_col.len().min(syn_col.len());
-        let matches = attr_matches(real_col, &syn_col, kind, epsilon, rows.clone());
+        let matches = attr_matches_cached(
+            real_col,
+            syn_col,
+            kind,
+            epsilon,
+            rows.clone(),
+            &mut self.remap,
+        );
         self.matches.push(matches as f64);
-        if let Some(mse) = attr_mse(real_col, &syn_col, rows) {
+        if let Some(mse) = attr_mse(real_col, syn_col, rows) {
             self.mses.push(mse);
         }
         Ok(())

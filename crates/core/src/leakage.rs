@@ -18,22 +18,95 @@
 //! scores any row subset, so the whole-relation counts below, the Table
 //! III/IV cells ([`crate::experiment`]), the audit-matrix cells (scored on
 //! the PSI-aligned rows only) and the HFL permutation baseline all share
-//! it; [`attr_mse`] is the one MSE.
+//! it; [`attr_mse`] is the one MSE. The harnesses that compare the same
+//! two dictionaries round after round keep their code remap in a
+//! `RemapCache` across calls.
 
 use mp_relation::{AttrKind, Column, Relation, RelationError, Result};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
+
+/// Both sides of a categorical comparison in one code space: `real[c]`
+/// and `syn[c]` are the canonical codes of the real and synthetic
+/// dictionary codes `c`. Equal labels get equal canonical codes; null
+/// (code 0) maps to 0 on both sides, and a synthetic label the real
+/// dictionary lacks maps to a sentinel no real code equals. The remap
+/// holds the two dictionaries it was built from.
+#[derive(Debug, Clone)]
+struct DictRemap {
+    dicts: (Arc<Vec<String>>, Arc<Vec<String>>),
+    real: Vec<u32>,
+    syn: Vec<u32>,
+}
+
+impl DictRemap {
+    /// The remap of two dictionaries. Dictionaries are normally
+    /// duplicate-free, but nothing in the `Column` API forces that, so
+    /// every real code maps to the first code carrying its label.
+    fn new(real: &Arc<Vec<String>>, syn: &Arc<Vec<String>>) -> Self {
+        let mut first: HashMap<&str, u32> = HashMap::with_capacity(real.len());
+        let mut canon: Vec<u32> = Vec::with_capacity(real.len() + 1);
+        canon.push(0);
+        for (i, s) in real.iter().enumerate() {
+            canon.push(*first.entry(s.as_str()).or_insert(i as u32 + 1));
+        }
+        let mut remap: Vec<u32> = Vec::with_capacity(syn.len() + 1);
+        remap.push(0); // null matches null
+        remap.extend(
+            syn.iter()
+                .map(|s| first.get(s.as_str()).copied().unwrap_or(u32::MAX)),
+        );
+        Self {
+            dicts: (Arc::clone(real), Arc::clone(syn)),
+            real: canon,
+            syn: remap,
+        }
+    }
+
+    /// `true` when built from these very dictionary allocations.
+    fn built_for(&self, real: &Arc<Vec<String>>, syn: &Arc<Vec<String>>) -> bool {
+        Arc::ptr_eq(&self.dicts.0, real) && Arc::ptr_eq(&self.dicts.1, syn)
+    }
+}
+
+/// The dictionary remap of one categorical attribute, kept across scoring
+/// calls: the leakage matrix scores the same real column against
+/// synthetic columns drawn from one pool's dictionary every round, so the
+/// remap is built once per cell. The remap is reused only for the same
+/// two dictionary allocations, and since it holds them, a freed
+/// dictionary's address cannot be reused by another while it lives.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RemapCache {
+    entry: Option<DictRemap>,
+}
+
+impl RemapCache {
+    /// The remap of `real` against `syn`, built on first use and whenever
+    /// either dictionary is another allocation than last time.
+    fn remap(&mut self, real: &Arc<Vec<String>>, syn: &Arc<Vec<String>>) -> &DictRemap {
+        if !self.entry.as_ref().is_some_and(|r| r.built_for(real, syn)) {
+            self.entry = None;
+        }
+        self.entry.get_or_insert_with(|| DictRemap::new(real, syn))
+    }
+}
 
 /// Index-aligned Value-equality matches between two columns over `rows`,
 /// exploiting the typed layouts: dictionary-encoded columns are compared
-/// by `u32` code after remapping the synthetic dictionary into the real
-/// one, integer and float columns directly on their primitive slices with
-/// the null bitmaps. Mismatched layouts fall back to the row-wise
-/// [`ValueRef`] comparison, which defines the semantics the fast paths
-/// must reproduce.
+/// by `u32` code after remapping both dictionaries into one code space
+/// (through `cache`), integer and float columns directly on their
+/// primitive slices with the null bitmaps. Mismatched layouts fall back to
+/// the row-wise [`ValueRef`] comparison, which defines the semantics the
+/// fast paths must reproduce.
 ///
 /// [`ValueRef`]: mp_relation::ValueRef
-fn aligned_value_matches(a: &Column, b: &Column, rows: impl Iterator<Item = usize>) -> usize {
+fn aligned_value_matches(
+    a: &Column,
+    b: &Column,
+    rows: impl Iterator<Item = usize>,
+    cache: &mut RemapCache,
+) -> usize {
     match (a, b) {
         (
             Column::Categorical {
@@ -45,23 +118,8 @@ fn aligned_value_matches(a: &Column, b: &Column, rows: impl Iterator<Item = usiz
                 codes: cb,
             },
         ) => {
-            // Map every code of `a` to the first code carrying its label
-            // (dictionaries are normally duplicate-free, but nothing in the
-            // `Column` API forces that), then remap `b`'s codes into the
-            // same space. Absent labels get a sentinel no real code equals.
-            let mut first: HashMap<&str, u32> = HashMap::with_capacity(da.len());
-            let mut canon: Vec<u32> = Vec::with_capacity(da.len() + 1);
-            canon.push(0);
-            for (i, s) in da.iter().enumerate() {
-                canon.push(*first.entry(s.as_str()).or_insert(i as u32 + 1));
-            }
-            let mut remap: Vec<u32> = Vec::with_capacity(db.len() + 1);
-            remap.push(0); // null matches null
-            remap.extend(
-                db.iter()
-                    .map(|s| first.get(s.as_str()).copied().unwrap_or(u32::MAX)),
-            );
-            rows.filter(|&i| canon[ca[i] as usize] == remap[cb[i] as usize])
+            let remap = cache.remap(da, db);
+            rows.filter(|&i| remap.real[ca[i] as usize] == remap.syn[cb[i] as usize])
                 .count()
         }
         (
@@ -134,6 +192,8 @@ fn for_each_numeric_pair(
 /// a categorical `kind`, Definition 2.3 (`|real − syn| ≤ epsilon`, both
 /// sides numeric) for a continuous one. Every row in `rows` must be in
 /// bounds for both columns; callers pass the rows both columns hold.
+/// Builds any dictionary remap afresh; the matrix and the Table III/IV
+/// harness keep theirs across rounds.
 pub fn attr_matches(
     real: &Column,
     syn: &Column,
@@ -141,8 +201,21 @@ pub fn attr_matches(
     epsilon: f64,
     rows: impl Iterator<Item = usize>,
 ) -> usize {
+    attr_matches_cached(real, syn, kind, epsilon, rows, &mut RemapCache::default())
+}
+
+/// [`attr_matches`], keeping the dictionary remap of a categorical
+/// attribute in `cache` for the next call on the same two dictionaries.
+pub(crate) fn attr_matches_cached(
+    real: &Column,
+    syn: &Column,
+    kind: AttrKind,
+    epsilon: f64,
+    rows: impl Iterator<Item = usize>,
+    cache: &mut RemapCache,
+) -> usize {
     match kind {
-        AttrKind::Categorical => aligned_value_matches(real, syn, rows),
+        AttrKind::Categorical => aligned_value_matches(real, syn, rows, cache),
         AttrKind::Continuous => {
             let mut count = 0usize;
             for_each_numeric_pair(real, syn, rows, |x, y| {
@@ -476,5 +549,65 @@ mod tests {
         assert_eq!(categorical_matches(&e1, &e2, 0).unwrap(), 0);
         assert_eq!(leakage_rate(&e1, &e2, 0, 0.0).unwrap(), 0.0);
         assert_eq!(mse(&e1, &e2, 0).unwrap(), None);
+    }
+
+    /// A dictionary-encoded column over `labels` with the given codes.
+    fn dict_column(labels: &[&str], codes: &[u32]) -> Column {
+        Column::Categorical {
+            dict: Arc::new(labels.iter().map(|&l| l.to_owned()).collect()),
+            codes: codes.to_vec(),
+        }
+    }
+
+    #[test]
+    fn cached_remaps_agree_with_fresh_ones_across_rounds() {
+        const N: usize = 16;
+        let real_codes: Vec<u32> = (0..N as u32).map(|i| i % 5).collect();
+        let real = dict_column(&["a", "b", "c", "d"], &real_codes);
+        // Equal codes: every label order gives its own count.
+        let syn_codes = real_codes.clone();
+        let same = dict_column(&["a", "b", "c", "d"], &syn_codes);
+        let twin = dict_column(&["a", "b", "c", "d"], &syn_codes);
+        let reordered = dict_column(&["d", "c", "b", "a"], &syn_codes);
+        let repeated = dict_column(&["b", "b", "a", "x"], &syn_codes);
+        // The rounds of one cell: one dictionary, an equal one in another
+        // allocation, then a reordered one and one that repeats labels.
+        let kept = [
+            &same, &twin, &same, &twin, &reordered, &same, &repeated, &twin,
+        ];
+        let full: Vec<usize> = (0..N).collect();
+        let partial: Vec<usize> = (0..N).rev().step_by(3).collect();
+        for rows in [&full, &partial] {
+            let mut cache = RemapCache::default();
+            let mut score = |syn: &Column| {
+                let kind = AttrKind::Categorical;
+                let cached =
+                    attr_matches_cached(&real, syn, kind, 0.0, rows.iter().copied(), &mut cache);
+                let fresh = attr_matches(&real, syn, kind, 0.0, rows.iter().copied());
+                // Definition 2.2 row by row.
+                let reference = rows
+                    .iter()
+                    .filter(|&&i| real.value_ref(i) == syn.value_ref(i))
+                    .count();
+                assert_eq!(
+                    (cached, fresh),
+                    (reference, reference),
+                    "{syn:?} on {rows:?}"
+                );
+            };
+            for syn in kept {
+                score(syn);
+            }
+            // Dictionaries dropped after their round and reallocated for
+            // the next, alternating label orders: a freed dictionary's
+            // address is free to be reused by the next one.
+            for round in 0..24 {
+                let labels: [&str; 4] = match round % 2 {
+                    0 => ["a", "b", "c", "d"],
+                    _ => ["c", "a", "d", "b"],
+                };
+                score(&dict_column(&labels, &syn_codes));
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! and measures empirical cells-leaked (mean index-aligned matches per
 //! round, Definitions 2.2/2.3, scored on the aligned rows by the same
-//! [`attr_matches`] kernel as Tables III/IV), the §III-A analytical
+//! [`crate::attr_matches`] kernel as Tables III/IV), the §III-A analytical
 //! expectation `Σ N·θ_A`, and the delta against the same-seed
 //! random-generation baseline — the number that operationalises "does
 //! this dependency class add leakage *beyond* domains". Every cell is
@@ -24,7 +24,7 @@
 //! byte-identical across runs and thread counts (cells are parallelised
 //! with the order-preserving [`mp_relation::par::par_map`]).
 
-use crate::leakage::attr_matches;
+use crate::leakage::{attr_matches_cached, RemapCache};
 use mp_metadata::{Dependency, MetadataPackage, PlanStep, SharePolicy};
 use mp_observe::Recorder;
 use mp_relation::par::par_map;
@@ -303,12 +303,16 @@ fn evaluate_cell(spec: &CellSpec<'_>, rounds: usize, epsilon: f64) -> Result<(Ma
         .iter()
         .enumerate()
         .any(|(attr, step)| *step != PlanStep::Free { attr });
-    let leaked_by = |config: SynthConfig| -> Result<usize> {
+    // One remap per categorical attribute for the whole cell: every round
+    // draws from the same adversary's pools, so their dictionaries repeat.
+    let mut remaps = vec![RemapCache::default(); relation.arity()];
+    let mut leaked_by = |config: SynthConfig| -> Result<usize> {
         let syn = attacker.synthesize(&config)?;
         let mut leaked = 0usize;
-        for (attr, attribute) in relation.schema().iter() {
+        for ((attr, attribute), remap) in relation.schema().iter().zip(&mut remaps) {
             let (real, syn) = (relation.column(attr)?, syn.column(attr)?);
-            leaked += attr_matches(real, syn, attribute.kind, epsilon, scored.iter().copied());
+            let rows = scored.iter().copied();
+            leaked += attr_matches_cached(real, syn, attribute.kind, epsilon, rows, remap);
         }
         Ok(leaked)
     };

@@ -19,6 +19,7 @@
 use mp_core::{attr_matches, attr_mse};
 use mp_relation::{AttrKind, Bitmap, Column, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---- references -------------------------------------------------------------
 
@@ -119,7 +120,7 @@ fn column(layout: Layout, draws: &[u8], dict: u8) -> Column {
                 })
                 .collect();
             Column::Categorical {
-                dict: labels,
+                dict: Arc::new(labels),
                 codes,
             }
         }

@@ -1,7 +1,8 @@
 //! The Figure 1 bank table scaled for the leakage matrix.
 //!
-//! [`bank_table`] reuses the deterministic bank side of
-//! [`crate::fintech_scenario`] and widens its dependency inventory so the
+//! [`bank_table`] builds only the deterministic bank side of
+//! [`crate::fintech_scenario`] (the same relation, without generating the
+//! e-commerce side) and widens its dependency inventory so the
 //! matrix's per-class rows all have something to gate: on top of the
 //! planted FD/OD/ND structure it adds
 //!
@@ -15,8 +16,10 @@
 //! No OFD holds on this table, so the matrix's `ofd` row degenerates to
 //! the domains-only row here — itself a useful fixed point.
 
-use crate::fintech::{fintech_scenario, FintechParty};
+use crate::fintech::{bank_side, FintechParty};
 use mp_metadata::{ConditionalFd, DifferentialDep};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Seed pinning the bank table; the matrix goldens depend on it.
 const BANK_SEED: u64 = 42;
@@ -26,7 +29,7 @@ const BANK_SEED: u64 = 42;
 /// Deterministic in `n_customers`: same input, same relation, same
 /// dependencies — every planted dependency holds exactly (tested below).
 pub fn bank_table(n_customers: usize) -> FintechParty {
-    let mut party = fintech_scenario(n_customers, BANK_SEED).bank;
+    let mut party = bank_side(n_customers, &mut StdRng::seed_from_u64(BANK_SEED));
     party
         .dependencies
         .push(ConditionalFd::constant(2, 1i64, 3, 4000.0f64).into());
@@ -64,5 +67,13 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(bank_table(50).relation, bank_table(50).relation);
+    }
+
+    #[test]
+    fn matches_the_bank_side_of_the_scenario() {
+        for n in [0, 1, 50, 500] {
+            let scenario = crate::fintech_scenario(n, BANK_SEED).bank;
+            assert_eq!(bank_table(n).relation, scenario.relation, "n = {n}");
+        }
     }
 }

@@ -35,53 +35,7 @@ pub struct FintechScenario {
 /// (so PSI has something to intersect), plus 10% e-commerce-only IDs.
 pub fn fintech_scenario(n_customers: usize, seed: u64) -> FintechScenario {
     let mut rng = StdRng::seed_from_u64(seed);
-
-    // ---- Bank side ------------------------------------------------------
-    let bank_schema = Schema::new(vec![
-        Attribute::categorical("customer_id"),
-        Attribute::continuous("income"),
-        Attribute::categorical("credit_tier"),
-        Attribute::continuous("credit_limit"),
-        Attribute::categorical("region"),
-        Attribute::categorical("loan_approved"),
-    ])
-    .expect("bank schema is valid");
-
-    let regions = ["north", "south", "east", "west"];
-    let mut bank_rows = Vec::with_capacity(n_customers);
-    for i in 0..n_customers {
-        let income = (20_000.0 + 130_000.0 * rng.gen::<f64>()).round();
-        // credit_tier is an income band: FD/OD income → tier.
-        let tier: i64 = match income {
-            x if x < 45_000.0 => 0,
-            x if x < 90_000.0 => 1,
-            x if x < 120_000.0 => 2,
-            _ => 3,
-        };
-        // credit_limit is a deterministic multiple of the tier: FD tier →
-        // limit with tiny fanout, and ND tier →≤1 limit.
-        let limit = 2_000.0 * (tier + 1) as f64;
-        let region = regions[rng.gen_range(0..regions.len())];
-        // Approval depends on tier and region jointly.
-        let approved = i64::from(tier >= 1 && region != "west");
-        bank_rows.push(vec![
-            Value::Text(format!("C{i:05}")),
-            Value::Float(income),
-            Value::Int(tier),
-            Value::Float(limit),
-            Value::Text(region.into()),
-            Value::Int(approved),
-        ]);
-    }
-    let bank_rel = Relation::from_rows(bank_schema, bank_rows).expect("bank rows valid");
-    let bank_deps: Vec<Dependency> = vec![
-        Fd::new(1usize, 2).into(),         // income → tier
-        OrderDep::ascending(1, 2).into(),  // income ≤ → tier ≤
-        Fd::new(2usize, 3).into(),         // tier → limit
-        OrderDep::ascending(2, 3).into(),  // tier ≤ → limit ≤
-        NumericalDep::new(2, 3, 1).into(), // tier →≤1 limit
-        Fd::new(vec![2, 4], 5).into(),     // {tier, region} → approved
-    ];
+    let bank = bank_side(n_customers, &mut rng);
 
     // ---- E-commerce side -------------------------------------------------
     let ecom_schema = Schema::new(vec![
@@ -133,14 +87,66 @@ pub fn fintech_scenario(n_customers: usize, seed: u64) -> FintechScenario {
     ];
 
     FintechScenario {
-        bank: FintechParty {
-            relation: bank_rel,
-            dependencies: bank_deps,
-        },
+        bank,
         ecommerce: FintechParty {
             relation: ecom_rel,
             dependencies: ecom_deps,
         },
+    }
+}
+
+/// The bank side of the scenario: its rows are the first draws from
+/// `rng`, so [`fintech_scenario`] and [`crate::bank_table`] build the
+/// same relation from the same seed.
+pub(crate) fn bank_side(n_customers: usize, rng: &mut StdRng) -> FintechParty {
+    let bank_schema = Schema::new(vec![
+        Attribute::categorical("customer_id"),
+        Attribute::continuous("income"),
+        Attribute::categorical("credit_tier"),
+        Attribute::continuous("credit_limit"),
+        Attribute::categorical("region"),
+        Attribute::categorical("loan_approved"),
+    ])
+    .expect("bank schema is valid");
+
+    let regions = ["north", "south", "east", "west"];
+    let mut bank_rows = Vec::with_capacity(n_customers);
+    for i in 0..n_customers {
+        let income = (20_000.0 + 130_000.0 * rng.gen::<f64>()).round();
+        // credit_tier is an income band: FD/OD income → tier.
+        let tier: i64 = match income {
+            x if x < 45_000.0 => 0,
+            x if x < 90_000.0 => 1,
+            x if x < 120_000.0 => 2,
+            _ => 3,
+        };
+        // credit_limit is a deterministic multiple of the tier: FD tier →
+        // limit with tiny fanout, and ND tier →≤1 limit.
+        let limit = 2_000.0 * (tier + 1) as f64;
+        let region = regions[rng.gen_range(0..regions.len())];
+        // Approval depends on tier and region jointly.
+        let approved = i64::from(tier >= 1 && region != "west");
+        bank_rows.push(vec![
+            Value::Text(format!("C{i:05}")),
+            Value::Float(income),
+            Value::Int(tier),
+            Value::Float(limit),
+            Value::Text(region.into()),
+            Value::Int(approved),
+        ]);
+    }
+    let bank_rel = Relation::from_rows(bank_schema, bank_rows).expect("bank rows valid");
+    let bank_deps: Vec<Dependency> = vec![
+        Fd::new(1usize, 2).into(),         // income → tier
+        OrderDep::ascending(1, 2).into(),  // income ≤ → tier ≤
+        Fd::new(2usize, 3).into(),         // tier → limit
+        OrderDep::ascending(2, 3).into(),  // tier ≤ → limit ≤
+        NumericalDep::new(2, 3, 1).into(), // tier →≤1 limit
+        Fd::new(vec![2, 4], 5).into(),     // {tier, region} → approved
+    ];
+    FintechParty {
+        relation: bank_rel,
+        dependencies: bank_deps,
     }
 }
 

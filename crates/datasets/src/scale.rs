@@ -26,6 +26,7 @@ use mp_metadata::{Afd, Dependency, Fd, NumericalDep, OrderDep};
 use mp_relation::{Attribute, Bitmap, Column, Relation, Result, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Number of columns produced by [`scale_relation`].
 pub const SCALE_ARITY: usize = 7;
@@ -61,7 +62,10 @@ fn dictionary_column(prefix: &str, max_id: u32, ids: &[u32]) -> Column {
             *slot
         })
         .collect();
-    Column::Categorical { dict, codes }
+    Column::Categorical {
+        dict: Arc::new(dict),
+        codes,
+    }
 }
 
 /// Wraps a float buffer in a fully non-null continuous column.

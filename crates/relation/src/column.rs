@@ -8,6 +8,8 @@
 //! * [`Column::Categorical`] — dictionary-encoded text: one `u32` code per
 //!   row, **code 0 reserved for null**, code `k ≥ 1` meaning `dict[k - 1]`.
 //!   Equality tests and partition grouping compare codes, never strings.
+//!   The dictionary sits behind an [`Arc`], so row slices, projections
+//!   and clones share one label list instead of copying it.
 //! * [`Column::Int`] — `Vec<i64>` plus a null [`Bitmap`] (null rows hold a
 //!   `0` sentinel and are ignored through the mask).
 //! * [`Column::Float`] — `Vec<f64>` plus a null bitmap, plus an `ints`
@@ -33,6 +35,7 @@ use crate::error::{RelationError, Result};
 use crate::schema::{AttrKind, Attribute};
 use crate::value::{canonical_f64_bits, Value, ValueRef};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Largest integer magnitude exactly representable in an `f64`.
 const INT_EXACT_IN_F64: i64 = 1 << 53;
@@ -143,8 +146,10 @@ impl Bitmap {
 pub enum Column {
     /// Dictionary-encoded text (code 0 = null, `k ≥ 1` → `dict[k - 1]`).
     Categorical {
-        /// Distinct labels in first-occurrence order.
-        dict: Vec<String>,
+        /// Labels in first-occurrence order, shared by every slice and
+        /// clone of the column. Builders list each label once; a label
+        /// listed twice is still one value.
+        dict: Arc<Vec<String>>,
         /// Per-row codes into `dict` (shifted by one; 0 is null).
         codes: Vec<u32>,
     },
@@ -304,7 +309,7 @@ impl Column {
     /// The dictionary and codes of a [`Column::Categorical`] column.
     pub fn as_categorical_parts(&self) -> Option<(&[String], &[u32])> {
         match self {
-            Column::Categorical { dict, codes } => Some((dict, codes)),
+            Column::Categorical { dict, codes } => Some((dict.as_slice(), codes)),
             _ => None,
         }
     }
@@ -350,7 +355,13 @@ impl Column {
     /// canonical semantics (nulls form one class of their own).
     pub fn group_codes(&self) -> (Vec<u32>, usize) {
         match self {
-            Column::Categorical { dict, codes } => (codes.clone(), dict.len() + 1),
+            Column::Categorical { dict, codes } => {
+                let codes = match first_label_codes(dict) {
+                    Some(first) => codes.iter().map(|&c| first[c as usize]).collect(),
+                    None => codes.clone(),
+                };
+                (codes, dict.len() + 1)
+            }
             Column::Int { values, nulls } => {
                 let mut lookup: HashMap<i64, u32> = HashMap::with_capacity(values.len().min(1024));
                 let mut next = 1u32;
@@ -416,9 +427,11 @@ impl Column {
             Column::Categorical { dict, codes } => {
                 // After row selection some dict entries may be unused, so
                 // count the codes actually present.
+                let first = first_label_codes(dict);
                 let mut seen = vec![false; dict.len() + 1];
                 let mut distinct = 0;
                 for &c in codes {
+                    let c = first.as_ref().map_or(c, |first| first[c as usize]);
                     if !seen[c as usize] {
                         seen[c as usize] = true;
                         distinct += 1;
@@ -459,11 +472,11 @@ impl Column {
 
     /// The column restricted to `rows` (in the given order; indices must
     /// be in bounds). Dictionary-encoded columns copy codes and share the
-    /// dictionary — no per-cell string clones.
+    /// dictionary: the slice holds the same [`Arc`], no label is copied.
     pub fn select(&self, rows: &[usize]) -> Column {
         match self {
             Column::Categorical { dict, codes } => Column::Categorical {
-                dict: dict.clone(),
+                dict: Arc::clone(dict),
                 codes: rows.iter().map(|&r| codes[r]).collect(),
             },
             Column::Int { values, nulls } => Column::Int {
@@ -596,10 +609,12 @@ impl Column {
                 Column::Boxed(values) => values.push(Value::Text(s)),
                 Column::Categorical { dict, codes } => {
                     // Linear dict scan; bulk construction goes through
-                    // `ColumnBuilder`, which keeps a hash lookup instead.
+                    // `ColumnBuilder`, which keeps a hash lookup instead. A
+                    // new label copies a shared dictionary first.
                     let code = match dict.iter().position(|d| *d == s) {
                         Some(p) => (p + 1) as u32,
                         None => {
+                            let dict = Arc::make_mut(dict);
                             dict.push(s);
                             dict.len() as u32
                         }
@@ -611,7 +626,7 @@ impl Column {
                     let mut codes = vec![0u32; n];
                     codes.push(1);
                     *self = Column::Categorical {
-                        dict: vec![s],
+                        dict: Arc::new(vec![s]),
                         codes,
                     };
                 }
@@ -640,24 +655,17 @@ impl Column {
                     .enumerate()
                     .map(|(i, s)| (s.as_str(), (i + 1) as u32))
                     .collect();
+                // Labels of `other` this dictionary lacks, in first-use order.
+                let mut added: Vec<&str> = Vec::new();
                 let mut remap = vec![0u32; odict.len() + 1];
                 for (i, s) in odict.iter().enumerate() {
-                    remap[i + 1] = match lookup.get(s.as_str()) {
-                        Some(&c) => c,
-                        None => {
-                            dict.push(s.clone());
-                            let c = dict.len() as u32;
-                            // The borrow into `dict` above is append-only,
-                            // so stale keys stay valid; re-inserting keeps
-                            // the map consistent for later duplicates.
-                            lookup = dict
-                                .iter()
-                                .enumerate()
-                                .map(|(i, s)| (s.as_str(), (i + 1) as u32))
-                                .collect();
-                            c
-                        }
-                    };
+                    remap[i + 1] = *lookup.entry(s.as_str()).or_insert_with(|| {
+                        added.push(s);
+                        (dict.len() + added.len()) as u32
+                    });
+                }
+                if !added.is_empty() {
+                    Arc::make_mut(dict).extend(added.into_iter().map(str::to_owned));
                 }
                 codes.extend(ocodes.iter().map(|&c| remap[c as usize]));
             }
@@ -702,6 +710,21 @@ impl Column {
     }
 }
 
+/// Each code of `dict`'s column mapped to the first code that carries the
+/// same label (null code 0 to itself), or `None` when every label is
+/// listed once and codes already are equality classes.
+fn first_label_codes(dict: &[String]) -> Option<Vec<u32>> {
+    let mut first: HashMap<&str, u32> = HashMap::with_capacity(dict.len());
+    let codes: Vec<u32> = std::iter::once(0)
+        .chain(
+            dict.iter()
+                .zip(1u32..)
+                .map(|(label, code)| *first.entry(label).or_insert(code)),
+        )
+        .collect();
+    (first.len() < dict.len()).then_some(codes)
+}
+
 impl PartialEq for Column {
     /// Logical row-wise equality under [`Value`] semantics — two columns
     /// with different physical layouts (or dictionary orders) compare
@@ -720,7 +743,7 @@ impl PartialEq for Column {
                     dict: d2,
                     codes: c2,
                 },
-            ) if d1 == d2 => c1 == c2,
+            ) if d1 == d2 && c1 == c2 => true,
             _ => (0..self.len()).all(|i| self.value_ref(i) == other.value_ref(i)),
         }
     }
@@ -740,8 +763,10 @@ impl Eq for Column {}
 /// Promotion rules are exactly [`Column::push_value`]'s, but categorical
 /// appends find their code through a hashed dictionary lookup, so bulk
 /// builds cost O(1) per cell instead of a linear dictionary scan. The
-/// finished column, dictionary order included, is the one that pushing
-/// the same values through [`Column::push_value`] builds.
+/// dictionary stays a plain owned vector while rows arrive and is wrapped
+/// in its [`Arc`] once, by [`ColumnBuilder::finish`]. The finished column,
+/// dictionary order included, is the one that pushing the same values
+/// through [`Column::push_value`] builds.
 ///
 /// The builder also tracks whether any text and any numeric value was
 /// pushed — the two facts CSV kind inference and the mixed-column
@@ -749,10 +774,29 @@ impl Eq for Column {}
 /// column.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBuilder {
+    /// The column so far, unless it is dictionary-encoded text.
     column: Column,
-    dict_lookup: HashMap<String, u32>,
+    /// The column so far while it is dictionary-encoded text.
+    text: Option<TextColumn>,
     saw_text: bool,
     saw_numeric: bool,
+}
+
+/// A dictionary-encoded column under construction.
+#[derive(Debug, Clone, Default)]
+struct TextColumn {
+    dict: Vec<String>,
+    lookup: HashMap<String, u32>,
+    codes: Vec<u32>,
+}
+
+impl TextColumn {
+    fn finish(self) -> Column {
+        Column::Categorical {
+            dict: Arc::new(self.dict),
+            codes: self.codes,
+        }
+    }
 }
 
 impl ColumnBuilder {
@@ -763,12 +807,15 @@ impl ColumnBuilder {
 
     /// Number of rows pushed so far.
     pub fn len(&self) -> usize {
-        self.column.len()
+        match &self.text {
+            Some(text) => text.codes.len(),
+            None => self.column.len(),
+        }
     }
 
     /// `true` when nothing has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.column.is_empty()
+        self.len() == 0
     }
 
     /// `true` when any [`Value::Text`] was pushed.
@@ -785,7 +832,14 @@ impl ColumnBuilder {
     /// Checks `v` against `attr`'s kind and the type the column has
     /// established so far, without appending.
     pub(crate) fn check(&self, attr: &Attribute, v: &Value) -> Result<()> {
-        check_kind(attr, &self.column, v)
+        check_kind(
+            attr,
+            || match &self.text {
+                Some(text) => text.codes.iter().any(|&c| c != 0).then_some("text"),
+                None => self.column.established_type(),
+            },
+            v,
+        )
     }
 
     /// Appends one value, promoting the physical layout as needed (see
@@ -793,11 +847,20 @@ impl ColumnBuilder {
     pub fn push(&mut self, v: Value) {
         match v {
             Value::Text(s) => self.push_text(&s),
+            Value::Null => match &mut self.text {
+                Some(text) => text.codes.push(0),
+                None => self.column.push_value(v),
+            },
             Value::Int(_) | Value::Float(_) => {
                 self.saw_numeric = true;
+                // A number after text leaves the dictionary layout:
+                // `push_value` applies the promotion rules.
+                if let Some(text) = &mut self.text {
+                    self.column = std::mem::take(text).finish();
+                    self.text = None;
+                }
                 self.column.push_value(v);
             }
-            Value::Null => self.column.push_value(v),
         }
     }
 
@@ -806,44 +869,62 @@ impl ColumnBuilder {
     /// seen; any other layout takes the [`Column::push_value`] path.
     pub(crate) fn push_text(&mut self, s: &str) {
         self.saw_text = true;
-        if let Column::Categorical { dict, codes } = &mut self.column {
-            // Fast dictionary path with the hash lookup.
-            let code = match self.dict_lookup.get(s) {
+        if self.text.is_none() {
+            if matches!(self.column, Column::Boxed(_))
+                || self.column.null_count() != self.column.len()
+            {
+                self.column.push_value(Value::Text(s.to_owned()));
+                return;
+            }
+            // The first text of an all-null column starts the dictionary.
+            self.text = Some(TextColumn {
+                codes: vec![0; self.column.len()],
+                ..TextColumn::default()
+            });
+        }
+        if let Some(text) = &mut self.text {
+            let code = match text.lookup.get(s) {
                 Some(&c) => c,
                 None => {
-                    dict.push(s.to_owned());
-                    let c = dict.len() as u32;
-                    self.dict_lookup.insert(s.to_owned(), c);
+                    text.dict.push(s.to_owned());
+                    let c = text.dict.len() as u32;
+                    text.lookup.insert(s.to_owned(), c);
                     c
                 }
             };
-            codes.push(code);
-            return;
-        }
-        self.column.push_value(Value::Text(s.to_owned()));
-        // The first text promotes the column to Categorical; seed the
-        // lookup so subsequent pushes take the fast path.
-        if let Column::Categorical { dict, .. } = &self.column {
-            if self.dict_lookup.len() != dict.len() {
-                self.dict_lookup = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.clone(), (i + 1) as u32))
-                    .collect();
-            }
+            text.codes.push(code);
         }
     }
 
     /// Finishes the build.
     pub fn finish(self) -> Column {
-        self.column
+        match self.text {
+            Some(text) => text.finish(),
+            None => self.column,
+        }
+    }
+}
+
+impl FromIterator<Value> for Column {
+    /// Folds values into a typed column through a [`ColumnBuilder`].
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        let mut builder = ColumnBuilder::new();
+        for v in values {
+            builder.push(v);
+        }
+        builder.finish()
     }
 }
 
 /// Checks a single value against the attribute kind and the column's
-/// established non-null type (the typed equivalent of the pre-columnar
+/// established non-null type, which `established` reports only when the
+/// check needs it (the typed equivalent of the pre-columnar
 /// `check_value`).
-pub(crate) fn check_kind(attr: &Attribute, column: &Column, v: &Value) -> Result<()> {
+pub(crate) fn check_kind(
+    attr: &Attribute,
+    established: impl FnOnce() -> Option<&'static str>,
+    v: &Value,
+) -> Result<()> {
     if v.is_null() {
         return Ok(());
     }
@@ -858,7 +939,7 @@ pub(crate) fn check_kind(attr: &Attribute, column: &Column, v: &Value) -> Result
             }
         }
         AttrKind::Categorical => {
-            if let Some(established) = column.established_type() {
+            if let Some(established) = established() {
                 if established != v.type_name() {
                     return Err(RelationError::TypeMismatch {
                         column: attr.name.clone(),
@@ -1126,6 +1207,25 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_labels_are_one_value() {
+        let dict = Arc::new(vec!["a".to_string(), "b".into(), "a".into()]);
+        let dup = Column::Categorical {
+            dict: Arc::clone(&dict),
+            codes: vec![1, 3, 2, 0, 3],
+        };
+        assert_eq!(dup.group_codes(), (vec![1, 1, 2, 0, 1], 4));
+        assert_eq!(dup.distinct_count(), 3);
+        let p = crate::Pli::from_typed(&dup);
+        assert_eq!(p, crate::Pli::from_column(&dup.to_values()));
+        assert_eq!(p.clusters().collect::<Vec<_>>(), [[0u32, 1, 4]]);
+        let recoded = Column::Categorical {
+            dict,
+            codes: vec![3, 1, 2, 0, 1],
+        };
+        assert_eq!(dup, recoded);
+    }
+
+    #[test]
     fn select_shares_dictionary() {
         let c = col_from(
             Attribute::categorical("x"),
@@ -1137,6 +1237,36 @@ mod tests {
             vec![Value::Text("b".into()), Value::Text("b".into())]
         );
         assert_eq!(s.distinct_count(), 1);
+
+        // Row slices, projections and clones hold the same label list.
+        let dict = |c: &Column| match c {
+            Column::Categorical { dict, .. } => Arc::clone(dict),
+            other => panic!("not dictionary-encoded: {other:?}"),
+        };
+        let rel = crate::Relation::from_typed_columns(
+            crate::Schema::new(vec![
+                Attribute::continuous("n"),
+                Attribute::categorical("x"),
+            ])
+            .unwrap(),
+            vec![
+                col_from(Attribute::continuous("n"), &vec![Value::Int(1); 4]),
+                c.clone(),
+            ],
+        )
+        .unwrap();
+        let original = dict(&c);
+        let shared = [
+            dict(&s),
+            dict(&c.clone()),
+            dict(rel.column(1).unwrap()),
+            dict(rel.select_rows(&[2, 0]).unwrap().column(1).unwrap()),
+            dict(rel.project(&[1]).unwrap().column(0).unwrap()),
+            dict(rel.clone().column(1).unwrap()),
+        ];
+        for (i, d) in shared.iter().enumerate() {
+            assert!(Arc::ptr_eq(&original, d), "copy {i} has its own labels");
+        }
     }
 
     #[test]

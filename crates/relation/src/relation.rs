@@ -218,7 +218,8 @@ impl Relation {
 
     /// Horizontal slice keeping only the tuples at `row_indices`
     /// (in the given order). Used to realise PSI-aligned intersections.
-    /// Dictionary-encoded columns copy codes, not strings.
+    /// Dictionary-encoded columns copy codes and share their dictionary
+    /// (see [`Column::select`]).
     pub fn select_rows(&self, row_indices: &[usize]) -> Result<Relation> {
         for &r in row_indices {
             if r >= self.n_rows {
@@ -247,7 +248,8 @@ impl Relation {
             });
         }
         for (i, v) in row.iter().enumerate() {
-            check_kind(self.schema.attribute(i)?, &self.columns[i], v)?;
+            let column = &self.columns[i];
+            check_kind(self.schema.attribute(i)?, || column.established_type(), v)?;
         }
         for (i, v) in row.into_iter().enumerate() {
             self.columns[i].push_value(v);
@@ -560,7 +562,7 @@ mod tests {
         ])
         .unwrap();
         let label = Column::Categorical {
-            dict: vec!["a".into(), "b".into()],
+            dict: std::sync::Arc::new(vec!["a".into(), "b".into()]),
             codes: vec![1, 2, 0],
         };
         let score = Column::Float {

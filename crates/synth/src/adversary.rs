@@ -15,9 +15,9 @@ use crate::interval::{generate_dd_column, generate_od_column};
 use crate::mapping::{
     generate_afd_column, generate_fd_column, generate_nd_column, generate_ofd_column,
 };
-use crate::sampler::{collect_typed, sample_typed_column, sample_typed_column_from_distribution};
+use crate::pool::{null_column, sample_distribution, DomainPool};
 use mp_metadata::{Dependency, MetadataPackage, PlanStep};
-use mp_relation::{AttrKind, Attribute, Bitmap, Column, Domain, Relation, Result, Schema, Value};
+use mp_relation::{AttrKind, Attribute, Column, Domain, Relation, Result, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,11 +59,14 @@ impl SynthConfig {
 pub struct Adversary {
     package: MetadataPackage,
     plan: Vec<PlanStep>,
+    /// Each attribute's shared domain laid out for drawing.
+    pools: Vec<Option<DomainPool>>,
 }
 
 impl Adversary {
     /// Creates an adversary holding the (possibly redacted) metadata it
-    /// received, planning its generation order once.
+    /// received, planning its generation order and laying out each shared
+    /// domain as a [`DomainPool`] once.
     pub fn new(package: MetadataPackage) -> Self {
         let plan = package
             .dependency_graph()
@@ -73,7 +76,16 @@ impl Adversary {
                     .map(|attr| PlanStep::Free { attr })
                     .collect()
             });
-        Self { package, plan }
+        let pools = package
+            .attributes
+            .iter()
+            .map(|a| a.domain.as_ref().map(DomainPool::new))
+            .collect();
+        Self {
+            package,
+            plan,
+            pools,
+        }
     }
 
     /// The metadata the adversary holds.
@@ -93,9 +105,10 @@ impl Adversary {
     /// Attributes without a shared domain cannot be generated and come out
     /// as all-null columns (the adversary knows the name but nothing about
     /// the values) — this is exactly why the paper's recommended policy of
-    /// withholding domains blocks the attack. All-null columns are built
-    /// typed, free columns take [`sample_typed_column`]'s layouts, and
-    /// derived columns fold owned values.
+    /// withholding domains blocks the attack. Free columns are drawn from
+    /// the attribute's [`DomainPool`] (or its shared distribution), and
+    /// derived columns are gathered from it, so every text column of one
+    /// adversary shares its pool's dictionary.
     pub fn synthesize(&self, config: &SynthConfig) -> Result<Relation> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.n_rows;
@@ -112,40 +125,30 @@ impl Adversary {
 
         for step in plan {
             let attr = step.attr();
-            let meta = &self.package.attributes[attr];
-            let domain = meta.domain.as_ref();
             // A shared distribution is strictly richer than a domain: use
             // it for free generation whenever present.
             if matches!(step, PlanStep::Free { .. }) {
-                if let Some(dist) = &meta.distribution {
-                    columns[attr] = Some(sample_typed_column_from_distribution(dist, n, &mut rng));
+                if let Some(dist) = &self.package.attributes[attr].distribution {
+                    columns[attr] = Some(sample_distribution(dist, n, &mut rng));
                     continue;
                 }
             }
-            let col = match (step, domain) {
+            let col = match (step, &self.pools[attr]) {
                 // No domain shared: nothing to sample from.
-                (_, None) => Column::Int {
-                    values: vec![0; n],
-                    nulls: Bitmap::filled(n, true),
-                },
-                (PlanStep::Free { .. }, Some(dom)) => sample_typed_column(dom, n, &mut rng),
-                (PlanStep::Derive { dep, .. }, Some(dom)) => {
+                (_, None) => null_column(n),
+                (PlanStep::Free { .. }, Some(pool)) => pool.sample(n, &mut rng),
+                (PlanStep::Derive { dep, .. }, Some(pool)) => {
                     let dep = &self.package.dependencies[*dep];
-                    // The mapping/interval generators work on owned values —
-                    // the typed determinant columns materialise at this
-                    // boundary only.
-                    let lhs_owned: Vec<Vec<Value>> = determinant_order(dep)
+                    let lhs: Vec<&Column> = determinant_order(dep)
                         .into_iter()
                         .map(|a| {
                             columns[a]
                                 .as_ref()
                                 // lint: allow(no-panic) reason="the plan topologically orders dependents after their determinants; absence is a planner bug"
                                 .expect("determinant generated before dependent")
-                                .to_values()
                         })
                         .collect();
-                    let lhs: Vec<&[Value]> = lhs_owned.iter().map(Vec::as_slice).collect();
-                    collect_typed(derive_column(dep, &lhs, dom, n, &mut rng))
+                    derive_column(dep, &lhs, pool, n, &mut rng)
                 }
             };
             columns[attr] = Some(col);
@@ -189,25 +192,25 @@ pub fn determinant_order(dep: &Dependency) -> Vec<usize> {
 /// only inside the class's generator.
 pub fn derive_column<R: Rng + ?Sized>(
     dep: &Dependency,
-    lhs: &[&[Value]],
-    rhs_domain: &Domain,
+    lhs: &[&Column],
+    rhs: &DomainPool,
     n: usize,
     rng: &mut R,
-) -> Vec<Value> {
+) -> Column {
     match dep {
-        Dependency::Fd(_) => generate_fd_column(lhs, rhs_domain, n, rng),
-        Dependency::Afd(afd) => generate_afd_column(lhs, rhs_domain, afd.g3_threshold, n, rng),
+        Dependency::Fd(_) => generate_fd_column(lhs, rhs, n, rng),
+        Dependency::Afd(afd) => generate_afd_column(lhs, rhs, afd.g3_threshold, n, rng),
         // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-        Dependency::Od(od) => generate_od_column(lhs[0], rhs_domain, od.direction, n, rng),
+        Dependency::Od(od) => generate_od_column(lhs[0], rhs, od.direction, n, rng),
         // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-        Dependency::Nd(nd) => generate_nd_column(lhs[0], rhs_domain, nd.k, n, rng),
+        Dependency::Nd(nd) => generate_nd_column(lhs[0], rhs, nd.k, n, rng),
         Dependency::Dd(dd) => {
             // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-            generate_dd_column(lhs[0], rhs_domain, dd.eps_lhs, dd.delta_rhs, n, rng)
+            generate_dd_column(lhs[0], rhs, dd.eps_lhs, dd.delta_rhs, n, rng)
         }
         // lint: allow(no-literal-index) reason="Od/Nd/Dd/Ofd dependencies have a single-attribute determinant by construction"
-        Dependency::Ofd(_) => generate_ofd_column(lhs[0], rhs_domain, n, rng),
-        Dependency::Cfd(cfd) => generate_cfd_column(cfd, lhs, rhs_domain, n, rng),
+        Dependency::Ofd(_) => generate_ofd_column(lhs[0], rhs, n, rng),
+        Dependency::Cfd(cfd) => generate_cfd_column(cfd, lhs, rhs, n, rng),
     }
 }
 

@@ -7,164 +7,118 @@
 //! through an FD mapping restricted to the matching partition (variable
 //! CFDs). Non-matching rows fall back to uniform generation.
 
-use crate::mapping::generate_fd_column;
-use crate::sampler::sample_uniform;
+use crate::mapping::fd_images;
+use crate::pool::{Codomain, DomainPool};
 use mp_metadata::{ConditionalFd, PatternCell};
-use mp_relation::{Domain, Value};
+use mp_relation::Column;
 use rand::Rng;
 
 /// Generates the dependent column of `cfd` given the already-generated
-/// determinant columns (`lhs_cols[i]` corresponds to `cfd.lhs[i]`).
+/// determinant columns (`lhs[i]` corresponds to `cfd.lhs[i]`). Pattern
+/// constants match under [`mp_relation::Value`] equality; a constant RHS
+/// may lie outside the shared domain.
 pub fn generate_cfd_column<R: Rng + ?Sized>(
     cfd: &ConditionalFd,
-    lhs_cols: &[&[Value]],
-    rhs_domain: &Domain,
-    n_rows: usize,
+    lhs: &[&Column],
+    rhs: &DomainPool,
+    n: usize,
     rng: &mut R,
-) -> Vec<Value> {
-    assert_eq!(lhs_cols.len(), cfd.lhs.len(), "one column per pattern cell");
-    let matches: Vec<bool> = (0..n_rows)
+) -> Column {
+    assert_eq!(lhs.len(), cfd.lhs.len(), "one column per pattern cell");
+    let matches: Vec<bool> = (0..n)
         .map(|r| {
-            cfd.lhs
-                .iter()
-                .zip(lhs_cols)
-                .all(|((_, cell), col)| cell.matches(&col[r]))
+            cfd.lhs.iter().zip(lhs).all(|((_, cell), col)| match cell {
+                PatternCell::Const(c) => col.value_ref(r) == c.as_value_ref(),
+                PatternCell::Wildcard => true,
+            })
         })
         .collect();
 
-    match &cfd.rhs_pattern {
-        PatternCell::Const(c) => (0..n_rows)
-            .map(|r| {
-                if matches[r] {
-                    c.clone()
-                } else {
-                    sample_uniform(rhs_domain, rng)
-                }
-            })
-            .collect(),
+    let mut codomain = Codomain::new(rhs);
+    let mapped: Vec<usize> = match &cfd.rhs_pattern {
+        PatternCell::Const(c) => vec![codomain.constant(c); n],
         PatternCell::Wildcard => {
-            // FD mapping keyed on the wildcard determinants, applied only
-            // to matching rows; the rest are uniform.
-            let wildcard_cols: Vec<&[Value]> = cfd
+            // FD mapping keyed on the wildcard determinants, drawn over
+            // every row; only matching rows keep it.
+            let wildcard: Vec<&Column> = cfd
                 .lhs
                 .iter()
-                .zip(lhs_cols)
+                .zip(lhs)
                 .filter(|((_, cell), _)| matches!(cell, PatternCell::Wildcard))
                 .map(|(_, col)| *col)
                 .collect();
-            let mapped = if wildcard_cols.is_empty() {
+            if wildcard.is_empty() {
                 // Pure-constant LHS with free RHS: one shared value for the
                 // whole partition (the FD on zero key attributes).
-                let v = sample_uniform(rhs_domain, rng);
-                vec![v; n_rows]
+                vec![codomain.draw(rng); n]
             } else {
-                generate_fd_column(&wildcard_cols, rhs_domain, n_rows, rng)
-            };
-            (0..n_rows)
-                .map(|r| {
-                    if matches[r] {
-                        mapped[r].clone()
-                    } else {
-                        sample_uniform(rhs_domain, rng)
-                    }
-                })
-                .collect()
+                fd_images(&wildcard, &mut codomain, n, rng)
+            }
         }
-    }
+    };
+    let rows: Vec<usize> = (0..n)
+        .map(|r| {
+            if matches[r] {
+                mapped[r]
+            } else {
+                codomain.draw(rng)
+            }
+        })
+        .collect();
+    codomain.column(&rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_relation::{Attribute, Relation, Schema};
+    use crate::pool::tests::{cycle, rel};
+    use mp_relation::{Domain, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn lhs(n: usize, card: usize) -> Vec<Value> {
-        (0..n).map(|i| Value::Int((i % card) as i64)).collect()
+    fn ints_to(card: i64) -> DomainPool {
+        DomainPool::new(&Domain::categorical((0..card).collect::<Vec<_>>()))
     }
 
     #[test]
     fn constant_cfd_forces_value_on_matches() {
         let mut rng = StdRng::seed_from_u64(1);
-        let x = lhs(90, 3);
+        let x = cycle(90, 3);
+        // The constant 7 lies outside the 0..5 domain.
         let cfd = ConditionalFd::constant(0, 1i64, 1, 7i64);
-        let dom = Domain::categorical((0i64..10).collect::<Vec<_>>());
-        let y = generate_cfd_column(&cfd, &[&x], &dom, 90, &mut rng);
-        for (xi, yi) in x.iter().zip(&y) {
-            if *xi == Value::Int(1) {
-                assert_eq!(*yi, Value::Int(7));
-            }
-            assert!(dom.contains(yi) || *yi == Value::Int(7));
+        let y = generate_cfd_column(&cfd, &[&x], &ints_to(5), 90, &mut rng);
+        for i in 0..90 {
+            let (xi, yi) = (x.value(i), y.value(i));
+            assert_eq!(xi == Value::Int(1), yi == Value::Int(7), "row {i}");
         }
-        // Non-matching rows are not all the constant.
-        assert!(x
-            .iter()
-            .zip(&y)
-            .any(|(xi, yi)| *xi != Value::Int(1) && *yi != Value::Int(7)));
-    }
-
-    #[test]
-    fn generated_pair_satisfies_the_cfd() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let x = lhs(120, 4);
         let cfd = ConditionalFd::constant(0, 2i64, 1, 0i64);
-        let dom = Domain::categorical((0i64..5).collect::<Vec<_>>());
-        let y = generate_cfd_column(&cfd, &[&x], &dom, 120, &mut rng);
-        let schema = Schema::new(vec![
-            Attribute::categorical("x"),
-            Attribute::categorical("y"),
-        ])
-        .unwrap();
-        let rel = Relation::from_columns(schema, vec![x, y]).unwrap();
-        assert!(cfd.holds(&rel).unwrap());
+        let y = generate_cfd_column(&cfd, &[&x], &ints_to(5), 90, &mut rng);
+        assert!(cfd
+            .holds(&rel(vec![("x", false, x), ("y", false, y)]))
+            .unwrap());
     }
 
     #[test]
-    fn variable_cfd_respects_partition_fd() {
+    fn variable_and_constant_only_cfds() {
         let mut rng = StdRng::seed_from_u64(3);
-        let cond = lhs(200, 2); // attrs 0 (condition) and 1 (fd key)
-        let key = lhs(200, 5);
+        let (cond, key) = (cycle(200, 2), cycle(200, 5));
         let cfd = ConditionalFd::variable(0, 0i64, 1, 2);
-        let dom = Domain::categorical((0i64..8).collect::<Vec<_>>());
-        let y = generate_cfd_column(&cfd, &[&cond, &key], &dom, 200, &mut rng);
-        let schema = Schema::new(vec![
-            Attribute::categorical("cond"),
-            Attribute::categorical("key"),
-            Attribute::categorical("y"),
-        ])
-        .unwrap();
-        let rel = Relation::from_columns(schema, vec![cond, key, y]).unwrap();
-        assert!(cfd.holds(&rel).unwrap());
-    }
+        let y = generate_cfd_column(&cfd, &[&cond, &key], &ints_to(8), 200, &mut rng);
+        let r = rel(vec![
+            ("cond", false, cond.clone()),
+            ("key", false, key),
+            ("y", false, y),
+        ]);
+        assert!(cfd.holds(&r).unwrap());
 
-    #[test]
-    fn all_constant_lhs_with_wildcard_rhs() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let x = lhs(40, 2);
         let cfd = ConditionalFd {
             lhs: vec![(0, PatternCell::Const(Value::Int(0)))],
             rhs: 1,
             rhs_pattern: PatternCell::Wildcard,
         };
-        let dom = Domain::categorical((0i64..6).collect::<Vec<_>>());
-        let y = generate_cfd_column(&cfd, &[&x], &dom, 40, &mut rng);
-        // All matching rows share one value.
-        let matched: Vec<&Value> = x
-            .iter()
-            .zip(&y)
-            .filter(|(xi, _)| **xi == Value::Int(0))
-            .map(|(_, yi)| yi)
-            .collect();
+        let y = generate_cfd_column(&cfd, &[&cond], &ints_to(6), 200, &mut rng);
+        let matched: Vec<Value> = (0..200).step_by(2).map(|i| y.value(i)).collect();
         assert!(matched.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn empty_input() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let cfd = ConditionalFd::constant(0, 1i64, 1, 2i64);
-        let dom = Domain::categorical(vec![0i64]);
-        let empty: &[Value] = &[];
-        assert!(generate_cfd_column(&cfd, &[empty], &dom, 0, &mut rng).is_empty());
+        assert!(generate_cfd_column(&cfd, &[&cycle(0, 1)], &ints_to(1), 0, &mut rng).is_empty());
     }
 }

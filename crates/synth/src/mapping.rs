@@ -3,8 +3,10 @@
 //! The common shape (paper §III-B): the adversary first generates the
 //! determinant column(s), then materialises a *random mapping* from
 //! observed determinant values into the dependent attribute's domain —
-//! "one-time initialization throughout the dataset". Each dependency class
-//! constrains the mapping differently:
+//! "one-time initialization throughout the dataset". The mapping is a
+//! table indexed by the determinant's row group ids; a group's image is
+//! drawn at the group's first row. Each dependency class constrains the
+//! mapping differently:
 //!
 //! * **FD** — any function: each LHS value maps to one uniformly chosen
 //!   RHS value (`P(B|A=a) = 1/|D_B|`).
@@ -17,96 +19,101 @@
 //! * **OFD** — distinct LHS values map to a *strictly increasing* random
 //!   sequence of RHS values — the directed-random-walk of §IV-E.
 
-use crate::sampler::{enumerate_domain, sample_uniform};
-use mp_relation::{Domain, Value};
+use crate::pool::{group_ids, null_column, ranked_groups, Codomain, DomainPool, DEFAULT_BINS};
+use mp_relation::Column;
 use rand::Rng;
-use std::collections::HashMap;
 
-/// Number of grid points used to view a continuous domain as a finite
-/// codomain for subset/walk mappings.
-pub const DEFAULT_BINS: usize = 64;
-
-/// Composite key of the already-generated determinant columns for one row.
-fn lhs_key(lhs_cols: &[&[Value]], row: usize) -> Vec<Value> {
-    lhs_cols.iter().map(|c| c[row].clone()).collect()
+/// The FD images of the first `n` rows: one draw from `codomain` per
+/// distinct determinant tuple, at its first row.
+pub(crate) fn fd_images<R: Rng + ?Sized>(
+    lhs: &[&Column],
+    codomain: &mut Codomain<'_>,
+    n: usize,
+    rng: &mut R,
+) -> Vec<usize> {
+    let (groups, bound) = group_ids(lhs, n);
+    let mut images: Vec<Option<usize>> = vec![None; bound];
+    (0..n)
+        .map(|r| *images[groups[r] as usize].get_or_insert_with(|| codomain.draw(rng)))
+        .collect()
 }
 
 /// Generates a dependent column under an **FD**: one uniformly random image
 /// per distinct determinant value.
 pub fn generate_fd_column<R: Rng + ?Sized>(
-    lhs_cols: &[&[Value]],
-    rhs_domain: &Domain,
-    n_rows: usize,
+    lhs: &[&Column],
+    rhs: &DomainPool,
+    n: usize,
     rng: &mut R,
-) -> Vec<Value> {
-    let mut mapping: HashMap<Vec<Value>, Value> = HashMap::new();
-    (0..n_rows)
-        .map(|r| {
-            let key = lhs_key(lhs_cols, r);
-            mapping
-                .entry(key)
-                .or_insert_with(|| sample_uniform(rhs_domain, rng))
-                .clone()
-        })
-        .collect()
+) -> Column {
+    let mut codomain = Codomain::new(rhs);
+    let rows = fd_images(lhs, &mut codomain, n, rng);
+    codomain.column(&rows)
 }
 
 /// Generates a dependent column under an **AFD**: the FD mapping with an
-/// `epsilon` fraction of rows replaced by independent uniform draws.
+/// `epsilon` fraction of rows replaced by independent uniform draws. Every
+/// row draws its ε coin first; a group's image is drawn at its first
+/// unperturbed row.
 pub fn generate_afd_column<R: Rng + ?Sized>(
-    lhs_cols: &[&[Value]],
-    rhs_domain: &Domain,
+    lhs: &[&Column],
+    rhs: &DomainPool,
     epsilon: f64,
-    n_rows: usize,
+    n: usize,
     rng: &mut R,
-) -> Vec<Value> {
-    let mut mapping: HashMap<Vec<Value>, Value> = HashMap::new();
-    (0..n_rows)
+) -> Column {
+    let (groups, bound) = group_ids(lhs, n);
+    let mut codomain = Codomain::new(rhs);
+    let mut images: Vec<Option<usize>> = vec![None; bound];
+    let rows: Vec<usize> = (0..n)
         .map(|r| {
             if rng.gen::<f64>() < epsilon {
-                sample_uniform(rhs_domain, rng)
+                codomain.draw(rng)
             } else {
-                let key = lhs_key(lhs_cols, r);
-                mapping
-                    .entry(key)
-                    .or_insert_with(|| sample_uniform(rhs_domain, rng))
-                    .clone()
+                *images[groups[r] as usize].get_or_insert_with(|| codomain.draw(rng))
             }
         })
-        .collect()
+        .collect();
+    codomain.column(&rows)
+}
+
+/// A uniform `k`-subset of `0..len` by partial Fisher–Yates.
+fn k_subset<R: Rng + ?Sized>(len: usize, k: usize, rng: &mut R) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..len).collect();
+    for i in 0..k {
+        let j = rng.gen_range(i..idx.len());
+        idx.swap(i, j);
+    }
+    idx.truncate(k);
+    idx
 }
 
 /// Generates a dependent column under an **ND** `X →≤k Y`: each distinct
 /// determinant value gets a uniformly chosen `k`-subset of the (possibly
-/// discretised) RHS domain; each row samples uniformly within its subset.
+/// discretised) RHS domain, drawn at its first row; each row samples
+/// uniformly within its subset.
 pub fn generate_nd_column<R: Rng + ?Sized>(
-    lhs_col: &[Value],
-    rhs_domain: &Domain,
+    lhs: &Column,
+    rhs: &DomainPool,
     k: usize,
-    n_rows: usize,
+    n: usize,
     rng: &mut R,
-) -> Vec<Value> {
-    let pool = enumerate_domain(rhs_domain, DEFAULT_BINS.max(k));
-    if pool.is_empty() {
-        return vec![Value::Null; n_rows];
+) -> Column {
+    let codomain = Codomain::grid(rhs, DEFAULT_BINS.max(k));
+    let len = codomain.len();
+    if len == 0 {
+        return null_column(n);
     }
-    let k = k.clamp(1, pool.len());
-    let mut subsets: HashMap<&Value, Vec<usize>> = HashMap::new();
-    (0..n_rows)
+    let k = k.clamp(1, len);
+    let (groups, bound) = group_ids(&[lhs], n);
+    let mut subsets: Vec<Option<Vec<usize>>> = vec![None; bound];
+    let rows: Vec<usize> = (0..n)
         .map(|r| {
-            let subset = subsets.entry(&lhs_col[r]).or_insert_with(|| {
-                // Partial Fisher–Yates: a uniform k-subset of the pool.
-                let mut idx: Vec<usize> = (0..pool.len()).collect();
-                for i in 0..k {
-                    let j = rng.gen_range(i..idx.len());
-                    idx.swap(i, j);
-                }
-                idx.truncate(k);
-                idx
-            });
-            pool[subset[rng.gen_range(0..subset.len())]].clone()
+            let subset = subsets[groups[r] as usize].get_or_insert_with(|| k_subset(len, k, rng));
+            subset[rng.gen_range(0..k)]
         })
-        .collect()
+        .collect();
+    codomain.column(&rows)
 }
 
 /// Generates a dependent column under an **OFD** `X → Y`: the `m` distinct
@@ -119,211 +126,119 @@ pub fn generate_nd_column<R: Rng + ?Sized>(
 /// `P_{i,i+1} = 1 − (|X|−t)/|Y|` likewise forces every remaining step up
 /// when the codomain budget runs out).
 pub fn generate_ofd_column<R: Rng + ?Sized>(
-    lhs_col: &[Value],
-    rhs_domain: &Domain,
-    n_rows: usize,
+    lhs: &Column,
+    rhs: &DomainPool,
+    n: usize,
     rng: &mut R,
-) -> Vec<Value> {
-    let mut distinct: Vec<&Value> = lhs_col.iter().collect();
-    distinct.sort();
-    distinct.dedup();
-    let m = distinct.len();
+) -> Column {
+    let (ranks, m) = ranked_groups(lhs);
     if m == 0 {
-        return Vec::new();
+        return Column::default();
     }
-    let pool = enumerate_domain(rhs_domain, DEFAULT_BINS.max(m));
-    if pool.is_empty() {
-        return vec![Value::Null; n_rows];
+    let codomain = Codomain::grid(rhs, DEFAULT_BINS.max(m));
+    let len = codomain.len();
+    if len == 0 {
+        return null_column(n);
     }
 
-    // Choose m indices into the sorted pool: a uniform m-combination when
-    // possible (strictly increasing), otherwise a sorted m-multiset.
-    let indices: Vec<usize> = if m <= pool.len() {
-        let mut idx: Vec<usize> = (0..pool.len()).collect();
-        for i in 0..m {
-            let j = rng.gen_range(i..idx.len());
-            idx.swap(i, j);
-        }
-        idx.truncate(m);
-        idx.sort_unstable();
-        idx
+    // Choose m indices into the sorted codomain: a uniform m-combination
+    // when possible (strictly increasing), otherwise a sorted m-multiset.
+    let mut images: Vec<usize> = if m <= len {
+        k_subset(len, m, rng)
     } else {
-        let mut idx: Vec<usize> = (0..m).map(|_| rng.gen_range(0..pool.len())).collect();
-        idx.sort_unstable();
-        idx
+        (0..m).map(|_| rng.gen_range(0..len)).collect()
     };
-
-    let mapping: HashMap<&Value, &Value> = distinct
-        .iter()
-        .zip(indices.iter().map(|&i| &pool[i]))
-        .map(|(k, v)| (*k, v))
-        .collect();
-    (0..n_rows).map(|r| mapping[&lhs_col[r]].clone()).collect()
+    images.sort_unstable();
+    let rows: Vec<usize> = ranks[..n].iter().map(|&g| images[g as usize]).collect();
+    codomain.column(&rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_metadata::{Fd, NumericalDep, OrderedFd};
-    use mp_relation::{Attribute, Relation, Schema};
+    use crate::pool::tests::{cycle, ints, rel};
+    use mp_metadata::{Fd, NumericalDep, OrderDep, OrderedFd};
+    use mp_relation::{Domain, Value};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rel_from(cols: Vec<(Attribute, Vec<Value>)>) -> Relation {
-        let (attrs, columns): (Vec<_>, Vec<_>) = cols.into_iter().unzip();
-        Relation::from_columns(Schema::new(attrs).unwrap(), columns).unwrap()
+    fn pool(domain: Domain) -> DomainPool {
+        DomainPool::new(&domain)
     }
 
-    fn lhs_values(n: usize, card: usize) -> Vec<Value> {
-        (0..n).map(|i| Value::Int((i % card) as i64)).collect()
+    fn ints_to(card: i64) -> DomainPool {
+        pool(Domain::categorical((0..card).collect::<Vec<_>>()))
     }
 
     #[test]
     fn fd_generation_satisfies_fd() {
         let mut rng = StdRng::seed_from_u64(5);
-        let lhs = lhs_values(100, 7);
-        let rhs_dom = Domain::categorical(vec!["a", "b", "c"]);
-        let rhs = generate_fd_column(&[&lhs], &rhs_dom, 100, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
+        let x = cycle(100, 7);
+        let y = generate_fd_column(
+            &[&x],
+            &pool(Domain::categorical(vec!["a", "b"])),
+            100,
+            &mut rng,
+        );
+        let r = rel(vec![("x", false, x), ("y", false, y)]);
         assert!(Fd::new(0usize, 1).holds(&r).unwrap());
-    }
 
-    #[test]
-    fn fd_generation_composite_lhs() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = lhs_values(120, 4);
-        let b: Vec<Value> = (0..120).map(|i| Value::Int((i / 4 % 3) as i64)).collect();
-        let dom = Domain::categorical(vec![0i64, 1]);
-        let c = generate_fd_column(&[&a, &b], &dom, 120, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("a"), a),
-            (Attribute::categorical("b"), b),
-            (Attribute::categorical("c"), c),
-        ]);
+        let (a, b) = (cycle(120, 4), ints((0..120).map(|i| i / 4 % 3)));
+        let c = generate_fd_column(&[&a, &b], &ints_to(2), 120, &mut rng);
+        let r = rel(vec![("a", false, a), ("b", false, b), ("c", false, c)]);
         assert!(Fd::new(vec![0, 1], 2).holds(&r).unwrap());
     }
 
     #[test]
-    fn afd_generation_respects_epsilon_roughly() {
+    fn afd_generation_respects_epsilon() {
         let mut rng = StdRng::seed_from_u64(7);
-        let lhs = lhs_values(2000, 5);
-        let dom = Domain::categorical((0i64..20).collect::<Vec<_>>());
-        let rhs = generate_afd_column(&[&lhs], &dom, 0.1, 2000, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
+        let x = cycle(2000, 5);
+        let y = generate_afd_column(&[&x], &ints_to(20), 0.1, 2000, &mut rng);
+        let r = rel(vec![("x", false, x.clone()), ("y", false, y)]);
         let g3 = Fd::new(0usize, 1).g3_error(&r).unwrap();
-        assert!(g3 > 0.02, "g3 {g3}: perturbations must land");
-        assert!(g3 < 0.15, "g3 {g3}: too many violations for ε=0.1");
-    }
-
-    #[test]
-    fn afd_with_zero_epsilon_is_fd() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let lhs = lhs_values(200, 6);
-        let dom = Domain::categorical(vec![0i64, 1, 2]);
-        let rhs = generate_afd_column(&[&lhs], &dom, 0.0, 200, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
-        assert!(Fd::new(0usize, 1).holds(&r).unwrap());
+        assert!(g3 > 0.02 && g3 < 0.15, "g3 {g3} for ε = 0.1");
+        let y = generate_afd_column(&[&x], &ints_to(3), 0.0, 2000, &mut rng);
+        assert!(Fd::new(0usize, 1)
+            .holds(&rel(vec![("x", false, x), ("y", false, y)]))
+            .unwrap());
     }
 
     #[test]
     fn nd_generation_bounds_fanout() {
         let mut rng = StdRng::seed_from_u64(9);
-        let lhs = lhs_values(600, 6);
-        let dom = Domain::categorical((0i64..30).collect::<Vec<_>>());
-        let rhs = generate_nd_column(&lhs, &dom, 4, 600, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
+        let x = cycle(600, 6);
+        let y = generate_nd_column(&x, &ints_to(30), 4, 600, &mut rng);
+        let r = rel(vec![("x", false, x.clone()), ("y", false, y)]);
         assert!(NumericalDep::new(0, 1, 4).holds(&r).unwrap());
-        // And the generator uses the budget: with 100 rows per group the
-        // fanout should actually reach 4 for some group.
-        let max = NumericalDep::max_fanout(0, 1, &r).unwrap();
-        assert!(max >= 3, "fanout {max} suspiciously small");
-    }
-
-    #[test]
-    fn nd_generation_continuous_domain() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let lhs = lhs_values(200, 4);
-        let dom = Domain::continuous(0.0, 100.0);
-        let rhs = generate_nd_column(&lhs, &dom, 3, 200, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::continuous("y"), rhs),
-        ]);
+        assert!(NumericalDep::max_fanout(0, 1, &r).unwrap() >= 3);
+        let y = generate_nd_column(&x, &pool(Domain::continuous(0.0, 100.0)), 3, 600, &mut rng);
+        let r = rel(vec![("x", false, x.clone()), ("y", true, y)]);
         assert!(NumericalDep::new(0, 1, 3).holds(&r).unwrap());
+        let y = generate_nd_column(&x, &ints_to(2), 99, 600, &mut rng);
+        assert!((0..600).all(|i| matches!(y.value(i), Value::Int(0 | 1))));
+        let empty = generate_nd_column(&x, &pool(Domain::Categorical(vec![])), 2, 5, &mut rng);
+        assert_eq!((empty.len(), empty.null_count()), (5, 5));
     }
 
     #[test]
-    fn nd_with_k_larger_than_domain_clamps() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let lhs = lhs_values(50, 2);
-        let dom = Domain::categorical(vec![0i64, 1]);
-        let rhs = generate_nd_column(&lhs, &dom, 99, 50, &mut rng);
-        assert_eq!(rhs.len(), 50);
-        assert!(rhs.iter().all(|v| dom.contains(v)));
-    }
-
-    #[test]
-    fn ofd_generation_satisfies_ofd() {
+    fn ofd_generation_is_strict_or_degrades_to_monotone() {
         let mut rng = StdRng::seed_from_u64(12);
-        let lhs = lhs_values(150, 8);
-        let dom = Domain::categorical((0i64..40).collect::<Vec<_>>());
-        let rhs = generate_ofd_column(&lhs, &dom, 150, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
+        let x = cycle(150, 8);
+        let y = generate_ofd_column(&x, &ints_to(40), 150, &mut rng);
+        let r = rel(vec![("x", false, x), ("y", false, y)]);
         assert!(OrderedFd::new(0, 1).holds(&r).unwrap());
-    }
 
-    #[test]
-    fn ofd_generation_continuous_codomain() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let lhs: Vec<Value> = (0..100).map(|i| Value::Float((i % 10) as f64)).collect();
-        let dom = Domain::continuous(-5.0, 5.0);
-        let rhs = generate_ofd_column(&lhs, &dom, 100, &mut rng);
-        let r = rel_from(vec![
-            (Attribute::continuous("x"), lhs),
-            (Attribute::continuous("y"), rhs),
-        ]);
+        let x: Column = (0..100).map(|i| Value::Float((i % 10) as f64)).collect();
+        let y = generate_ofd_column(&x, &pool(Domain::continuous(-5.0, 5.0)), 100, &mut rng);
+        let r = rel(vec![("x", true, x), ("y", true, y)]);
         assert!(OrderedFd::new(0, 1).holds(&r).unwrap());
-    }
 
-    #[test]
-    fn ofd_degrades_gracefully_when_codomain_small() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let lhs = lhs_values(60, 10); // 10 distinct lhs values
-        let dom = Domain::categorical(vec![0i64, 1, 2]); // only 3 targets
-        let rhs = generate_ofd_column(&lhs, &dom, 60, &mut rng);
-        // Strictness is unachievable; the result must still be an
-        // order-compatible function (FD + non-decreasing).
-        let r = rel_from(vec![
-            (Attribute::categorical("x"), lhs),
-            (Attribute::categorical("y"), rhs),
-        ]);
+        // 10 determinant values onto 3 targets: an order-compatible function.
+        let x = cycle(60, 10);
+        let y = generate_ofd_column(&x, &ints_to(3), 60, &mut rng);
+        let r = rel(vec![("x", false, x), ("y", false, y)]);
         assert!(Fd::new(0usize, 1).holds(&r).unwrap());
-        assert!(mp_metadata::OrderDep::ascending(0, 1).holds(&r).unwrap());
-    }
-
-    #[test]
-    fn empty_inputs() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let dom = Domain::categorical(vec![0i64]);
-        assert!(generate_ofd_column(&[], &dom, 0, &mut rng).is_empty());
-        assert!(generate_fd_column(&[&[]], &dom, 0, &mut rng).is_empty());
-        let empty_dom = Domain::Categorical(vec![]);
-        let out = generate_nd_column(&lhs_values(5, 2), &empty_dom, 2, 5, &mut rng);
-        assert!(out.iter().all(Value::is_null));
+        assert!(OrderDep::ascending(0, 1).holds(&r).unwrap());
+        assert!(generate_ofd_column(&ints([]), &ints_to(1), 0, &mut rng).is_empty());
     }
 }

@@ -9,13 +9,12 @@ use mp_relation::{Attribute, Column, Domain, Relation, Schema, Value};
 use mp_synth::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::mem::discriminant;
+use rand::SeedableRng;
 
 /// Row counts around the null bitmap's 64-bit word boundaries.
 const ROW_COUNTS: [usize; 6] = [0, 1, 63, 64, 65, 500];
 
-fn rel2(x: Vec<Value>, x_cat: bool, y: Vec<Value>, y_cat: bool) -> Relation {
+fn rel2(x: Column, x_cat: bool, y: Column, y_cat: bool) -> Relation {
     let attr = |name: &str, cat: bool| {
         if cat {
             Attribute::categorical(name)
@@ -23,38 +22,19 @@ fn rel2(x: Vec<Value>, x_cat: bool, y: Vec<Value>, y_cat: bool) -> Relation {
             Attribute::continuous(name)
         }
     };
-    Relation::from_columns(
+    Relation::from_typed_columns(
         Schema::new(vec![attr("x", x_cat), attr("y", y_cat)]).unwrap(),
         vec![x, y],
     )
     .unwrap()
 }
 
-fn lhs_column(n: usize, card: usize, seed: u64) -> Vec<Value> {
-    let dom = Domain::categorical((0..card as i64).collect::<Vec<_>>());
-    let mut rng = StdRng::seed_from_u64(seed);
-    sample_column(&dom, n, &mut rng)
+fn ints_to(card: usize) -> DomainPool {
+    DomainPool::new(&Domain::categorical((0..card as i64).collect::<Vec<_>>()))
 }
 
-/// Every categorical layout `sample_typed_column` tells apart — `Int`,
-/// `Int`+`Null`, `Null` only, `Text`, `Text`+`Null`, `Int`+`Float`,
-/// `Int`+`Text`, empty — plus a continuous range and a point range.
-fn domain_shapes(card: i64) -> Vec<Domain> {
-    let ints = || (0..card).map(Value::Int);
-    let texts = || (0..card).map(|i| Value::Text(format!("t{i}")));
-    let categorical = |vals: Vec<Value>| Domain::categorical(vals);
-    vec![
-        categorical(ints().collect()),
-        categorical(ints().chain([Value::Null]).collect()),
-        categorical(vec![Value::Null]),
-        categorical(texts().collect()),
-        categorical(texts().chain([Value::Null]).collect()),
-        categorical(ints().chain([Value::Float(0.5)]).collect()),
-        categorical(ints().chain([Value::from("x")]).collect()),
-        Domain::Categorical(Vec::new()),
-        Domain::continuous(-2.0, 3.0),
-        Domain::continuous(4.0, 4.0),
-    ]
+fn lhs_column(n: usize, card: usize, seed: u64) -> Column {
+    ints_to(card).sample(n, &mut StdRng::seed_from_u64(seed))
 }
 
 /// Packages over the employee table, each with whether its stored plan
@@ -78,34 +58,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn typed_sampler_matches_the_boxed_path(seed in any::<u64>(), card in 1i64..12) {
-        for domain in domain_shapes(card) {
-            for n in ROW_COUNTS {
-                let mut typed_rng = StdRng::seed_from_u64(seed);
-                let mut boxed_rng = StdRng::seed_from_u64(seed);
-                let typed = sample_typed_column(&domain, n, &mut typed_rng);
-                let boxed = collect_typed(sample_column(&domain, n, &mut boxed_rng));
-                prop_assert_eq!(&typed, &boxed, "{} at n = {}", domain, n);
-                // Same layout, and bit for bit outside dictionary order.
-                if n > 0 {
-                    prop_assert_eq!(discriminant(&typed), discriminant(&boxed));
-                    if !matches!(typed, Column::Categorical { .. }) {
-                        prop_assert_eq!(format!("{typed:?}"), format!("{boxed:?}"));
-                    }
-                }
-                prop_assert_eq!(typed_rng.gen::<u64>(), boxed_rng.gen::<u64>());
-            }
-        }
-    }
-
-    #[test]
     fn undomained_attributes_synthesize_the_boxed_all_null_column(seed in any::<u64>()) {
         let rel = mp_datasets::employee();
         let pkg = MetadataPackage::describe("employee", &rel, Vec::new()).unwrap();
         let adversary = Adversary::new(SharePolicy::NAMES_ONLY.apply(&pkg));
         for n in ROW_COUNTS {
             let syn = adversary.synthesize(&SynthConfig::with_dependencies(n, seed)).unwrap();
-            let boxed = collect_typed(vec![Value::Null; n]);
+            let boxed: Column = std::iter::repeat_n(Value::Null, n).collect();
             for attr in 0..syn.arity() {
                 let col = syn.column(attr).unwrap();
                 prop_assert_eq!(col, &boxed);
@@ -142,9 +101,8 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let x = lhs_column(n, card_x, seed);
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF00D);
-        let y = generate_fd_column(&[&x], &dom_y, n, &mut rng);
+        let y = generate_fd_column(&[&x], &ints_to(card_y), n, &mut rng);
         prop_assert!(Fd::new(0usize, 1).holds(&rel2(x, true, y, true)).unwrap());
     }
 
@@ -157,9 +115,8 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let x = lhs_column(n, card_x, seed);
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let y = generate_nd_column(&x, &dom_y, k, n, &mut rng);
+        let y = generate_nd_column(&x, &ints_to(card_y), k, n, &mut rng);
         let rel = rel2(x, true, y, true);
         prop_assert!(NumericalDep::new(0, 1, k.min(card_y)).holds(&rel).unwrap());
     }
@@ -184,7 +141,7 @@ proptest! {
             OrderDirection::Ascending
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCAFE);
-        let y = generate_od_column(&x, &dom_y, dir, n, &mut rng);
+        let y = generate_od_column(&x, &DomainPool::new(&dom_y), dir, n, &mut rng);
         let rel = rel2(x, true, y, categorical_y);
         let od = OrderDep { lhs: 0, rhs: 1, direction: dir };
         prop_assert!(od.holds(&rel).unwrap());
@@ -198,9 +155,8 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let x = lhs_column(n, card_x, seed);
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-        let y = generate_ofd_column(&x, &dom_y, n, &mut rng);
+        let y = generate_ofd_column(&x, &ints_to(card_y), n, &mut rng);
         let rel = rel2(x, true, y, true);
         prop_assert!(Fd::new(0usize, 1).holds(&rel).unwrap());
         prop_assert!(OrderDep::ascending(0, 1).holds(&rel).unwrap());
@@ -218,10 +174,10 @@ proptest! {
         delta in 0.0f64..5.0,
         seed in 0u64..10_000,
     ) {
-        let dom_x = Domain::continuous(0.0, 20.0);
-        let dom_y = Domain::continuous(0.0, 10.0);
+        let dom_x = DomainPool::new(&Domain::continuous(0.0, 20.0));
+        let dom_y = DomainPool::new(&Domain::continuous(0.0, 10.0));
         let mut rng = StdRng::seed_from_u64(seed);
-        let x = sample_column(&dom_x, n, &mut rng);
+        let x = dom_x.sample(n, &mut rng);
         let y = generate_dd_column(&x, &dom_y, eps, delta, n, &mut rng);
         let rel = rel2(x, false, y, false);
         prop_assert!(DifferentialDep::new(0, 1, eps, delta).holds(&rel).unwrap());
@@ -235,9 +191,8 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let x = lhs_column(n, card_x, seed);
-        let dom_y = Domain::categorical((0i64..6).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
-        let y = generate_afd_column(&[&x], &dom_y, eps, n, &mut rng);
+        let y = generate_afd_column(&[&x], &ints_to(6), eps, n, &mut rng);
         let rel = rel2(x, true, y, true);
         let g3 = Fd::new(0usize, 1).g3_error(&rel).unwrap();
         // g3 concentrates well below the perturbation rate (each perturbed
@@ -255,10 +210,9 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let x = lhs_column(n, card_x, seed);
-        let dom_y = Domain::categorical((0..card_y as i64).collect::<Vec<_>>());
         let cfd = ConditionalFd::constant(0, pattern_x, 1, pattern_y);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xAAAA);
-        let y = generate_cfd_column(&cfd, &[&x], &dom_y, n, &mut rng);
+        let y = generate_cfd_column(&cfd, &[&x], &ints_to(card_y), n, &mut rng);
         let rel = rel2(x, true, y, true);
         prop_assert!(cfd.holds(&rel).unwrap());
     }
@@ -279,9 +233,10 @@ proptest! {
                 .collect(),
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let col = sample_column_from_distribution(&dist, n, &mut rng);
-        for v in col {
-            let idx = v.as_i64().unwrap() as usize;
+        let col = sample_distribution(&dist, n, &mut rng);
+        prop_assert_eq!(col.len(), n);
+        for v in col.iter() {
+            let idx = v.to_value().as_i64().unwrap() as usize;
             prop_assert!(idx < weights.len());
         }
     }
@@ -295,7 +250,7 @@ proptest! {
         // MFD with delta = range holds trivially — a consistency link
         // between the generator and the metric-FD class.
         let x = lhs_column(n, 5, seed);
-        let dom_y = Domain::continuous(2.0, 12.0);
+        let dom_y = DomainPool::new(&Domain::continuous(2.0, 12.0));
         let mut rng = StdRng::seed_from_u64(seed);
         let y = generate_fd_column(&[&x], &dom_y, n, &mut rng);
         let rel = rel2(x, true, y, false);

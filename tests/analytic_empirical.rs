@@ -25,7 +25,9 @@ fn mapped_relation(seed: u64) -> Relation {
     .unwrap();
     let dom_x = Domain::categorical((0..CARD_X as i64).collect::<Vec<_>>());
     let mut rng = StdRng::seed_from_u64(seed);
-    let x = metadata_privacy::synth::sample_column(&dom_x, N, &mut rng);
+    let x = metadata_privacy::synth::DomainPool::new(&dom_x)
+        .sample(N, &mut rng)
+        .to_values();
     let y: Vec<Value> = x
         .iter()
         .map(|v| Value::Int((v.as_i64().unwrap() * 2) % CARD_Y as i64))
@@ -133,8 +135,12 @@ fn continuous_dd_cell_bounded_by_pair_baseline() {
     let mut rng = StdRng::seed_from_u64(5);
     let dom_x = Domain::continuous(0.0, 100.0);
     let dom_y = Domain::continuous(0.0, 50.0);
-    let x = metadata_privacy::synth::sample_column(&dom_x, N, &mut rng);
-    let y = metadata_privacy::synth::sample_column(&dom_y, N, &mut rng);
+    let x = metadata_privacy::synth::DomainPool::new(&dom_x)
+        .sample(N, &mut rng)
+        .to_values();
+    let y = metadata_privacy::synth::DomainPool::new(&dom_y)
+        .sample(N, &mut rng)
+        .to_values();
     let real = Relation::from_columns(schema, vec![x, y]).unwrap();
 
     let eps = 2.0;

@@ -28,7 +28,9 @@ fn mapped_relation(seed: u64) -> Relation {
     .unwrap();
     let dom_x = Domain::categorical((0..CARD_X as i64).collect::<Vec<_>>());
     let mut rng = StdRng::seed_from_u64(seed);
-    let x = metadata_privacy::synth::sample_column(&dom_x, N, &mut rng);
+    let x = metadata_privacy::synth::DomainPool::new(&dom_x)
+        .sample(N, &mut rng)
+        .to_values();
     let y: Vec<Value> = x
         .iter()
         .map(|v| Value::Int((v.as_i64().unwrap() * 2) % CARD_Y as i64))
