@@ -18,7 +18,7 @@ pub mod random;
 
 /// Natural log of the binomial coefficient `C(n, k)`, stable for large
 /// arguments. Returns `f64::NEG_INFINITY` when `k > n`.
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }

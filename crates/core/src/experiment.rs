@@ -12,7 +12,7 @@
 //!   isolates the contribution of a single dependency class per attribute,
 //!   exactly as the paper's per-row methodology does.
 
-use crate::leakage::{attr_matches_cached, attr_mse, measure_all_with, AttrLeakage, RemapCache};
+use crate::leakage::{attr_matches_cached, attr_mse, check_shape, RemapCache};
 use mp_metadata::{Dependency, MetadataPackage};
 use mp_relation::{Column, Domain, Relation, Result};
 
@@ -50,7 +50,7 @@ impl ExperimentConfig {
     /// experiments (another policy, another dataset) reusing the same
     /// stream — callers running many experiments derive each cell's
     /// `base_seed` through [`crate::seed_for`] first.
-    pub fn round_seed(&self, round: usize) -> u64 {
+    pub(crate) fn round_seed(&self, round: usize) -> u64 {
         self.base_seed.wrapping_add(round as u64)
     }
 }
@@ -108,9 +108,9 @@ pub fn run_attack(
             use_dependencies,
         };
         let syn = adversary.synthesize(&synth_cfg)?;
-        let measured = measure_all_with(real, &syn, config.epsilon, &mp_observe::NoopRecorder)?;
-        for (a, m) in acc.iter_mut().zip(measured) {
-            a.push(&m);
+        check_shape(real, &syn)?;
+        for (attr, a) in acc.iter_mut().enumerate() {
+            a.push_column(real, attr, syn.column(attr)?, config.epsilon)?;
         }
     }
     Ok(AttackResult {
@@ -210,13 +210,6 @@ impl RoundAccumulator {
         }
     }
 
-    fn push(&mut self, measured: &AttrLeakage) {
-        self.matches.push(measured.matches);
-        if let Some(m) = measured.mse {
-            self.mses.push(m);
-        }
-    }
-
     /// Scores one generated column against `real`'s attribute `attr`
     /// through the leakage kernel, over the rows both columns hold.
     fn push_column(
@@ -313,6 +306,23 @@ mod tests {
             fd.attr(ea::DEPARTMENT).unwrap().mean_matches,
         );
         assert!((r - f).abs() < 0.35, "random {r} vs fd {f}");
+    }
+
+    #[test]
+    fn run_attack_rejects_a_package_of_another_arity() {
+        // The package describes 4 attributes, the measured relation 2: a
+        // typed error, not a score over the first two.
+        let wide = employee();
+        let narrow = wide.project(&[0, 1]).unwrap();
+        let pkg = MetadataPackage::describe("a", &wide, vec![]).unwrap();
+        let err = run_attack(&narrow, &pkg, false, &config(2)).unwrap_err();
+        assert_eq!(
+            err,
+            mp_relation::RelationError::ArityMismatch {
+                expected: 2,
+                got: wide.arity()
+            }
+        );
     }
 
     #[test]

@@ -343,17 +343,17 @@ fn check_aligned(real: &Relation, syn: &Relation) -> Result<()> {
     Ok(())
 }
 
-/// Schema-level alignment: the synthetic relation must describe the same
-/// number of attributes as the real one, or per-attribute measurement
-/// would silently cover only a prefix.
-fn check_arity(real: &Relation, syn: &Relation) -> Result<()> {
+/// Relation-level alignment: the synthetic relation must describe the
+/// same number of attributes as the real one, or per-attribute
+/// measurement would silently cover only a prefix, and hold as many rows.
+pub(crate) fn check_shape(real: &Relation, syn: &Relation) -> Result<()> {
     if real.arity() != syn.arity() {
         return Err(RelationError::ArityMismatch {
             expected: real.arity(),
             got: syn.arity(),
         });
     }
-    Ok(())
+    check_aligned(real, syn)
 }
 
 /// Per-attribute leakage summary used by experiment reports.
@@ -386,8 +386,7 @@ pub fn measure_all_with(
     epsilon: f64,
     recorder: &dyn mp_observe::Recorder,
 ) -> Result<Vec<AttrLeakage>> {
-    check_arity(real, syn)?;
-    check_aligned(real, syn)?;
+    check_shape(real, syn)?;
     let cells = recorder.counter("core.leakage.cells_compared");
     let matched = recorder.counter("core.leakage.matches");
     let rate_pct = recorder.histogram(

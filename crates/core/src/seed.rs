@@ -15,7 +15,7 @@
 //!   collide — see [`seed_for`]).
 //!
 //! The per-*round* derivation inside one experiment
-//! ([`crate::ExperimentConfig::round_seed`]) intentionally stays
+//! (`ExperimentConfig::round_seed`) intentionally stays
 //! `base_seed + round`: the Tables III/IV reproductions are golden-pinned
 //! on those streams, and within a single experiment consecutive seeds are
 //! harmless.

@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Default RNG seed for the reconstruction.
-pub const DEFAULT_SEED: u64 = 0xEC40_CA4D;
+pub(crate) const DEFAULT_SEED: u64 = 0xEC40_CA4D;
 
 /// Number of tuples, matching the UCI dataset.
 pub const N_ROWS: usize = 132;
@@ -85,7 +85,7 @@ fn round_to(x: f64, decimals: i32) -> f64 {
 }
 
 /// The UCI echocardiogram schema with the paper's kind assignment.
-pub fn echocardiogram_schema() -> Schema {
+pub(crate) fn echocardiogram_schema() -> Schema {
     Schema::new(vec![
         Attribute::continuous("survival"),
         Attribute::categorical("still_alive"),
@@ -111,7 +111,7 @@ pub fn echocardiogram() -> Relation {
 
 /// Builds the reconstruction with an explicit seed (planted dependencies
 /// hold for *every* seed; only the noise varies).
-pub fn echocardiogram_with_seed(seed: u64) -> Relation {
+pub(crate) fn echocardiogram_with_seed(seed: u64) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Rows with missing survival / still_alive / fractional_shortening,

@@ -26,8 +26,8 @@ mod scale;
 pub use bank::bank_table;
 pub use car::car_table;
 pub use echocardiogram::{
-    echocardiogram, echocardiogram_schema, echocardiogram_with_seed, paper_inventory,
-    verified_dependencies, PaperInventory, CATEGORICAL_ATTRS, CONTINUOUS_ATTRS, N_ROWS,
+    echocardiogram, paper_inventory, verified_dependencies, PaperInventory, CATEGORICAL_ATTRS,
+    CONTINUOUS_ATTRS, N_ROWS,
 };
 pub use employee::{attrs as employee_attrs, employee};
 pub use fintech::{fintech_scenario, FintechParty, FintechScenario};

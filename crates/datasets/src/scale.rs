@@ -214,12 +214,9 @@ mod tests {
         // at the k-th distinct label in row order.
         let out = scale_relation(3_000, 11).unwrap();
         for attr in [0usize, 1, 4, 5] {
-            let (dict, codes) = out
-                .relation
-                .column(attr)
-                .unwrap()
-                .as_categorical_parts()
-                .expect("scale categorical columns are dictionary-encoded");
+            let Column::Categorical { dict, codes } = out.relation.column(attr).unwrap() else {
+                panic!("scale categorical columns are dictionary-encoded");
+            };
             let mut seen: Vec<&str> = Vec::new();
             for &code in codes {
                 let label = &dict[code as usize - 1];

@@ -252,7 +252,7 @@ impl<'r> DiscoveryContext<'r> {
 
     /// `g3` violation count of `lhs → rhs` against a precomputed RHS
     /// signature, using the memoized LHS partition.
-    pub fn lhs_violations(&self, lhs: &AttrSet, rhs: &Signature) -> Result<usize> {
+    pub(crate) fn lhs_violations(&self, lhs: &AttrSet, rhs: &Signature) -> Result<usize> {
         Ok(self.pli_of(lhs)?.g3_violations(rhs))
     }
 

@@ -36,7 +36,7 @@ pub use dd::{discover_dds_with, tight_delta, DdConfig};
 pub use engine::{DiscoveryContext, MemoryBudget, ParallelConfig};
 pub use mfd::{discover_mfds, MfdConfig};
 pub use nd::{discover_nds_with, NdConfig};
-pub use od::{discover_approx_ods, discover_ods_with, od_error, od_violations, OdConfig};
+pub use od::{discover_approx_ods, discover_ods_with, OdConfig};
 pub use ofd::discover_ofds_with;
 pub use profiler::{DependencyProfile, ProfileConfig};
 pub use tane::{discover_fds_naive, discover_fds_with, TaneConfig};

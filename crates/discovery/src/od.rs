@@ -158,7 +158,7 @@ pub fn discover_ods_with(ctx: &DiscoveryContext<'_>, config: &OdConfig) -> Resul
 /// longest subsequence that is order-compatible (non-decreasing Y along
 /// ascending X with ties consistent). Exposed for approximate-OD
 /// discovery.
-pub fn od_violations(relation: &Relation, od: &OrderDep) -> Result<usize> {
+pub(crate) fn od_violations(relation: &Relation, od: &OrderDep) -> Result<usize> {
     let xs = relation.column(od.lhs)?;
     let ys = relation.column(od.rhs)?;
     // Collect non-null pairs sorted by X (stable, so equal X keeps row
@@ -211,7 +211,7 @@ fn longest_monotone(seq: &[ValueRef<'_>], rev: bool) -> usize {
 
 /// The approximate-OD error: `od_violations / non-null pairs` (0 iff the
 /// OD holds up to the deletion metric).
-pub fn od_error(relation: &Relation, od: &OrderDep) -> Result<f64> {
+pub(crate) fn od_error(relation: &Relation, od: &OrderDep) -> Result<f64> {
     let n = relation
         .column(od.lhs)?
         .iter()

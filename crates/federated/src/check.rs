@@ -55,7 +55,7 @@ use std::collections::HashSet;
 
 /// The hard cap on party count: beyond three parties the schedule space
 /// grows past what "exhaustive" can honestly mean in CI time.
-pub const MAX_PARTIES: usize = 3;
+pub(crate) const MAX_PARTIES: usize = 3;
 
 /// One scheduled outcome for a single transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +241,7 @@ fn describe_schedule(crash: Option<PartyCrash>, schedule: &[Decision]) -> String
 
 /// Exhaustively model-checks `session` under `policies` within the
 /// bounds of `cfg`. Errors (rather than silently truncating) if the
-/// session has more than [`MAX_PARTIES`] parties or the fault-free
+/// session has more than 3 parties or the fault-free
 /// reference run fails.
 pub fn model_check(
     session: &MultiPartySession,

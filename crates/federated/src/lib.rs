@@ -42,31 +42,26 @@ pub mod transport;
 
 pub use check::{
     model_check, small_world_session, CheckConfig, CheckReport, Decision, ViolationRecord,
-    MAX_PARTIES,
 };
 pub use horizontal::{horizontal_split, permutation_baseline, schemas_compatible};
 pub use model::{
     auc, holdout_split, labels_from_column, train, FeatureBlock, FederatedModel, PartyModel,
-    TrainConfig,
 };
 pub use multiparty::{multi_align, MultiAlignment, MultiPartySession, MultiSetupOutcome};
 pub use net::{
-    decode_stream, encode_frame, encode_stream, AbortReason, FrameBuffer, FrameError, FramedStream,
-    SessionFrame, SocketStream, MAX_FRAME_BYTES,
+    decode_stream, encode_frame, encode_stream, AbortReason, FrameError, FramedStream,
+    SessionFrame, SocketStream,
 };
 pub use party::Party;
 pub use protocol::{RetryConfig, SetupError};
 pub use psi::{align, PsiAlignment};
 pub use scenario::{run_scenario, ScenarioOutcome};
 pub use serve::{
-    outcome_matches, run_client_session, BoundedQueue, ClientConfig, PartyOutcome, ServeConfig,
-    ServeReport, Server, SocketListener, SocketTransport,
+    outcome_matches, run_client_session, ClientConfig, PartyOutcome, ServeConfig, ServeReport,
+    Server,
 };
 pub use sim::{
     check_invariants, simulate_setup, FaultPlan, InvariantReport, InvariantViolation, Network,
     PartyCrash, PerfectTransport, SimOutcome, TraceSummary, FAULT_PROFILES,
 };
-pub use transport::{
-    Envelope, MsgId, PartyId, Payload, TraceEvent, Transport, TransportMetrics, WireError,
-    MAX_ENVELOPE_BYTES, WIRE_VERSION,
-};
+pub use transport::{Envelope, MsgId, PartyId, Payload, TraceEvent, Transport, WireError};

@@ -105,7 +105,7 @@ impl PartyModel {
 
     /// Partial logits `w_p · x_p` for every row — the only per-row value a
     /// passive party ever sends.
-    pub fn partial_scores(&self) -> Vec<f64> {
+    pub(crate) fn partial_scores(&self) -> Vec<f64> {
         (0..self.features.rows())
             .map(|i| {
                 self.features
@@ -119,39 +119,25 @@ impl PartyModel {
     }
 
     /// Gradient step from the broadcast residuals.
-    pub fn apply_residuals(&mut self, residuals: &[f64], lr: f64, l2: f64) {
+    pub(crate) fn apply_residuals(&mut self, residuals: &[f64]) {
         let n = self.features.rows().max(1) as f64;
         for j in 0..self.features.cols() {
             let mut g = 0.0;
             for (i, &res) in residuals.iter().enumerate() {
                 g += res * self.features.row(i)[j];
             }
-            g = g / n + l2 * self.weights[j];
-            self.weights[j] -= lr * g;
+            g = g / n + L2 * self.weights[j];
+            self.weights[j] -= LR * g;
         }
     }
 }
 
-/// Training hyperparameters.
-#[derive(Debug, Clone)]
-pub struct TrainConfig {
-    /// Gradient-descent epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// L2 regularisation strength.
-    pub l2: f64,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 200,
-            lr: 0.5,
-            l2: 1e-4,
-        }
-    }
-}
+/// Gradient-descent epochs.
+const EPOCHS: usize = 200;
+/// Learning rate.
+const LR: f64 = 0.5;
+/// L2 regularisation strength.
+const L2: f64 = 1e-4;
 
 /// The trained federated model: per-party slices plus the active party's
 /// bias.
@@ -172,8 +158,10 @@ fn sigmoid(z: f64) -> f64 {
 /// Trains a vertically federated logistic regression.
 ///
 /// `blocks` are the parties' aligned feature blocks (equal row counts);
-/// `labels` are the active party's 0/1 labels.
-pub fn train(blocks: Vec<FeatureBlock>, labels: &[f64], config: &TrainConfig) -> FederatedModel {
+/// `labels` are the active party's 0/1 labels. Runs 200 epochs of
+/// full-batch gradient descent at learning rate 0.5 with L2 strength
+/// 1e-4.
+pub fn train(blocks: Vec<FeatureBlock>, labels: &[f64]) -> FederatedModel {
     let n = labels.len();
     for b in &blocks {
         assert_eq!(
@@ -184,9 +172,9 @@ pub fn train(blocks: Vec<FeatureBlock>, labels: &[f64], config: &TrainConfig) ->
     }
     let mut parties: Vec<PartyModel> = blocks.into_iter().map(PartyModel::new).collect();
     let mut bias = 0.0;
-    let mut loss_trace = Vec::with_capacity(config.epochs);
+    let mut loss_trace = Vec::with_capacity(EPOCHS);
 
-    for _ in 0..config.epochs {
+    for _ in 0..EPOCHS {
         // Round 1: passive parties send partial scores.
         let partials: Vec<Vec<f64>> = parties.iter().map(PartyModel::partial_scores).collect();
         // Active party aggregates, computes residuals and the loss.
@@ -201,9 +189,9 @@ pub fn train(blocks: Vec<FeatureBlock>, labels: &[f64], config: &TrainConfig) ->
         loss /= n.max(1) as f64;
         loss_trace.push(loss);
         // Round 2: residuals broadcast; every party updates locally.
-        bias -= config.lr * residuals.iter().sum::<f64>() / n.max(1) as f64;
+        bias -= LR * residuals.iter().sum::<f64>() / n.max(1) as f64;
         for party in &mut parties {
-            party.apply_residuals(&residuals, config.lr, config.l2);
+            party.apply_residuals(&residuals);
         }
     }
     FederatedModel {
@@ -341,7 +329,7 @@ mod tests {
     #[test]
     fn federated_training_learns_separable_data() {
         let (a, b, labels) = toy(400, 1);
-        let model = train(vec![a, b], &labels, &TrainConfig::default());
+        let model = train(vec![a, b], &labels);
         let acc = model.accuracy(&labels);
         assert!(acc > 0.93, "accuracy {acc}");
         // Loss decreases.
@@ -353,8 +341,8 @@ mod tests {
     #[test]
     fn two_parties_beat_one() {
         let (a, b, labels) = toy(400, 2);
-        let both = train(vec![a.clone(), b], &labels, &TrainConfig::default());
-        let solo = train(vec![a], &labels, &TrainConfig::default());
+        let both = train(vec![a.clone(), b], &labels);
+        let solo = train(vec![a], &labels);
         assert!(
             both.accuracy(&labels) > solo.accuracy(&labels) + 0.05,
             "collaboration must add utility: both {} solo {}",
@@ -393,7 +381,7 @@ mod tests {
         let schema = Schema::new(vec![Attribute::continuous("k")]).unwrap();
         let rel = Relation::from_rows(schema, vec![vec![5.0.into()], vec![5.0.into()]]).unwrap();
         let block = FeatureBlock::encode(&rel, &[0]).unwrap();
-        let model = train(vec![block], &[0.0, 1.0], &TrainConfig::default());
+        let model = train(vec![block], &[0.0, 1.0]);
         assert!(model.accuracy(&[0.0, 1.0]).is_finite());
     }
 
@@ -424,7 +412,7 @@ mod tests {
     #[test]
     fn auc_of_trained_model_beats_half() {
         let (a, b, labels) = toy(300, 9);
-        let model = train(vec![a, b], &labels, &TrainConfig::default());
+        let model = train(vec![a, b], &labels);
         let roc = auc(&model.predict(), &labels);
         assert!(roc > 0.95, "auc {roc}");
     }
@@ -442,6 +430,6 @@ mod tests {
     fn misaligned_blocks_panic() {
         let (a, _, labels) = toy(10, 3);
         let (b, _, _) = toy(5, 4);
-        let _ = train(vec![a, b], &labels, &TrainConfig::default());
+        let _ = train(vec![a, b], &labels);
     }
 }

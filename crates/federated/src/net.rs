@@ -10,15 +10,16 @@
 //! ```
 //!
 //! `len` counts the kind byte plus the body, so a well-formed frame is
-//! never zero-length; `len` is validated against [`MAX_FRAME_BYTES`]
-//! *before* any allocation. Protocol [`Envelope`]s travel opaquely as
-//! `Envelope` frame bodies in their existing wire encoding — the framing
-//! layer adds session management (join, ready, completion, typed abort)
-//! without touching the protocol encoding the simulator already audits.
+//! never zero-length; `len` is validated against the frame cap (the 16 MiB
+//! envelope cap plus 16 bytes) *before* any allocation. Protocol
+//! [`Envelope`]s travel opaquely as `Envelope` frame bodies in their
+//! existing wire encoding — the framing layer adds session management
+//! (join, ready, completion, typed abort) without touching the protocol
+//! encoding the simulator already audits.
 //!
-//! The decoder comes in two shapes with one implementation:
-//! [`FrameBuffer`] consumes a byte stream incrementally (partial frames
-//! wait for more bytes — the shape the server and client use), and
+//! The decoder comes in two shapes with one implementation: an
+//! incremental buffer consumes a byte stream (partial frames wait for
+//! more bytes — the shape [`FramedStream`] gives the server and client), and
 //! [`decode_stream`] decodes a complete byte string strictly (partial
 //! tails are typed errors — the shape the `frame` fuzz target drives).
 //! Both are total: every input yields frames or a typed [`FrameError`],
@@ -37,7 +38,7 @@ use std::time::Duration;
 /// Slightly above [`MAX_ENVELOPE_BYTES`] so the largest legal envelope
 /// still fits in one frame; anything larger is rejected from the 4-byte
 /// prefix alone, before the body is read or buffered.
-pub const MAX_FRAME_BYTES: u32 = (MAX_ENVELOPE_BYTES + 16) as u32;
+pub(crate) const MAX_FRAME_BYTES: u32 = (MAX_ENVELOPE_BYTES + 16) as u32;
 
 const KIND_HELLO: u8 = 1;
 const KIND_WELCOME: u8 = 2;
@@ -171,16 +172,16 @@ pub enum FrameError {
         /// Byte offset of the offending prefix.
         offset: usize,
     },
-    /// A declared length above [`MAX_FRAME_BYTES`], rejected before the
-    /// body is read.
+    /// A declared length above the frame cap, rejected before the body
+    /// is read.
     TooLarge {
         /// Length the prefix claimed.
         claimed: u32,
-        /// The cap ([`MAX_FRAME_BYTES`]).
+        /// The cap: the 16 MiB envelope cap plus 16 bytes.
         cap: u32,
     },
     /// The input ended mid-prefix or mid-body (strict decoding only;
-    /// the incremental [`FrameBuffer`] waits instead).
+    /// the incremental [`FramedStream`] waits instead).
     Truncated {
         /// Byte offset where reading stopped.
         offset: usize,
@@ -443,19 +444,19 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<SessionFrame, FrameError> {
 /// length is rejected from its 4 prefix bytes alone, before any
 /// buffering of the claimed body.
 #[derive(Debug, Default)]
-pub struct FrameBuffer {
+pub(crate) struct FrameBuffer {
     buf: Vec<u8>,
     consumed: usize,
 }
 
 impl FrameBuffer {
     /// An empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends raw bytes read from the stream.
-    pub fn extend(&mut self, bytes: &[u8]) {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
         // Drop the consumed prefix before growing, so a long-lived
         // connection's buffer stays proportional to one frame.
         if self.consumed > 0 {
@@ -466,12 +467,12 @@ impl FrameBuffer {
     }
 
     /// Bytes buffered but not yet decoded into a frame.
-    pub fn pending_bytes(&self) -> usize {
+    pub(crate) fn pending_bytes(&self) -> usize {
         self.buf.len() - self.consumed
     }
 
     /// Decodes the next complete frame, if the buffer holds one.
-    pub fn next_frame(&mut self) -> Result<Option<SessionFrame>, FrameError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<SessionFrame>, FrameError> {
         let avail = &self.buf[self.consumed..];
         let Some(len) = len_prefix(avail) else {
             return Ok(None);
@@ -515,7 +516,7 @@ impl FrameBuffer {
 
 /// Strictly decodes a complete byte string as a sequence of frames.
 ///
-/// Unlike [`FrameBuffer`], a partial trailing frame here is a typed
+/// Unlike [`FramedStream`], a partial trailing frame here is a typed
 /// [`FrameError::Truncated`] — this is the total function the `frame`
 /// fuzz target drives, paired with [`encode_stream`] as its canonical
 /// re-encoding.
@@ -592,7 +593,7 @@ impl SocketStream {
 
     /// Sets the write timeout (bounds how long a stalled peer can block
     /// this connection's writer).
-    pub fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             SocketStream::Tcp(s) => s.set_write_timeout(dur),
             #[cfg(unix)]
@@ -625,7 +626,7 @@ impl SocketStream {
     }
 
     /// A second handle to the same connection (for split reader/writer).
-    pub fn try_clone(&self) -> std::io::Result<Self> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Self> {
         Ok(match self {
             SocketStream::Tcp(s) => SocketStream::Tcp(s.try_clone()?),
             #[cfg(unix)]
@@ -674,7 +675,7 @@ pub enum ReadStep {
     Eof,
 }
 
-/// A [`SocketStream`] paired with an incremental [`FrameBuffer`].
+/// A [`SocketStream`] paired with an incremental frame decoder.
 #[derive(Debug)]
 pub struct FramedStream {
     stream: SocketStream,

@@ -43,7 +43,7 @@ impl Party {
     }
 
     /// Feature column indices (everything except the id column).
-    pub fn feature_columns(&self) -> Vec<usize> {
+    pub(crate) fn feature_columns(&self) -> Vec<usize> {
         (0..self.relation.arity())
             .filter(|&c| c != self.id_column)
             .collect()
@@ -70,7 +70,7 @@ impl Party {
     }
 
     /// The relation restricted to rows at `rows` (PSI alignment output).
-    pub fn aligned_rows(&self, rows: &[usize]) -> Result<Relation> {
+    pub(crate) fn aligned_rows(&self, rows: &[usize]) -> Result<Relation> {
         self.relation.select_rows(rows)
     }
 

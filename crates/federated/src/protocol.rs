@@ -123,7 +123,7 @@ impl RetryConfig {
     /// Backoff before retransmission number `attempt` (1-based), doubling
     /// from [`RetryConfig::ack_timeout`] and capped at
     /// [`RetryConfig::backoff_cap`].
-    pub fn backoff(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff(&self, attempt: u32) -> u64 {
         self.ack_timeout
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.backoff_cap.max(self.ack_timeout))
@@ -134,7 +134,7 @@ impl RetryConfig {
     /// `mpriv serve` derives its handshake and drain budgets from this —
     /// the server never abandons a connection the protocol's own retry
     /// policy would still consider retryable.
-    pub fn ladder_ticks(&self) -> u64 {
+    pub(crate) fn ladder_ticks(&self) -> u64 {
         (1..=self.max_retries).fold(self.ack_timeout, |acc, attempt| {
             acc.saturating_add(self.backoff(attempt))
         })

@@ -78,7 +78,7 @@ impl PsiAlignment {
 /// [`intersect`] and [`crate::multi_align`], and the computation every
 /// party runs locally once the protocol has delivered all digest lists
 /// (see [`crate::transport`]).
-pub fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
+pub(crate) fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
     if submissions.is_empty() {
         return Vec::new();
     }
@@ -105,8 +105,10 @@ pub fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Intersects two digest submissions via [`intersect_all`]; see there for
-/// the dedup and canonical-order semantics.
+/// Intersects two digest submissions: the rows of the entities both hold,
+/// in canonical (ascending digest) order, keeping the first of any
+/// duplicate digests — the two-party case of [`crate::multi_align`]'s
+/// intersection.
 pub fn intersect(a: &[IdDigest], b: &[IdDigest]) -> PsiAlignment {
     match <[Vec<usize>; 2]>::try_from(intersect_all(&[a, b])) {
         Ok([rows_a, rows_b]) => PsiAlignment { rows_a, rows_b },

@@ -3,7 +3,7 @@
 //! the adversarial side — the e-commerce party attempts the metadata
 //! synthesis attack against the bank under different share policies.
 
-use crate::model::{labels_from_column, train, FeatureBlock, TrainConfig};
+use crate::model::{labels_from_column, train, FeatureBlock};
 use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
 use crate::party::Party;
 use mp_core::{run_attack, AttackResult, ExperimentConfig};
@@ -69,12 +69,8 @@ pub fn run_scenario(
     let ecom_features: Vec<usize> = (0..ecom_rows.arity()).collect();
     let ecom_block = FeatureBlock::encode(ecom_rows, &ecom_features)?;
 
-    let federated = train(
-        vec![bank_block.clone(), ecom_block],
-        &labels,
-        &TrainConfig::default(),
-    );
-    let solo = train(vec![bank_block], &labels, &TrainConfig::default());
+    let federated = train(vec![bank_block.clone(), ecom_block], &labels);
+    let solo = train(vec![bank_block], &labels);
 
     // --- Privacy: the e-commerce party attacks the bank's slice. --------
     let attack_with_deps = run_attack(bank_rows, bank_metadata, true, experiment)?;

@@ -25,15 +25,15 @@
 //!                    └──────────────────────────────┘
 //! ```
 //!
-//! **Backpressure.** Every session member owns a bounded outbound queue
-//! ([`BoundedQueue`]); routing a frame into a full queue waits a bounded
-//! number of io ticks and then aborts *that session* with
-//! [`AbortReason::QueueOverflow`]. A stalled session can therefore never
-//! stall another: a reader blocks only on its own socket
-//! (timeout-bounded) or on a peer queue (tick-bounded), and a writer only
-//! on its own queue or its own socket (write-timeout-bounded). The writer
-//! waits on its queue's condvar, so a routed frame goes out the moment it
-//! is pushed rather than when a read timeout next expires.
+//! **Backpressure.** Every session member owns a bounded outbound queue;
+//! routing a frame into a full queue waits a bounded number of io ticks and
+//! then aborts *that session* with [`AbortReason::QueueOverflow`]. A
+//! stalled session can therefore never stall another: a reader blocks only
+//! on its own socket (timeout-bounded) or on a peer queue (tick-bounded),
+//! and a writer only on its own queue or its own socket
+//! (write-timeout-bounded). The writer waits on its queue's condvar, so a
+//! routed frame goes out the moment it is pushed rather than when a read
+//! timeout next expires.
 //!
 //! **Time.** No wall clock reaches any decision in this module. A read
 //! that returns no frame is one *io tick*, bounded by the socket read
@@ -82,10 +82,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// A bounded MPSC queue with tick-bounded blocking push and pop.
 ///
 /// The unit of backpressure: one per session member, holding the frames
-/// routed *to* that member. `cap` bounds memory per session; the depth
-/// high-water mark is tracked for the backpressure regression tests.
+/// routed *to* that member. `cap` bounds memory per session.
 #[derive(Debug)]
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
     readable: Condvar,
     writable: Condvar,
@@ -95,17 +94,15 @@ pub struct BoundedQueue<T> {
 #[derive(Debug)]
 struct QueueInner<T> {
     items: VecDeque<T>,
-    max_depth: usize,
     closed: bool,
 }
 
 impl<T> BoundedQueue<T> {
     /// An empty queue holding at most `cap` items.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
-                max_depth: 0,
                 closed: false,
             }),
             readable: Condvar::new(),
@@ -115,13 +112,12 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Pushes without blocking; `false` if the queue is full.
-    pub fn try_push(&self, item: T) -> bool {
+    pub(crate) fn try_push(&self, item: T) -> bool {
         let mut g = lock(&self.inner);
         if g.items.len() >= self.cap {
             return false;
         }
         g.items.push_back(item);
-        g.max_depth = g.max_depth.max(g.items.len());
         self.readable.notify_one();
         true
     }
@@ -129,7 +125,7 @@ impl<T> BoundedQueue<T> {
     /// Pushes, waiting up to `ticks` waits of `tick` each for space.
     /// `false` means the backpressure budget elapsed with the queue still
     /// full — the caller aborts the session.
-    pub fn push_bounded(&self, item: T, tick: Duration, ticks: u64) -> bool {
+    pub(crate) fn push_bounded(&self, item: T, tick: Duration, ticks: u64) -> bool {
         let mut g = lock(&self.inner);
         let mut waited = 0u64;
         while g.items.len() >= self.cap {
@@ -146,18 +142,16 @@ impl<T> BoundedQueue<T> {
             }
         }
         g.items.push_back(item);
-        g.max_depth = g.max_depth.max(g.items.len());
         self.readable.notify_one();
         true
     }
 
     /// Clears the queue and pushes `item` alone: aborts must never queue
     /// behind the very backlog that caused them.
-    pub fn jump_queue(&self, item: T) {
+    pub(crate) fn jump_queue(&self, item: T) {
         let mut g = lock(&self.inner);
         g.items.clear();
         g.items.push_back(item);
-        g.max_depth = g.max_depth.max(1);
         self.readable.notify_one();
         self.writable.notify_all();
     }
@@ -166,7 +160,7 @@ impl<T> BoundedQueue<T> {
     /// queue is [closed](Self::close) and empty. Push and close both wake
     /// the waiter, so it needs no timeout and an idle queue costs no
     /// wakeups.
-    pub fn pop_wait(&self) -> Option<T> {
+    pub(crate) fn pop_wait(&self) -> Option<T> {
         let mut g = self
             .readable
             .wait_while(lock(&self.inner), |q| q.items.is_empty() && !q.closed)
@@ -181,24 +175,14 @@ impl<T> BoundedQueue<T> {
     /// Marks the queue closed and wakes a waiting
     /// [`pop_wait`](Self::pop_wait): items still queued are popped as
     /// usual, then popping returns `None` without waiting.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         lock(&self.inner).closed = true;
         self.readable.notify_all();
     }
 
     /// Current depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         lock(&self.inner).items.len()
-    }
-
-    /// Highest depth ever observed.
-    pub fn max_depth(&self) -> usize {
-        lock(&self.inner).max_depth
-    }
-
-    /// The capacity bound.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 }
 
@@ -208,7 +192,7 @@ impl<T> BoundedQueue<T> {
 
 /// A bound listening socket: TCP or (on Unix) a Unix-domain socket.
 #[derive(Debug)]
-pub enum SocketListener {
+pub(crate) enum SocketListener {
     /// A TCP listener.
     Tcp(TcpListener),
     /// A Unix-domain listener, with its filesystem path (removed on
@@ -220,7 +204,7 @@ pub enum SocketListener {
 impl SocketListener {
     /// Binds `addr`: `unix:<path>` for a Unix-domain socket, anything
     /// else as a TCP `host:port` (use port 0 for an ephemeral port).
-    pub fn bind(addr: &str) -> std::io::Result<Self> {
+    pub(crate) fn bind(addr: &str) -> std::io::Result<Self> {
         #[cfg(unix)]
         if let Some(path) = addr.strip_prefix("unix:") {
             // A stale socket file from a previous run would fail the bind.
@@ -234,7 +218,7 @@ impl SocketListener {
     }
 
     /// The bound address in the form [`SocketStream::connect`] accepts.
-    pub fn local_addr(&self) -> std::io::Result<String> {
+    pub(crate) fn local_addr(&self) -> std::io::Result<String> {
         match self {
             SocketListener::Tcp(l) => Ok(l.local_addr()?.to_string()),
             #[cfg(unix)]
@@ -243,7 +227,7 @@ impl SocketListener {
     }
 
     /// Blocks until the next connection.
-    pub fn accept(&self) -> std::io::Result<SocketStream> {
+    pub(crate) fn accept(&self) -> std::io::Result<SocketStream> {
         match self {
             SocketListener::Tcp(l) => SocketStream::tcp(l.accept()?.0),
             #[cfg(unix)]
@@ -979,7 +963,7 @@ enum ClientState {
 /// waiting, and returns. A tick therefore ends at the first arrival
 /// (after draining) or at the timeout. Retransmission timers count these
 /// passes, so no wall-clock value ever reaches a protocol decision.
-pub struct SocketTransport {
+pub(crate) struct SocketTransport {
     framed: FramedStream,
     party: PartyId,
     n: usize,
@@ -1299,11 +1283,8 @@ mod tests {
         assert!(q.try_push(2));
         assert!(!q.try_push(3), "cap enforced");
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.max_depth(), 2);
         assert_eq!(q.pop_wait(), Some(1));
         assert!(q.try_push(3));
-        assert_eq!(q.max_depth(), 2, "high-water mark sticks");
-        assert_eq!(q.cap(), 2);
     }
 
     #[test]

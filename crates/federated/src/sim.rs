@@ -225,7 +225,9 @@ impl Network {
     }
 
     /// A network applying `plan`, with wire metrics registered on
-    /// `recorder` (see [`TransportMetrics::new`] for the names). Metrics
+    /// `recorder` (`transport.party.<p>.sent`/`.delivered`,
+    /// `transport.dropped`, `transport.duplicated`, `transport.crashes`
+    /// and the `transport.latency_ticks` histogram). Metrics
     /// are observation-only: they never draw from the fault stream, so
     /// an observed run injects exactly the faults an unobserved one does.
     pub fn seeded(n_parties: usize, plan: FaultPlan, recorder: &dyn Recorder) -> Self {
@@ -435,7 +437,7 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// Summarises a trace.
-    pub fn from_trace(trace: &[TraceEvent]) -> Self {
+    pub(crate) fn from_trace(trace: &[TraceEvent]) -> Self {
         let mut s = Self::default();
         for event in trace {
             match event {
@@ -488,7 +490,7 @@ pub struct SimOutcome {
 /// audit artefacts. Same session + policies + plan ⇒ same outcome, trace
 /// and summary, always.
 ///
-/// The network registers its wire metrics ([`TransportMetrics`]) on
+/// The network registers its wire metrics (see [`Network::seeded`]) on
 /// `recorder`, and the protocol engine its per-party counters and the
 /// `protocol.setup` span, whose clock is the network's tick clock.
 /// Recording is observation-only: pass [`NoopRecorder`] for none, and

@@ -66,11 +66,6 @@ impl Payload {
             Payload::Ack(_) => "ack",
         }
     }
-
-    /// `true` for acks (which are themselves never acked or retried).
-    pub fn is_ack(&self) -> bool {
-        matches!(self, Payload::Ack(_))
-    }
 }
 
 /// One message in flight: a typed payload plus routing and identity.
@@ -96,13 +91,13 @@ pub enum WireError {
     /// The input was empty. Rejected up front: a zero-length frame is a
     /// framing bug at the transport layer, not a truncated envelope.
     Empty,
-    /// The input exceeds [`MAX_ENVELOPE_BYTES`]. Rejected before any
+    /// The input exceeds the 16 MiB envelope cap. Rejected before any
     /// parsing or allocation so a hostile frame length cannot balloon
     /// memory.
     FrameTooLarge {
         /// Bytes presented.
         len: usize,
-        /// The cap ([`MAX_ENVELOPE_BYTES`]).
+        /// The cap, 16 MiB.
         cap: usize,
     },
     /// Input ended before a field could be read in full.
@@ -193,7 +188,7 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Wire-format version written by [`Envelope::encode`].
-pub const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 1;
 
 /// Hard cap on the byte size of a single wire-encoded [`Envelope`].
 ///
@@ -202,7 +197,7 @@ pub const WIRE_VERSION: u8 = 1;
 /// an attacker-controlled length field can never drive an allocation.
 /// 16 MiB comfortably fits any real PSI submission or metadata package
 /// this system produces.
-pub const MAX_ENVELOPE_BYTES: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_ENVELOPE_BYTES: usize = 16 * 1024 * 1024;
 
 const MAGIC: [u8; 2] = *b"MP";
 const TAG_PSI: u8 = 1;
@@ -436,8 +431,8 @@ impl TraceEvent {
 ///
 /// Implementations decide what happens between `send` and `recv`: the
 /// in-memory [`crate::sim::Network`] delivers on the next tick unless its
-/// fault source says otherwise; [`crate::serve::SocketTransport`] carries
-/// one party's envelopes over a socket.
+/// fault source says otherwise; the relay client of [`crate::serve`]
+/// carries one party's envelopes over a socket.
 pub trait Transport {
     /// Number of parties attached to this transport.
     fn n_parties(&self) -> usize;
@@ -492,7 +487,7 @@ pub trait Transport {
 /// deltas (delivery tick − send tick), so every recorded value is
 /// deterministic under a fixed fault-plan seed.
 #[derive(Debug, Clone, Default)]
-pub struct TransportMetrics {
+pub(crate) struct TransportMetrics {
     sent: Vec<Counter>,
     delivered: Vec<Counter>,
     dropped: Counter,
@@ -503,12 +498,12 @@ pub struct TransportMetrics {
 
 impl TransportMetrics {
     /// Dead handles: every note is discarded.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Self::default()
     }
 
     /// Live handles registered with `recorder` for `n_parties` parties.
-    pub fn new(n_parties: usize, recorder: &dyn Recorder) -> Self {
+    pub(crate) fn new(n_parties: usize, recorder: &dyn Recorder) -> Self {
         TransportMetrics {
             sent: (0..n_parties)
                 .map(|p| recorder.counter(&format!("transport.party.{p}.sent")))
@@ -524,14 +519,14 @@ impl TransportMetrics {
     }
 
     /// Party `party` handed the transport one envelope.
-    pub fn note_sent(&self, party: PartyId) {
+    pub(crate) fn note_sent(&self, party: PartyId) {
         if let Some(c) = self.sent.get(party) {
             c.inc();
         }
     }
 
     /// One envelope reached `party`'s inbox after `latency_ticks` ticks.
-    pub fn note_delivered(&self, party: PartyId, latency_ticks: u64) {
+    pub(crate) fn note_delivered(&self, party: PartyId, latency_ticks: u64) {
         if let Some(c) = self.delivered.get(party) {
             c.inc();
         }
@@ -539,17 +534,17 @@ impl TransportMetrics {
     }
 
     /// One envelope was discarded (fault injection or dead recipient).
-    pub fn note_dropped(&self) {
+    pub(crate) fn note_dropped(&self) {
         self.dropped.inc();
     }
 
     /// One extra delivery was scheduled by a duplication fault.
-    pub fn note_duplicated(&self) {
+    pub(crate) fn note_duplicated(&self) {
         self.duplicated.inc();
     }
 
     /// One party crashed.
-    pub fn note_crash(&self) {
+    pub(crate) fn note_crash(&self) {
         self.crashes.inc();
     }
 }
@@ -684,7 +679,6 @@ mod tests {
     fn payload_kinds_label() {
         assert_eq!(Payload::PsiDigests(Arc::from([])).kind(), "psi-digests");
         assert_eq!(Payload::Ack(MsgId(0)).kind(), "ack");
-        assert!(Payload::Ack(MsgId(0)).is_ack());
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl AttrSet {
     }
 
     /// Membership test (binary search).
-    pub fn contains(&self, attr: usize) -> bool {
+    pub(crate) fn contains(&self, attr: usize) -> bool {
         self.0.binary_search(&attr).is_ok()
     }
 
@@ -102,7 +102,7 @@ impl AttrSet {
     }
 
     /// Inserts one attribute, returning the extended set.
-    pub fn with(&self, attr: usize) -> AttrSet {
+    pub(crate) fn with(&self, attr: usize) -> AttrSet {
         if self.contains(attr) {
             self.clone()
         } else {
@@ -116,17 +116,6 @@ impl AttrSet {
     /// Removes one attribute, returning the reduced set.
     pub fn without(&self, attr: usize) -> AttrSet {
         AttrSet(self.0.iter().copied().filter(|&a| a != attr).collect())
-    }
-
-    /// Set difference `self \ other`.
-    pub fn difference(&self, other: &AttrSet) -> AttrSet {
-        AttrSet(
-            self.0
-                .iter()
-                .copied()
-                .filter(|a| !other.contains(*a))
-                .collect(),
-        )
     }
 
     /// Renders the set against attribute names, e.g. `{Name, Age}`.
@@ -209,13 +198,6 @@ mod tests {
         assert_eq!(a.with(2).indices(), &[0, 2]);
         assert_eq!(a.without(0).indices(), &[2]);
         assert_eq!(a.without(7).indices(), &[0, 2]);
-    }
-
-    #[test]
-    fn difference_removes_members() {
-        let a = AttrSet::from_iter([0, 1, 2, 3]);
-        let b = AttrSet::from_iter([1, 3]);
-        assert_eq!(a.difference(&b).indices(), &[0, 2]);
     }
 
     #[test]

@@ -91,12 +91,12 @@ impl ConditionalFd {
     }
 
     /// The LHS attribute set.
-    pub fn lhs_attrs(&self) -> AttrSet {
+    pub(crate) fn lhs_attrs(&self) -> AttrSet {
         AttrSet::from_iter(self.lhs.iter().map(|(a, _)| *a))
     }
 
     /// `true` if row `i` of `relation` matches the LHS pattern.
-    pub fn row_matches(&self, relation: &Relation, i: usize) -> Result<bool> {
+    pub(crate) fn row_matches(&self, relation: &Relation, i: usize) -> Result<bool> {
         for (attr, cell) in &self.lhs {
             if !cell.matches(&relation.value(i, *attr)?) {
                 return Ok(false);

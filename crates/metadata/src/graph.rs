@@ -83,12 +83,6 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// `true` if the edge set contains a directed cycle over attributes
-    /// (ignoring self-loops from trivial dependencies).
-    pub fn has_cycle(&self) -> bool {
-        self.topo_order().is_none()
-    }
-
     /// Kahn topological order of the attributes under dependency edges, or
     /// `None` if the edges are cyclic. Attributes with no dependencies sort
     /// by index for determinism.
@@ -204,7 +198,7 @@ mod tests {
     fn plan_orders_chain() {
         // 0→1, 1→2: plan must be Free(0), Derive(1), Derive(2).
         let g = DependencyGraph::new(3, vec![fd(0, 1), fd(1, 2)]).unwrap();
-        assert!(!g.has_cycle());
+        assert!(g.topo_order().is_some());
         let plan = g.plan();
         assert_eq!(plan[0], PlanStep::Free { attr: 0 });
         assert_eq!(plan[1], PlanStep::Derive { attr: 1, dep: 0 });
@@ -231,7 +225,7 @@ mod tests {
         // 0→1 and 1→0: cyclic; the plan still covers both attributes,
         // deriving exactly one of them.
         let g = DependencyGraph::new(2, vec![fd(0, 1), fd(1, 0)]).unwrap();
-        assert!(g.has_cycle());
+        assert!(g.topo_order().is_none());
         let plan = g.plan();
         assert_eq!(plan.len(), 2);
         let derives = plan
@@ -268,7 +262,7 @@ mod tests {
     fn self_loop_is_not_a_cycle() {
         // Trivial dependency 0→0 must not deadlock planning.
         let g = DependencyGraph::new(1, vec![fd(0, 0)]).unwrap();
-        assert!(!g.has_cycle());
+        assert!(g.topo_order().is_some());
         assert_eq!(g.plan(), vec![PlanStep::Free { attr: 0 }]);
     }
 

@@ -6,8 +6,6 @@
 //! * [`Fd`], [`Afd`], [`OrderDep`], [`NumericalDep`], [`DifferentialDep`],
 //!   [`OrderedFd`] — the dependency classes of §II-A/§IV, each with exact
 //!   validation semantics against a relation ([`Dependency::holds`]);
-//! * [`FdSet`] — FD inference: attribute closures, implication, minimal
-//!   covers, candidate keys (the §III-B transitivity machinery);
 //! * [`DependencyGraph`] — the directed attribute graph the adversary uses
 //!   for generation (§V), with topological generation plans;
 //! * [`MetadataPackage`] — the wire artefact a party shares: names, kinds,
@@ -24,7 +22,6 @@ mod distribution;
 mod exchange;
 mod generalization;
 mod graph;
-mod inference;
 mod mfd;
 mod pool;
 mod redaction;
@@ -39,7 +36,6 @@ pub use distribution::Distribution;
 pub use exchange::{AttributeMeta, ExchangeError, MetadataPackage, FORMAT_VERSION};
 pub use generalization::DomainGeneralization;
 pub use graph::{DependencyGraph, PlanStep};
-pub use inference::FdSet;
 pub use mfd::MetricFd;
 pub use pool::PoolError;
 pub use redaction::SharePolicy;

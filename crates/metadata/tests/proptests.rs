@@ -1,145 +1,16 @@
-//! Property-based tests for FD inference, attribute sets and dependency
-//! validation invariants.
+//! Property-based tests for attribute sets and metadata packages.
 
-use mp_metadata::{AttrSet, Dependency, Fd, FdSet, MetadataPackage, SharePolicy};
-use mp_relation::{Attribute, Relation, Schema, Value};
+use mp_metadata::{AttrSet, Dependency, Fd, MetadataPackage, SharePolicy};
+use mp_relation::{Attribute, Relation, Schema};
 use proptest::prelude::*;
 
 const N_ATTRS: usize = 6;
-
-/// Strategy: a random FD set over `N_ATTRS` attributes.
-fn fdset_strategy() -> impl Strategy<Value = FdSet> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(0usize..N_ATTRS, 0..3),
-            0usize..N_ATTRS,
-        ),
-        0..10,
-    )
-    .prop_map(|pairs| {
-        FdSet::from_fds(
-            N_ATTRS,
-            pairs.into_iter().map(|(lhs, rhs)| Fd::new(lhs, rhs)),
-        )
-    })
-}
 
 fn attrset_strategy() -> impl Strategy<Value = AttrSet> {
     prop::collection::vec(0usize..N_ATTRS, 0..N_ATTRS).prop_map(AttrSet::from_iter)
 }
 
 proptest! {
-    #[test]
-    fn closure_is_extensive_monotone_idempotent(
-        f in fdset_strategy(),
-        x in attrset_strategy(),
-        y in attrset_strategy(),
-    ) {
-        let cx = f.closure(&x);
-        // Extensive: X ⊆ X⁺.
-        prop_assert!(x.is_subset_of(&cx));
-        // Idempotent: (X⁺)⁺ = X⁺.
-        prop_assert_eq!(f.closure(&cx), cx.clone());
-        // Monotone: X ⊆ Y ⇒ X⁺ ⊆ Y⁺.
-        let union = x.union(&y);
-        prop_assert!(cx.is_subset_of(&f.closure(&union)));
-    }
-
-    #[test]
-    fn minimal_cover_is_equivalent_and_irredundant(f in fdset_strategy()) {
-        let m = f.minimal_cover();
-        prop_assert!(m.equivalent_to(&f));
-        // No trivial FDs survive.
-        prop_assert!(m.fds().iter().all(|fd| !fd.is_trivial()));
-        // Dropping any FD breaks equivalence (irredundancy).
-        for i in 0..m.len() {
-            let rest = FdSet::from_fds(
-                N_ATTRS,
-                m.fds()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, fd)| fd.clone()),
-            );
-            prop_assert!(
-                !rest.implies(&m.fds()[i]),
-                "cover kept a redundant FD: {:?}",
-                m.fds()[i]
-            );
-        }
-    }
-
-    #[test]
-    fn implication_is_sound_on_data(
-        f in fdset_strategy(),
-        rows in prop::collection::vec(
-            prop::collection::vec(0i64..3, N_ATTRS),
-            1..30,
-        ),
-    ) {
-        // Build a relation SATISFYING every FD in `f` by rejection: repair
-        // violations by copying the first tuple of each violating group.
-        let schema = Schema::new(
-            (0..N_ATTRS).map(|i| Attribute::categorical(format!("a{i}"))).collect(),
-        ).unwrap();
-        let mut data: Vec<Vec<Value>> = rows
-            .into_iter()
-            .map(|r| r.into_iter().map(Value::Int).collect())
-            .collect();
-        // Repair until all FDs hold (bounded iterations).
-        for _ in 0..20 {
-            let rel = Relation::from_rows(schema.clone(), data.clone()).unwrap();
-            let mut dirty = false;
-            for fd in f.fds() {
-                if fd.holds(&rel).unwrap() {
-                    continue;
-                }
-                dirty = true;
-                // Repair: force rhs to be a function of lhs by keying.
-                use std::collections::HashMap;
-                let mut map: HashMap<Vec<Value>, Value> = HashMap::new();
-                for row in data.iter_mut() {
-                    let key: Vec<Value> =
-                        fd.lhs.iter().map(|a| row[a].clone()).collect();
-                    let v = map.entry(key).or_insert_with(|| row[fd.rhs].clone());
-                    row[fd.rhs] = v.clone();
-                }
-            }
-            if !dirty {
-                break;
-            }
-        }
-        let rel = Relation::from_rows(schema, data).unwrap();
-        prop_assume!(f.fds().iter().all(|fd| fd.holds(&rel).unwrap()));
-        // Soundness: every implied FD holds on every satisfying relation.
-        for lhs in 0..N_ATTRS {
-            for rhs in 0..N_ATTRS {
-                let fd = Fd::new(lhs, rhs);
-                if f.implies(&fd) {
-                    prop_assert!(
-                        fd.holds(&rel).unwrap(),
-                        "implied FD {lhs}→{rhs} violated"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_keys_determine_everything_and_are_minimal(f in fdset_strategy()) {
-        let all = AttrSet::from_iter(0..N_ATTRS);
-        for key in f.candidate_keys() {
-            prop_assert_eq!(f.closure(&key), all.clone());
-            for a in key.iter() {
-                prop_assert!(
-                    f.closure(&key.without(a)) != all,
-                    "key {} not minimal",
-                    key
-                );
-            }
-        }
-    }
-
     #[test]
     fn attrset_union_laws(
         a in attrset_strategy(),
@@ -150,7 +21,6 @@ proptest! {
         prop_assert_eq!(a.union(&b).union(&c), a.union(&b.union(&c)));
         prop_assert_eq!(a.union(&a), a.clone());
         prop_assert!(a.is_subset_of(&a.union(&b)));
-        prop_assert_eq!(a.difference(&b).union(&b), a.union(&b));
     }
 
     #[test]

@@ -89,17 +89,17 @@ impl Bitmap {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.ones
     }
 
     /// `true` when no bit is set.
-    pub fn none_set(&self) -> bool {
+    pub(crate) fn none_set(&self) -> bool {
         self.ones == 0
     }
 
     /// `true` when every bit is set.
-    pub fn all_set(&self) -> bool {
+    pub(crate) fn all_set(&self) -> bool {
         self.ones == self.len
     }
 
@@ -306,14 +306,6 @@ impl Column {
         }
     }
 
-    /// The dictionary and codes of a [`Column::Categorical`] column.
-    pub fn as_categorical_parts(&self) -> Option<(&[String], &[u32])> {
-        match self {
-            Column::Categorical { dict, codes } => Some((dict.as_slice(), codes)),
-            _ => None,
-        }
-    }
-
     /// A short name for the physical representation, for reports.
     pub fn repr_name(&self) -> &'static str {
         match self {
@@ -327,7 +319,7 @@ impl Column {
     /// The established cell type of the column — the variant name of the
     /// first non-null value, or `None` for an all-null column. This drives
     /// the categorical homogeneity check's error messages.
-    pub fn established_type(&self) -> Option<&'static str> {
+    pub(crate) fn established_type(&self) -> Option<&'static str> {
         match self {
             Column::Categorical { codes, .. } => codes.iter().any(|&c| c != 0).then_some("text"),
             Column::Int { nulls, .. } => (!nulls.all_set()).then_some("int"),
@@ -773,7 +765,7 @@ impl Eq for Column {}
 /// stringify pass need, gathered here so ingest never has to re-scan the
 /// column.
 #[derive(Debug, Clone, Default)]
-pub struct ColumnBuilder {
+pub(crate) struct ColumnBuilder {
     /// The column so far, unless it is dictionary-encoded text.
     column: Column,
     /// The column so far while it is dictionary-encoded text.
@@ -801,21 +793,8 @@ impl TextColumn {
 
 impl ColumnBuilder {
     /// Starts an empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        match &self.text {
-            Some(text) => text.codes.len(),
-            None => self.column.len(),
-        }
-    }
-
-    /// `true` when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// `true` when any [`Value::Text`] was pushed.
@@ -844,7 +823,7 @@ impl ColumnBuilder {
 
     /// Appends one value, promoting the physical layout as needed (see
     /// [`Column::push_value`]).
-    pub fn push(&mut self, v: Value) {
+    pub(crate) fn push(&mut self, v: Value) {
         match v {
             Value::Text(s) => self.push_text(&s),
             Value::Null => match &mut self.text {
@@ -897,7 +876,7 @@ impl ColumnBuilder {
     }
 
     /// Finishes the build.
-    pub fn finish(self) -> Column {
+    pub(crate) fn finish(self) -> Column {
         match self.text {
             Some(text) => text.finish(),
             None => self.column,
@@ -906,7 +885,8 @@ impl ColumnBuilder {
 }
 
 impl FromIterator<Value> for Column {
-    /// Folds values into a typed column through a [`ColumnBuilder`].
+    /// Folds values into a typed column, promoting as
+    /// [`Column::push_value`] does.
     fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
         let mut builder = ColumnBuilder::new();
         for v in values {
@@ -1067,9 +1047,11 @@ mod tests {
             Attribute::categorical("x"),
             &["a".into(), "b".into(), Value::Null, "a".into()],
         );
-        let (dict, codes) = c.as_categorical_parts().expect("dict layout");
-        assert_eq!(dict, ["a".to_owned(), "b".to_owned()]);
-        assert_eq!(codes, [1, 2, 0, 1]);
+        let Column::Categorical { dict, codes } = &c else {
+            panic!("dict layout");
+        };
+        assert_eq!(**dict, ["a".to_owned(), "b".to_owned()]);
+        assert_eq!(*codes, [1, 2, 0, 1]);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.distinct_count(), 3);
         assert_eq!(c.value(3), Value::Text("a".into()));
@@ -1310,8 +1292,8 @@ mod tests {
             for v in &vals {
                 b.push(v.clone());
             }
-            assert_eq!(b.len(), vals.len());
             let built = b.finish();
+            assert_eq!(built.len(), vals.len());
             let mut plain = Column::default();
             for v in &vals {
                 plain.push_value(v.clone());
@@ -1323,8 +1305,9 @@ mod tests {
 
     #[test]
     fn builder_tracks_text_and_numeric() {
+        assert!(ColumnBuilder::new().finish().is_empty());
         let mut b = ColumnBuilder::new();
-        assert!(!b.saw_text() && !b.saw_numeric() && b.is_empty());
+        assert!(!b.saw_text() && !b.saw_numeric());
         b.push(Value::Null);
         assert!(!b.saw_text() && !b.saw_numeric());
         b.push(Value::Int(4));

@@ -1,18 +1,19 @@
 //! Minimal CSV reader/writer for relations.
 //!
-//! Supports RFC-4180-style quoting, type inference (int → float → text),
-//! and the echocardiogram convention that `?` or an empty field is a
-//! missing value. Implemented in-repo to keep the dependency footprint to
-//! the crates the project brief allows.
+//! One dialect, the one [`write_str_with`] emits: `,` between fields, a
+//! header row of attribute names, RFC-4180-style quoting, and an empty
+//! field, `?` (the echocardiogram convention) or `NA` for a missing value.
+//! The reader adds type inference (int → float → text). Implemented
+//! in-repo to keep the dependency footprint to the crates the project
+//! brief allows.
 //!
 //! Ingest is *streaming*: [`read_path`] / [`read_stream`] decode the input
 //! in fixed-size chunks through an incremental record splitter straight
-//! into typed-column builders ([`crate::ColumnBuilder`]), so peak
-//! memory is the typed columns plus one chunk — never the whole file as a
-//! `String` plus a boxed row copy. [`read_str`] runs the same machinery
-//! over a single in-memory chunk, which makes the two paths identical by
-//! construction: same `Relation`, same typed errors, independent of where
-//! chunk boundaries fall.
+//! into typed-column builders, so peak memory is the typed columns plus one
+//! chunk — never the whole file as a `String` plus a boxed row copy.
+//! [`read_str`] runs the same machinery over a single in-memory chunk,
+//! which makes the two paths identical by construction: same `Relation`,
+//! same typed errors, independent of where chunk boundaries fall.
 
 use crate::column::ColumnBuilder;
 use crate::error::{RelationError, Result};
@@ -30,14 +31,8 @@ use std::path::Path;
 const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Options controlling CSV parsing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CsvOptions {
-    /// Field delimiter (default `,`).
-    pub delimiter: char,
-    /// Whether the first record is a header of attribute names.
-    pub has_header: bool,
-    /// Tokens (beyond the empty string) treated as missing values.
-    pub null_tokens: Vec<String>,
     /// Honour/emit a `#kinds` annotation row (second line, fields
     /// `categorical`/`continuous`) that round-trips attribute kinds —
     /// plain CSV cannot distinguish an integer-coded categorical from a
@@ -45,26 +40,22 @@ pub struct CsvOptions {
     pub kind_row: bool,
 }
 
-impl Default for CsvOptions {
-    fn default() -> Self {
-        Self {
-            delimiter: ',',
-            has_header: true,
-            null_tokens: vec!["?".to_owned(), "NA".to_owned()],
-            kind_row: false,
-        }
-    }
-}
-
 impl CsvOptions {
     /// Defaults plus the `#kinds` annotation row.
     pub fn with_kind_row() -> Self {
-        Self {
-            kind_row: true,
-            ..Self::default()
-        }
+        Self { kind_row: true }
     }
 }
+
+/// The bytes that stop an unquoted scan: `"`, `\r`, `\n` and `,`.
+const STOPS: [bool; 256] = {
+    let mut stops = [false; 256];
+    stops[b'"' as usize] = true;
+    stops[b'\r' as usize] = true;
+    stops[b'\n' as usize] = true;
+    stops[b',' as usize] = true;
+    stops
+};
 
 /// Lookahead carried across a chunk boundary: the previous character
 /// cannot be classified until the next one is seen, so the scan can
@@ -105,6 +96,8 @@ enum Field {
 /// One record handed to the sink: its fields, each borrowed from the
 /// chunk being scanned or from the splitter's owned buffer.
 struct Record<'a> {
+    /// The 1-based physical line the record starts on.
+    line: usize,
     chunk: &'a str,
     owned: &'a str,
     spans: &'a [Span],
@@ -136,12 +129,12 @@ impl<'a> Record<'a> {
 /// complete records come out through a sink as soon as their terminator
 /// is scanned.
 ///
-/// Scans bytes, stopping only at `"`, `\r`, `\n` and the delimiter; an
-/// unquoted field is handed on as a slice of the chunk. Only quoted
-/// fields and fields that cross a chunk boundary are copied, into one
-/// buffer the splitter reuses record after record.
+/// Scans bytes, stopping only at `"`, `\r`, `\n` and `,`; an unquoted
+/// field is handed on as a slice of the chunk. Only quoted fields and
+/// fields that cross a chunk boundary are copied, into one buffer the
+/// splitter reuses record after record.
 ///
-/// Handles quoted fields (including embedded delimiters, escaped quotes
+/// Handles quoted fields (including embedded commas, escaped quotes
 /// and embedded newlines; text after a closing quote joins the field),
 /// strips a leading UTF-8 BOM, and accepts `\n` or `\r\n` record
 /// terminators. Malformed input — a bare `\r` outside quotes or a quote
@@ -151,17 +144,16 @@ impl<'a> Record<'a> {
 /// sink.
 #[derive(Debug)]
 struct RecordSplitter {
-    delimiter: char,
-    /// The bytes that stop an unquoted scan: `"`, `\r`, `\n` and the
-    /// delimiter's first byte.
-    stops: [bool; 256],
     /// Closed fields of the current record.
     spans: Vec<Span>,
     /// Text of the current record's fields that could not be borrowed.
     owned: String,
     field: Field,
     in_quotes: bool,
+    /// The physical line being scanned.
     line: usize,
+    /// The physical line the current record started on.
+    record_line: usize,
     quote_opened_at: usize,
     pending: Pending,
     /// Before the very first character, where a BOM is a marker rather
@@ -170,25 +162,14 @@ struct RecordSplitter {
 }
 
 impl RecordSplitter {
-    fn new(delimiter: char) -> Self {
-        let mut stops = [false; 256];
-        let mut utf8 = [0u8; 4];
-        let lead = delimiter
-            .encode_utf8(&mut utf8)
-            .bytes()
-            .next()
-            .unwrap_or(b'"');
-        for b in [b'"', b'\r', b'\n', lead] {
-            stops[usize::from(b)] = true;
-        }
+    fn new() -> Self {
         Self {
-            delimiter,
-            stops,
             spans: Vec::new(),
             owned: String::new(),
             field: Field::Borrowed(0),
             in_quotes: false,
             line: 1,
+            record_line: 1,
             quote_opened_at: 1,
             pending: Pending::None,
             at_start: true,
@@ -223,9 +204,11 @@ impl RecordSplitter {
     }
 
     /// Hands the current record's closed fields to the sink, dropping the
-    /// single-empty-field records blank lines produce, and starts afresh.
+    /// single-empty-field records blank lines produce, and starts afresh
+    /// on the current line.
     fn end_record(&mut self, chunk: &str, sink: &mut dyn FnMut(&Record<'_>)) {
         let record = Record {
+            line: self.record_line,
             chunk,
             owned: &self.owned,
             spans: &self.spans,
@@ -235,30 +218,7 @@ impl RecordSplitter {
         }
         self.spans.clear();
         self.owned.clear();
-    }
-
-    /// The first stop byte at or after `from` (a delimiter only where the
-    /// whole delimiter matches), or `chunk.len()`.
-    fn next_stop(&self, chunk: &str, mut from: usize) -> usize {
-        let bytes = chunk.as_bytes();
-        loop {
-            let Some(at) = bytes
-                .get(from..)
-                .and_then(|rest| rest.iter().position(|&b| self.stops[usize::from(b)]))
-            else {
-                return bytes.len();
-            };
-            let i = from + at;
-            if self.delimiter.is_ascii()
-                || matches!(bytes.get(i), Some(b'"' | b'\r' | b'\n'))
-                || chunk
-                    .get(i..)
-                    .is_some_and(|s| s.starts_with(self.delimiter))
-            {
-                return i;
-            }
-            from = i + 1;
-        }
+        self.record_line = self.line;
     }
 
     /// Scans one chunk. Framing errors surface eagerly; everything else
@@ -322,7 +282,10 @@ impl RecordSplitter {
                 pos = end + 1;
                 continue;
             }
-            let end = self.next_stop(chunk, pos);
+            let end = bytes
+                .get(pos..)
+                .and_then(|rest| rest.iter().position(|&b| STOPS[usize::from(b)]))
+                .map_or(bytes.len(), |at| pos + at);
             if let Field::Owned(_) = self.field {
                 self.owned.push_str(chunk.get(pos..end).unwrap_or_default());
             }
@@ -348,9 +311,8 @@ impl RecordSplitter {
                     self.end_record(chunk, sink);
                 }
                 Some(_) => {
-                    let next = pos + self.delimiter.len_utf8();
-                    self.close_field(pos, next);
-                    pos = next;
+                    self.close_field(pos, pos + 1);
+                    pos += 1;
                 }
             }
         }
@@ -403,11 +365,11 @@ impl RecordSplitter {
     }
 }
 
-/// Parses one field, using `null_tokens`. Integers are tried first, then
-/// finite floats; text is borrowed, not copied.
-fn parse_field<'a>(field: &'a str, null_tokens: &[String]) -> ValueRef<'a> {
+/// Parses one field: empty, `?` and `NA` are null, integers are tried
+/// next, then finite floats; text is borrowed, not copied.
+fn parse_field(field: &str) -> ValueRef<'_> {
     let trimmed = field.trim();
-    if trimmed.is_empty() || null_tokens.iter().any(|t| t == trimmed) {
+    if matches!(trimmed, "" | "?" | "NA") {
         return ValueRef::Null;
     }
     if let Ok(i) = trimmed.parse::<i64>() {
@@ -435,32 +397,30 @@ fn parse_field<'a>(field: &'a str, null_tokens: &[String]) -> ValueRef<'a> {
 /// reproduces the old two-phase parse-then-validate error precedence
 /// exactly: a framing error anywhere in the file outranks a row-shape
 /// error earlier in it.
-struct StreamIngest<'o> {
-    opts: &'o CsvOptions,
-    /// Attribute names; `Some` once the first record arrived.
+struct StreamIngest {
+    /// Honour a `#kinds` row right after the header.
+    kind_row: bool,
+    /// Attribute names; `Some` once the header arrived.
     names: Option<Vec<String>>,
     arity: usize,
     /// The next record may be the `#kinds` annotation row.
     awaiting_kinds: bool,
     declared_kinds: Option<Vec<AttrKind>>,
     builders: Vec<ColumnBuilder>,
-    /// Data records consumed so far (drives ragged-row line numbers).
-    data_rows: usize,
     /// All records consumed so far (header and `#kinds` included).
     records: u64,
     deferred: Option<RelationError>,
 }
 
-impl<'o> StreamIngest<'o> {
-    fn new(opts: &'o CsvOptions) -> Self {
+impl StreamIngest {
+    fn new(opts: &CsvOptions) -> Self {
         Self {
-            opts,
+            kind_row: opts.kind_row,
             names: None,
             arity: 0,
             awaiting_kinds: false,
             declared_kinds: None,
             builders: Vec::new(),
-            data_rows: 0,
             records: 0,
             deferred: None,
         }
@@ -476,21 +436,8 @@ impl<'o> StreamIngest<'o> {
         if self.names.is_none() {
             self.arity = record.len();
             self.builders = (0..self.arity).map(|_| ColumnBuilder::new()).collect();
-            if self.opts.has_header {
-                self.names = Some(record.fields().map(str::to_owned).collect());
-                self.awaiting_kinds = self.opts.kind_row;
-                return;
-            }
-            // Headerless: names and arity come from the first record —
-            // even when that record turns out to be the `#kinds` row
-            // (matching the whole-file path, which synthesised names
-            // before removing it).
-            self.names = Some((0..self.arity).map(|i| format!("attr{i}")).collect());
-            if self.opts.kind_row && record.first().is_some_and(|f| f.starts_with("#kinds")) {
-                self.take_kinds(record);
-                return;
-            }
-            self.push_data(record);
+            self.names = Some(record.fields().map(str::to_owned).collect());
+            self.awaiting_kinds = self.kind_row;
             return;
         }
         if self.awaiting_kinds {
@@ -510,12 +457,12 @@ impl<'o> StreamIngest<'o> {
         }
     }
 
-    /// Parses the `#kinds` annotation row (always reported as line 2, its
-    /// position in every format the writer emits).
+    /// Parses the `#kinds` annotation row.
     fn take_kinds(&mut self, row: &Record<'_>) {
+        let line = row.line;
         if row.len() != self.arity {
             self.defer(RelationError::Csv {
-                line: 2,
+                line,
                 message: format!(
                     "#kinds row has {} fields, expected {}",
                     row.len(),
@@ -528,7 +475,7 @@ impl<'o> StreamIngest<'o> {
             "categorical" => Ok(AttrKind::Categorical),
             "continuous" => Ok(AttrKind::Continuous),
             other => Err(RelationError::Csv {
-                line: 2,
+                line,
                 message: format!("unknown kind `{other}` in #kinds field {c}"),
             }),
         };
@@ -567,18 +514,17 @@ impl<'o> StreamIngest<'o> {
         }
         if record.len() != self.arity {
             self.defer(RelationError::Csv {
-                line: self.data_rows + 1 + usize::from(self.opts.has_header),
+                line: record.line,
                 message: format!("expected {} fields, found {}", self.arity, record.len()),
             });
             return;
         }
         for (builder, field) in self.builders.iter_mut().zip(record.fields()) {
-            match parse_field(field, &self.opts.null_tokens) {
+            match parse_field(field) {
                 ValueRef::Text(text) => builder.push_text(text),
                 cell => builder.push(cell.to_value()),
             }
         }
-        self.data_rows += 1;
     }
 
     /// Resolves kinds, stringifies mixed categorical columns and builds
@@ -636,11 +582,8 @@ impl<'o> StreamIngest<'o> {
 }
 
 /// Reads a relation from CSV text, inferring attribute kinds.
-///
-/// If `opts.has_header` is false, attributes are named `attr0..attrN`
-/// (matching the paper's Table III/IV naming).
 pub fn read_str(text: &str, opts: &CsvOptions) -> Result<Relation> {
-    let mut splitter = RecordSplitter::new(opts.delimiter);
+    let mut splitter = RecordSplitter::new();
     let mut ingest = StreamIngest::new(opts);
     let mut sink = |r: &Record<'_>| ingest.accept(r);
     splitter.feed(text, &mut sink)?;
@@ -713,7 +656,7 @@ fn read_stream_impl<R: Read>(
     chunk_bytes: usize,
     metrics: Option<&IngestMetrics>,
 ) -> Result<Relation> {
-    let mut splitter = RecordSplitter::new(opts.delimiter);
+    let mut splitter = RecordSplitter::new();
     let mut ingest = StreamIngest::new(opts);
     let mut buf = vec![0u8; chunk_bytes.max(1)];
     // ≤ 3 trailing bytes of a UTF-8 scalar split by a chunk boundary.
@@ -800,8 +743,10 @@ pub fn write_str(relation: &Relation) -> String {
     write_str_with(relation, &CsvOptions::default())
 }
 
-/// Serialises a relation, optionally emitting the `#kinds` annotation row
-/// so kinds round-trip through [`read_str`] with the same options.
+/// Serialises a relation in the module's one dialect — `,` between
+/// fields, a header row of attribute names — and, when `opts.kind_row`
+/// is set, the `#kinds` annotation row, so kinds round-trip through
+/// [`read_str`] with the same options.
 ///
 /// Each cell is written straight from its column into the output: text
 /// is quoted (with `"` doubled) only when it holds a comma, quote, `\n`
@@ -854,7 +799,7 @@ pub fn write_path(relation: &Relation, path: impl AsRef<Path>) -> Result<()> {
 }
 
 /// Appends one text field, quoted (with `"` doubled) iff it holds a
-/// delimiter, quote, `\n` or `\r`, or starts with U+FEFF.
+/// comma, quote, `\n` or `\r`, or starts with U+FEFF.
 fn push_field(out: &mut String, field: &str) {
     // `\r` must be quoted or the reader sees a bare-CR framing error; a
     // leading U+FEFF must be quoted or the reader's BOM strip would eat
@@ -883,18 +828,7 @@ mod tests {
         assert_eq!(r.n_rows(), 2);
         assert_eq!(r.schema().attribute(0).unwrap().kind, AttrKind::Categorical);
         assert_eq!(r.schema().attribute(1).unwrap().kind, AttrKind::Continuous);
-        assert_eq!(r.column_by_name("age").unwrap().value(1), Value::Int(22));
-    }
-
-    #[test]
-    fn headerless_names_attrs_by_index() {
-        let opts = CsvOptions {
-            has_header: false,
-            ..Default::default()
-        };
-        let r = read_str("1,2.5\n3,4.5\n", &opts).unwrap();
-        assert_eq!(r.schema().attribute(0).unwrap().name, "attr0");
-        assert_eq!(r.schema().attribute(1).unwrap().name, "attr1");
+        assert_eq!(r.column(1).unwrap().value(1), Value::Int(22));
     }
 
     #[test]
@@ -939,12 +873,30 @@ mod tests {
         assert!(matches!(err, RelationError::Csv { .. }));
     }
 
+    /// A ragged record is reported at the physical line it starts on,
+    /// past a `#kinds` row, a blank line or a quoted field that spans
+    /// two lines, whatever the chunking.
     #[test]
     fn ragged_rows_rejected_with_line_number() {
-        let err = read_str("a,b\n1,2\n3\n", &CsvOptions::default()).unwrap_err();
-        match err {
-            RelationError::Csv { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected Csv error, got {other}"),
+        for (text, opts, line) in [
+            ("a,b\n1,2\n3\n", CsvOptions::default(), 3),
+            (
+                "a,b\n#kinds=categorical,categorical\n1,2\n3\n",
+                CsvOptions::with_kind_row(),
+                4,
+            ),
+            ("a,b\n1,2\n\n3\n", CsvOptions::default(), 4),
+            ("a,b\n\"x\ny\",2\n3\n", CsvOptions::default(), 4),
+        ] {
+            for result in [
+                read_str(text, &opts),
+                read_stream_impl(text.as_bytes(), &opts, 1, None),
+            ] {
+                match result.unwrap_err() {
+                    RelationError::Csv { line: got, .. } => assert_eq!(got, line, "{text:?}"),
+                    other => panic!("expected Csv error, got {other}"),
+                }
+            }
         }
     }
 
@@ -1042,7 +994,7 @@ NaN
     fn utf8_bom_is_stripped_from_header() {
         let r = read_str("\u{FEFF}name,age\nAlice,18\n", &CsvOptions::default()).unwrap();
         assert_eq!(r.schema().attribute(0).unwrap().name, "name");
-        assert!(r.column_by_name("name").is_ok());
+        assert_eq!(r.schema().index_of("name").unwrap(), 0);
         // A BOM later in the file is ordinary content, not a marker.
         let r = read_str("a\n\u{FEFF}\n", &CsvOptions::default()).unwrap();
         assert_eq!(

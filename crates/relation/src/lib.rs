@@ -42,12 +42,12 @@ mod schema;
 mod stats;
 mod value;
 
-pub use column::{Bitmap, Column, ColumnBuilder};
+pub use column::{Bitmap, Column};
 pub use domain::Domain;
 pub use error::{RelationError, Result};
 pub use partition::{Pli, Signature};
 pub use pli_cache::{PliCache, PliCacheStats};
-pub use relation::{Relation, RelationBuilder};
+pub use relation::Relation;
 pub use schema::{AttrKind, Attribute, Schema};
-pub use stats::{quantile, quartiles, ColumnStats, Histogram};
+pub use stats::{quartiles, ColumnStats, Histogram};
 pub use value::{Value, ValueRef};

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 /// Resolves a requested thread count: `0` means "use the machine's
 /// available parallelism", anything else is taken literally.
-pub fn effective_threads(requested: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -26,7 +26,7 @@ pub fn effective_threads(requested: usize) -> usize {
 /// Maps `f` over `items` on up to `threads` scoped worker threads,
 /// preserving input order in the output.
 ///
-/// `threads` is resolved via [`effective_threads`]; with one effective
+/// `threads` of `0` means the machine's available parallelism; with one effective
 /// thread (or zero/one items) the map runs inline with no thread or lock
 /// overhead, so sequential callers pay nothing. `f` must be `Sync`
 /// because workers share it; items are handed to exactly one worker

@@ -151,18 +151,12 @@ impl PliCache {
         }
     }
 
-    /// Like [`new`](Self::new), but the hit/miss/eviction counters are
-    /// registered with `recorder` as `pli_cache.hits`, `pli_cache.misses`
-    /// and `pli_cache.evictions`. The *same* atomics back [`stats`](
+    /// Like [`with_budget`](Self::with_budget), but the hit/miss/eviction
+    /// counters are registered with `recorder` as `pli_cache.hits`,
+    /// `pli_cache.misses`, `pli_cache.evictions` and
+    /// `pli_cache.budget_evictions`. The *same* atomics back [`stats`](
     /// Self::stats) and the recorder's snapshot, so there is exactly one
     /// source of truth for cache statistics.
-    pub fn with_recorder(capacity: usize, recorder: &dyn Recorder) -> Self {
-        Self::with_recorder_and_budget(capacity, 0, recorder)
-    }
-
-    /// [`with_budget`](Self::with_budget) plus recorder-registered
-    /// counters (see [`with_recorder`](Self::with_recorder)); budget
-    /// evictions are registered as `pli_cache.budget_evictions`.
     pub fn with_recorder_and_budget(
         capacity: usize,
         budget_bytes: usize,
@@ -192,7 +186,7 @@ impl PliCache {
     }
 
     /// Estimated heap bytes currently retained by resident partitions.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         // lint: allow(no-panic) reason="cache operations cannot panic while holding the lock, so poisoning implies a panic already unwinding elsewhere"
         self.inner.lock().expect("PliCache lock poisoned").bytes
     }
@@ -407,7 +401,7 @@ mod tests {
     fn recorder_counters_are_one_source_of_truth() {
         use mp_observe::{NoopRecorder, Registry};
         let registry = Registry::new();
-        let cache = PliCache::with_recorder(4, &registry);
+        let cache = PliCache::with_recorder_and_budget(4, 0, &registry);
         cache.get(1); // miss
         cache.insert(1, pli(&[1, 2]));
         cache.get(1); // hit
@@ -419,7 +413,7 @@ mod tests {
         assert_eq!(snap.counters["pli_cache.evictions"], 0);
 
         // A noop recorder must not break local stats.
-        let plain = PliCache::with_recorder(4, &NoopRecorder);
+        let plain = PliCache::with_recorder_and_budget(4, 0, &NoopRecorder);
         plain.get(9);
         assert_eq!(plain.stats().misses, 1);
     }

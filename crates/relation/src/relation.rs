@@ -1,8 +1,8 @@
 //! Column-oriented relations (tables).
 
-use crate::column::{check_column_kind, check_kind, Column, ColumnBuilder};
+use crate::column::{check_column_kind, Column, ColumnBuilder};
 use crate::error::{RelationError, Result};
-use crate::schema::Schema;
+use crate::schema::{AttrKind, Schema};
 use crate::value::{Value, ValueRef};
 use serde::{content_get, Content, DeError, Deserialize, Serialize};
 use std::fmt;
@@ -156,12 +156,6 @@ impl Relation {
             })
     }
 
-    /// The typed column named `name`.
-    pub fn column_by_name(&self, name: &str) -> Result<&Column> {
-        let idx = self.schema.index_of(name)?;
-        self.column(idx)
-    }
-
     /// The column at `index` materialised as owned [`Value`]s — the
     /// boundary representation for Value-level consumers (naive baselines,
     /// exchange packages).
@@ -237,36 +231,37 @@ impl Relation {
         })
     }
 
-    /// Appends a row (type-checked; a failed row leaves the relation
-    /// unchanged).
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
-        check_rows(self.n_rows + 1)?;
-        if row.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        for (i, v) in row.iter().enumerate() {
-            let column = &self.columns[i];
-            check_kind(self.schema.attribute(i)?, || column.established_type(), v)?;
-        }
-        for (i, v) in row.into_iter().enumerate() {
-            self.columns[i].push_value(v);
-        }
-        self.n_rows += 1;
-        Ok(())
-    }
-
     /// Appends all rows of `other` (schemas must be equal). Used when
     /// recombining horizontal slices. Dictionary columns merge their
     /// dictionaries and remap codes.
+    ///
+    /// A schema of another arity is an [`RelationError::ArityMismatch`];
+    /// otherwise the first attribute that differs is named: an
+    /// [`RelationError::UnknownAttribute`] for another name, a
+    /// [`RelationError::TypeMismatch`] for another kind.
     pub fn append(&mut self, other: &Relation) -> Result<()> {
-        if self.schema != *other.schema() {
+        let theirs = other.schema().attributes();
+        if theirs.len() != self.arity() {
             return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: other.schema().arity(),
+                expected: self.arity(),
+                got: theirs.len(),
             });
+        }
+        let kind_name = |kind: AttrKind| match kind {
+            AttrKind::Categorical => "categorical",
+            AttrKind::Continuous => "continuous",
+        };
+        for (mine, theirs) in self.schema.attributes().iter().zip(theirs) {
+            if mine.name != theirs.name {
+                return Err(RelationError::UnknownAttribute(theirs.name.clone()));
+            }
+            if mine.kind != theirs.kind {
+                return Err(RelationError::TypeMismatch {
+                    column: mine.name.clone(),
+                    expected: kind_name(mine.kind),
+                    got: kind_name(theirs.kind),
+                });
+            }
         }
         check_rows(self.n_rows + other.n_rows)?;
         for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
@@ -345,7 +340,7 @@ impl Deserialize for Relation {
 /// Incremental, type-checked relation builder. Categorical cells go
 /// through a hashed dictionary lookup, so bulk loads pay O(1) per cell.
 #[derive(Debug, Clone)]
-pub struct RelationBuilder {
+pub(crate) struct RelationBuilder {
     schema: Schema,
     builders: Vec<ColumnBuilder>,
     n_rows: usize,
@@ -353,7 +348,7 @@ pub struct RelationBuilder {
 
 impl RelationBuilder {
     /// Starts an empty builder over `schema`.
-    pub fn new(schema: Schema) -> Self {
+    pub(crate) fn new(schema: Schema) -> Self {
         let builders = (0..schema.arity()).map(|_| ColumnBuilder::new()).collect();
         Self {
             schema,
@@ -363,7 +358,7 @@ impl RelationBuilder {
     }
 
     /// Appends a row (a failed row leaves no partial state).
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<&mut Self> {
+    pub(crate) fn push_row(&mut self, row: Vec<Value>) -> Result<&mut Self> {
         check_rows(self.n_rows + 1)?;
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -388,7 +383,7 @@ impl RelationBuilder {
     }
 
     /// Finishes the build.
-    pub fn finish(self) -> Relation {
+    pub(crate) fn finish(self) -> Relation {
         Relation {
             schema: self.schema,
             columns: self
@@ -452,7 +447,7 @@ mod tests {
         assert_eq!(r.arity(), 3);
         assert_eq!(r.value(1, 0).unwrap(), Value::Text("Bob".into()));
         assert_eq!(r.value_ref(1, 0).unwrap(), ValueRef::Text("Bob"));
-        assert_eq!(r.column_by_name("age").unwrap().value(2), Value::Int(22));
+        assert_eq!(r.column(1).unwrap().value(2), Value::Int(22));
         assert_eq!(r.row(0).unwrap()[2], Value::Text("Sales".into()));
     }
 
@@ -461,9 +456,11 @@ mod tests {
         let r = sample();
         assert!(matches!(r.column(0).unwrap(), Column::Categorical { .. }));
         assert!(matches!(r.column(1).unwrap(), Column::Int { .. }));
-        let (dict, codes) = r.column(2).unwrap().as_categorical_parts().unwrap();
-        assert_eq!(dict, ["Sales".to_owned(), "CS".to_owned()]);
-        assert_eq!(codes, [1, 2, 1]);
+        let Column::Categorical { dict, codes } = r.column(2).unwrap() else {
+            panic!("dept is dictionary-encoded");
+        };
+        assert_eq!(**dict, ["Sales".to_owned(), "CS".to_owned()]);
+        assert_eq!(*codes, [1, 2, 1]);
     }
 
     #[test]
@@ -641,11 +638,53 @@ mod tests {
         assert_eq!(r.n_rows(), 6);
         assert_eq!(r.value(3, 0).unwrap(), Value::Text("Alice".into()));
         // Dictionary stayed deduplicated across the append.
-        let (dict, _) = r.column(0).unwrap().as_categorical_parts().unwrap();
+        let Column::Categorical { dict, .. } = r.column(0).unwrap() else {
+            panic!("name is dictionary-encoded");
+        };
         assert_eq!(dict.len(), 3);
         // Mismatched schemas rejected.
         let narrow = Relation::empty(Schema::new(vec![Attribute::categorical("x")]).unwrap());
-        assert!(r.append(&narrow).is_err());
+        assert_eq!(
+            r.append(&narrow).unwrap_err(),
+            RelationError::ArityMismatch {
+                expected: 3,
+                got: 1
+            }
+        );
+        // Equal arity: the first differing attribute is named.
+        let renamed = Relation::empty(
+            Schema::new(vec![
+                Attribute::categorical("name"),
+                Attribute::continuous("years"),
+                Attribute::categorical("dept"),
+            ])
+            .unwrap(),
+        );
+        assert_eq!(
+            r.append(&renamed).unwrap_err(),
+            RelationError::UnknownAttribute("years".into())
+        );
+        let rekinded = Relation::empty(
+            Schema::new(vec![
+                Attribute::categorical("name"),
+                Attribute::categorical("age"),
+                Attribute::categorical("dept"),
+            ])
+            .unwrap(),
+        );
+        assert_eq!(
+            r.append(&rekinded).unwrap_err(),
+            RelationError::TypeMismatch {
+                column: "age".into(),
+                expected: "continuous",
+                got: "categorical",
+            }
+        );
+        assert_eq!(
+            r.n_rows(),
+            6,
+            "a refused append leaves the relation unchanged"
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl ColumnStats {
 /// Empirical quantile of the numeric values of a column, by linear
 /// interpolation between order statistics (the common "type 7" estimator).
 /// `q` is clamped to [0, 1]; `None` if the column has no numeric values.
-pub fn quantile(relation: &Relation, col: usize, q: f64) -> Result<Option<f64>> {
+pub(crate) fn quantile(relation: &Relation, col: usize, q: f64) -> Result<Option<f64>> {
     let mut nums: Vec<f64> = relation
         .column(col)?
         .iter()

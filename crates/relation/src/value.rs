@@ -135,7 +135,7 @@ impl Value {
     }
 
     /// A short name for the variant, used in error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         self.as_value_ref().type_name()
     }
 
@@ -187,7 +187,7 @@ impl<'a> ValueRef<'a> {
     }
 
     /// A short name for the variant, used in error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             ValueRef::Null => "null",
             ValueRef::Int(_) => "int",

@@ -9,7 +9,6 @@ use metadata_privacy::core::{run_attack, ExperimentConfig};
 use metadata_privacy::datasets::fintech_scenario;
 use metadata_privacy::federated::{
     auc, holdout_split, labels_from_column, train, FeatureBlock, MultiPartySession, Party,
-    TrainConfig,
 };
 use metadata_privacy::metadata::SharePolicy;
 use metadata_privacy::relation::{Attribute, Relation, Schema, Value};
@@ -82,7 +81,7 @@ fn main() {
         held_rows.len()
     );
     // Simple full-data training (the holdout here evaluates ranking).
-    let model = train(blocks, &labels, &TrainConfig::default());
+    let model = train(blocks, &labels);
     let preds = model.predict();
     let held_scores: Vec<f64> = held_rows.iter().map(|&r| preds[r]).collect();
     let held_labels: Vec<f64> = held_rows.iter().map(|&r| labels[r]).collect();

@@ -9,8 +9,8 @@
 //!
 //! * [`relation`] — relational substrate (values, schemas, relations,
 //!   domains, stripped partitions, CSV, statistics);
-//! * [`metadata`] — FD/RFD dependency types, FD inference, dependency
-//!   graphs, exchange packages and redaction policies;
+//! * [`metadata`] — FD/RFD dependency types, dependency graphs, exchange
+//!   packages and redaction policies;
 //! * [`discovery`] — TANE-style FD discovery plus AFD/OD/ND/DD/OFD
 //!   discovery;
 //! * [`synth`] — the metadata adversary and its per-class generators;
@@ -59,8 +59,8 @@ pub mod prelude {
     pub use mp_federated::{run_scenario, MultiPartySession, Party};
     pub use mp_metadata::{
         Afd, AttrSet, ConditionalFd, Dependency, DependencyGraph, DifferentialDep, Distribution,
-        DomainGeneralization, Fd, FdSet, MetadataPackage, MetricFd, NumericalDep, OrderDep,
-        OrderedFd, SharePolicy,
+        DomainGeneralization, Fd, MetadataPackage, MetricFd, NumericalDep, OrderDep, OrderedFd,
+        SharePolicy,
     };
     pub use mp_relation::{AttrKind, Attribute, Domain, Pli, Relation, Schema, Value};
     pub use mp_synth::{Adversary, SynthConfig};

@@ -6,7 +6,7 @@ use metadata_privacy::core::{run_attack, ExperimentConfig};
 use metadata_privacy::datasets::fintech_scenario;
 use metadata_privacy::discovery::{discover_mfds, MfdConfig};
 use metadata_privacy::federated::{
-    auc, labels_from_column, train, FeatureBlock, MultiPartySession, Party, TrainConfig,
+    auc, labels_from_column, train, FeatureBlock, MultiPartySession, Party,
 };
 use metadata_privacy::metadata::MetricFd;
 use metadata_privacy::prelude::*;
@@ -46,7 +46,7 @@ fn multiparty_setup_trains_and_audits() {
         FeatureBlock::encode(&setup.aligned[0], &[0, 1, 2, 3]).unwrap(),
         FeatureBlock::encode(&setup.aligned[1], &[0, 1, 2]).unwrap(),
     ];
-    let model = train(blocks, &labels, &TrainConfig::default());
+    let model = train(blocks, &labels);
     assert!(auc(&model.predict(), &labels) > 0.8);
 
     // The e-commerce party followed the recommendation: its surface is

@@ -4,7 +4,7 @@
 use metadata_privacy::core::ExperimentConfig;
 use metadata_privacy::datasets::fintech_scenario;
 use metadata_privacy::federated::{
-    labels_from_column, run_scenario, train, FeatureBlock, MultiPartySession, Party, TrainConfig,
+    labels_from_column, run_scenario, train, FeatureBlock, MultiPartySession, Party,
 };
 use metadata_privacy::metadata::SharePolicy;
 
@@ -41,11 +41,7 @@ fn setup_then_train_from_aligned_slices() {
         &(0..setup.aligned[1].arity()).collect::<Vec<_>>(),
     )
     .unwrap();
-    let model = train(
-        vec![bank_block, ecom_block],
-        &labels,
-        &TrainConfig::default(),
-    );
+    let model = train(vec![bank_block, ecom_block], &labels);
     assert!(
         model.accuracy(&labels) > 0.7,
         "accuracy {}",
