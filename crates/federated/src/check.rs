@@ -32,26 +32,30 @@
 //! run actually reached, with the canonical form "trailing delivers are
 //! implicit" guaranteeing every schedule is executed exactly once.
 //!
-//! Subtrees are additionally deduplicated by *state hash*: the rolling
-//! hash of the wire-event history at a branch point, paired with the
-//! remaining fault budget. Two branch points with equal history and equal
-//! budget have identical futures (the machines are deterministic
-//! functions of the delivered history), so the second is pruned.
+//! Subtrees are additionally deduplicated by *state fingerprint*: the
+//! rolling 128-bit fingerprint of the wire-event history at a branch
+//! point, paired with the remaining fault budget. Two branch points with
+//! equal history and equal budget have identical futures (the machines
+//! are deterministic functions of the delivered history), so the second
+//! is pruned.
 //!
-//! A schedule costs its events, not its length: every run starts from
-//! inputs prepared once per check (each party's digests and redacted
-//! package), and the engine jumps over idle ticks, which still count in
-//! [`CheckReport::total_states`].
+//! A schedule costs its own events, not its length or its prefix: every
+//! run starts from inputs prepared once per check (each party's digests
+//! and redacted package), the engine jumps over idle ticks, which still
+//! count in [`CheckReport::total_states`], and a child schedule resumes
+//! from its parent's state at the top of the engine-loop turn that
+//! consults its fault instead of replaying the shared prefix from tick 0.
 
-use crate::multiparty::MultiPartySession;
+use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
 use crate::party::Party;
-use crate::protocol::{PreparedSetup, RetryConfig, SetupError};
-use crate::sim::{mix, verify_run, InvariantViolation, Network, PartyCrash, TraceSummary};
+use crate::protocol::{PreparedSetup, RetryConfig, SetupError, SetupRun};
+use crate::sim::{fold64, mix, verify_run, InvariantViolation, Network, PartyCrash};
 use crate::transport::{PartyId, Transport};
 use mp_metadata::{Fd, SharePolicy};
 use mp_observe::NoopRecorder;
 use mp_relation::{Attribute, Relation, Schema, Value};
 use std::collections::HashSet;
+use std::rc::Rc;
 
 /// The hard cap on party count: beyond three parties the schedule space
 /// grows past what "exhaustive" can honestly mean in CI time.
@@ -149,13 +153,13 @@ pub struct CheckReport {
     /// flight, no timer due) count like any other.
     pub total_states: u64,
     /// Distinct per-tick transport states across all runs, each the
-    /// rolling hash of the wire history at the end of its tick. An idle
+    /// fingerprint of the wire history at the end of its tick. An idle
     /// tick repeats the state before it, so jumped ticks add nothing.
     pub distinct_states: u64,
     /// Distinct terminal outcomes (result kind + trace summary + ticks).
     pub distinct_outcomes: u64,
-    /// Subtrees skipped because an identical branch state (history hash +
-    /// remaining budget) was already expanded.
+    /// Subtrees skipped because an identical branch state (history
+    /// fingerprint + remaining budget) was already expanded.
     pub pruned_subtrees: u64,
     /// Every invariant violation found (empty = the full bounded space is
     /// clean).
@@ -248,155 +252,479 @@ pub fn model_check(
     policies: &[SharePolicy],
     cfg: &CheckConfig,
 ) -> Result<CheckReport, String> {
-    let n = session.parties.len();
-    if n > MAX_PARTIES {
-        return Err(format!(
-            "exhaustive checking is bounded to {MAX_PARTIES} parties; got {n}"
-        ));
+    let mut check = Exploration::new(session, policies, cfg)?;
+    for crash in check.crash_schedules() {
+        check.explore(crash);
     }
-    let retry = RetryConfig {
-        max_ticks: cfg.max_ticks,
-        ..RetryConfig::default()
-    };
+    Ok(check.finish())
+}
 
-    // Each party's digests and redacted package, computed once for every
-    // schedule; then the fault-free reference outcome.
-    let setup = PreparedSetup::new(&session.parties, policies, session.salt, &NoopRecorder)
-        .map_err(|e| format!("fault-free reference run failed: {e}"))?;
-    let reference = setup
-        .run(&mut Network::new(n), &retry)
-        .map_err(|e| format!("fault-free reference run failed: {e}"))?;
+/// A state a schedule can resume from: a run's engines and network at the
+/// top of one engine-loop turn.
+#[derive(Clone)]
+struct Snapshot {
+    run: SetupRun,
+    network: Network,
+}
 
-    // The decision alphabet of non-default outcomes.
-    let mut alphabet = vec![Decision::Drop, Decision::Duplicate];
-    for d in 1..=cfg.max_delay {
-        alphabet.push(Decision::Delay(d));
-    }
+/// A schedule on the DFS stack: the state it resumes from and the one
+/// fault, `(decision point, decision)`, it adds to its parent's schedule
+/// (`None` for a crash schedule's fault-free root).
+struct Branch {
+    from: Rc<Snapshot>,
+    fault: Option<(usize, Decision)>,
+}
 
-    // Crash schedules: none, plus every (party, after_sends) point.
-    let mut crash_schedules: Vec<Option<PartyCrash>> = vec![None];
-    for party in 0..n {
-        for after_sends in 0..cfg.crash_points {
-            crash_schedules.push(Some(PartyCrash { party, after_sends }));
-        }
-    }
+/// One check in progress: what every schedule shares (the prepared
+/// inputs, the fault-free reference, the fault alphabet) and what the
+/// schedules run so far have found.
+struct Exploration<'a> {
+    policies: &'a [SharePolicy],
+    setup: PreparedSetup<'a>,
+    retry: RetryConfig,
+    reference: MultiSetupOutcome,
+    /// The non-default decisions a fault can take.
+    alphabet: Vec<Decision>,
+    report: CheckReport,
+    /// 64-bit digests of the per-tick and terminal fingerprints. These
+    /// sets only count distinct states and outcomes, so a collision in
+    /// them loses a count, never a schedule; the pruning key keeps all
+    /// 128 bits.
+    state_set: HashSet<u64>,
+    outcome_set: HashSet<u64>,
+}
 
-    let mut report = CheckReport {
-        config: *cfg,
-        parties: n,
-        runs: 0,
-        completed: 0,
-        aborted_crashed: 0,
-        aborted_retries: 0,
-        aborted_stalled: 0,
-        crash_schedules: crash_schedules.len() as u64,
-        faults_injected: [0; 3],
-        max_depth: 0,
-        total_states: 0,
-        distinct_states: 0,
-        distinct_outcomes: 0,
-        pruned_subtrees: 0,
-        violations: Vec::new(),
-    };
-    let mut state_set: HashSet<u64> = HashSet::new();
-    let mut outcome_set: HashSet<u64> = HashSet::new();
-
-    for crash in crash_schedules {
-        // DFS over decision-vector prefixes in canonical form: every
-        // prefix ends with a non-default decision (trailing delivers are
-        // implicit), so each schedule is executed exactly once.
-        let mut stack: Vec<Vec<Decision>> = vec![Vec::new()];
-        let mut expanded: HashSet<(u64, usize)> = HashSet::new();
-        while let Some(prefix) = stack.pop() {
-            let mut network = Network::scheduled(n, prefix.clone(), crash);
-            let result = setup.run(&mut network, &retry);
-            report.runs += 1;
-            match &result {
-                Ok(_) => report.completed += 1,
-                Err(SetupError::PartyCrashed { .. }) => report.aborted_crashed += 1,
-                Err(SetupError::RetriesExhausted { .. }) => report.aborted_retries += 1,
-                Err(_) => report.aborted_stalled += 1,
-            }
-            let [drops, dups, delays] = &mut report.faults_injected;
-            for d in &prefix {
-                match d {
-                    Decision::Deliver => {}
-                    Decision::Drop => *drops += 1,
-                    Decision::Duplicate => *dups += 1,
-                    Decision::Delay(_) => *delays += 1,
-                }
-            }
-            let consulted = network.consulted();
-            report.max_depth = report.max_depth.max(consulted);
-            report.total_states += network.now();
-            state_set.extend(network.tick_hashes().iter().copied());
-            outcome_set.insert(mix(
-                network.state_hash(),
-                (
-                    match &result {
-                        Ok(_) => 0u8,
-                        Err(SetupError::PartyCrashed { party }) => 1 + *party as u8,
-                        Err(SetupError::RetriesExhausted { .. }) => 101,
-                        Err(_) => 102,
-                    },
-                    TraceSummary::from_trace(network.trace()).sent,
-                    network.now(),
-                ),
+impl<'a> Exploration<'a> {
+    fn new(
+        session: &'a MultiPartySession,
+        policies: &'a [SharePolicy],
+        cfg: &CheckConfig,
+    ) -> Result<Self, String> {
+        let n = session.parties.len();
+        if n > MAX_PARTIES {
+            return Err(format!(
+                "exhaustive checking is bounded to {MAX_PARTIES} parties; got {n}"
             ));
+        }
+        let retry = RetryConfig {
+            max_ticks: cfg.max_ticks,
+            ..RetryConfig::default()
+        };
+        // Each party's digests and redacted package, computed once for
+        // every schedule; then the fault-free reference outcome.
+        let setup = PreparedSetup::new(&session.parties, policies, session.salt, &NoopRecorder)
+            .map_err(|e| format!("fault-free reference run failed: {e}"))?;
+        let reference = setup
+            .run(&mut Network::new(n), &retry)
+            .map_err(|e| format!("fault-free reference run failed: {e}"))?;
+        let mut alphabet = vec![Decision::Drop, Decision::Duplicate];
+        alphabet.extend((1..=cfg.max_delay).map(Decision::Delay));
+        let mut check = Exploration {
+            policies,
+            setup,
+            retry,
+            reference,
+            alphabet,
+            report: CheckReport {
+                config: *cfg,
+                parties: n,
+                runs: 0,
+                completed: 0,
+                aborted_crashed: 0,
+                aborted_retries: 0,
+                aborted_stalled: 0,
+                crash_schedules: 0,
+                faults_injected: [0; 3],
+                max_depth: 0,
+                total_states: 0,
+                distinct_states: 0,
+                distinct_outcomes: 0,
+                pruned_subtrees: 0,
+                violations: Vec::new(),
+            },
+            state_set: HashSet::new(),
+            outcome_set: HashSet::new(),
+        };
+        check.report.crash_schedules = check.crash_schedules().len() as u64;
+        Ok(check)
+    }
 
-            let scheduled: &[PartyId] = match &crash {
-                Some(c) => std::slice::from_ref(&c.party),
-                None => &[],
-            };
-            if let Err(violation) = verify_run(
-                policies,
-                &setup.packages,
-                &reference,
-                &result,
-                network.trace(),
-                scheduled,
-            ) {
-                report.violations.push(ViolationRecord {
-                    schedule: describe_schedule(crash, &prefix),
-                    violation,
-                });
+    /// Crash schedules: none, plus every `(party, after_sends)` point.
+    fn crash_schedules(&self) -> Vec<Option<PartyCrash>> {
+        let mut schedules = vec![None];
+        for party in 0..self.report.parties {
+            for after_sends in 0..self.report.config.crash_points {
+                schedules.push(Some(PartyCrash { party, after_sends }));
             }
+        }
+        schedules
+    }
 
-            // Branch: inject one more fault at every decision index this
-            // run reached beyond its explicit prefix.
-            let faults_used = prefix
-                .iter()
-                .filter(|d| !matches!(d, Decision::Deliver))
-                .count();
-            if faults_used >= cfg.fault_budget {
+    /// Runs every schedule under `crash`, depth first over schedules in
+    /// canonical form: a child adds one fault to its parent's schedule at
+    /// a decision point the parent consulted past its own last fault
+    /// (trailing delivers are implicit), so each schedule runs exactly
+    /// once.
+    ///
+    /// A run that may still branch keeps its state at the top of every
+    /// engine-loop turn. Its child for decision point `i` resumes from the
+    /// last of those states that had consulted at most `i` points, so it
+    /// re-executes at most the rest of one turn; its clock, trace and
+    /// fingerprints carry the ancestor's ticks.
+    fn explore(&mut self, crash: Option<PartyCrash>) {
+        let root = Snapshot {
+            run: self.setup.start(),
+            network: Network::scheduled(self.report.parties, Vec::new(), crash),
+        };
+        let mut stack = vec![Branch {
+            from: Rc::new(root),
+            fault: None,
+        }];
+        let mut expanded: HashSet<(u128, usize)> = HashSet::new();
+        while let Some(Branch { from, fault }) = stack.pop() {
+            let Snapshot {
+                mut run,
+                mut network,
+            } = Rc::unwrap_or_clone(from);
+            if let Some((point, decision)) = fault {
+                network.branch(point, decision);
+            }
+            let resumed_at = network.tick_fingerprints().len();
+            let budget_left = self.budget_left(network.schedule());
+            let mut snapshots: Vec<Rc<Snapshot>> = Vec::new();
+            let result = loop {
+                if budget_left > 0 {
+                    snapshots.push(Rc::new(Snapshot {
+                        run: run.clone(),
+                        network: network.clone(),
+                    }));
+                }
+                match run.step(&self.setup, &mut network, &self.retry) {
+                    Ok(false) => {}
+                    Ok(true) => break run.outcome(&self.setup, &network),
+                    Err(e) => break Err(e),
+                }
+            };
+            self.record(crash, &result, &network, resumed_at);
+            if budget_left == 0 {
                 continue;
             }
-            let budget_left = cfg.fault_budget - faults_used;
-            for i in prefix.len()..consulted {
-                match network.decision_hashes().get(i) {
-                    Some(&h) if !expanded.insert((h, budget_left)) => {
-                        report.pruned_subtrees += 1;
-                        continue;
-                    }
-                    _ => {}
-                }
-                for &alt in &alphabet {
-                    let mut child = prefix.clone();
-                    child.resize(i, Decision::Deliver);
-                    child.push(alt);
-                    stack.push(child);
+            let points = self.branch_points(&network, budget_left, &mut expanded);
+            for point in points {
+                // The first snapshot is the run's resume point, which
+                // precedes every decision point the run branches at.
+                let last = snapshots.partition_point(|s| s.network.consulted() <= point);
+                let from = &snapshots[last - 1];
+                for &decision in &self.alphabet {
+                    stack.push(Branch {
+                        from: Rc::clone(from),
+                        fault: Some((point, decision)),
+                    });
                 }
             }
         }
     }
-    report.distinct_states = state_set.len() as u64;
-    report.distinct_outcomes = outcome_set.len() as u64;
-    Ok(report)
+
+    /// Faults a run under `schedule` may still inject.
+    fn budget_left(&self, schedule: &[Decision]) -> usize {
+        let used = schedule.iter().filter(|d| **d != Decision::Deliver).count();
+        self.report.config.fault_budget.saturating_sub(used)
+    }
+
+    /// The decision points a finished run branches at: every point it
+    /// consulted past its explicit schedule, except those whose
+    /// `(fingerprint, budget_left)` an earlier run under the same crash
+    /// schedule already expanded; each of those is counted as pruned.
+    fn branch_points(
+        &mut self,
+        network: &Network,
+        budget_left: usize,
+        expanded: &mut HashSet<(u128, usize)>,
+    ) -> Vec<usize> {
+        let mut points = Vec::new();
+        let reached = network.decision_fingerprints().iter().enumerate();
+        for (point, &fingerprint) in reached.skip(network.schedule().len()) {
+            if expanded.insert((fingerprint, budget_left)) {
+                points.push(point);
+            } else {
+                self.report.pruned_subtrees += 1;
+            }
+        }
+        points
+    }
+
+    /// Tallies one finished run: its outcome, its schedule's faults, its
+    /// length, its per-tick states from the `resumed_at`-th on (the
+    /// earlier ones are an ancestor's and already in the set), and the
+    /// invariants over its full trace.
+    fn record(
+        &mut self,
+        crash: Option<PartyCrash>,
+        result: &Result<MultiSetupOutcome, SetupError>,
+        network: &Network,
+        resumed_at: usize,
+    ) {
+        let report = &mut self.report;
+        report.runs += 1;
+        let kind = match result {
+            Ok(_) => {
+                report.completed += 1;
+                0
+            }
+            Err(SetupError::PartyCrashed { party }) => {
+                report.aborted_crashed += 1;
+                1 + *party as u64
+            }
+            Err(SetupError::RetriesExhausted { .. }) => {
+                report.aborted_retries += 1;
+                101
+            }
+            Err(_) => {
+                report.aborted_stalled += 1;
+                102
+            }
+        };
+        let [drops, dups, delays] = &mut report.faults_injected;
+        for d in network.schedule() {
+            match d {
+                Decision::Deliver => {}
+                Decision::Drop => *drops += 1,
+                Decision::Duplicate => *dups += 1,
+                Decision::Delay(_) => *delays += 1,
+            }
+        }
+        report.max_depth = report.max_depth.max(network.consulted());
+        report.total_states += network.now();
+        self.state_set
+            .extend(network.tick_fingerprints().iter().skip(resumed_at));
+        self.outcome_set.insert(fold64(mix(
+            network.fingerprint(),
+            &[kind, network.sent(), network.now()],
+        )));
+
+        let scheduled: &[PartyId] = match &crash {
+            Some(c) => std::slice::from_ref(&c.party),
+            None => &[],
+        };
+        if let Err(violation) = verify_run(
+            self.policies,
+            &self.setup.packages,
+            &self.reference,
+            result,
+            network.trace(),
+            scheduled,
+        ) {
+            report.violations.push(ViolationRecord {
+                schedule: describe_schedule(crash, network.schedule()),
+                violation,
+            });
+        }
+    }
+
+    fn finish(mut self) -> CheckReport {
+        self.report.distinct_states = self.state_set.len() as u64;
+        self.report.distinct_outcomes = self.outcome_set.len() as u64;
+        self.report
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::TraceSummary;
+
+    /// The search before forking, kept as the reference the forking one
+    /// must equal: every schedule is a decision prefix replayed from tick
+    /// 0 through `PreparedSetup::run`, and each run records all its
+    /// per-tick states.
+    fn model_check_by_replay(
+        session: &MultiPartySession,
+        policies: &[SharePolicy],
+        cfg: &CheckConfig,
+    ) -> Result<CheckReport, String> {
+        let mut check = Exploration::new(session, policies, cfg)?;
+        for crash in check.crash_schedules() {
+            let mut stack: Vec<Vec<Decision>> = vec![Vec::new()];
+            let mut expanded: HashSet<(u128, usize)> = HashSet::new();
+            while let Some(prefix) = stack.pop() {
+                let mut network = Network::scheduled(check.report.parties, prefix.clone(), crash);
+                let result = check.setup.run(&mut network, &check.retry);
+                check.record(crash, &result, &network, 0);
+                let budget_left = check.budget_left(&prefix);
+                if budget_left == 0 {
+                    continue;
+                }
+                for point in check.branch_points(&network, budget_left, &mut expanded) {
+                    for &decision in &check.alphabet {
+                        let mut child = prefix.clone();
+                        child.resize(point, Decision::Deliver);
+                        child.push(decision);
+                        stack.push(child);
+                    }
+                }
+            }
+        }
+        Ok(check.finish())
+    }
+
+    fn assert_fork_matches_replay(parties: usize, cfg: &CheckConfig) {
+        let (session, policies) = small_world_session(parties).unwrap();
+        let forked = model_check(&session, &policies, cfg).unwrap();
+        let replayed = model_check_by_replay(&session, &policies, cfg).unwrap();
+        assert_eq!(forked, replayed, "{parties} parties, {cfg:?}");
+    }
+
+    #[test]
+    fn forking_check_matches_replay_on_the_grid() {
+        for parties in 2..=MAX_PARTIES {
+            for fault_budget in 0..=2 {
+                for max_delay in [0, 1, 3] {
+                    for crash_points in [0, 2] {
+                        for max_ticks in [12, 256] {
+                            let cfg = CheckConfig {
+                                max_ticks,
+                                fault_budget,
+                                max_delay,
+                                crash_points,
+                            };
+                            assert_fork_matches_replay(parties, &cfg);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The configuration `model_check -- 3 2` records in BENCH_check.json;
+    /// too slow for a debug build, so release builds alone run it.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn forking_check_matches_replay_at_the_default_config() {
+        assert_fork_matches_replay(3, &CheckConfig::default());
+    }
+
+    /// Everything a finished in-process run shows.
+    #[derive(Debug, PartialEq)]
+    struct Finished {
+        result: Result<MultiSetupOutcome, SetupError>,
+        trace: String,
+        now: u64,
+        consulted: usize,
+        sent: u64,
+        fingerprint: u128,
+        decision_fingerprints: Vec<u128>,
+        tick_fingerprints: Vec<u64>,
+    }
+
+    /// Steps `from` to the end, keeping the state at the top of every
+    /// engine-loop turn.
+    fn run_to_end(
+        setup: &PreparedSetup<'_>,
+        retry: &RetryConfig,
+        from: Snapshot,
+    ) -> (Finished, Vec<Snapshot>) {
+        let Snapshot {
+            mut run,
+            mut network,
+        } = from;
+        let mut snapshots = Vec::new();
+        let result = loop {
+            snapshots.push(Snapshot {
+                run: run.clone(),
+                network: network.clone(),
+            });
+            match run.step(setup, &mut network, retry) {
+                Ok(false) => {}
+                Ok(true) => break run.outcome(setup, &network),
+                Err(e) => break Err(e),
+            }
+        };
+        assert_eq!(
+            network.sent(),
+            TraceSummary::from_trace(network.trace()).sent as u64,
+            "one send counted per `Sent` event"
+        );
+        let finished = Finished {
+            result,
+            trace: format!("{:?}", network.trace()),
+            now: network.now(),
+            consulted: network.consulted(),
+            sent: network.sent(),
+            fingerprint: network.fingerprint(),
+            decision_fingerprints: network.decision_fingerprints().to_vec(),
+            tick_fingerprints: network.tick_fingerprints().to_vec(),
+        };
+        (finished, snapshots)
+    }
+
+    #[test]
+    fn resumed_runs_match_uninterrupted_runs() {
+        // Every single fault at every decision point of the fault-free
+        // run, and every crash point: each run, cloned at the top of
+        // every engine-loop turn and resumed from the clone, ends exactly
+        // as it does uninterrupted; and resuming the fault-free run's
+        // state with the fault branched in ends as a run of that
+        // schedule from tick 0 does.
+        let cfg = CheckConfig::default();
+        let retry = RetryConfig {
+            max_ticks: cfg.max_ticks,
+            ..RetryConfig::default()
+        };
+        let alphabet = [
+            Decision::Drop,
+            Decision::Duplicate,
+            Decision::Delay(1),
+            Decision::Delay(2),
+        ];
+        for n in 2..=MAX_PARTIES {
+            let (session, policies) = small_world_session(n).unwrap();
+            let setup =
+                PreparedSetup::new(&session.parties, &policies, session.salt, &NoopRecorder)
+                    .unwrap();
+            let start = |decisions: Vec<Decision>, crash: Option<PartyCrash>| Snapshot {
+                run: setup.start(),
+                network: Network::scheduled(n, decisions, crash),
+            };
+            let (fault_free, fault_free_states) =
+                run_to_end(&setup, &retry, start(Vec::new(), None));
+            assert!(fault_free.result.is_ok());
+
+            let mut schedules: Vec<(Vec<Decision>, Option<PartyCrash>)> = Vec::new();
+            for point in 0..fault_free.consulted {
+                for &decision in &alphabet {
+                    let mut decisions = vec![Decision::Deliver; point];
+                    decisions.push(decision);
+                    schedules.push((decisions, None));
+                }
+            }
+            for party in 0..n {
+                for after_sends in 0..cfg.crash_points {
+                    schedules.push((Vec::new(), Some(PartyCrash { party, after_sends })));
+                }
+            }
+
+            for (decisions, crash) in schedules {
+                let label = describe_schedule(crash, &decisions);
+                let (whole, states) = run_to_end(&setup, &retry, start(decisions.clone(), crash));
+                for (turn, state) in states.into_iter().enumerate() {
+                    let (resumed, _) = run_to_end(&setup, &retry, state);
+                    assert_eq!(
+                        resumed, whole,
+                        "{n} parties, {label}, resumed at turn {turn}"
+                    );
+                }
+                if crash.is_none() {
+                    let point = decisions.len() - 1;
+                    let last =
+                        fault_free_states.partition_point(|s| s.network.consulted() <= point);
+                    let mut forked = fault_free_states[last - 1].clone();
+                    forked.network.branch(point, decisions[point]);
+                    let (forked, _) = run_to_end(&setup, &retry, forked);
+                    assert_eq!(forked, whole, "{n} parties, {label}, forked");
+                }
+            }
+        }
+    }
 
     fn two_party_session() -> MultiPartySession {
         small_world_session(2).unwrap().0

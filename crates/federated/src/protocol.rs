@@ -152,7 +152,7 @@ struct PendingMsg {
 /// Per-party protocol state machine. Digests and packages — its own and
 /// its peers' — are shared with the envelopes that carry them, so sending,
 /// retransmitting and receiving never copy a body.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PartyMachine {
     digests: Arc<[IdDigest]>,
     package: Arc<MetadataPackage>,
@@ -235,6 +235,7 @@ impl EngineMetrics {
 /// socket client ([`crate::serve`]) runs *alone* against a remote peer
 /// pool — the state machine is identical in both deployments, which is
 /// what makes the simulator a faithful test double for the daemon.
+#[derive(Clone)]
 pub(crate) struct PartyEngine {
     id: PartyId,
     machine: PartyMachine,
@@ -466,30 +467,10 @@ impl<'a> PreparedSetup<'a> {
         })
     }
 
-    /// Drives the protocol over `transport` until every live party
-    /// completes, a fault aborts it, or the tick budget runs out.
-    ///
-    /// `parties[p]` discloses under `policies[p]`. The returned outcome is
-    /// assembled from *received* messages (each party's package as stored
-    /// by a peer, the alignment from a live party's received digest view),
-    /// so the result genuinely flowed through the transport.
-    ///
-    /// When nothing is in flight, no party can change state before the
-    /// earliest retransmission timer of a live party, so the clock jumps
-    /// straight to the tick before it ([`Transport::skip_to`]). The run's
-    /// outcome, trace and length in ticks are those of ticking through.
-    pub(crate) fn run(
-        &self,
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-    ) -> Result<MultiSetupOutcome, SetupError> {
+    /// A run at tick 0: every party's engine, nothing sent yet.
+    pub(crate) fn start(&self) -> SetupRun {
         let n = self.parties.len();
-        assert_eq!(
-            transport.n_parties(),
-            n,
-            "transport must connect every party"
-        );
-        let mut engines: Vec<PartyEngine> = self
+        let engines = self
             .digests
             .iter()
             .zip(&self.packages)
@@ -498,124 +479,178 @@ impl<'a> PreparedSetup<'a> {
                 PartyEngine::new(p, n, Arc::clone(digests), Arc::clone(package))
             })
             .collect();
-
-        let mut next_msg_id = 0u64;
-        let mut fresh_id = || {
-            next_msg_id += 1;
-            MsgId(next_msg_id)
-        };
-
-        let recorder = self.recorder;
-        recorder.set_time(transport.now());
-        let _setup_span = recorder.span("protocol.setup").enter();
-
-        loop {
-            recorder.set_time(transport.now());
-            // Step every live party: drain inbox, then advance the send
-            // side. All engines share one message-id counter, so the wire
-            // trace is byte-identical to the pre-engine inline loop.
-            for (p, (engine, metrics)) in engines.iter_mut().zip(&self.metrics).enumerate() {
-                if !transport.is_crashed(p) {
-                    engine.pump(transport, retry, &mut fresh_id, metrics)?;
-                }
-            }
-
-            // Completion: every non-crashed party done. (A party that
-            // crashed *after* finishing its role does not block the
-            // survivors.)
-            if engines
-                .iter()
-                .enumerate()
-                .all(|(p, e)| transport.is_crashed(p) || e.done())
-            {
-                break;
-            }
-
-            // Liveness backstops.
-            if transport.now() >= retry.max_ticks {
-                return Err(SetupError::Stalled {
-                    at: transport.now(),
-                });
-            }
-            if transport.in_flight() == 0 {
-                // Nothing can arrive, so only a live party's retransmission
-                // timer can move the run on.
-                let next_timer = engines
-                    .iter()
-                    .enumerate()
-                    .filter(|&(p, _)| !transport.is_crashed(p))
-                    .filter_map(|(_, e)| e.next_timer())
-                    .min();
-                match next_timer {
-                    // Every tick before the timer is idle: jump to the
-                    // last of them, then tick into it as usual.
-                    Some(at) if at <= retry.max_ticks => transport.skip_to(at.saturating_sub(1)),
-                    // No retry will ever fire: if an unfinished live party
-                    // is waiting on a crashed peer, abort with the crash;
-                    // otherwise we genuinely stalled.
-                    _ => {
-                        if let Some(crashed) = (0..n).find(|&p| transport.is_crashed(p)) {
-                            return Err(SetupError::PartyCrashed { party: crashed });
-                        }
-                        return Err(SetupError::Stalled {
-                            at: transport.now(),
-                        });
-                    }
-                }
-            }
-
-            transport.tick();
+        SetupRun {
+            engines,
+            next_msg_id: 0,
         }
-        recorder.set_time(transport.now());
+    }
 
-        assemble_outcome(self.parties, &engines, transport)
+    /// Drives the protocol over `transport` until every live party
+    /// completes, a fault aborts it, or the tick budget runs out: a run
+    /// [started](Self::start) at tick 0 and [stepped](SetupRun::step)
+    /// until done, then its [outcome](SetupRun::outcome).
+    ///
+    /// `parties[p]` discloses under `policies[p]`. The returned outcome is
+    /// assembled from *received* messages (each party's package as stored
+    /// by a peer, the alignment from a live party's received digest view),
+    /// so the result genuinely flowed through the transport.
+    pub(crate) fn run(
+        &self,
+        transport: &mut dyn Transport,
+        retry: &RetryConfig,
+    ) -> Result<MultiSetupOutcome, SetupError> {
+        assert_eq!(
+            transport.n_parties(),
+            self.parties.len(),
+            "transport must connect every party"
+        );
+        let mut run = self.start();
+        self.recorder.set_time(transport.now());
+        let _setup_span = self.recorder.span("protocol.setup").enter();
+        while !run.step(self, transport, retry)? {}
+        self.recorder.set_time(transport.now());
+        run.outcome(self, transport)
     }
 }
 
-/// Builds the outcome from *received* state: the alignment from the first
-/// live party's digest view (identical at every party by construction),
-/// each party's metadata from a peer's stored copy. A missing input, which
-/// a completed run cannot leave, is reported as a stall at the current
-/// tick.
-fn assemble_outcome(
-    parties: &[Party],
-    engines: &[PartyEngine],
-    transport: &dyn Transport,
-) -> Result<MultiSetupOutcome, SetupError> {
-    let n = parties.len();
-    let stalled = SetupError::Stalled {
-        at: transport.now(),
-    };
-    let viewer = (0..n).find(|&p| !transport.is_crashed(p)).unwrap_or(0);
-    let views: Vec<&[IdDigest]> = engines[viewer].digest_views().ok_or(stalled.clone())?;
-    let alignment = MultiAlignment {
-        rows: intersect_all(&views),
-    };
+/// One in-process setup run in progress: every party's engine and the
+/// message-id counter they share. With its transport it is the whole
+/// state of the run, so a clone taken between two steps, paired with a
+/// clone of an in-memory [`crate::sim::Network`], resumes exactly where
+/// the original stood: the model checker forks schedules this way.
+#[derive(Clone)]
+pub(crate) struct SetupRun {
+    engines: Vec<PartyEngine>,
+    next_msg_id: u64,
+}
 
-    let mut aligned = Vec::with_capacity(n);
-    let mut metadata = Vec::with_capacity(n);
-    for (p, party) in parties.iter().enumerate() {
-        aligned.push(
-            party
-                .aligned_rows(&alignment.rows[p])?
-                .project(&party.feature_columns())?,
-        );
-        // Prefer the copy a live peer actually received over the wire.
-        let receiver = (0..n).find(|&q| q != p && !transport.is_crashed(q));
-        let pkg = match receiver {
-            Some(q) => engines[q]
-                .metadata_from(p)
-                .cloned()
-                .ok_or(stalled.clone())?,
-            None => engines[p].own_package().clone(),
+impl SetupRun {
+    /// One turn of the engine loop: pump every live party, then either
+    /// report completion (`Ok(true)`), abort on a liveness backstop, or
+    /// advance the clock by one tick (`Ok(false)`).
+    ///
+    /// When nothing is in flight, no party can change state before the
+    /// earliest retransmission timer of a live party, so the clock jumps
+    /// straight to the tick before it ([`Transport::skip_to`]). The run's
+    /// outcome, trace and length in ticks are those of ticking through.
+    pub(crate) fn step(
+        &mut self,
+        setup: &PreparedSetup<'_>,
+        transport: &mut dyn Transport,
+        retry: &RetryConfig,
+    ) -> Result<bool, SetupError> {
+        setup.recorder.set_time(transport.now());
+        // Step every live party: drain inbox, then advance the send side.
+        // All engines share one message-id counter, so the wire trace is
+        // byte-identical to the pre-engine inline loop.
+        let next_msg_id = &mut self.next_msg_id;
+        let mut fresh_id = || {
+            *next_msg_id += 1;
+            MsgId(*next_msg_id)
         };
-        metadata.push(pkg);
+        for (p, (engine, metrics)) in self.engines.iter_mut().zip(&setup.metrics).enumerate() {
+            if !transport.is_crashed(p) {
+                engine.pump(transport, retry, &mut fresh_id, metrics)?;
+            }
+        }
+
+        // Completion: every non-crashed party done. (A party that crashed
+        // *after* finishing its role does not block the survivors.)
+        if self
+            .engines
+            .iter()
+            .enumerate()
+            .all(|(p, e)| transport.is_crashed(p) || e.done())
+        {
+            return Ok(true);
+        }
+
+        // Liveness backstops.
+        if transport.now() >= retry.max_ticks {
+            return Err(SetupError::Stalled {
+                at: transport.now(),
+            });
+        }
+        if transport.in_flight() == 0 {
+            // Nothing can arrive, so only a live party's retransmission
+            // timer can move the run on.
+            let next_timer = self
+                .engines
+                .iter()
+                .enumerate()
+                .filter(|&(p, _)| !transport.is_crashed(p))
+                .filter_map(|(_, e)| e.next_timer())
+                .min();
+            match next_timer {
+                // Every tick before the timer is idle: jump to the last of
+                // them, then tick into it as usual.
+                Some(at) if at <= retry.max_ticks => transport.skip_to(at.saturating_sub(1)),
+                // No retry will ever fire: if an unfinished live party is
+                // waiting on a crashed peer, abort with the crash;
+                // otherwise we genuinely stalled.
+                _ => {
+                    let n = self.engines.len();
+                    if let Some(crashed) = (0..n).find(|&p| transport.is_crashed(p)) {
+                        return Err(SetupError::PartyCrashed { party: crashed });
+                    }
+                    return Err(SetupError::Stalled {
+                        at: transport.now(),
+                    });
+                }
+            }
+        }
+
+        transport.tick();
+        Ok(false)
     }
-    Ok(MultiSetupOutcome {
-        alignment,
-        aligned,
-        metadata,
-    })
+
+    /// The outcome of a run whose last [`step`](Self::step) reported
+    /// completion, built from *received* state: the alignment from the
+    /// first live party's digest view (identical at every party by
+    /// construction), each party's metadata from a peer's stored copy. A
+    /// missing input, which a completed run cannot leave, is reported as
+    /// a stall at the current tick.
+    pub(crate) fn outcome(
+        &self,
+        setup: &PreparedSetup<'_>,
+        transport: &dyn Transport,
+    ) -> Result<MultiSetupOutcome, SetupError> {
+        let engines = &self.engines;
+        let n = setup.parties.len();
+        let stalled = SetupError::Stalled {
+            at: transport.now(),
+        };
+        let viewer = (0..n).find(|&p| !transport.is_crashed(p)).unwrap_or(0);
+        let views: Vec<&[IdDigest]> = engines[viewer].digest_views().ok_or(stalled.clone())?;
+        let alignment = MultiAlignment {
+            rows: intersect_all(&views),
+        };
+
+        let mut aligned = Vec::with_capacity(n);
+        let mut metadata = Vec::with_capacity(n);
+        for (p, party) in setup.parties.iter().enumerate() {
+            aligned.push(
+                party
+                    .aligned_rows(&alignment.rows[p])?
+                    .project(&party.feature_columns())?,
+            );
+            // Prefer the copy a live peer actually received over the wire.
+            let receiver = (0..n).find(|&q| q != p && !transport.is_crashed(q));
+            let pkg = match receiver {
+                Some(q) => engines[q]
+                    .metadata_from(p)
+                    .cloned()
+                    .ok_or(stalled.clone())?,
+                None => engines[p].own_package().clone(),
+            };
+            metadata.push(pkg);
+        }
+        Ok(MultiSetupOutcome {
+            alignment,
+            aligned,
+            metadata,
+        })
+    }
 }
 
 #[cfg(test)]

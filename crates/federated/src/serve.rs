@@ -551,11 +551,6 @@ impl Server {
         &self.addr
     }
 
-    /// Highest per-member queue depth observed so far.
-    pub fn max_queue_depth(&self) -> u64 {
-        self.shared.max_queue_depth.load(Ordering::Relaxed)
-    }
-
     /// Graceful stop: stop accepting, give in-flight sessions the drain
     /// budget, abort stragglers with [`AbortReason::ServerShutdown`],
     /// join every thread and report.

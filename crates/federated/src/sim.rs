@@ -37,9 +37,7 @@ use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{NoopRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A scheduled party crash: the party completes exactly `after_sends`
@@ -128,9 +126,13 @@ impl FaultPlan {
 /// constructor: [`Network::new`] injects no faults, [`Network::seeded`]
 /// draws each transmission's fate from a [`FaultPlan`]'s seeded RNG, and
 /// [`Network::scheduled`] reads it from an explicit [`Decision`] vector.
-/// Crashes, inboxes, the delivery queue, the trace and the state hashes
+/// Crashes, inboxes, the delivery queue, the trace and the fingerprints
 /// the model checker branches on are the same code for all three.
-#[derive(Debug)]
+///
+/// A clone is the network's whole state: it continues exactly as the
+/// original would, which is how the model checker resumes a schedule
+/// from its parent's state instead of replaying it from tick 0.
+#[derive(Debug, Clone)]
 pub struct Network {
     source: FaultSource,
     crashes: Vec<PartyCrash>,
@@ -141,15 +143,15 @@ pub struct Network {
     crashed: Vec<bool>,
     trace: Vec<TraceEvent>,
     metrics: TransportMetrics,
-    /// Rolling hash of the wire-event history.
-    state_hash: u64,
-    /// `state_hash` snapshot at each decision point, pre-decision; its
-    /// length is the index of the next decision point.
-    decision_hashes: Vec<u64>,
-    /// `state_hash` snapshot after each tick (the per-tick states); one
-    /// snapshot stands for a whole span of idle ticks crossed by
+    /// Rolling 128-bit fingerprint of the wire-event history ([`mix`]).
+    fingerprint: u128,
+    /// `fingerprint` at each decision point, pre-decision; its length is
+    /// the index of the next decision point.
+    decision_fingerprints: Vec<u128>,
+    /// [`fold64`] of `fingerprint` after each tick (the per-tick states);
+    /// one entry stands for a whole span of idle ticks crossed by
     /// [`Transport::skip_to`], which all share it.
-    tick_hashes: Vec<u64>,
+    tick_fingerprints: Vec<u64>,
 }
 
 /// The fault-free network ([`Network::new`]): every envelope is delivered
@@ -158,7 +160,7 @@ pub struct Network {
 pub type PerfectTransport = Network;
 
 /// Where each transmission's fate comes from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum FaultSource {
     /// Drawn from the plan's rates by an RNG seeded with its seed.
     Seeded { plan: FaultPlan, rng: StdRng },
@@ -210,12 +212,26 @@ impl FaultSource {
     }
 }
 
-/// Folds `item` into the rolling state hash `hash`.
-pub(crate) fn mix(hash: u64, item: impl Hash) -> u64 {
-    let mut h = DefaultHasher::new();
-    hash.hash(&mut h);
-    item.hash(&mut h);
-    h.finish()
+/// Odd multiplier of [`mix`] (PCG's 128-bit LCG multiplier).
+const MIX_MULTIPLIER: u128 = 0x2360_ed05_1fc6_5da4_4385_df64_9fcc_f645;
+
+/// Folds `words` into the rolling 128-bit fingerprint `fingerprint`: per
+/// word, xor it in, multiply by an odd constant, and fold the high half
+/// of the product into the low half. For a fixed word each of the three
+/// is a bijection on 128 bits, so two histories with different
+/// fingerprints keep them apart for as long as their words agree: they
+/// can only come to collide at a word where they differ.
+pub(crate) fn mix(fingerprint: u128, words: &[u64]) -> u128 {
+    words.iter().fold(fingerprint, |fp, &word| {
+        let product = (fp ^ u128::from(word)).wrapping_mul(MIX_MULTIPLIER);
+        product ^ (product >> 64)
+    })
+}
+
+/// A 64-bit digest of a fingerprint, for the sets that only count
+/// distinct states: the high half, which every input bit reaches.
+pub(crate) fn fold64(fingerprint: u128) -> u64 {
+    (fingerprint >> 64) as u64
 }
 
 impl Network {
@@ -263,35 +279,85 @@ impl Network {
             crashed: vec![false; n_parties],
             trace: Vec::new(),
             metrics: TransportMetrics::noop(),
-            state_hash: 0,
-            decision_hashes: Vec::new(),
-            tick_hashes: Vec::new(),
+            fingerprint: 0,
+            decision_fingerprints: Vec::new(),
+            tick_fingerprints: Vec::new(),
         }
     }
 
     /// Decision points consulted (including defaults past a schedule).
     pub(crate) fn consulted(&self) -> usize {
-        self.decision_hashes.len()
+        self.decision_fingerprints.len()
     }
 
-    /// The rolling hash of the wire-event history so far.
-    pub(crate) fn state_hash(&self) -> u64 {
-        self.state_hash
+    /// The explicit decisions of a scheduled network (empty for a seeded
+    /// one); every later decision point delivers.
+    pub(crate) fn schedule(&self) -> &[Decision] {
+        match &self.source {
+            FaultSource::Scheduled { decisions } => decisions,
+            FaultSource::Seeded { .. } => &[],
+        }
     }
 
-    /// The state hash before each decision point, in order.
-    pub(crate) fn decision_hashes(&self) -> &[u64] {
-        &self.decision_hashes
+    /// Schedules `decision` at decision point `point`, with every point
+    /// between the end of the schedule and `point` delivering: a
+    /// network resumed from a parent's state takes the child schedule's
+    /// one extra fault this way. `point` must lie at or past both the
+    /// schedule's end and [`consulted`](Self::consulted), which a
+    /// model-checker child always does; a seeded network ignores it.
+    pub(crate) fn branch(&mut self, point: usize, decision: Decision) {
+        debug_assert!(point >= self.consulted(), "decision {point} already taken");
+        if let FaultSource::Scheduled { decisions } = &mut self.source {
+            debug_assert!(
+                point >= decisions.len(),
+                "decision {point} already scheduled"
+            );
+            decisions.resize(point, Decision::Deliver);
+            decisions.push(decision);
+        }
     }
 
-    /// The state hash after each tick or jumped idle span, in order.
-    pub(crate) fn tick_hashes(&self) -> &[u64] {
-        &self.tick_hashes
+    /// Transmissions handed to the wire so far, over all parties: the
+    /// number of `Sent` events in the trace.
+    pub(crate) fn sent(&self) -> u64 {
+        self.sends.iter().sum()
     }
 
+    /// The rolling fingerprint of the wire-event history so far.
+    pub(crate) fn fingerprint(&self) -> u128 {
+        self.fingerprint
+    }
+
+    /// The fingerprint before each decision point, in order.
+    pub(crate) fn decision_fingerprints(&self) -> &[u128] {
+        &self.decision_fingerprints
+    }
+
+    /// The 64-bit digest of the fingerprint after each tick or jumped idle
+    /// span, in order.
+    pub(crate) fn tick_fingerprints(&self) -> &[u64] {
+        &self.tick_fingerprints
+    }
+
+    /// Folds one envelope event into the fingerprint. `tag` names the
+    /// event (0 sent, 1 dropped, 2 duplicated, 3 delivered; a crash is 4)
+    /// and shares its word with the payload kind.
     fn note(&mut self, tag: u8, env: &Envelope) {
-        let fingerprint = (env.id.0, env.from, env.to, env.payload.kind());
-        self.state_hash = mix(self.state_hash, (tag, self.now, fingerprint));
+        let kind = match env.payload {
+            Payload::PsiDigests(_) => 1,
+            Payload::Metadata(_) => 2,
+            Payload::Ack(_) => 3,
+        };
+        self.fingerprint = mix(
+            self.fingerprint,
+            &[
+                (u64::from(tag) << 8) | kind,
+                self.now,
+                env.id.0,
+                env.from as u64,
+                env.to as u64,
+            ],
+        );
     }
 
     fn enqueue(&mut self, env: Envelope, extra: u64) {
@@ -319,7 +385,7 @@ impl Transport for Network {
                     at: self.now,
                     party: from,
                 });
-                self.state_hash = mix(self.state_hash, (4u8, self.now, from));
+                self.fingerprint = mix(self.fingerprint, &[4 << 8, self.now, from as u64]);
                 return;
             }
         }
@@ -331,10 +397,10 @@ impl Transport for Network {
             env: env.clone(),
             attempt,
         });
-        // The decision point. The pre-decision state hash is what
+        // The decision point. The pre-decision fingerprint is what
         // identifies this branch point to the model checker.
-        let point = self.decision_hashes.len();
-        self.decision_hashes.push(self.state_hash);
+        let point = self.decision_fingerprints.len();
+        self.decision_fingerprints.push(self.fingerprint);
         match self.source.decide(point) {
             Fate::Drop => {
                 self.metrics.note_dropped();
@@ -376,7 +442,7 @@ impl Transport for Network {
             });
             self.inboxes[m.env.to].push_back(m.env);
         }
-        self.tick_hashes.push(self.state_hash);
+        self.tick_fingerprints.push(fold64(self.fingerprint));
     }
 
     /// An idle tick only moves the clock and repeats the last state, so
@@ -387,7 +453,7 @@ impl Transport for Network {
             let idle_until = self.queue.idle_until(t);
             if idle_until > self.now {
                 self.now = idle_until;
-                self.tick_hashes.push(self.state_hash);
+                self.tick_fingerprints.push(fold64(self.fingerprint));
             } else {
                 self.tick();
             }

@@ -550,7 +550,7 @@ impl TransportMetrics {
 }
 
 /// An envelope the in-memory network accepted and has not yet delivered.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Queued {
     /// Tick at which the envelope is due.
     deliver_at: u64,
@@ -566,7 +566,7 @@ pub(crate) struct Queued {
 /// queue stays sorted on insert — a new envelope goes behind every queued
 /// one due no later than it — so the due envelopes are always at the
 /// front.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DeliveryQueue {
     items: VecDeque<Queued>,
 }

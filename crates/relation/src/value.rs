@@ -125,15 +125,6 @@ impl Value {
         }
     }
 
-    /// String view of the value, if it is `Text`.
-    #[inline]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// A short name for the variant, used in error messages.
     pub(crate) fn type_name(&self) -> &'static str {
         self.as_value_ref().type_name()
@@ -173,15 +164,6 @@ impl<'a> ValueRef<'a> {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             ValueRef::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// String view, if the cell is `Text`.
-    #[inline]
-    pub fn as_str(&self) -> Option<&'a str> {
-        match self {
-            ValueRef::Text(s) => Some(s),
             _ => None,
         }
     }
