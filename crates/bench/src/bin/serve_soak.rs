@@ -228,7 +228,7 @@ fn main() {
         io_tick: Duration::from_millis(1),
         ..ServeConfig::from_retry(&soak_retry())
     };
-    let queue_cap = cfg.queue_cap;
+    let queue_cap = mp_federated::serve::QUEUE_CAP;
     let server = Server::start("127.0.0.1:0", cfg, Arc::new(NoopRecorder)).expect("bind");
     let addr = server.addr().to_owned();
 

@@ -88,7 +88,7 @@ fn one_stalled_session_never_blocks_eight_clean_ones() {
         io_tick: Duration::from_millis(1),
         ..ServeConfig::from_retry(&retry)
     };
-    let queue_cap = cfg.queue_cap as u64;
+    let queue_cap = mp_federated::serve::QUEUE_CAP as u64;
     let server = Server::start("127.0.0.1:0", cfg, Arc::new(NoopRecorder)).expect("bind");
     let addr = server.addr().to_owned();
 

@@ -317,17 +317,7 @@ pub fn simulate(
     recorder: &dyn Recorder,
 ) -> Result<String, String> {
     // Fixed data seed: `--seed` drives the fault schedule, never the data.
-    let data = mp_datasets::fintech_scenario(rows, 42);
-    let bank = Party::new("bank", data.bank.relation, 0, data.bank.dependencies)
-        .map_err(|e| e.to_string())?;
-    let ecom = Party::new(
-        "ecommerce",
-        data.ecommerce.relation,
-        0,
-        data.ecommerce.dependencies,
-    )
-    .map_err(|e| e.to_string())?;
-    let session = MultiPartySession::new(vec![bank, ecom], 0xF1A7);
+    let session = MultiPartySession::new(fintech_parties(rows)?, 0xF1A7);
     let policies = vec![SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
 
     let plan = FaultPlan::from_names(faults, seed, session.parties.len())?;
@@ -365,9 +355,9 @@ pub fn simulate(
     }
 }
 
-/// The bank × e-commerce party pair every serve session runs, built from
-/// a fixed data seed (same data as `mpriv simulate`).
-fn serve_parties(rows: usize) -> Result<Vec<Party>, String> {
+/// The fintech bank × e-commerce party pair that `mpriv simulate` and
+/// every serve session run, built from a fixed data seed (42).
+fn fintech_parties(rows: usize) -> Result<Vec<Party>, String> {
     let data = mp_datasets::fintech_scenario(rows, 42);
     Ok(vec![
         Party::new("bank", data.bank.relation, 0, data.bank.dependencies)
@@ -398,7 +388,7 @@ pub fn serve_drive(
     if sessions == 0 {
         return Err("--sessions must be at least 1".to_owned());
     }
-    let parties = serve_parties(rows)?;
+    let parties = fintech_parties(rows)?;
     let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
     let salt = 0xF1A7;
     let reference = MultiPartySession::new(parties.clone(), salt)
@@ -449,7 +439,7 @@ pub fn serve_drive(
         "sessions: {} completed, {} aborted\n",
         report.sessions_completed, report.sessions_aborted
     ));
-    let cap = ServeConfig::from_retry(&retry).queue_cap as u64;
+    let cap = mp_federated::serve::QUEUE_CAP as u64;
     out.push_str(&format!(
         "backpressure: max queue depth within cap {cap}: {}\n",
         report.max_queue_depth <= cap

@@ -32,7 +32,7 @@ pub(crate) fn ln_choose(n: u64, k: u64) -> f64 {
 
 /// `C(n, k)` as an `f64` (may be `inf` for huge arguments; exact enough for
 /// probability ratios).
-pub fn choose(n: u64, k: u64) -> f64 {
+pub(crate) fn choose(n: u64, k: u64) -> f64 {
     ln_choose(n, k).exp()
 }
 

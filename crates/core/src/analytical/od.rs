@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Overlap length of two closed intervals.
-pub fn interval_overlap(a: (f64, f64), b: (f64, f64)) -> f64 {
+pub(crate) fn interval_overlap(a: (f64, f64), b: (f64, f64)) -> f64 {
     (a.1.min(b.1) - a.0.max(b.0)).max(0.0)
 }
 

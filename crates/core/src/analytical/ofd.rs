@@ -26,7 +26,7 @@ pub fn transition_probability(card_x: usize, card_y: usize, t: usize) -> f64 {
 /// sits at the right rank… the simple marginal the paper's binomial model
 /// uses is `θ_{Y,t} = m/d` per step; the joint positional probability is
 /// `1/C(d, m)` for the whole walk.
-pub fn marginal_step_probability(m: usize, card_y: usize) -> f64 {
+pub(crate) fn marginal_step_probability(m: usize, card_y: usize) -> f64 {
     if card_y == 0 {
         return 0.0;
     }

@@ -13,7 +13,7 @@ use mp_relation::{Pli, Relation, Result};
 /// Returns a boolean per tuple: `true` iff some subset of at most
 /// `max_size` attributes isolates it. A tuple unique on a *small* subset is
 /// the privacy worst case; `max_size = arity` gives the full definition.
-pub fn identifiable_tuples(relation: &Relation, max_size: usize) -> Result<Vec<bool>> {
+pub(crate) fn identifiable_tuples(relation: &Relation, max_size: usize) -> Result<Vec<bool>> {
     let n = relation.n_rows();
     let mut identifiable = vec![false; n];
     // A tuple is unique on subset A iff it lies in no cluster of Π_A.
@@ -47,27 +47,6 @@ pub fn identifiability_rate(relation: &Relation, max_size: usize) -> Result<f64>
     Ok(flags.iter().filter(|&&b| b).count() as f64 / flags.len() as f64)
 }
 
-/// All *minimal* attribute sets (size ≤ `max_size`) that isolate tuple
-/// `row`: no returned set contains another returned set.
-pub fn minimal_identifying_sets(
-    relation: &Relation,
-    row: usize,
-    max_size: usize,
-) -> Result<Vec<AttrSet>> {
-    let mut minimal: Vec<AttrSet> = Vec::new();
-    for set in subsets_up_to(relation.arity(), max_size) {
-        if minimal.iter().any(|m| m.is_subset_of(&set)) {
-            continue;
-        }
-        let pli = mp_metadata::pli_of_set(relation, &set)?;
-        let unique = !pli.clusters().flatten().any(|&r| r as usize == row);
-        if unique {
-            minimal.push(set);
-        }
-    }
-    Ok(minimal)
-}
-
 /// For each single attribute, the number of tuples unique on it — a quick
 /// per-attribute disclosure profile.
 pub fn uniqueness_profile(relation: &Relation) -> Result<Vec<usize>> {
@@ -81,7 +60,7 @@ pub fn uniqueness_profile(relation: &Relation) -> Result<Vec<usize>> {
 }
 
 /// Enumerates attribute subsets of `{0..arity}` with `1 ≤ |A| ≤ max_size`,
-/// in ascending size (so minimality checks can rely on order).
+/// in ascending size.
 fn subsets_up_to(arity: usize, max_size: usize) -> Vec<AttrSet> {
     let mut out = Vec::new();
     let max_size = max_size.min(arity);
@@ -143,33 +122,6 @@ mod tests {
         let flags = identifiable_tuples(&r, 2).unwrap();
         assert_eq!(flags, vec![false, false, true]);
         assert!((identifiability_rate(&r, 2).unwrap() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minimal_sets_exclude_supersets() {
-        let r = employee();
-        // Alice (row 0): {Name} and {Salary} isolate her; {Age} does too
-        // (age 18 unique); no superset of these may be returned.
-        let sets = minimal_identifying_sets(&r, 0, 4).unwrap();
-        assert!(sets.contains(&AttrSet::single(0)));
-        assert!(sets.contains(&AttrSet::single(1)));
-        assert!(sets.contains(&AttrSet::single(3)));
-        for s in &sets {
-            for t in &sets {
-                if s != t {
-                    assert!(!s.is_subset_of(t), "{s} ⊆ {t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bob_not_identifiable_by_age() {
-        let r = employee();
-        // Bob (row 1) shares age 22 with Charlie.
-        let sets = minimal_identifying_sets(&r, 1, 1).unwrap();
-        assert!(!sets.contains(&AttrSet::single(1)));
-        assert!(sets.contains(&AttrSet::single(0)));
     }
 
     #[test]

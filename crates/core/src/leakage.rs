@@ -16,7 +16,7 @@
 //!
 //! [`attr_matches`] is the one implementation of both definitions. It
 //! scores any row subset, so the whole-relation counts below, the Table
-//! III/IV cells ([`crate::experiment`]), the audit-matrix cells (scored on
+//! III/IV cells ([`crate::run_cell`]), the audit-matrix cells (scored on
 //! the PSI-aligned rows only) and the HFL permutation baseline all share
 //! it; [`attr_mse`] is the one MSE. The harnesses that compare the same
 //! two dictionaries round after round keep their code remap in a
@@ -270,56 +270,6 @@ pub fn mse(real: &Relation, syn: &Relation, attr: usize) -> Result<Option<f64>> 
     Ok(attr_mse(a, b, rows))
 }
 
-/// Tuple-level leakage over an attribute subset `attrs`: the number of rows
-/// where *every* listed attribute matches (categorical attrs exactly,
-/// continuous attrs within `epsilon`). This is the multi-attribute form of
-/// Definitions 2.2/2.3 with `A` a set.
-pub fn tuple_matches(
-    real: &Relation,
-    syn: &Relation,
-    attrs: &[usize],
-    epsilon: f64,
-) -> Result<usize> {
-    check_aligned(real, syn)?;
-    // Hoist the schema and column lookups out of the row loop; the scan
-    // itself then reads typed cells only.
-    let mut checks = Vec::with_capacity(attrs.len());
-    for &a in attrs {
-        let kind = real.schema().attribute(a)?.kind;
-        checks.push((kind, real.column(a)?, syn.column(a)?));
-    }
-    let mut count = 0;
-    'rows: for i in 0..real.n_rows() {
-        for (kind, xs, ys) in &checks {
-            let matched = match kind {
-                AttrKind::Categorical => xs.value_ref(i) == ys.value_ref(i),
-                AttrKind::Continuous => match (xs.f64_at(i), ys.f64_at(i)) {
-                    (Some(x), Some(y)) => (x - y).abs() <= epsilon,
-                    _ => false,
-                },
-            };
-            if !matched {
-                continue 'rows;
-            }
-        }
-        count += 1;
-    }
-    Ok(count)
-}
-
-/// The fraction of rows leaked on `attr` under the appropriate definition
-/// for the attribute's kind.
-pub fn leakage_rate(real: &Relation, syn: &Relation, attr: usize, epsilon: f64) -> Result<f64> {
-    if real.n_rows() == 0 {
-        return Ok(0.0);
-    }
-    let matches = match real.schema().attribute(attr)?.kind {
-        AttrKind::Categorical => categorical_matches(real, syn, attr)?,
-        AttrKind::Continuous => continuous_matches(real, syn, attr, epsilon)?,
-    };
-    Ok(matches as f64 / real.n_rows() as f64)
-}
-
 /// Attribute `attr`'s column on both sides of a row-aligned pair, with the
 /// range of every row.
 fn aligned_columns<'a>(
@@ -477,30 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn tuple_level_matches() {
-        let (real, syn) = pair();
-        // Both attrs must match: only row 0 (cat match + Δ=.05 ≤ .1)
-        // and row 2 (null=null + Δ=.05).
-        assert_eq!(tuple_matches(&real, &syn, &[0, 1], 0.1).unwrap(), 2);
-        // Single-attr subset reduces to the per-attr counts.
-        assert_eq!(tuple_matches(&real, &syn, &[0], 0.0).unwrap(), 3);
-    }
-
-    #[test]
-    fn leakage_rate_normalises() {
-        let (real, syn) = pair();
-        assert!((leakage_rate(&real, &syn, 0, 0.0).unwrap() - 0.75).abs() < 1e-12);
-        assert!((leakage_rate(&real, &syn, 1, 0.1).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn misaligned_relations_rejected() {
         let (real, _) = pair();
         let schema = real.schema().clone();
         let short = Relation::empty(schema);
         assert!(categorical_matches(&real, &short, 0).is_err());
         assert!(mse(&real, &short, 1).is_err());
-        assert!(tuple_matches(&real, &short, &[0], 0.0).is_err());
     }
 
     #[test]
@@ -546,7 +478,6 @@ mod tests {
         let e1 = Relation::empty(schema.clone());
         let e2 = Relation::empty(schema);
         assert_eq!(categorical_matches(&e1, &e2, 0).unwrap(), 0);
-        assert_eq!(leakage_rate(&e1, &e2, 0, 0.0).unwrap(), 0.0);
         assert_eq!(mse(&e1, &e2, 0).unwrap(), None);
     }
 

@@ -49,7 +49,7 @@ fn fnv1a_labels(dataset: &str, policy: &str, adversary: &str) -> u64 {
 /// Derives the RNG seed for one experiment cell.
 ///
 /// `dataset`, `policy` and `adversary` are free-form labels naming the
-/// cell ([`crate::matrix`] folds the metadata class into the policy
+/// cell ([`crate::LeakageMatrix`] folds the metadata class into the policy
 /// label); `round` is the repetition index. The derivation is
 /// `splitmix64(fnv1a(labels) ^ round · φ64)` where `φ64` is the odd
 /// golden-ratio constant: multiplication by an odd constant is a

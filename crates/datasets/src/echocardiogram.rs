@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 pub(crate) const DEFAULT_SEED: u64 = 0xEC40_CA4D;
 
 /// Number of tuples, matching the UCI dataset.
-pub const N_ROWS: usize = 132;
+pub(crate) const N_ROWS: usize = 132;
 
 /// Attribute indices, following the UCI/paper numbering.
 pub mod attrs {
@@ -51,7 +51,7 @@ pub mod attrs {
     /// Age at heart attack (continuous).
     pub const AGE: usize = 2;
     /// Pericardial effusion (categorical, 3 codes).
-    pub const PERICARDIAL: usize = 3;
+    pub(crate) const PERICARDIAL: usize = 3;
     /// Fractional shortening (continuous, some missing).
     pub const FRACTIONAL_SHORTENING: usize = 4;
     /// E-point septal separation (continuous).
@@ -70,7 +70,7 @@ pub mod attrs {
     /// Cohort group (categorical, 4 age bands).
     pub const GROUP: usize = 11;
     /// Alive at one year (categorical 0/1/?).
-    pub const ALIVE_AT_1: usize = 12;
+    pub(crate) const ALIVE_AT_1: usize = 12;
 }
 
 /// The continuous attributes evaluated in the paper's Table III.

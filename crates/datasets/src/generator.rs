@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 /// How one column of a synthetic relation is produced.
 #[derive(Debug, Clone)]
-pub enum ColumnSpec {
+pub(crate) enum ColumnSpec {
     /// Independent uniform categorical labels `v0..v{cardinality-1}`.
     CategoricalUniform {
         /// Attribute name.
@@ -92,7 +92,7 @@ pub enum ColumnSpec {
 
 impl ColumnSpec {
     /// The attribute name of the spec.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             ColumnSpec::CategoricalUniform { name, .. }
             | ColumnSpec::ContinuousUniform { name, .. }
@@ -124,7 +124,7 @@ pub struct SyntheticSpec {
     pub seed: u64,
     /// Column specifications; `source` indices must point at earlier
     /// columns.
-    pub columns: Vec<ColumnSpec>,
+    pub(crate) columns: Vec<ColumnSpec>,
 }
 
 /// Output of [`SyntheticSpec::generate`].

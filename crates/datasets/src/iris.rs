@@ -14,21 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Number of tuples, matching the classic dataset.
-pub const IRIS_ROWS: usize = 150;
-
-/// Attribute indices.
-pub mod iris_attrs {
-    /// Sepal length (continuous).
-    pub const SEPAL_LENGTH: usize = 0;
-    /// Sepal width (continuous).
-    pub const SEPAL_WIDTH: usize = 1;
-    /// Petal length (continuous) — determines the species band.
-    pub const PETAL_LENGTH: usize = 2;
-    /// Petal width (continuous).
-    pub const PETAL_WIDTH: usize = 3;
-    /// Species (categorical, 3 values).
-    pub const SPECIES: usize = 4;
-}
+pub(crate) const IRIS_ROWS: usize = 150;
 
 /// Builds the reconstruction with the given seed.
 fn iris_like_with_seed(seed: u64) -> Relation {
@@ -82,9 +68,17 @@ pub fn iris_like() -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_attrs::*;
     use mp_metadata::{Dependency, Fd, OrderDep};
     use mp_relation::Domain;
+
+    // Attribute indices.
+    const SEPAL_LENGTH: usize = 0;
+    const SEPAL_WIDTH: usize = 1;
+    /// Determines the species band.
+    const PETAL_LENGTH: usize = 2;
+    const PETAL_WIDTH: usize = 3;
+    /// Categorical, 3 values.
+    const SPECIES: usize = 4;
 
     /// The dependencies guaranteed by construction.
     fn iris_dependencies() -> Vec<Dependency> {

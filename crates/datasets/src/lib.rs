@@ -27,10 +27,10 @@ pub use bank::bank_table;
 pub use car::car_table;
 pub use echocardiogram::{
     echocardiogram, paper_inventory, verified_dependencies, PaperInventory, CATEGORICAL_ATTRS,
-    CONTINUOUS_ATTRS, N_ROWS,
+    CONTINUOUS_ATTRS,
 };
 pub use employee::{attrs as employee_attrs, employee};
 pub use fintech::{fintech_scenario, FintechParty, FintechScenario};
-pub use generator::{all_classes_spec, ColumnSpec, SyntheticRelation, SyntheticSpec};
-pub use iris::{iris_attrs, iris_like, IRIS_ROWS};
-pub use scale::{scale_relation, SCALE_ARITY, SCALE_BASE_CARDINALITY};
+pub use generator::{all_classes_spec, SyntheticRelation, SyntheticSpec};
+pub use iris::iris_like;
+pub use scale::scale_relation;

@@ -28,12 +28,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Number of columns produced by [`scale_relation`].
-pub const SCALE_ARITY: usize = 7;
-
 /// Distinct labels in the `base` column (upper bound; fewer appear when
 /// `n_rows` is small).
-pub const SCALE_BASE_CARDINALITY: u32 = 4096;
+pub(crate) const SCALE_BASE_CARDINALITY: u32 = 4096;
 
 /// Distinct labels in the `fd_child` and `afd_child` images.
 const CHILD_CARDINALITY: u32 = 64;
@@ -163,7 +160,7 @@ mod tests {
     fn planted_dependencies_hold_at_ten_thousand_rows() {
         let out = scale_relation(10_000, 7).unwrap();
         assert_eq!(out.relation.n_rows(), 10_000);
-        assert_eq!(out.relation.arity(), SCALE_ARITY);
+        assert_eq!(out.relation.arity(), 7);
         for dep in &out.planted {
             assert!(dep.holds(&out.relation).unwrap(), "{dep} should hold");
         }

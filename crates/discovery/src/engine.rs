@@ -91,7 +91,7 @@ impl MemoryBudget {
     }
 
     /// The budget in bytes (`0` = unlimited).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 }
@@ -152,7 +152,7 @@ impl<'r> DiscoveryContext<'r> {
         };
         DiscoveryContext {
             relation,
-            cache: PliCache::with_recorder_and_budget(capacity, budget.bytes(), recorder.as_ref()),
+            cache: PliCache::new(capacity, budget.bytes(), recorder.as_ref()),
             parallel,
             pli_builds: recorder.counter("discovery.pli.builds"),
             recorder,
@@ -161,7 +161,7 @@ impl<'r> DiscoveryContext<'r> {
 
     /// The recorder this context reports to (a [`NoopRecorder`] unless
     /// built via [`instrumented_with_budget`](Self::instrumented_with_budget)).
-    pub fn recorder(&self) -> &dyn Recorder {
+    pub(crate) fn recorder(&self) -> &dyn Recorder {
         self.recorder.as_ref()
     }
 
@@ -177,18 +177,13 @@ impl<'r> DiscoveryContext<'r> {
         self.relation
     }
 
-    /// The configured budget.
-    pub fn parallel(&self) -> &ParallelConfig {
-        &self.parallel
-    }
-
     /// Snapshot of the shared cache's counters.
     pub fn cache_stats(&self) -> PliCacheStats {
         self.cache.stats()
     }
 
     /// Order-preserving parallel map on this context's thread budget.
-    pub fn par_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
+    pub(crate) fn par_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
         U: Send,

@@ -178,7 +178,7 @@ impl DependencyProfile {
     }
 
     /// Total number of discovered dependencies.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fds.len()
             + self.afds.len()
             + self.ods.len()

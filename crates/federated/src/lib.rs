@@ -10,16 +10,18 @@
 //!   Definitions 2.2/2.3;
 //! * [`MultiPartySession`] — the setup protocol: k-way PSI, then metadata
 //!   exchange under per-party [`mp_metadata::SharePolicy`] redactions, run
-//!   as typed messages over a [`transport::Transport`] with retries and
-//!   idempotent receipt;
-//! * [`sim`] — the in-memory [`Network`] (fault-free, seeded faults or an
-//!   explicit schedule), a deterministic, seed-replayable fault-injection
-//!   simulator (drop / duplicate / reorder / delay / party-crash) plus the
-//!   invariant harness that checks completed setups are bit-identical to
-//!   the fault-free run and that redacted metadata never crosses the wire;
-//! * [`check`] — exhaustive small-world model checking of the same
+//!   as typed messages over a [`Transport`] with retries and idempotent
+//!   receipt;
+//! * [`Network`] — the in-memory network (fault-free, seeded faults or an
+//!   explicit schedule): with [`simulate_setup`], a deterministic,
+//!   seed-replayable fault-injection simulator (drop / duplicate /
+//!   reorder / delay / party-crash), plus the invariant harness
+//!   ([`check_invariants`]) that checks completed setups are
+//!   bit-identical to the fault-free run and that redacted metadata never
+//!   crosses the wire;
+//! * [`model_check`] — exhaustive small-world model checking of the same
 //!   invariants over every bounded fault schedule;
-//! * [`model`] — vertically federated logistic regression by score
+//! * [`train`] — vertically federated logistic regression by score
 //!   aggregation (only partial logits and residuals cross the boundary);
 //! * [`run_scenario`] — the paper's Figure 1 bank × e-commerce scenario
 //!   end to end: utility (federated vs solo accuracy) side by side with
@@ -27,9 +29,9 @@
 
 #![warn(missing_docs)]
 
-pub mod check;
-pub mod horizontal;
-pub mod model;
+mod check;
+mod horizontal;
+mod model;
 mod multiparty;
 pub mod net;
 mod party;
@@ -37,16 +39,14 @@ mod protocol;
 pub mod psi;
 mod scenario;
 pub mod serve;
-pub mod sim;
-pub mod transport;
+mod sim;
+mod transport;
 
 pub use check::{
     model_check, small_world_session, CheckConfig, CheckReport, Decision, ViolationRecord,
 };
 pub use horizontal::{horizontal_split, permutation_baseline, schemas_compatible};
-pub use model::{
-    auc, holdout_split, labels_from_column, train, FeatureBlock, FederatedModel, PartyModel,
-};
+pub use model::{auc, holdout_split, labels_from_column, train, FeatureBlock, FederatedModel};
 pub use multiparty::{multi_align, MultiAlignment, MultiPartySession, MultiSetupOutcome};
 pub use net::{
     decode_stream, encode_frame, encode_stream, AbortReason, FrameError, FramedStream,
@@ -54,7 +54,6 @@ pub use net::{
 };
 pub use party::Party;
 pub use protocol::{RetryConfig, SetupError};
-pub use psi::{align, PsiAlignment};
 pub use scenario::{run_scenario, ScenarioOutcome};
 pub use serve::{
     outcome_matches, run_client_session, ClientConfig, PartyOutcome, ServeConfig, ServeReport,

@@ -72,12 +72,12 @@ impl FeatureBlock {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of feature columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -88,7 +88,7 @@ impl FeatureBlock {
 
 /// One party's model slice: weights over its local features.
 #[derive(Debug, Clone)]
-pub struct PartyModel {
+pub(crate) struct PartyModel {
     /// Feature weights (one per local feature column).
     pub weights: Vec<f64>,
     features: FeatureBlock,
@@ -96,7 +96,7 @@ pub struct PartyModel {
 
 impl PartyModel {
     /// Initialises zero weights over a feature block.
-    pub fn new(features: FeatureBlock) -> Self {
+    pub(crate) fn new(features: FeatureBlock) -> Self {
         Self {
             weights: vec![0.0; features.cols()],
             features,
@@ -144,7 +144,7 @@ const L2: f64 = 1e-4;
 #[derive(Debug, Clone)]
 pub struct FederatedModel {
     /// Per-party model slices, in the order the parties were given.
-    pub parties: Vec<PartyModel>,
+    pub(crate) parties: Vec<PartyModel>,
     /// Global bias term (held by the active party).
     pub bias: f64,
     /// Training-loss trace (one entry per epoch).

@@ -154,18 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn two_party_multi_matches_pairwise_psi() {
-        let a = party("a", &["x", "y", "z"], "fa");
-        let b = party("b", &["z", "x"], "fb");
-        let ids_a = a.ids().unwrap();
-        let ids_b = b.ids().unwrap();
-        let multi = multi_align(&[&ids_a, &ids_b], 9);
-        let pair = crate::psi::align(&ids_a, &ids_b, 9);
-        assert_eq!(multi.rows[0], pair.rows_a);
-        assert_eq!(multi.rows[1], pair.rows_b);
-    }
-
-    #[test]
     fn disjoint_party_empties_intersection() {
         let a = party("a", &["u1"], "fa");
         let b = party("b", &["u2"], "fb");

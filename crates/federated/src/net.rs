@@ -147,7 +147,7 @@ pub enum SessionFrame {
 
 impl SessionFrame {
     /// Short label for traces and metrics.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             SessionFrame::Hello { .. } => "hello",
             SessionFrame::Welcome { .. } => "welcome",

@@ -38,7 +38,7 @@ impl Party {
 
     /// The party's entity ids, in row order, materialised from the typed
     /// id column.
-    pub fn ids(&self) -> Result<Vec<Value>> {
+    pub(crate) fn ids(&self) -> Result<Vec<Value>> {
         self.relation.column_values(self.id_column)
     }
 

@@ -149,58 +149,6 @@ struct PendingMsg {
     resend_at: u64,
 }
 
-/// Per-party protocol state machine. Digests and packages — its own and
-/// its peers' — are shared with the envelopes that carry them, so sending,
-/// retransmitting and receiving never copy a body.
-#[derive(Debug, Clone)]
-struct PartyMachine {
-    digests: Arc<[IdDigest]>,
-    package: Arc<MetadataPackage>,
-    digests_sent: bool,
-    metadata_sent: bool,
-    peer_digests: Vec<Option<Arc<[IdDigest]>>>,
-    peer_metadata: Vec<Option<Arc<MetadataPackage>>>,
-    pending: Vec<PendingMsg>,
-    seen: HashSet<MsgId>,
-}
-
-impl PartyMachine {
-    fn new(id: PartyId, n: usize, digests: Arc<[IdDigest]>, package: Arc<MetadataPackage>) -> Self {
-        let mut peer_digests: Vec<Option<Arc<[IdDigest]>>> = vec![None; n];
-        peer_digests[id] = Some(Arc::clone(&digests));
-        let mut peer_metadata: Vec<Option<Arc<MetadataPackage>>> = vec![None; n];
-        peer_metadata[id] = Some(Arc::clone(&package));
-        Self {
-            digests,
-            package,
-            digests_sent: false,
-            metadata_sent: false,
-            peer_digests,
-            peer_metadata,
-            pending: Vec::new(),
-            seen: HashSet::new(),
-        }
-    }
-
-    fn all_digests_in(&self) -> bool {
-        self.peer_digests.iter().all(Option::is_some)
-    }
-
-    fn all_metadata_in(&self) -> bool {
-        self.peer_metadata.iter().all(Option::is_some)
-    }
-
-    /// Setup is complete for this party: everything sent, received and
-    /// acked.
-    fn done(&self) -> bool {
-        self.digests_sent
-            && self.metadata_sent
-            && self.all_digests_in()
-            && self.all_metadata_in()
-            && self.pending.is_empty()
-    }
-}
-
 /// Protocol metric handles for one party's engine, resolved once per
 /// preparation (the socket client: once per session).
 ///
@@ -228,17 +176,28 @@ impl EngineMetrics {
     }
 }
 
-/// One party's half of the setup protocol, stepped explicitly.
+/// One party's half of the setup protocol, stepped explicitly: its
+/// state machine.
 ///
 /// This is the unit the in-process harness ([`PreparedSetup::run`])
 /// replicates per party over a shared [`Transport`], and the unit the
 /// socket client ([`crate::serve`]) runs *alone* against a remote peer
 /// pool — the state machine is identical in both deployments, which is
 /// what makes the simulator a faithful test double for the daemon.
+/// Digests and packages — its own and its peers' — are shared with the
+/// envelopes that carry them, so sending, retransmitting and receiving
+/// never copy a body.
 #[derive(Clone)]
 pub(crate) struct PartyEngine {
     id: PartyId,
-    machine: PartyMachine,
+    digests: Arc<[IdDigest]>,
+    package: Arc<MetadataPackage>,
+    digests_sent: bool,
+    metadata_sent: bool,
+    peer_digests: Vec<Option<Arc<[IdDigest]>>>,
+    peer_metadata: Vec<Option<Arc<MetadataPackage>>>,
+    pending: Vec<PendingMsg>,
+    seen: HashSet<MsgId>,
 }
 
 impl PartyEngine {
@@ -250,41 +209,60 @@ impl PartyEngine {
         digests: Arc<[IdDigest]>,
         package: Arc<MetadataPackage>,
     ) -> Self {
+        let mut peer_digests: Vec<Option<Arc<[IdDigest]>>> = vec![None; n];
+        peer_digests[id] = Some(Arc::clone(&digests));
+        let mut peer_metadata: Vec<Option<Arc<MetadataPackage>>> = vec![None; n];
+        peer_metadata[id] = Some(Arc::clone(&package));
         Self {
             id,
-            machine: PartyMachine::new(id, n, digests, package),
+            digests,
+            package,
+            digests_sent: false,
+            metadata_sent: false,
+            peer_digests,
+            peer_metadata,
+            pending: Vec::new(),
+            seen: HashSet::new(),
         }
+    }
+
+    fn all_digests_in(&self) -> bool {
+        self.peer_digests.iter().all(Option::is_some)
+    }
+
+    fn all_metadata_in(&self) -> bool {
+        self.peer_metadata.iter().all(Option::is_some)
     }
 
     /// Setup is complete for this party: everything sent, received and
     /// acked.
     pub(crate) fn done(&self) -> bool {
-        self.machine.done()
+        self.digests_sent
+            && self.metadata_sent
+            && self.all_digests_in()
+            && self.all_metadata_in()
+            && self.pending.is_empty()
     }
 
     /// The tick at which this party's earliest retransmission timer
     /// fires; `None` when no own message awaits its ack.
     pub(crate) fn next_timer(&self) -> Option<u64> {
-        self.machine.pending.iter().map(|pm| pm.resend_at).min()
+        self.pending.iter().map(|pm| pm.resend_at).min()
     }
 
     /// Every peer's digest submission, once all have arrived.
     pub(crate) fn digest_views(&self) -> Option<Vec<&[IdDigest]>> {
-        self.machine
-            .peer_digests
-            .iter()
-            .map(|d| d.as_deref())
-            .collect()
+        self.peer_digests.iter().map(|d| d.as_deref()).collect()
     }
 
     /// Party `p`'s metadata as received (own package for `p == id`).
     pub(crate) fn metadata_from(&self, p: PartyId) -> Option<&MetadataPackage> {
-        self.machine.peer_metadata.get(p).and_then(Option::as_deref)
+        self.peer_metadata.get(p).and_then(Option::as_deref)
     }
 
     /// The own (redacted) package this engine broadcasts.
     pub(crate) fn own_package(&self) -> &MetadataPackage {
-        &self.machine.package
+        &self.package
     }
 
     /// One engine step: drain the inbox (idempotently, acking every
@@ -302,25 +280,24 @@ impl PartyEngine {
         metrics: &EngineMetrics,
     ) -> Result<(), SetupError> {
         let p = self.id;
-        let m = &mut self.machine;
         // -- Receive, idempotently; (re-)ack everything non-ack. -----
         while let Some(env) = transport.recv(p) {
             metrics.recv.inc();
             match &env.payload {
                 Payload::Ack(of) => {
-                    m.pending.retain(|pm| pm.env.id != *of);
+                    self.pending.retain(|pm| pm.env.id != *of);
                     continue;
                 }
                 Payload::PsiDigests(digests) => {
-                    if m.seen.insert(env.id) {
-                        if let Some(slot) = m.peer_digests.get_mut(env.from) {
+                    if self.seen.insert(env.id) {
+                        if let Some(slot) = self.peer_digests.get_mut(env.from) {
                             *slot = Some(Arc::clone(digests));
                         }
                     }
                 }
                 Payload::Metadata(pkg) => {
-                    if m.seen.insert(env.id) {
-                        if let Some(slot) = m.peer_metadata.get_mut(env.from) {
+                    if self.seen.insert(env.id) {
+                        if let Some(slot) = self.peer_metadata.get_mut(env.from) {
                             *slot = Some(Arc::clone(pkg));
                         }
                     }
@@ -340,17 +317,17 @@ impl PartyEngine {
         }
 
         // -- Phase 1: broadcast own digests once. ---------------------
-        if !m.digests_sent {
-            m.digests_sent = true;
-            let n = m.peer_digests.len();
+        if !self.digests_sent {
+            self.digests_sent = true;
+            let n = self.peer_digests.len();
             for q in (0..n).filter(|&q| q != p) {
                 let env = Envelope {
                     id: fresh_id(),
                     from: p,
                     to: q,
-                    payload: Payload::PsiDigests(Arc::clone(&m.digests)),
+                    payload: Payload::PsiDigests(Arc::clone(&self.digests)),
                 };
-                m.pending.push(PendingMsg {
+                self.pending.push(PendingMsg {
                     env: env.clone(),
                     attempt: 0,
                     resend_at: transport.now() + retry.ack_timeout,
@@ -362,17 +339,17 @@ impl PartyEngine {
 
         // -- Phase 2: once PSI inputs are complete, broadcast the
         //    redacted metadata package. ------------------------------
-        if m.all_digests_in() && !m.metadata_sent {
-            m.metadata_sent = true;
-            let n = m.peer_digests.len();
+        if self.all_digests_in() && !self.metadata_sent {
+            self.metadata_sent = true;
+            let n = self.peer_digests.len();
             for q in (0..n).filter(|&q| q != p) {
                 let env = Envelope {
                     id: fresh_id(),
                     from: p,
                     to: q,
-                    payload: Payload::Metadata(Arc::clone(&m.package)),
+                    payload: Payload::Metadata(Arc::clone(&self.package)),
                 };
-                m.pending.push(PendingMsg {
+                self.pending.push(PendingMsg {
                     env: env.clone(),
                     attempt: 0,
                     resend_at: transport.now() + retry.ack_timeout,
@@ -384,7 +361,7 @@ impl PartyEngine {
 
         // -- Retransmit overdue unacked messages with capped backoff. -
         let now = transport.now();
-        let overdue: Vec<usize> = m
+        let overdue: Vec<usize> = self
             .pending
             .iter()
             .enumerate()
@@ -392,7 +369,7 @@ impl PartyEngine {
             .map(|(i, _)| i)
             .collect();
         for i in overdue {
-            let Some(pm) = m.pending.get_mut(i) else {
+            let Some(pm) = self.pending.get_mut(i) else {
                 continue;
             };
             if pm.attempt >= retry.max_retries {
@@ -768,12 +745,12 @@ mod tests {
         let (a, b) = parties();
         let ids_a = a.ids().unwrap();
         let ids_b = b.ids().unwrap();
-        let direct = crate::psi::align(&ids_a, &ids_b, 99);
+        let direct = crate::multi_align(&[&ids_a, &ids_b], 99);
         let session = MultiPartySession::new(vec![a, b], 99);
         let out = session
             .run_setup(&[SharePolicy::FULL, SharePolicy::FULL])
             .unwrap();
-        assert_eq!(out.alignment.rows, [direct.rows_a, direct.rows_b]);
+        assert_eq!(out.alignment, direct);
     }
 
     #[test]

@@ -27,13 +27,13 @@ impl IdDigest {
     }
 
     /// The raw 64-bit digest value (what travels on the wire).
-    pub fn raw(&self) -> u64 {
+    pub(crate) fn raw(&self) -> u64 {
         self.0
     }
 }
 
 /// Hashes one identifier under a shared salt.
-pub fn digest(id: &Value, salt: u64) -> IdDigest {
+pub(crate) fn digest(id: &Value, salt: u64) -> IdDigest {
     let mut h = DefaultHasher::new();
     salt.hash(&mut h);
     id.hash(&mut h);
@@ -41,32 +41,8 @@ pub fn digest(id: &Value, salt: u64) -> IdDigest {
 }
 
 /// One party's PSI submission: digests in that party's row order.
-pub fn submit(ids: &[Value], salt: u64) -> Vec<IdDigest> {
+pub(crate) fn submit(ids: &[Value], salt: u64) -> Vec<IdDigest> {
     ids.iter().map(|v| digest(v, salt)).collect()
-}
-
-/// Result of the intersection: for each party, the rows (in that party's
-/// local indexing) of the common entities, listed in the same canonical
-/// order — index `i` of one party's list refers to the same entity as
-/// index `i` of the other's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PsiAlignment {
-    /// Row indices into party A's relation.
-    pub rows_a: Vec<usize>,
-    /// Row indices into party B's relation.
-    pub rows_b: Vec<usize>,
-}
-
-impl PsiAlignment {
-    /// Number of common entities.
-    pub fn len(&self) -> usize {
-        self.rows_a.len()
-    }
-
-    /// `true` if the intersection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows_a.is_empty()
-    }
 }
 
 /// K-way intersection of digest submissions: for each party, the rows (in
@@ -74,10 +50,10 @@ impl PsiAlignment {
 /// submission, listed in canonical (ascending digest) order. Duplicate
 /// digests within one party (duplicate ids, or — astronomically unlikely —
 /// hash collisions) keep their first occurrence only, mirroring PSI's set
-/// semantics. This is the single intersection kernel behind both
-/// [`intersect`] and [`crate::multi_align`], and the computation every
-/// party runs locally once the protocol has delivered all digest lists
-/// (see [`crate::transport`]).
+/// semantics. This is the single intersection kernel behind
+/// [`crate::multi_align`], and the computation every party runs locally
+/// once the protocol has delivered all digest lists (see
+/// [`crate::transport`]).
 pub(crate) fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
     if submissions.is_empty() {
         return Vec::new();
@@ -105,29 +81,17 @@ pub(crate) fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Intersects two digest submissions: the rows of the entities both hold,
-/// in canonical (ascending digest) order, keeping the first of any
-/// duplicate digests — the two-party case of [`crate::multi_align`]'s
-/// intersection.
-pub fn intersect(a: &[IdDigest], b: &[IdDigest]) -> PsiAlignment {
-    match <[Vec<usize>; 2]>::try_from(intersect_all(&[a, b])) {
-        Ok([rows_a, rows_b]) => PsiAlignment { rows_a, rows_b },
-        // lint: allow(no-panic) reason="intersect_all returns exactly one row set per non-empty submission list, and two submissions are passed"
-        Err(rows) => unreachable!("got {} row sets for 2 submissions", rows.len()),
-    }
-}
-
-/// Convenience: full PSI between two id columns under a shared salt.
-pub fn align(ids_a: &[Value], ids_b: &[Value], salt: u64) -> PsiAlignment {
-    intersect(&submit(ids_a, salt), &submit(ids_b, salt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{multi_align, MultiAlignment};
 
     fn ids(names: &[&str]) -> Vec<Value> {
         names.iter().map(|&s| Value::Text(s.into())).collect()
+    }
+
+    fn align(a: &[Value], b: &[Value], salt: u64) -> MultiAlignment {
+        multi_align(&[a, b], salt)
     }
 
     #[test]
@@ -138,7 +102,7 @@ mod tests {
         assert_eq!(al.len(), 2);
         // Alignment is consistent: the same entity at the same position.
         for i in 0..al.len() {
-            assert_eq!(a[al.rows_a[i]], b[al.rows_b[i]]);
+            assert_eq!(a[al.rows[0][i]], b[al.rows[1][i]]);
         }
     }
 
@@ -159,12 +123,11 @@ mod tests {
         let al1 = align(&a, &b, 1);
         let al2 = align(&a, &b, 2);
         // The *set* of aligned pairs is salt-independent.
-        let pairs = |al: &PsiAlignment| {
-            let mut p: Vec<(usize, usize)> = al
-                .rows_a
+        let pairs = |al: &MultiAlignment| {
+            let mut p: Vec<(usize, usize)> = al.rows[0]
                 .iter()
                 .copied()
-                .zip(al.rows_b.iter().copied())
+                .zip(al.rows[1].iter().copied())
                 .collect();
             p.sort();
             p
@@ -177,8 +140,7 @@ mod tests {
         let a = ids(&["u1", "u1", "u2"]);
         let b = ids(&["u1"]);
         let al = align(&a, &b, 7);
-        assert_eq!(al.rows_a, vec![0]);
-        assert_eq!(al.rows_b, vec![0]);
+        assert_eq!(al.rows, [vec![0], vec![0]]);
     }
 
     #[test]
@@ -189,7 +151,7 @@ mod tests {
         let al = align(&a, &b, 3);
         assert_eq!(al.len(), 3);
         for i in 0..3 {
-            assert_eq!(a[al.rows_a[i]], b[al.rows_b[i]]);
+            assert_eq!(a[al.rows[0][i]], b[al.rows[1][i]]);
         }
     }
 

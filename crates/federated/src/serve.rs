@@ -240,14 +240,16 @@ impl SocketListener {
 // Server
 // ---------------------------------------------------------------------
 
-/// Daemon configuration. All budgets are io-tick counts; `io_tick` bounds
-/// the wall duration of one tick.
+/// Most parties a session may declare.
+const MAX_SESSION_PARTIES: usize = 8;
+
+/// Per-member outbound queue capacity (the backpressure bound).
+pub const QUEUE_CAP: usize = 64;
+
+/// Daemon configuration: the length of one io tick and the retry policy
+/// every supervision budget (a tick count) derives from.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Most parties a session may declare.
-    pub max_parties: usize,
-    /// Per-member outbound queue capacity (the backpressure bound).
-    pub queue_cap: usize,
     /// Longest wall duration of one io tick: the socket read timeout, and
     /// the wait step of a push into a full queue. A read ends early when
     /// its frame arrives, so this bounds how long an idle connection takes
@@ -255,35 +257,43 @@ pub struct ServeConfig {
     /// Hosts round socket timeouts up to their timer tick (a 2 ms tick
     /// waits ~8 ms on a 250 Hz kernel).
     pub io_tick: Duration,
-    /// Ticks a fresh connection gets to send its `Hello`.
-    pub handshake_ticks: u64,
-    /// Ticks an assembled session may sit with no frame in either
-    /// direction before it is aborted.
-    pub idle_ticks: u64,
-    /// Ticks a routing push may wait on a full peer queue.
-    pub push_ticks: u64,
-    /// Ticks an in-flight session gets to finish after shutdown begins.
-    pub drain_ticks: u64,
+    /// The protocol retry policy the connection budgets are mapped from.
+    pub retry: RetryConfig,
 }
 
 impl ServeConfig {
-    /// Maps the protocol's retry policy onto connection supervision:
-    /// the handshake and drain budgets are one full retransmission
+    /// Supervision under the protocol's retry policy, at a 2 ms io tick.
+    /// The handshake and drain budgets are one full retransmission
     /// ladder (if a peer could still be retried, the server still
     /// waits), the backpressure budget is one backoff cap, and the idle
     /// budget is the protocol's own liveness bound — the server never
     /// gives up on a session the protocol would still consider live.
     pub fn from_retry(retry: &RetryConfig) -> Self {
-        let ladder = retry.ladder_ticks();
         Self {
-            max_parties: 8,
-            queue_cap: 64,
             io_tick: Duration::from_millis(2),
-            handshake_ticks: ladder,
-            idle_ticks: retry.max_ticks,
-            push_ticks: retry.backoff_cap.max(1),
-            drain_ticks: ladder,
+            retry: *retry,
         }
+    }
+
+    /// Ticks a fresh connection gets to send its `Hello`.
+    fn handshake_ticks(&self) -> u64 {
+        self.retry.ladder_ticks()
+    }
+
+    /// Ticks an assembled session may sit with no frame in either
+    /// direction before it is aborted.
+    fn idle_ticks(&self) -> u64 {
+        self.retry.max_ticks
+    }
+
+    /// Ticks a routing push may wait on a full peer queue.
+    fn push_ticks(&self) -> u64 {
+        self.retry.backoff_cap.max(1)
+    }
+
+    /// Ticks an in-flight session gets to finish after shutdown begins.
+    fn drain_ticks(&self) -> u64 {
+        self.retry.ladder_ticks()
     }
 }
 
@@ -605,7 +615,7 @@ fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
     let write_cap = shared
         .cfg
         .io_tick
-        .saturating_mul(shared.cfg.push_ticks.min(u64::from(u32::MAX)) as u32);
+        .saturating_mul(shared.cfg.push_ticks().min(u64::from(u32::MAX)) as u32);
     let _ = stream.set_write_timeout(Some(write_cap.max(shared.cfg.io_tick)));
     let Ok(out) = stream.try_clone() else {
         let _ = stream.shutdown();
@@ -616,7 +626,7 @@ fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
     let _conn_guard = conn_span.enter();
     shared.count_connection(true);
 
-    let queue = Arc::new(BoundedQueue::new(shared.cfg.queue_cap));
+    let queue = Arc::new(BoundedQueue::new(QUEUE_CAP));
     let idle = AtomicU64::new(0);
     std::thread::scope(|scope| {
         scope.spawn(|| write_loop(out, &queue, &idle));
@@ -690,7 +700,7 @@ fn connection_loop(
             Ok(ReadStep::Tick) => {
                 shared.note_tick();
                 ticks += 1;
-                if ticks >= shared.cfg.handshake_ticks {
+                if ticks >= shared.cfg.handshake_ticks() {
                     return Some(AbortReason::HandshakeTimeout);
                 }
             }
@@ -699,10 +709,9 @@ fn connection_loop(
         }
     };
     let n = n_parties as usize;
-    if n < 2 || n > shared.cfg.max_parties {
+    if !(2..=MAX_SESSION_PARTIES).contains(&n) {
         return Some(AbortReason::Protocol(format!(
-            "session size {n} outside 2..={}",
-            shared.cfg.max_parties
+            "session size {n} outside 2..={MAX_SESSION_PARTIES}"
         )));
     }
     if party >= n_parties {
@@ -769,7 +778,7 @@ fn connection_loop(
             }
             Ok(ReadStep::Tick) => {
                 shared.note_tick();
-                if idle.fetch_add(1, Ordering::Relaxed) + 1 >= shared.cfg.idle_ticks {
+                if idle.fetch_add(1, Ordering::Relaxed) + 1 >= shared.cfg.idle_ticks() {
                     shared.abort_session(&session, AbortReason::IdleTimeout);
                 }
             }
@@ -788,7 +797,7 @@ fn connection_loop(
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             shutdown_steps += 1;
-            if shutdown_steps > shared.cfg.drain_ticks {
+            if shutdown_steps > shared.cfg.drain_ticks() {
                 shared.abort_session(&session, AbortReason::ServerShutdown);
             }
         }
@@ -851,7 +860,7 @@ fn route_frame(
             let ok = target.push_bounded(
                 SessionFrame::Envelope(env),
                 shared.cfg.io_tick,
-                shared.cfg.push_ticks,
+                shared.cfg.push_ticks(),
             );
             shared.note_depth(target.depth());
             if ok {
@@ -916,22 +925,21 @@ pub struct ClientConfig {
     /// ends early once a frame arrives; the client's logical clock
     /// advances once per tick either way.
     pub io_tick: Duration,
-    /// Ticks to wait for the server's `Welcome`.
-    pub handshake_ticks: u64,
-    /// The protocol retry policy (retransmissions count io ticks).
+    /// The protocol retry policy (retransmissions count io ticks). The
+    /// client waits four retransmission ladders for the server's
+    /// `Welcome`.
     pub retry: RetryConfig,
 }
 
 impl ClientConfig {
-    /// A client for `party` of `n_parties` in `session`, with timeouts
-    /// derived from `retry` exactly like [`ServeConfig::from_retry`].
+    /// A client for `party` of `n_parties` in `session` under `retry`, at
+    /// the same 2 ms io tick as [`ServeConfig::from_retry`].
     pub fn new(session: u64, party: PartyId, n_parties: usize, retry: RetryConfig) -> Self {
         Self {
             session,
             party,
             n_parties,
             io_tick: Duration::from_millis(2),
-            handshake_ticks: retry.ladder_ticks().saturating_mul(4),
             retry,
         }
     }
@@ -1188,7 +1196,7 @@ pub fn run_client_session(
             }
             Ok(ReadStep::Tick) => {
                 waited += 1;
-                if waited >= cfg.handshake_ticks {
+                if waited >= cfg.retry.ladder_ticks().saturating_mul(4) {
                     return Err(SetupError::Stalled { at: 0 });
                 }
             }
@@ -1361,10 +1369,10 @@ mod tests {
     fn serve_config_maps_retry_budgets() {
         let retry = RetryConfig::default();
         let cfg = ServeConfig::from_retry(&retry);
-        assert_eq!(cfg.handshake_ticks, retry.ladder_ticks());
-        assert_eq!(cfg.idle_ticks, retry.max_ticks);
-        assert_eq!(cfg.push_ticks, retry.backoff_cap);
-        assert!(cfg.queue_cap > 0);
+        assert_eq!(cfg.handshake_ticks(), retry.ladder_ticks());
+        assert_eq!(cfg.drain_ticks(), retry.ladder_ticks());
+        assert_eq!(cfg.idle_ticks(), retry.max_ticks);
+        assert_eq!(cfg.push_ticks(), retry.backoff_cap);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub enum Payload {
 
 impl Payload {
     /// Short label for traces and summaries.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Payload::PsiDigests(_) => "psi-digests",
             Payload::Metadata(_) => "metadata",
@@ -416,7 +416,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The envelope carried by the event, if any.
-    pub fn envelope(&self) -> Option<&Envelope> {
+    pub(crate) fn envelope(&self) -> Option<&Envelope> {
         match self {
             TraceEvent::Sent { env, .. }
             | TraceEvent::Dropped { env, .. }

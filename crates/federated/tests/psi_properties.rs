@@ -1,14 +1,12 @@
-//! Property-based tests for the PSI alignment kernels
-//! ([`mp_federated::align`] / [`mp_federated::multi_align`]).
+//! Property-based tests for the PSI alignment ([`mp_federated::multi_align`]).
 //!
 //! The properties the rest of the stack leans on:
-//! - every aligned index pair refers to **equal entity ids**;
+//! - every aligned index tuple refers to **equal entity ids**;
 //! - the aligned *entity set* is invariant under row permutation of
-//!   either party (the canonical digest order hides storage order);
-//! - alignment is symmetric in party order;
-//! - `multi_align` over two parties coincides with pairwise `align`.
+//!   any party (the canonical digest order hides storage order);
+//! - alignment is symmetric in party order.
 
-use mp_federated::{align, multi_align};
+use mp_federated::multi_align;
 use mp_relation::Value;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -44,61 +42,90 @@ fn aligned_ids(a: &[Value], rows_a: &[usize]) -> Vec<i64> {
     ids
 }
 
+/// Rotates `col` left by `k` (mod its length): a row permutation.
+fn rotated(col: &[Value], k: usize) -> Vec<Value> {
+    let mut out = col.to_vec();
+    if !out.is_empty() {
+        out.rotate_left(k % col.len());
+    }
+    out
+}
+
+fn sorted(rows: &[usize]) -> Vec<usize> {
+    let mut rows = rows.to_vec();
+    rows.sort_unstable();
+    rows
+}
+
 proptest! {
     #[test]
     fn aligned_pairs_refer_to_equal_ids(a in id_column(), b in id_column(), salt in 0u64..1000) {
-        let al = align(&a, &b, salt);
+        let al = multi_align(&[&a, &b], salt);
         for i in 0..al.len() {
-            prop_assert_eq!(&a[al.rows_a[i]], &b[al.rows_b[i]]);
+            prop_assert_eq!(&a[al.rows[0][i]], &b[al.rows[1][i]]);
         }
     }
 
     #[test]
     fn alignment_matches_naive_set_semantics(a in id_column(), b in id_column(), salt in 0u64..1000) {
-        let al = align(&a, &b, salt);
-        let got: HashSet<i64> = al.rows_a.iter().map(|&r| as_int(&a[r])).collect();
+        let al = multi_align(&[&a, &b], salt);
+        let got: HashSet<i64> = al.rows[0].iter().map(|&r| as_int(&a[r])).collect();
         prop_assert_eq!(got.len(), al.len(), "one aligned slot per distinct entity");
         prop_assert_eq!(got, naive_common(&[&a, &b]));
     }
 
     #[test]
     fn row_permutation_invariant(a in id_column(), b in id_column(), salt in 0u64..1000, k in 0usize..40) {
-        let base = align(&a, &b, salt);
-        let mut rotated = a.clone();
-        if !rotated.is_empty() {
-            let k = k % rotated.len();
-            rotated.rotate_left(k);
-        }
-        let perm = align(&rotated, &b, salt);
+        let base = multi_align(&[&a, &b], salt);
+        let rotated = rotated(&a, k);
+        let perm = multi_align(&[&rotated, &b], salt);
         prop_assert_eq!(perm.len(), base.len());
         prop_assert_eq!(
-            aligned_ids(&rotated, &perm.rows_a),
-            aligned_ids(&a, &base.rows_a)
+            aligned_ids(&rotated, &perm.rows[0]),
+            aligned_ids(&a, &base.rows[0])
         );
         // B's side is untouched, so its row set must be identical too.
-        let mut base_b = base.rows_b.clone();
-        let mut perm_b = perm.rows_b.clone();
-        base_b.sort_unstable();
-        perm_b.sort_unstable();
-        prop_assert_eq!(base_b, perm_b);
+        prop_assert_eq!(sorted(&base.rows[1]), sorted(&perm.rows[1]));
+    }
+
+    #[test]
+    fn three_party_row_permutation_invariant(
+        a in id_column(),
+        b in id_column(),
+        c in id_column(),
+        salt in 0u64..1000,
+        k in 0usize..40,
+        p in 0usize..3,
+    ) {
+        let cols = [a, b, c];
+        let base = multi_align(&[&cols[0], &cols[1], &cols[2]], salt);
+        let mut permuted = cols.clone();
+        permuted[p] = rotated(&cols[p], k);
+        let perm = multi_align(&[&permuted[0], &permuted[1], &permuted[2]], salt);
+        // The aligned entity list is the same, slot for slot: canonical
+        // digest order does not see storage order.
+        let entities = |cols: &[Vec<Value>; 3], rows: &[usize]| -> Vec<i64> {
+            rows.iter().map(|&r| as_int(&cols[0][r])).collect()
+        };
+        prop_assert_eq!(perm.len(), base.len());
+        prop_assert_eq!(
+            entities(&permuted, &perm.rows[0]),
+            entities(&cols, &base.rows[0])
+        );
+        // Every party whose rows did not move keeps its row lists exactly.
+        for q in (0..3).filter(|&q| q != p) {
+            prop_assert_eq!(&perm.rows[q], &base.rows[q], "party {}", q);
+        }
     }
 
     #[test]
     fn symmetric_in_party_order(a in id_column(), b in id_column(), salt in 0u64..1000) {
-        let ab = align(&a, &b, salt);
-        let ba = align(&b, &a, salt);
+        let ab = multi_align(&[&a, &b], salt);
+        let ba = multi_align(&[&b, &a], salt);
         // Canonical digest order makes the symmetry exact, not just
         // set-wise: swapping parties swaps the row vectors.
-        prop_assert_eq!(ab.rows_a, ba.rows_b);
-        prop_assert_eq!(ab.rows_b, ba.rows_a);
-    }
-
-    #[test]
-    fn multi_align_two_party_matches_pairwise(a in id_column(), b in id_column(), salt in 0u64..1000) {
-        let multi = multi_align(&[&a, &b], salt);
-        let pair = align(&a, &b, salt);
-        prop_assert_eq!(&multi.rows[0], &pair.rows_a);
-        prop_assert_eq!(&multi.rows[1], &pair.rows_b);
+        prop_assert_eq!(&ab.rows[0], &ba.rows[1]);
+        prop_assert_eq!(&ab.rows[1], &ba.rows[0]);
     }
 
     #[test]

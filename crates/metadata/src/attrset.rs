@@ -27,7 +27,7 @@ impl AttrSet {
     /// Shadows `FromIterator::from_iter` deliberately: `AttrSet::from_iter`
     /// reads better at call sites than `.collect::<AttrSet>()`.
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+    pub(crate) fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
         let mut v: Vec<usize> = iter.into_iter().collect();
         v.sort_unstable();
         v.dedup();

@@ -34,11 +34,6 @@ impl Fd {
         }
     }
 
-    /// `true` if the FD is trivial (`rhs ∈ lhs`).
-    pub fn is_trivial(&self) -> bool {
-        self.lhs.contains(self.rhs)
-    }
-
     /// Exact validation against a relation via partition refinement.
     pub fn holds(&self, relation: &Relation) -> Result<bool> {
         let lhs_pli = pli_of_set(relation, &self.lhs)?;
@@ -518,10 +513,9 @@ mod tests {
     }
 
     #[test]
-    fn trivial_fd_detected_and_holds() {
+    fn trivial_fd_holds() {
         let r = employee();
         let fd = Fd::new(vec![1, 2], 1);
-        assert!(fd.is_trivial());
         assert!(fd.holds(&r).unwrap());
     }
 

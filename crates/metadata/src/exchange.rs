@@ -135,11 +135,6 @@ impl MetadataPackage {
         self.attributes.len()
     }
 
-    /// Index of the attribute named `name`, if described.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a.name == name)
-    }
-
     /// The dependency graph induced by the shared dependencies.
     pub fn dependency_graph(&self) -> std::result::Result<DependencyGraph, String> {
         DependencyGraph::new(self.arity(), self.dependencies.clone())
@@ -212,8 +207,6 @@ mod tests {
         assert_eq!(pkg.attributes[0].kind, Some(AttrKind::Categorical));
         let dom = pkg.attributes[0].domain.as_ref().unwrap();
         assert!(dom.contains(&Value::Text("Sales".into())));
-        assert_eq!(pkg.index_of("salary"), Some(1));
-        assert_eq!(pkg.index_of("nope"), None);
     }
 
     #[test]
@@ -283,8 +276,13 @@ mod tests {
         let pkg =
             MetadataPackage::describe("bank", &rel(), vec![Fd::new(0usize, 1).into()]).unwrap();
         let g = pkg.dependency_graph().unwrap();
-        assert_eq!(g.n_attrs(), 2);
-        assert_eq!(g.dependencies().len(), 1);
+        assert_eq!(
+            g.plan(),
+            [
+                crate::PlanStep::Free { attr: 0 },
+                crate::PlanStep::Derive { attr: 1, dep: 0 }
+            ]
+        );
     }
 
     #[test]

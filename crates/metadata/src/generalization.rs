@@ -91,17 +91,6 @@ impl DomainGeneralization {
         }
         Ok(out)
     }
-
-    /// The §III-A leakage-reduction factor for a continuous attribute:
-    /// generalised θ over original θ, i.e. `range/range'` (≤ 1).
-    pub fn continuous_theta_ratio(&self, domain: &Domain) -> Option<f64> {
-        let original = domain.range()?;
-        let generalised = self.apply_domain(domain, None).range()?;
-        if generalised <= 0.0 {
-            return None;
-        }
-        Some(original / generalised)
-    }
 }
 
 #[cfg(test)]
@@ -177,19 +166,6 @@ mod tests {
             suppress_below: 0,
         };
         assert_eq!(g0.apply_domain(&dom, Some(&["a".into()])), dom);
-    }
-
-    #[test]
-    fn theta_ratio_reflects_widening() {
-        let g = DomainGeneralization {
-            widen: 4.0,
-            snap: 0.0,
-            suppress_below: 0,
-        };
-        let ratio = g
-            .continuous_theta_ratio(&Domain::continuous(0.0, 10.0))
-            .unwrap();
-        assert!((ratio - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -28,9 +28,9 @@ pub enum PlanStep {
         /// The attribute to generate.
         attr: usize,
     },
-    /// Generate the attribute through dependency `dep` (indexing into
-    /// [`DependencyGraph::dependencies`]), whose determinants have already
-    /// been generated.
+    /// Generate the attribute through dependency `dep` (indexing into the
+    /// dependency list the graph was built from), whose determinants have
+    /// already been generated.
     Derive {
         /// The attribute to generate.
         attr: usize,
@@ -52,7 +52,7 @@ impl DependencyGraph {
     /// Builds a graph over `n_attrs` attributes from shared dependencies.
     ///
     /// Dependencies referring to out-of-range attributes are rejected.
-    pub fn new(n_attrs: usize, deps: Vec<Dependency>) -> Result<Self, String> {
+    pub(crate) fn new(n_attrs: usize, deps: Vec<Dependency>) -> Result<Self, String> {
         for d in &deps {
             if d.rhs() >= n_attrs || d.lhs().iter().any(|a| a >= n_attrs) {
                 return Err(format!(
@@ -63,18 +63,8 @@ impl DependencyGraph {
         Ok(Self { n_attrs, deps })
     }
 
-    /// Number of attributes.
-    pub fn n_attrs(&self) -> usize {
-        self.n_attrs
-    }
-
-    /// The dependencies (edge labels).
-    pub fn dependencies(&self) -> &[Dependency] {
-        &self.deps
-    }
-
     /// Dependencies whose dependent attribute is `attr`.
-    pub fn incoming(&self, attr: usize) -> Vec<usize> {
+    pub(crate) fn incoming(&self, attr: usize) -> Vec<usize> {
         self.deps
             .iter()
             .enumerate()

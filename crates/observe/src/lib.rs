@@ -41,4 +41,4 @@ mod snapshot;
 
 pub use metrics::{Counter, Gauge, Histogram, Span, SpanGuard};
 pub use recorder::{Clock, NoopRecorder, Recorder, Registry};
-pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot, SCHEMA_VERSION};
+pub use snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};

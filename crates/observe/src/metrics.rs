@@ -21,7 +21,7 @@ impl Counter {
     }
 
     /// A no-op counter: every update is discarded, reads return 0.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter(None)
     }
 
@@ -56,12 +56,12 @@ pub struct Gauge(pub(crate) Option<Arc<AtomicU64>>);
 
 impl Gauge {
     /// A live, unregistered gauge (starts at 0).
-    pub fn live() -> Self {
+    pub(crate) fn live() -> Self {
         Gauge(Some(Arc::new(AtomicU64::new(0))))
     }
 
     /// A no-op gauge.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Gauge(None)
     }
 
@@ -74,7 +74,7 @@ impl Gauge {
     }
 
     /// Current value (0 for no-op handles).
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
     }
 }
@@ -124,7 +124,7 @@ impl Histogram {
     }
 
     /// A no-op histogram.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram(None)
     }
 
@@ -140,20 +140,15 @@ impl Histogram {
     }
 
     /// Number of recorded observations (0 for no-op handles).
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |h| h.count.load(Ordering::Relaxed))
     }
 
     /// Sum of recorded observations (0 for no-op handles).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.0.as_ref().map_or(0, |h| h.sum.load(Ordering::Relaxed))
-    }
-
-    /// The (sorted, deduplicated) upper bucket bounds.
-    pub fn bounds(&self) -> Vec<u64> {
-        self.0.as_ref().map_or_else(Vec::new, |h| h.bounds.clone())
     }
 
     /// The current state as a [`crate::HistogramSnapshot`]. No-op handles
@@ -199,7 +194,7 @@ pub struct Span(pub(crate) Option<(Arc<SpanCore>, crate::Clock)>);
 
 impl Span {
     /// A no-op span.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Span(None)
     }
 
@@ -213,14 +208,14 @@ impl Span {
     }
 
     /// Number of completed entries (0 for no-op handles).
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |(core, _)| core.count.load(Ordering::Relaxed))
     }
 
     /// Total logical units spent inside (0 for no-op handles).
-    pub fn units(&self) -> u64 {
+    pub(crate) fn units(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |(core, _)| core.units.load(Ordering::Relaxed))
@@ -294,7 +289,7 @@ mod tests {
     #[test]
     fn histogram_bounds_sorted_and_deduped() {
         let h = Histogram::live(&[50, 1, 50, 7]);
-        assert_eq!(h.bounds(), vec![1, 7, 50]);
+        assert_eq!(h.snapshot().bounds, vec![1, 7, 50]);
     }
 
     #[test]

@@ -18,26 +18,21 @@ use crate::snapshot::{Snapshot, SpanSnapshot};
 pub struct Clock(pub(crate) Arc<AtomicU64>);
 
 impl Clock {
-    /// A fresh clock at time 0.
-    pub fn new() -> Self {
-        Clock::default()
-    }
-
     /// Advances the clock by `units`.
     #[inline]
-    pub fn advance(&self, units: u64) {
+    pub(crate) fn advance(&self, units: u64) {
         self.0.fetch_add(units, Ordering::Relaxed);
     }
 
     /// Sets the clock to an absolute logical time (e.g. a transport tick).
     #[inline]
-    pub fn set(&self, units: u64) {
+    pub(crate) fn set(&self, units: u64) {
         self.0.store(units, Ordering::Relaxed);
     }
 
     /// Current logical time.
     #[inline]
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -123,11 +118,6 @@ impl Registry {
     /// An empty registry with its clock at 0.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// The registry's logical clock (shared with every span it creates).
-    pub fn clock(&self) -> Clock {
-        self.clock.clone()
     }
 
     /// Captures the current state of every registered metric.
@@ -247,8 +237,8 @@ mod tests {
         let r = Registry::new();
         let a = r.histogram("lat", &[1, 2, 3]);
         let b = r.histogram("lat", &[99]);
-        assert_eq!(a.bounds(), b.bounds());
-        assert_eq!(b.bounds(), vec![1, 2, 3]);
+        assert_eq!(a.snapshot().bounds, b.snapshot().bounds);
+        assert_eq!(b.snapshot().bounds, vec![1, 2, 3]);
     }
 
     #[test]
@@ -277,7 +267,6 @@ mod tests {
         r.advance(4);
         r.set_time(100);
         assert_eq!(r.now(), 100);
-        assert_eq!(r.clock().now(), 100);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// Version stamp embedded in every snapshot as `"schema_version"`.
 /// Bump it whenever the JSON layout changes shape.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// State of one histogram at snapshot time.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -79,13 +79,8 @@ impl Bitmap {
     }
 
     /// Number of bits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when the bitmap has no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Number of set bits.
@@ -124,7 +119,7 @@ impl Bitmap {
     }
 
     /// The bitmap restricted to `rows` (in the given order).
-    pub fn select(&self, rows: &[usize]) -> Bitmap {
+    pub(crate) fn select(&self, rows: &[usize]) -> Bitmap {
         let mut out = Bitmap::new();
         for &r in rows {
             out.push(self.get(r));
@@ -133,7 +128,7 @@ impl Bitmap {
     }
 
     /// Appends all bits of `other`.
-    pub fn extend_from(&mut self, other: &Bitmap) {
+    pub(crate) fn extend_from(&mut self, other: &Bitmap) {
         for i in 0..other.len {
             self.push(other.get(i));
         }
@@ -633,7 +628,7 @@ impl Column {
     /// Appends all rows of `other`, merging representations (dictionary
     /// columns remap codes through a merged dictionary; mismatched layouts
     /// rebuild through [`Value`]s).
-    pub fn extend_from(&mut self, other: &Column) {
+    pub(crate) fn extend_from(&mut self, other: &Column) {
         match (&mut *self, other) {
             (
                 Column::Categorical { dict, codes },

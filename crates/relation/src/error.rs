@@ -54,7 +54,7 @@ pub enum RelationError {
     /// The operation requires a non-empty relation.
     EmptyRelation,
     /// A relation would hold more rows than partitions can address
-    /// ([`Relation::MAX_ROWS`](crate::Relation::MAX_ROWS)).
+    /// (`u32::MAX`).
     TooManyRows {
         /// The row count that was refused.
         rows: usize,

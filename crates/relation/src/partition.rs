@@ -30,8 +30,8 @@ use std::collections::HashMap;
 /// Invariants: every cluster has length ≥ 2, clusters are internally sorted,
 /// and clusters are sorted by their first element, so two `Pli`s computed
 /// from equivalent groupings compare equal. A partition covers at most
-/// [`Relation::MAX_ROWS`] rows; the constructors panic beyond that rather
-/// than truncate a row id.
+/// `u32::MAX` rows (row ids are `u32`); the constructors panic beyond that
+/// rather than truncate a row id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pli {
     /// Row ids of every cluster, cluster after cluster.

@@ -119,23 +119,33 @@ impl std::fmt::Debug for PliCache {
 }
 
 impl PliCache {
-    /// A cache holding at most `capacity` partitions. `capacity == 0`
-    /// disables caching entirely: every [`get`](Self::get) misses and
-    /// [`insert`](Self::insert) is a no-op (useful as an ablation
-    /// baseline and for relations too wide to key).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_budget(capacity, 0)
-    }
-
-    /// Like [`new`](Self::new), plus a *byte* budget: the estimated
-    /// retained heap of resident partitions ([`Pli::heap_bytes`]) is kept
-    /// at or below `budget_bytes` by additional LRU evictions.
-    /// `budget_bytes == 0` means unlimited (entry capacity still
+    /// A cache holding at most `capacity` partitions whose estimated
+    /// retained heap ([`Pli::heap_bytes`]) stays at or below
+    /// `budget_bytes` by additional LRU evictions.
+    ///
+    /// `capacity == 0` disables caching entirely: every
+    /// [`get`](Self::get) misses and [`insert`](Self::insert) is a no-op
+    /// (useful as an ablation baseline and for relations too wide to
+    /// key). `budget_bytes == 0` means unlimited (entry capacity still
     /// applies). A partition larger than the whole budget is returned
     /// uncached rather than evicting everything for a single entry.
-    pub fn with_budget(capacity: usize, budget_bytes: usize) -> Self {
-        // Detached live counters: `stats()` keeps working without a
-        // recorder, at the same one-relaxed-atomic cost as before.
+    ///
+    /// The hit/miss/eviction counters are registered with `recorder` as
+    /// `pli_cache.hits`, `pli_cache.misses`, `pli_cache.evictions` and
+    /// `pli_cache.budget_evictions`. The *same* atomics back
+    /// [`stats`](Self::stats) and the recorder's snapshot, so there is
+    /// exactly one source of truth for cache statistics.
+    pub fn new(capacity: usize, budget_bytes: usize, recorder: &dyn Recorder) -> Self {
+        // Noop recorders hand back dead handles; detached live counters
+        // keep `stats()` working in that case.
+        let live = recorder.counter("pli_cache.hits").is_live();
+        let counter = |name| {
+            if live {
+                recorder.counter(name)
+            } else {
+                Counter::live()
+            }
+        };
         PliCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -144,45 +154,16 @@ impl PliCache {
             }),
             capacity,
             budget_bytes,
-            hits: Counter::live(),
-            misses: Counter::live(),
-            evictions: Counter::live(),
-            budget_evictions: Counter::live(),
+            hits: counter("pli_cache.hits"),
+            misses: counter("pli_cache.misses"),
+            evictions: counter("pli_cache.evictions"),
+            budget_evictions: counter("pli_cache.budget_evictions"),
         }
-    }
-
-    /// Like [`with_budget`](Self::with_budget), but the hit/miss/eviction
-    /// counters are registered with `recorder` as `pli_cache.hits`,
-    /// `pli_cache.misses`, `pli_cache.evictions` and
-    /// `pli_cache.budget_evictions`. The *same* atomics back [`stats`](
-    /// Self::stats) and the recorder's snapshot, so there is exactly one
-    /// source of truth for cache statistics.
-    pub fn with_recorder_and_budget(
-        capacity: usize,
-        budget_bytes: usize,
-        recorder: &dyn Recorder,
-    ) -> Self {
-        let mut cache = PliCache::with_budget(capacity, budget_bytes);
-        // Noop recorders hand back dead handles; keep the detached live
-        // counters in that case so `stats()` stays functional.
-        let hits = recorder.counter("pli_cache.hits");
-        if hits.is_live() {
-            cache.hits = hits;
-            cache.misses = recorder.counter("pli_cache.misses");
-            cache.evictions = recorder.counter("pli_cache.evictions");
-            cache.budget_evictions = recorder.counter("pli_cache.budget_evictions");
-        }
-        cache
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured byte budget (`0` = unlimited).
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
     }
 
     /// Estimated heap bytes currently retained by resident partitions.
@@ -192,14 +173,9 @@ impl PliCache {
     }
 
     /// Number of resident entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         // lint: allow(no-panic) reason="cache operations cannot panic while holding the lock, so poisoning implies a panic already unwinding elsewhere"
         self.inner.lock().expect("PliCache lock poisoned").map.len()
-    }
-
-    /// `true` when no entries are resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Looks up the partition for the attribute bitset `key`, bumping its
@@ -291,14 +267,6 @@ impl PliCache {
         pli
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        // lint: allow(no-panic) reason="cache operations cannot panic while holding the lock, so poisoning implies a panic already unwinding elsewhere"
-        let mut inner = self.inner.lock().expect("PliCache lock poisoned");
-        inner.map.clear();
-        inner.bytes = 0;
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> PliCacheStats {
         PliCacheStats {
@@ -318,6 +286,7 @@ impl PliCache {
 mod tests {
     use super::*;
     use crate::Value;
+    use mp_observe::{NoopRecorder, Registry};
 
     fn pli(values: &[i64]) -> Pli {
         let column: Vec<Value> = values.iter().map(|&v| Value::Int(v)).collect();
@@ -326,7 +295,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let cache = PliCache::new(8);
+        let cache = PliCache::new(8, 0, &NoopRecorder);
         assert!(cache.get(0b1).is_none());
         cache.insert(0b1, pli(&[1, 1, 2]));
         let hit = cache.get(0b1).expect("present");
@@ -338,7 +307,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_keeps_recently_used() {
-        let cache = PliCache::new(2);
+        let cache = PliCache::new(2, 0, &NoopRecorder);
         cache.insert(1, pli(&[1]));
         cache.insert(2, pli(&[1, 1]));
         // Touch 1 so 2 becomes the LRU victim.
@@ -353,7 +322,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = PliCache::new(0);
+        let cache = PliCache::new(0, 0, &NoopRecorder);
         cache.insert(1, pli(&[1, 2]));
         assert!(cache.get(1).is_none());
         assert_eq!(cache.len(), 0);
@@ -362,7 +331,7 @@ mod tests {
 
     #[test]
     fn duplicate_insert_keeps_first_resident() {
-        let cache = PliCache::new(4);
+        let cache = PliCache::new(4, 0, &NoopRecorder);
         let a = cache.insert(7, pli(&[1, 1, 2, 2]));
         let b = cache.insert(7, pli(&[1, 1, 2, 2]));
         assert!(
@@ -374,7 +343,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = PliCache::new(64);
+        let cache = PliCache::new(64, 0, &NoopRecorder);
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let cache = &cache;
@@ -399,9 +368,8 @@ mod tests {
 
     #[test]
     fn recorder_counters_are_one_source_of_truth() {
-        use mp_observe::{NoopRecorder, Registry};
         let registry = Registry::new();
-        let cache = PliCache::with_recorder_and_budget(4, 0, &registry);
+        let cache = PliCache::new(4, 0, &registry);
         cache.get(1); // miss
         cache.insert(1, pli(&[1, 2]));
         cache.get(1); // hit
@@ -413,7 +381,7 @@ mod tests {
         assert_eq!(snap.counters["pli_cache.evictions"], 0);
 
         // A noop recorder must not break local stats.
-        let plain = PliCache::with_recorder_and_budget(4, 0, &NoopRecorder);
+        let plain = PliCache::new(4, 0, &NoopRecorder);
         plain.get(9);
         assert_eq!(plain.stats().misses, 1);
     }
@@ -424,10 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn byte_accounting_is_exact_across_insert_evict_clear() {
+    fn byte_accounting_is_exact_across_insert_and_evict() {
         let one = bytes_of(&[1, 1]); // one 2-row cluster
-        let cache = PliCache::with_budget(16, 3 * one);
-        assert_eq!(cache.budget_bytes(), 3 * one);
+        let cache = PliCache::new(16, 3 * one, &NoopRecorder);
+        assert_eq!(cache.stats().budget_bytes, 3 * one);
         cache.insert(1, pli(&[1, 1]));
         cache.insert(2, pli(&[2, 2]));
         assert_eq!(cache.resident_bytes(), 2 * one);
@@ -443,15 +411,12 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.budget_evictions, 1);
         assert!(cache.get(1).is_none(), "LRU entry paid for the budget");
-        cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn oversized_partition_bypasses_cache_instead_of_flushing_it() {
         let one = bytes_of(&[1, 1]);
-        let cache = PliCache::with_budget(16, 2 * one);
+        let cache = PliCache::new(16, 2 * one, &NoopRecorder);
         cache.insert(1, pli(&[1, 1]));
         cache.insert(2, pli(&[2, 2]));
         // Larger than the whole budget: returned uncached, residents kept.
@@ -469,7 +434,7 @@ mod tests {
         let one = bytes_of(&[1, 1]);
         let three = bytes_of(&[7; 8]); // one 8-row cluster
         assert!(three < 4 * one && three > 2 * one);
-        let cache = PliCache::with_budget(16, 4 * one);
+        let cache = PliCache::new(16, 4 * one, &NoopRecorder);
         for key in 1..=4 {
             cache.insert(key, pli(&[key as i64, key as i64]));
         }
@@ -490,7 +455,7 @@ mod tests {
     #[test]
     fn capacity_one_with_budget_ping_pong_stays_exact() {
         let one = bytes_of(&[1, 1]);
-        let cache = PliCache::with_budget(1, one);
+        let cache = PliCache::new(1, one, &NoopRecorder);
         for round in 0..8u64 {
             let key = round % 2;
             cache.insert(key, pli(&[1, 1]));
@@ -506,10 +471,9 @@ mod tests {
 
     #[test]
     fn budget_recorder_counter_is_registered() {
-        use mp_observe::Registry;
         let registry = Registry::new();
         let one = bytes_of(&[1, 1]);
-        let cache = PliCache::with_recorder_and_budget(16, one, &registry);
+        let cache = PliCache::new(16, one, &registry);
         cache.insert(1, pli(&[1, 1]));
         cache.insert(2, pli(&[2, 2]));
         assert_eq!(
@@ -521,7 +485,7 @@ mod tests {
 
     #[test]
     fn display_is_humane() {
-        let cache = PliCache::new(3);
+        let cache = PliCache::new(3, 0, &NoopRecorder);
         cache.insert(1, pli(&[1]));
         cache.get(1);
         let text = cache.stats().to_string();

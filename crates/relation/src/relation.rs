@@ -35,7 +35,7 @@ fn check_rows(n_rows: usize) -> Result<()> {
 impl Relation {
     /// The most rows a relation may hold: stripped partitions
     /// ([`Pli`](crate::Pli)) store row ids as `u32`.
-    pub const MAX_ROWS: usize = u32::MAX as usize;
+    pub(crate) const MAX_ROWS: usize = u32::MAX as usize;
 
     /// Creates an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
@@ -141,11 +141,6 @@ impl Relation {
         self.schema.arity()
     }
 
-    /// Returns `true` if the relation has no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
-
     /// The typed column at `index`.
     pub fn column(&self, index: usize) -> Result<&Column> {
         self.columns
@@ -169,7 +164,7 @@ impl Relation {
     }
 
     /// Borrowing view of the cell at (`row`, `col`).
-    pub fn value_ref(&self, row: usize, col: usize) -> Result<ValueRef<'_>> {
+    pub(crate) fn value_ref(&self, row: usize, col: usize) -> Result<ValueRef<'_>> {
         let column = self.column(col)?;
         if row >= self.n_rows {
             return Err(RelationError::IndexOutOfBounds {
@@ -178,17 +173,6 @@ impl Relation {
             });
         }
         Ok(column.value_ref(row))
-    }
-
-    /// Materialises row `row` as an owned vector.
-    pub fn row(&self, row: usize) -> Result<Vec<Value>> {
-        if row >= self.n_rows {
-            return Err(RelationError::IndexOutOfBounds {
-                index: row,
-                len: self.n_rows,
-            });
-        }
-        Ok(self.columns.iter().map(|c| c.value(row)).collect())
     }
 
     /// Iterator over materialised rows.
@@ -448,7 +432,7 @@ mod tests {
         assert_eq!(r.value(1, 0).unwrap(), Value::Text("Bob".into()));
         assert_eq!(r.value_ref(1, 0).unwrap(), ValueRef::Text("Bob"));
         assert_eq!(r.column(1).unwrap().value(2), Value::Int(22));
-        assert_eq!(r.row(0).unwrap()[2], Value::Text("Sales".into()));
+        assert_eq!(r.rows().next().unwrap()[2], Value::Text("Sales".into()));
     }
 
     #[test]
@@ -625,7 +609,7 @@ mod tests {
     #[test]
     fn empty_relation_behaviour() {
         let r = Relation::empty(schema());
-        assert!(r.is_empty());
+        assert_eq!(r.n_rows(), 0);
         assert_eq!(r.rows().count(), 0);
         assert_eq!(r.distinct_count(0).unwrap(), 0);
     }

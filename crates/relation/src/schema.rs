@@ -79,7 +79,7 @@ impl Schema {
     }
 
     /// Number of attributes.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.attributes.len()
     }
 
@@ -91,14 +91,6 @@ impl Schema {
                 index,
                 len: self.attributes.len(),
             })
-    }
-
-    /// Index of the attribute named `name`.
-    pub fn index_of(&self, name: &str) -> Result<usize> {
-        self.attributes
-            .iter()
-            .position(|a| a.name == name)
-            .ok_or_else(|| RelationError::UnknownAttribute(name.to_owned()))
     }
 
     /// Iterator over `(index, attribute)` pairs.
@@ -118,7 +110,7 @@ impl Schema {
 
     /// Sub-schema keeping only the attributes at `indices` (in the given
     /// order). Used when vertically partitioning a relation between parties.
-    pub fn project(&self, indices: &[usize]) -> Result<Schema> {
+    pub(crate) fn project(&self, indices: &[usize]) -> Result<Schema> {
         let mut attrs = Vec::with_capacity(indices.len());
         for &i in indices {
             attrs.push(self.attribute(i)?.clone());
@@ -166,11 +158,6 @@ mod tests {
     #[test]
     fn index_lookup() {
         let s = abc();
-        assert_eq!(s.index_of("b").unwrap(), 1);
-        assert!(matches!(
-            s.index_of("zz"),
-            Err(RelationError::UnknownAttribute(_))
-        ));
         assert_eq!(s.attribute(2).unwrap().name, "c");
         assert!(s.attribute(3).is_err());
     }

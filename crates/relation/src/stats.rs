@@ -34,7 +34,7 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Computes statistics for column `col` of `relation`.
-    pub fn compute(relation: &Relation, col: usize) -> Result<Self> {
+    pub(crate) fn compute(relation: &Relation, col: usize) -> Result<Self> {
         let name = relation.schema().attribute(col)?.name.clone();
         let column = relation.column(col)?;
         let count = column.len();

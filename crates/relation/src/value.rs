@@ -159,15 +159,6 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// Integer view, if the cell is an `Int`.
-    #[inline]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            ValueRef::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// A short name for the variant, used in error messages.
     pub(crate) fn type_name(&self) -> &'static str {
         match self {

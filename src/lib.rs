@@ -52,8 +52,8 @@ pub use mp_synth as synth;
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
     pub use mp_core::{
-        categorical_matches, continuous_matches, leakage_rate, mse, run_attack, run_cell,
-        tuple_matches, AttackResult, ExperimentConfig, TextTable,
+        categorical_matches, continuous_matches, mse, run_attack, run_cell, AttackResult,
+        ExperimentConfig, TextTable,
     };
     pub use mp_discovery::{DependencyProfile, ProfileConfig};
     pub use mp_federated::{run_scenario, MultiPartySession, Party};

@@ -130,10 +130,10 @@ proptest! {
         ids_b in prop::collection::vec(0u32..40, 0..50),
         salt in 0u64..99,
     ) {
-        use metadata_privacy::federated::align;
+        use metadata_privacy::federated::multi_align;
         let va: Vec<Value> = ids_a.iter().map(|&i| Value::Int(i as i64)).collect();
         let vb: Vec<Value> = ids_b.iter().map(|&i| Value::Int(i as i64)).collect();
-        let al = align(&va, &vb, salt);
+        let al = multi_align(&[&va, &vb], salt);
         // Size equals the set-intersection size.
         let mut sa: Vec<u32> = ids_a.clone();
         sa.sort_unstable();
@@ -145,7 +145,7 @@ proptest! {
         prop_assert_eq!(al.len(), expected);
         // And every aligned pair refers to the same entity.
         for i in 0..al.len() {
-            prop_assert_eq!(&va[al.rows_a[i]], &vb[al.rows_b[i]]);
+            prop_assert_eq!(&va[al.rows[0][i]], &vb[al.rows[1][i]]);
         }
     }
 }
