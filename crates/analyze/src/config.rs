@@ -52,7 +52,8 @@ pub struct LayeringConfig {
     pub forbidden: Vec<(String, String)>,
 }
 
-/// Full analyzer configuration (see the shipped `analyze.toml`).
+/// Full analyzer configuration, parsed from `analyze.toml`: the shipped
+/// file at the workspace root is the only source of rule scopes.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Workspace-relative path prefixes never scanned (vendored code,
@@ -68,95 +69,6 @@ impl Config {
     /// Scope for `rule`, defaulting to "applies everywhere".
     pub fn scope(&self, rule: &str) -> RuleScope {
         self.rules.get(rule).cloned().unwrap_or_default()
-    }
-
-    /// The configuration the workspace ships in `analyze.toml`, usable when
-    /// no config file is present (e.g. unit tests on synthetic trees).
-    pub fn workspace_default() -> Config {
-        let mut rules = BTreeMap::new();
-        rules.insert(
-            "no-wall-clock".to_owned(),
-            RuleScope {
-                allow_paths: vec![
-                    "crates/bench/src/bin/observe_overhead.rs".to_owned(),
-                    "crates/bench/tests/serve_backpressure.rs".to_owned(),
-                    "perfbench".to_owned(),
-                ],
-                ..RuleScope::default()
-            },
-        );
-        rules.insert(
-            "no-unordered-iteration".to_owned(),
-            RuleScope {
-                paths: vec![
-                    "crates/cli/src/commands.rs".to_owned(),
-                    "crates/cli/src/main.rs".to_owned(),
-                    "crates/core/src/matrix.rs".to_owned(),
-                    "crates/federated/src/serve.rs".to_owned(),
-                    "crates/observe/src/snapshot.rs".to_owned(),
-                ],
-                ..RuleScope::default()
-            },
-        );
-        rules.insert(
-            "no-panic".to_owned(),
-            RuleScope {
-                paths: vec![
-                    "crates/core/src".to_owned(),
-                    "crates/discovery/src".to_owned(),
-                    "crates/federated/src".to_owned(),
-                    "crates/relation/src".to_owned(),
-                ],
-                ..RuleScope::default()
-            },
-        );
-        rules.insert(
-            "no-literal-index".to_owned(),
-            RuleScope {
-                paths: vec![
-                    "crates/core/src".to_owned(),
-                    "crates/discovery/src".to_owned(),
-                    "crates/federated/src".to_owned(),
-                    "crates/relation/src".to_owned(),
-                ],
-                ..RuleScope::default()
-            },
-        );
-        rules.insert(
-            "fuzzed-decoder-no-panic".to_owned(),
-            RuleScope {
-                paths: vec![
-                    "crates/federated/src/net.rs".to_owned(),
-                    "crates/federated/src/transport.rs".to_owned(),
-                    "crates/metadata/src/exchange.rs".to_owned(),
-                    "crates/relation/src/csv.rs".to_owned(),
-                ],
-                ..RuleScope::default()
-            },
-        );
-        rules.insert(
-            "no-stdout-in-libs".to_owned(),
-            RuleScope {
-                allow_paths: vec!["crates/bench".to_owned(), "perfbench".to_owned()],
-                ..RuleScope::default()
-            },
-        );
-        Config {
-            exclude: vec![
-                "crates/analyze/tests/fixtures".to_owned(),
-                "data".to_owned(),
-                "target".to_owned(),
-                "vendor".to_owned(),
-            ],
-            rules,
-            layering: LayeringConfig {
-                isolated: vec!["mp-observe".to_owned()],
-                forbidden: vec![
-                    ("mp-relation".to_owned(), "mp-discovery".to_owned()),
-                    ("mp-relation".to_owned(), "mp-federated".to_owned()),
-                ],
-            },
-        }
     }
 
     /// Parses the `analyze.toml` subset; returns a descriptive error with a
@@ -343,6 +255,15 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
     parts
 }
 
+/// The shipped `analyze.toml`, for unit tests over synthetic trees.
+#[cfg(test)]
+impl Config {
+    pub(crate) fn shipped() -> Config {
+        Config::parse(include_str!("../../../analyze.toml"))
+            .expect("the shipped analyze.toml parses")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,8 +329,8 @@ forbidden = ["mp-relation -> mp-discovery", "mp-relation -> mp-federated"]
     }
 
     #[test]
-    fn workspace_default_matches_shipped_semantics() {
-        let c = Config::workspace_default();
+    fn shipped_config_scopes_rules_as_documented() {
+        let c = Config::shipped();
         assert!(c
             .scope("no-panic")
             .applies_to("crates/federated/src/sim.rs"));

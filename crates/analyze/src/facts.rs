@@ -1170,7 +1170,7 @@ mod tests {
     fn build(files: &[(&str, &str)]) -> (Workspace, CallGraph, FactDb) {
         let ws = ws(files);
         let graph = CallGraph::build(&ws);
-        let config = Config::workspace_default();
+        let config = Config::shipped();
         let db = FactDb::build(&ws, &graph, &config);
         (ws, graph, db)
     }

@@ -12,7 +12,7 @@
 //!
 //! ## Pipeline
 //!
-//! 1. [`workspace::Workspace::discover`] walks the repository, collecting
+//! 1. [`workspace::Workspace`] discovery walks the repository, collecting
 //!    every first-party `.rs` file and `Cargo.toml` in sorted order.
 //! 2. [`lexer`] tokenizes each file — a hand-rolled lexer that gets raw
 //!    strings, nested block comments, lifetimes-vs-char-literals and raw
@@ -33,10 +33,11 @@
 //! 6. [`ratchet`] compares the report's per-crate debt counters against
 //!    the committed `analyze-baseline.toml`: counters may only fall.
 //!
-//! The binary (`mp-analyze`, also reachable as `mpriv analyze`) exits
-//! non-zero when any violation survives or `--ratchet` detects a counter
-//! regression, making the invariants blocking in CI. Zero dependencies,
-//! like `mp-observe`.
+//! [`run`] is the one command line, behind both the `mp-analyze` binary
+//! and `mpriv analyze`: it exits non-zero when any violation survives or
+//! `--ratchet` detects a counter regression, making the invariants
+//! blocking in CI. Rule scopes come from `analyze.toml` alone. Zero
+//! dependencies, like `mp-observe`.
 
 pub mod callgraph;
 pub mod config;
@@ -49,31 +50,143 @@ pub mod rules;
 pub mod source;
 pub mod workspace;
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Runs the full registry over the workspace at `root` with `config`.
-pub fn analyze(root: &Path, config: &config::Config) -> Result<diagnostics::Report, String> {
-    let ws = workspace::Workspace::discover(root, config)?;
-    Ok(rules::run(&ws, config))
+/// Runs the full registry over the workspace at `root` under the config
+/// file at `config`, or `<root>/analyze.toml` when `None`: that file is
+/// the only source of rule scopes.
+pub fn analyze(root: &Path, config: Option<&Path>) -> Result<diagnostics::Report, String> {
+    let path = config.map_or_else(|| root.join("analyze.toml"), Path::to_owned);
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let config = config::Config::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let ws = workspace::Workspace::discover(root, &config)?;
+    Ok(rules::run(&ws, &config))
 }
 
-/// Loads `analyze.toml` from `root` (falling back to the built-in default
-/// configuration when the file does not exist) and runs the analysis.
-pub fn analyze_with_default_config(root: &Path) -> Result<diagnostics::Report, String> {
-    let config_path = root.join("analyze.toml");
-    let config = if config_path.exists() {
-        let text = std::fs::read_to_string(&config_path)
-            .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
-        config::Config::parse(&text).map_err(|e| format!("analyze.toml: {e}"))?
-    } else {
-        config::Config::workspace_default()
-    };
-    analyze(root, &config)
+/// What one linter run leaves its front-end to print.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The rendered report, the rule list or the usage text, for stdout.
+    pub report: String,
+    /// The ratchet summary (empty without `--ratchet`), for stderr, so
+    /// that stdout stays byte-stable.
+    pub ratchet: String,
+    /// `false` when a violation survived or a ratchet counter rose.
+    pub clean: bool,
 }
+
+impl Outcome {
+    /// A clean run that prints only `text`: the usage or the rule list.
+    fn text(text: String) -> Outcome {
+        Outcome {
+            report: text,
+            ratchet: String::new(),
+            clean: true,
+        }
+    }
+}
+
+/// The linter's command line, shared by `mp-analyze` and `mpriv analyze`:
+/// `args` are the arguments after the program (or subcommand) name, as
+/// `--help` lists them. Both front-ends print [`Outcome::report`] to
+/// stdout and [`Outcome::ratchet`] to stderr, and exit 0 when
+/// [`Outcome::clean`], else 1. An `Err` is a usage or configuration
+/// error: exit 2.
+pub fn run(args: &[String]) -> Result<Outcome, String> {
+    let mut root: Option<PathBuf> = None;
+    let mut config: Option<PathBuf> = None;
+    let mut json = false;
+    let mut list_rules = false;
+    let mut ratchet = false;
+    let mut baseline: Option<PathBuf> = None;
+    let mut write_baseline = false;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--root" => root = Some(iter.next().ok_or("--root needs a directory")?.into()),
+            "--config" => config = Some(iter.next().ok_or("--config needs a path")?.into()),
+            "--format" => {
+                json = match iter.next().ok_or("--format needs human|json")?.as_str() {
+                    "human" => false,
+                    "json" => true,
+                    other => return Err(format!("unknown format `{other}` (expected human|json)")),
+                };
+            }
+            "--list-rules" => list_rules = true,
+            "--ratchet" => ratchet = true,
+            "--baseline" => baseline = Some(iter.next().ok_or("--baseline needs a path")?.into()),
+            "--write-baseline" => {
+                ratchet = true;
+                write_baseline = true;
+            }
+            "--help" | "-h" => return Ok(Outcome::text(USAGE.to_owned())),
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+        }
+    }
+
+    if list_rules {
+        let mut out = String::new();
+        for lint in rules::registry() {
+            let _ = writeln!(out, "{:<24} {}", lint.name(), lint.description());
+        }
+        return Ok(Outcome::text(out));
+    }
+
+    let root = match root {
+        Some(root) => root,
+        None => {
+            let cwd = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
+            find_workspace_root(&cwd)
+                .ok_or("no workspace root found above the current directory; pass --root")?
+        }
+    };
+    let report = analyze(&root, config.as_deref())?;
+    let mut outcome = Outcome {
+        report: if json {
+            report.render_json()
+        } else {
+            report.render_human()
+        },
+        ratchet: String::new(),
+        clean: report.is_clean(),
+    };
+    if ratchet {
+        let path = baseline.unwrap_or_else(|| root.join("analyze-baseline.toml"));
+        let (verdict, summary) = ratchet::apply(&report.facts, &path, write_baseline)?;
+        outcome.clean &= verdict.passed();
+        outcome.ratchet = summary;
+    }
+    Ok(outcome)
+}
+
+/// The usage text `--help` prints.
+const USAGE: &str = "\
+mp-analyze: workspace invariant linter (determinism, panic-safety, layering, I/O hygiene)
+
+USAGE:
+    mp-analyze [--root DIR] [--config PATH] [--format human|json] [--list-rules]
+               [--ratchet] [--baseline PATH] [--write-baseline]
+
+OPTIONS:
+    --root DIR        workspace root (default: nearest [workspace] above cwd)
+    --config PATH     analyze.toml to use (default: <root>/analyze.toml)
+    --format FMT      human (file:line:col lines) or json (stable sorted keys)
+    --list-rules      print every registered rule and exit
+    --ratchet         compare per-crate debt counters against the baseline;
+                      any counter rise fails the run (stderr, exit 1)
+    --baseline PATH   baseline file (default: <root>/analyze-baseline.toml)
+    --write-baseline  write current counters as the new baseline (implies
+                      --ratchet; use after burning debt down)
+
+EXIT CODES:
+    0  clean    1  violations found or ratchet regression    2  usage error
+";
 
 /// Walks up from `start` to the nearest directory whose `Cargo.toml`
 /// declares `[workspace]`.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_owned());
     while let Some(d) = dir {
         let manifest = d.join("Cargo.toml");

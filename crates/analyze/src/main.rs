@@ -8,16 +8,17 @@
 //! Exit codes: `0` clean, `1` violations found or ratchet regression, `2`
 //! usage/configuration error. The JSON report is byte-stable across runs
 //! on an unchanged tree; ratchet chatter goes to stderr to keep it so.
+//! [`mp_analyze::run`] does all of it; `mpriv analyze` calls it too.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(Outcome { report, clean }) => {
-            print!("{report}");
-            if clean {
+    match mp_analyze::run(&args) {
+        Ok(outcome) => {
+            print!("{}", outcome.report);
+            eprint!("{}", outcome.ratchet);
+            if outcome.clean {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -29,145 +30,3 @@ fn main() -> ExitCode {
         }
     }
 }
-
-struct Outcome {
-    report: String,
-    clean: bool,
-}
-
-/// Runs the debt ratchet after the analysis proper. Messages go to
-/// stderr; a regression flips the exit code to 1.
-fn run_ratchet(
-    report: &mp_analyze::diagnostics::Report,
-    root: &std::path::Path,
-    baseline: Option<PathBuf>,
-    write: bool,
-) -> Result<bool, String> {
-    let path = baseline.unwrap_or_else(|| root.join("analyze-baseline.toml"));
-    let (outcome, summary) = mp_analyze::ratchet::apply(&report.facts, &path, write)?;
-    eprint!("{summary}");
-    if !summary.ends_with('\n') && !summary.is_empty() {
-        eprintln!();
-    }
-    Ok(outcome.passed())
-}
-
-fn run(args: &[String]) -> Result<Outcome, String> {
-    let mut root: Option<PathBuf> = None;
-    let mut config_path: Option<PathBuf> = None;
-    let mut format = "human".to_owned();
-    let mut list_rules = false;
-    let mut ratchet = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--root" => {
-                root = Some(PathBuf::from(
-                    iter.next().ok_or("--root needs a directory")?,
-                ));
-            }
-            "--config" => {
-                config_path = Some(PathBuf::from(iter.next().ok_or("--config needs a path")?));
-            }
-            "--format" => {
-                format = iter.next().ok_or("--format needs human|json")?.clone();
-                if format != "human" && format != "json" {
-                    return Err(format!("unknown format `{format}` (expected human|json)"));
-                }
-            }
-            "--list-rules" => list_rules = true,
-            "--ratchet" => ratchet = true,
-            "--baseline" => {
-                baseline = Some(PathBuf::from(iter.next().ok_or("--baseline needs a path")?));
-            }
-            "--write-baseline" => {
-                ratchet = true;
-                write_baseline = true;
-            }
-            "--help" | "-h" => {
-                return Ok(Outcome {
-                    report: USAGE.to_owned(),
-                    clean: true,
-                });
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
-        }
-    }
-
-    if list_rules {
-        let mut out = String::new();
-        for lint in mp_analyze::rules::registry() {
-            out.push_str(&format!("{:<24} {}\n", lint.name(), lint.description()));
-        }
-        return Ok(Outcome {
-            report: out,
-            clean: true,
-        });
-    }
-
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
-            mp_analyze::find_workspace_root(&cwd)
-                .ok_or("no workspace root found above the current directory; pass --root")?
-        }
-    };
-
-    let config = match config_path {
-        Some(p) => {
-            let text =
-                std::fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-            mp_analyze::config::Config::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?
-        }
-        None => {
-            let p = root.join("analyze.toml");
-            if p.exists() {
-                let text = std::fs::read_to_string(&p)
-                    .map_err(|e| format!("reading {}: {e}", p.display()))?;
-                mp_analyze::config::Config::parse(&text)
-                    .map_err(|e| format!("analyze.toml: {e}"))?
-            } else {
-                mp_analyze::config::Config::workspace_default()
-            }
-        }
-    };
-
-    let report = mp_analyze::analyze(&root, &config)?;
-    let mut clean = report.is_clean();
-    if ratchet {
-        clean &= run_ratchet(&report, &root, baseline, write_baseline)?;
-    }
-    let rendered = match format.as_str() {
-        "json" => report.render_json(),
-        _ => report.render_human(),
-    };
-    Ok(Outcome {
-        report: rendered,
-        clean,
-    })
-}
-
-const USAGE: &str = "\
-mp-analyze: workspace invariant linter (determinism, panic-safety, layering, I/O hygiene)
-
-USAGE:
-    mp-analyze [--root DIR] [--config PATH] [--format human|json] [--list-rules]
-               [--ratchet] [--baseline PATH] [--write-baseline]
-
-OPTIONS:
-    --root DIR        workspace root (default: nearest [workspace] above cwd)
-    --config PATH     analyze.toml to use (default: <root>/analyze.toml)
-    --format FMT      human (file:line:col lines) or json (stable sorted keys)
-    --list-rules      print every registered rule and exit
-    --ratchet         compare per-crate debt counters against the baseline;
-                      any counter rise fails the run (stderr, exit 1)
-    --baseline PATH   baseline file (default: <root>/analyze-baseline.toml)
-    --write-baseline  write current counters as the new baseline (implies
-                      --ratchet; use after burning debt down)
-
-EXIT CODES:
-    0  clean    1  violations found or ratchet regression    2  usage error
-";

@@ -84,7 +84,7 @@ impl Baseline {
     /// Renders counters in the canonical baseline format (sorted crates,
     /// fixed key order) — what `--write-baseline` emits and what a
     /// tightened-baseline suggestion prints.
-    pub fn render(counts: &BTreeMap<String, CrateCounts>) -> String {
+    pub(crate) fn render(counts: &BTreeMap<String, CrateCounts>) -> String {
         let mut out = String::from(
             "# Debt ratchet baseline for `mpriv analyze --ratchet`.\n\
              # Counts may only fall. When they do, run\n\
@@ -160,7 +160,7 @@ pub fn compare(baseline: &Baseline, current: &BTreeMap<String, CrateCounts>) -> 
 /// `current` and a ready-to-print summary is returned alongside the
 /// outcome. The summary is meant for stderr — stdout stays reserved for
 /// the byte-stable report.
-pub fn apply(
+pub(crate) fn apply(
     current: &BTreeMap<String, CrateCounts>,
     path: &Path,
     write: bool,
@@ -171,7 +171,7 @@ pub fn apply(
         return Ok((
             RatchetOutcome::EMPTY,
             format!(
-                "ratchet: wrote {} ({} crate(s) pinned)",
+                "ratchet: wrote {} ({} crate(s) pinned)\n",
                 path.display(),
                 current.len()
             ),

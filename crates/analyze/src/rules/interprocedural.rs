@@ -311,7 +311,7 @@ mod tests {
     }
 
     fn run_rule(rule: &str, ws: &Workspace) -> Vec<Diagnostic> {
-        let config = Config::workspace_default();
+        let config = Config::shipped();
         let graph = CallGraph::build(ws);
         let facts = FactDb::build(ws, &graph, &config);
         let cx = Context {

@@ -49,7 +49,7 @@ pub trait Lint {
 
 /// All lints, in execution order. `suppression` must stay last: it audits
 /// which suppressions the other passes actually consumed.
-pub fn registry() -> Vec<Box<dyn Lint>> {
+pub(crate) fn registry() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(determinism::NoWallClock),
         Box::new(determinism::NoUnseededRng),
@@ -223,7 +223,7 @@ mod tests {
     }
 
     fn rule_hits(rule_name: &str, ws: &Workspace) -> Vec<String> {
-        let config = Config::workspace_default();
+        let config = Config::shipped();
         let graph = CallGraph::build(ws);
         let facts = FactDb::build(ws, &graph, &config);
         let cx = Context {

@@ -86,7 +86,7 @@ pub struct Workspace {
 impl Workspace {
     /// Walks `root`, collecting `.rs` files and `Cargo.toml`s outside the
     /// configured `exclude` prefixes (plus dotted directories).
-    pub fn discover(root: &Path, config: &Config) -> Result<Workspace, String> {
+    pub(crate) fn discover(root: &Path, config: &Config) -> Result<Workspace, String> {
         let mut rs_paths: Vec<String> = Vec::new();
         let mut manifest_paths: Vec<String> = Vec::new();
         walk(root, root, config, &mut rs_paths, &mut manifest_paths)?;

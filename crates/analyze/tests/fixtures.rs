@@ -20,7 +20,7 @@ fn mini_root() -> PathBuf {
 }
 
 fn analyze_mini() -> mp_analyze::diagnostics::Report {
-    mp_analyze::analyze_with_default_config(&mini_root()).expect("fixture analysis")
+    mp_analyze::analyze(&mini_root(), None).expect("fixture analysis")
 }
 
 #[test]

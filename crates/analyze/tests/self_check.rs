@@ -21,7 +21,7 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn workspace_head_is_clean_under_shipped_config() {
-    let report = mp_analyze::analyze_with_default_config(workspace_root())
+    let report = mp_analyze::analyze(workspace_root(), None)
         .expect("analysis of the workspace must not error");
     assert!(
         report.is_clean(),
@@ -31,28 +31,12 @@ fn workspace_head_is_clean_under_shipped_config() {
 }
 
 #[test]
-fn shipped_config_parses_and_matches_builtin_default() {
-    // analyze.toml is the source of truth for CI; the built-in default is
-    // the fallback when the file is missing. They must agree, or local
-    // runs and CI runs would lint different scopes.
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("analyze.toml")).expect("read analyze.toml");
-    let shipped = mp_analyze::config::Config::parse(&text).expect("analyze.toml must parse");
-    let builtin = mp_analyze::config::Config::workspace_default();
-    assert_eq!(
-        format!("{shipped:?}"),
-        format!("{builtin:?}"),
-        "analyze.toml drifted from Config::workspace_default()"
-    );
-}
-
-#[test]
 fn json_report_is_byte_stable_across_runs() {
     let root = workspace_root();
-    let first = mp_analyze::analyze_with_default_config(root)
+    let first = mp_analyze::analyze(root, None)
         .expect("first run")
         .render_json();
-    let second = mp_analyze::analyze_with_default_config(root)
+    let second = mp_analyze::analyze(root, None)
         .expect("second run")
         .render_json();
     assert_eq!(
@@ -67,7 +51,7 @@ fn committed_baseline_has_no_regressions() {
     // The shipped analyze-baseline.toml must pass the ratchet at HEAD —
     // otherwise CI's blocking `--ratchet` run and this test disagree.
     let root = workspace_root();
-    let report = mp_analyze::analyze_with_default_config(root).expect("analysis");
+    let report = mp_analyze::analyze(root, None).expect("analysis");
     let text = std::fs::read_to_string(root.join("analyze-baseline.toml"))
         .expect("analyze-baseline.toml is committed");
     let baseline = mp_analyze::ratchet::Baseline::parse(&text).expect("baseline parses");

@@ -18,10 +18,11 @@ fn main() -> ExitCode {
     // when violations make the exit non-zero (a lint hit is not a usage
     // error, so it must not be wrapped in the `mpriv: …` failure banner).
     if argv.first().map(String::as_str) == Some("analyze") {
-        return match run_analyze(&argv) {
-            Ok((report, clean)) => {
-                print!("{report}");
-                if clean {
+        return match mp_analyze::run(&argv[1..]) {
+            Ok(outcome) => {
+                print!("{}", outcome.report);
+                eprint!("{}", outcome.ratchet);
+                if outcome.clean {
                     ExitCode::SUCCESS
                 } else {
                     ExitCode::FAILURE
@@ -226,57 +227,6 @@ fn run(argv: &[String]) -> Result<String, String> {
         }
         other => Err(format!("unknown subcommand `{other}`")),
     }
-}
-
-/// `mpriv analyze`: run the workspace invariant linter. Returns the
-/// rendered report plus whether the tree was clean.
-fn run_analyze(argv: &[String]) -> Result<(String, bool), String> {
-    let parsed = args::parse(argv)?;
-    if parsed.options.contains_key("list-rules") {
-        let mut out = String::new();
-        for lint in mp_analyze::rules::registry() {
-            out.push_str(&format!("{:<24} {}\n", lint.name(), lint.description()));
-        }
-        return Ok((out, true));
-    }
-    let root = match parsed.options.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
-            mp_analyze::find_workspace_root(&cwd)
-                .ok_or("no workspace root found above the current directory; pass --root")?
-        }
-    };
-    let report = match parsed.options.get("config") {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            let config =
-                mp_analyze::config::Config::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            mp_analyze::analyze(&root, &config)?
-        }
-        None => mp_analyze::analyze_with_default_config(&root)?,
-    };
-    let mut clean = report.is_clean();
-    let write_baseline = parsed.options.contains_key("write-baseline");
-    if parsed.options.contains_key("ratchet") || write_baseline {
-        let baseline = match parsed.options.get("baseline") {
-            Some(p) => std::path::PathBuf::from(p),
-            None => root.join("analyze-baseline.toml"),
-        };
-        let (outcome, summary) =
-            mp_analyze::ratchet::apply(&report.facts, &baseline, write_baseline)?;
-        // Ratchet chatter goes to stderr so stdout stays byte-stable.
-        eprintln!("{}", summary.trim_end());
-        clean &= outcome.passed();
-    }
-    let format = parsed.get_or("format", "human".to_owned())?;
-    let rendered = match format.as_str() {
-        "json" => report.render_json(),
-        "human" => report.render_human(),
-        other => return Err(format!("unknown format `{other}` (expected human|json)")),
-    };
-    Ok((rendered, clean))
 }
 
 fn write_metrics(registry: &Registry, path: &str) -> Result<(), String> {

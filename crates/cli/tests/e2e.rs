@@ -123,6 +123,42 @@ fn unknown_subcommand_fails_with_message() {
     assert!(err.contains("unknown subcommand"));
 }
 
+/// `mpriv analyze` shares `mp-analyze`'s command line: an unknown flag is
+/// a usage error (exit 2), not an option to ignore. The root is an empty
+/// directory, so a run that ignored the flag would report a clean tree.
+#[test]
+fn analyze_rejects_an_unknown_argument() {
+    let root = scratch_dir();
+    let out = mpriv()
+        .args(["analyze", "--root"])
+        .arg(&root)
+        .arg("--bogus")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument `--bogus`"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+/// `--help` prints the usage and analyses nothing: the empty root has no
+/// `analyze.toml`, so an analysis would fail with exit 2.
+#[test]
+fn analyze_help_prints_usage_without_analysing() {
+    let root = scratch_dir();
+    let out = mpriv()
+        .args(["analyze", "--root"])
+        .arg(&root)
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("USAGE:"), "{text}");
+    assert!(text.contains("--write-baseline"), "{text}");
+    assert!(!text.contains("violation(s)"), "{text}");
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let out = mpriv()

@@ -7,10 +7,9 @@
 //!   dependency inventory ([`paper_inventory`]) that regenerates the `NA`
 //!   pattern of Tables III and IV;
 //! * [`fintech_scenario`] — the Figure 1 bank × e-commerce VFL scenario;
-//! * [`SyntheticSpec`] — configurable relations with planted FD/AFD/OD/ND
-//!   ground truth for discovery tests and benches;
-//! * [`scale_relation`] — the same dependency classes generated straight
-//!   into typed columns, fast enough for million-row scale benches.
+//! * [`all_classes_spec`] and [`scale_relation`] — one seven-column layout
+//!   with planted FD/AFD/OD/ND ground truth, drawn at test scale for
+//!   discovery tests and at million-row scale for the scale benches.
 
 #![warn(missing_docs)]
 
@@ -19,9 +18,8 @@ mod car;
 pub mod echocardiogram;
 mod employee;
 mod fintech;
-mod generator;
 mod iris;
-mod scale;
+mod planted;
 
 pub use bank::bank_table;
 pub use car::car_table;
@@ -31,6 +29,5 @@ pub use echocardiogram::{
 };
 pub use employee::{attrs as employee_attrs, employee};
 pub use fintech::{fintech_scenario, FintechParty, FintechScenario};
-pub use generator::{all_classes_spec, SyntheticRelation, SyntheticSpec};
 pub use iris::iris_like;
-pub use scale::scale_relation;
+pub use planted::{all_classes_spec, scale_relation, SyntheticRelation, SyntheticSpec};

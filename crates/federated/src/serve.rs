@@ -363,7 +363,6 @@ struct SessionState {
     phase: SessionPhase,
     members: Vec<Option<Arc<BoundedQueue<SessionFrame>>>>,
     done: Vec<bool>,
-    abort: Option<AbortReason>,
     live: usize,
 }
 
@@ -374,7 +373,6 @@ impl SessionState {
             phase: SessionPhase::Gathering,
             members: (0..n).map(|_| None).collect(),
             done: vec![false; n],
-            abort: None,
             live: 0,
         }
     }
@@ -460,7 +458,6 @@ impl ServerShared {
             return;
         }
         s.phase = SessionPhase::Closed;
-        s.abort = Some(reason.clone());
         self.stats.sessions_aborted.fetch_add(1, Ordering::Relaxed);
         self.metrics.sessions_aborted.inc();
         for q in s.members.iter().flatten() {

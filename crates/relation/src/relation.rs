@@ -4,7 +4,6 @@ use crate::column::{check_column_kind, Column, ColumnBuilder};
 use crate::error::{RelationError, Result};
 use crate::schema::{AttrKind, Schema};
 use crate::value::{Value, ValueRef};
-use serde::{content_get, Content, DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// A relation: a schema plus typed column-oriented storage.
@@ -267,57 +266,6 @@ impl Relation {
     /// Number of distinct values in column `col` (nulls count as one value).
     pub fn distinct_count(&self, col: usize) -> Result<usize> {
         Ok(self.column(col)?.distinct_count())
-    }
-}
-
-// Manual serde impls preserving the wire shape of the former derived
-// `Vec<Vec<Value>>` storage: columns serialize as arrays of Values, so
-// exchange packages written before the columnar refactor still parse and
-// new packages stay readable by Value-level consumers.
-impl Serialize for Relation {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("schema".to_owned(), self.schema.to_content()),
-            (
-                "columns".to_owned(),
-                Content::Seq(
-                    self.columns
-                        .iter()
-                        .map(|c| c.to_values().to_content())
-                        .collect(),
-                ),
-            ),
-            ("n_rows".to_owned(), self.n_rows.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for Relation {
-    fn from_content(content: &Content) -> std::result::Result<Self, DeError> {
-        let map = content
-            .as_map()
-            .ok_or_else(|| DeError::expected("object", "Relation", content))?;
-        let schema = Schema::from_content(
-            content_get(map, "schema")
-                .ok_or_else(|| DeError::missing_field("schema", "Relation"))?,
-        )?;
-        let columns = Vec::<Vec<Value>>::from_content(
-            content_get(map, "columns")
-                .ok_or_else(|| DeError::missing_field("columns", "Relation"))?,
-        )?;
-        let n_rows = usize::from_content(
-            content_get(map, "n_rows")
-                .ok_or_else(|| DeError::missing_field("n_rows", "Relation"))?,
-        )?;
-        let relation = Relation::from_columns(schema, columns)
-            .map_err(|e| DeError::custom(format!("invalid Relation: {e}")))?;
-        if relation.n_rows() != n_rows {
-            return Err(DeError::custom(format!(
-                "Relation n_rows field says {n_rows} but columns have {} rows",
-                relation.n_rows()
-            )));
-        }
-        Ok(relation)
     }
 }
 
@@ -681,19 +629,6 @@ mod tests {
         // Stability: Bob (row 1) precedes Charlie (row 2) among age ties.
         assert_eq!(r.value(1, 0).unwrap(), Value::Text("Bob".into()));
         assert_eq!(r.value(2, 0).unwrap(), Value::Text("Charlie".into()));
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_value_wire_shape() {
-        let r = sample();
-        let content = r.to_content();
-        // Columns serialize as arrays of Values (the pre-columnar shape).
-        let map = content.as_map().unwrap();
-        let cols = content_get(map, "columns").unwrap().as_seq().unwrap();
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols[0].as_seq().unwrap().len(), 3);
-        let back = Relation::from_content(&content).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

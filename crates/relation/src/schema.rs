@@ -27,7 +27,7 @@ impl fmt::Display for AttrKind {
 }
 
 /// A named, kinded attribute of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// The attribute (feature) name — itself a piece of metadata the paper
     /// analyses the sharing of.
@@ -57,7 +57,7 @@ impl Attribute {
 }
 
 /// An ordered list of uniquely named attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     attributes: Vec<Attribute>,
 }
