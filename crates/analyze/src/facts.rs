@@ -22,7 +22,7 @@
 
 use crate::callgraph::{crate_map, is_test_fn, CallGraph, Callee};
 use crate::config::Config;
-use crate::rules::{is_literal_index, matches_at, PANIC_SEQS};
+use crate::rules::{is_literal_index, matches_at, PANIC_SEQS, RNG_SEQS, WALL_SEQS};
 use crate::workspace::Workspace;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -793,19 +793,6 @@ fn tarjan_sccs<'a>(adj: &BTreeMap<&'a str, Vec<&'a LockEdge>>) -> Vec<Vec<&'a st
     out
 }
 
-const WALL_SEQS: &[(&[&str], &str)] = &[
-    (&["Instant", "::", "now"], "Instant::now"),
-    (&["SystemTime"], "SystemTime"),
-    (&["thread", "::", "sleep"], "thread::sleep"),
-];
-
-const RNG_SEQS: &[(&[&str], &str)] = &[
-    (&["thread_rng"], "thread_rng"),
-    (&["from_entropy"], "from_entropy"),
-    (&["OsRng"], "OsRng"),
-    (&["rand", "::", "random"], "rand::random"),
-];
-
 /// Methods that observe a hash collection's iteration order when invoked
 /// on it. Lookup-style access (`get`, `entry`, `contains_key`, `[]`) never
 /// reveals order and is not evidence.
@@ -874,29 +861,21 @@ fn extract_local_facts(
                 suppressed,
             });
         }
-        // Wall-clock and RNG taint sources.
-        for (seq, label) in WALL_SEQS {
-            if matches_at(&code, i, seq, src) {
-                let suppressed = file.suppressed(TaintKind::WallClock.source_rule(), tok.line);
-                db.local_taints[f].push(TaintSite {
-                    kind: TaintKind::WallClock,
-                    line: tok.line,
-                    col: tok.col,
-                    label: (*label).to_owned(),
-                    suppressed,
-                });
-            }
-        }
-        for (seq, label) in RNG_SEQS {
-            if matches_at(&code, i, seq, src) {
-                let suppressed = file.suppressed(TaintKind::Rng.source_rule(), tok.line);
-                db.local_taints[f].push(TaintSite {
-                    kind: TaintKind::Rng,
-                    line: tok.line,
-                    col: tok.col,
-                    label: (*label).to_owned(),
-                    suppressed,
-                });
+        // Wall-clock and RNG taint sources, labelled by the matched tokens.
+        for (kind, patterns) in [
+            (TaintKind::WallClock, WALL_SEQS),
+            (TaintKind::Rng, RNG_SEQS),
+        ] {
+            for pattern in patterns {
+                if matches_at(&code, i, pattern.seq, src) {
+                    db.local_taints[f].push(TaintSite {
+                        kind,
+                        line: tok.line,
+                        col: tok.col,
+                        label: pattern.seq.concat(),
+                        suppressed: file.suppressed(kind.source_rule(), tok.line),
+                    });
+                }
             }
         }
         // Lock acquisitions: `recv.lock()` / `.read()` / `.write()` with no

@@ -5,6 +5,44 @@
 use super::{scan_token_seqs, Context, Lint, TestPolicy, TokenSeq};
 use crate::diagnostics::Diagnostic;
 
+/// The wall-clock reads `no-wall-clock` bans; `facts.rs` seeds the
+/// wall-clock taint from the same table.
+pub(crate) const WALL_SEQS: &[TokenSeq] = &[
+    TokenSeq {
+        seq: &["Instant", "::", "now"],
+        message: "`Instant::now()` reads wall-clock time; use a logical clock (mp_observe::Clock / transport ticks)",
+    },
+    TokenSeq {
+        seq: &["SystemTime"],
+        message: "`SystemTime` reads wall-clock time; timestamps must come from logical clocks",
+    },
+    TokenSeq {
+        seq: &["thread", "::", "sleep"],
+        message: "`thread::sleep` couples behaviour to real time; model delays as transport ticks",
+    },
+];
+
+/// The OS-entropy sources `no-unseeded-rng` bans; `facts.rs` seeds the
+/// RNG taint from the same table.
+pub(crate) const RNG_SEQS: &[TokenSeq] = &[
+    TokenSeq {
+        seq: &["thread_rng"],
+        message: "`thread_rng()` is OS-seeded and irreproducible; thread an explicit seeded StdRng through instead",
+    },
+    TokenSeq {
+        seq: &["from_entropy"],
+        message: "`from_entropy()` draws an OS seed; use `seed_from_u64` with a recorded seed",
+    },
+    TokenSeq {
+        seq: &["OsRng"],
+        message: "`OsRng` is irreproducible; use a seeded generator",
+    },
+    TokenSeq {
+        seq: &["rand", "::", "random"],
+        message: "`rand::random()` hides an OS-seeded generator; use a seeded StdRng",
+    },
+];
+
 /// `no-wall-clock`: no `Instant::now`, `SystemTime` or `thread::sleep`
 /// outside the paths `analyze.toml` allows (perfbench and the two bench
 /// files whose purpose is wall time) — simulated time uses logical
@@ -21,21 +59,14 @@ impl Lint for NoWallClock {
     }
 
     fn check(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        const SEQS: &[TokenSeq] = &[
-            TokenSeq {
-                seq: &["Instant", "::", "now"],
-                message: "`Instant::now()` reads wall-clock time; use a logical clock (mp_observe::Clock / transport ticks)",
-            },
-            TokenSeq {
-                seq: &["SystemTime"],
-                message: "`SystemTime` reads wall-clock time; timestamps must come from logical clocks",
-            },
-            TokenSeq {
-                seq: &["thread", "::", "sleep"],
-                message: "`thread::sleep` couples behaviour to real time; model delays as transport ticks",
-            },
-        ];
-        scan_token_seqs(self.name(), SEQS, TestPolicy::Strict, cx.ws, cx.config, out);
+        scan_token_seqs(
+            self.name(),
+            WALL_SEQS,
+            TestPolicy::Strict,
+            cx.ws,
+            cx.config,
+            out,
+        );
     }
 }
 
@@ -53,25 +84,14 @@ impl Lint for NoUnseededRng {
     }
 
     fn check(&self, cx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        const SEQS: &[TokenSeq] = &[
-            TokenSeq {
-                seq: &["thread_rng"],
-                message: "`thread_rng()` is OS-seeded and irreproducible; thread an explicit seeded StdRng through instead",
-            },
-            TokenSeq {
-                seq: &["from_entropy"],
-                message: "`from_entropy()` draws an OS seed; use `seed_from_u64` with a recorded seed",
-            },
-            TokenSeq {
-                seq: &["OsRng"],
-                message: "`OsRng` is irreproducible; use a seeded generator",
-            },
-            TokenSeq {
-                seq: &["rand", "::", "random"],
-                message: "`rand::random()` hides an OS-seeded generator; use a seeded StdRng",
-            },
-        ];
-        scan_token_seqs(self.name(), SEQS, TestPolicy::Strict, cx.ws, cx.config, out);
+        scan_token_seqs(
+            self.name(),
+            RNG_SEQS,
+            TestPolicy::Strict,
+            cx.ws,
+            cx.config,
+            out,
+        );
     }
 }
 

@@ -21,6 +21,7 @@ mod layering;
 mod panic_safety;
 mod suppression;
 
+pub(crate) use determinism::{RNG_SEQS, WALL_SEQS};
 pub(crate) use panic_safety::PANIC_SEQS;
 
 /// Everything a lint pass may consume: the workspace, its configuration,

@@ -1,37 +1,34 @@
 //! Minimal argument parsing (kept dependency-free by design).
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedArgs {
+pub(crate) struct ParsedArgs {
     /// The subcommand (first non-flag argument).
-    pub command: String,
+    pub(crate) command: String,
     /// Positional arguments after the subcommand.
-    pub positionals: Vec<String>,
-    /// `--key value` options (flags map to `"true"`).
-    pub options: HashMap<String, String>,
+    pub(crate) positionals: Vec<String>,
+    /// `--key value` options in argv order (flags map to `"true"`).
+    options: Vec<(String, String)>,
 }
 
 /// Parses `argv[1..]`. Options may appear anywhere after the subcommand;
 /// an option followed by another option (or nothing) is a boolean flag.
-pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
+pub(crate) fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut iter = args.iter().peekable();
     let command = iter.next().cloned().ok_or("missing subcommand")?;
     if command.starts_with("--") {
         return Err(format!("expected a subcommand, got option `{command}`"));
     }
     let mut positionals = Vec::new();
-    let mut options = HashMap::new();
+    let mut options = Vec::new();
     while let Some(arg) = iter.next() {
         if let Some(key) = arg.strip_prefix("--") {
-            let takes_value = iter.peek().map(|n| !n.starts_with("--")).unwrap_or(false);
-            if takes_value {
-                options.insert(key.to_owned(), iter.next().unwrap().clone());
-            } else {
-                options.insert(key.to_owned(), "true".to_owned());
-            }
+            let value = match iter.next_if(|n| !n.starts_with("--")) {
+                Some(value) => value.clone(),
+                None => "true".to_owned(),
+            };
+            options.push((key.to_owned(), value));
         } else {
             positionals.push(arg.clone());
         }
@@ -44,9 +41,31 @@ pub fn parse(args: &[String]) -> Result<ParsedArgs, String> {
 }
 
 impl ParsedArgs {
+    /// Refuses the first option, in argv order, that `known` (the flags
+    /// the subcommand reads) does not list.
+    pub(crate) fn accept_only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .iter()
+            .find(|(key, _)| !known.contains(&key.as_str()))
+        {
+            Some((key, _)) => Err(format!("unknown argument `--{key}`")),
+            None => Ok(()),
+        }
+    }
+
+    /// The raw value of option `key`; the last one when it is given twice.
+    pub(crate) fn option(&self, key: &str) -> Option<&str> {
+        self.options
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, value)| value.as_str())
+    }
+
     /// An option parsed as `T`, with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.option(key) {
             None => Ok(default),
             Some(raw) => raw
                 .parse()
@@ -55,7 +74,7 @@ impl ParsedArgs {
     }
 
     /// A required positional argument.
-    pub fn positional(&self, index: usize, name: &str) -> Result<&str, String> {
+    pub(crate) fn positional(&self, index: usize, name: &str) -> Result<&str, String> {
         self.positionals
             .get(index)
             .map(String::as_str)
@@ -63,8 +82,8 @@ impl ParsedArgs {
     }
 
     /// A comma-separated `usize` list option.
-    pub fn usize_list(&self, key: &str) -> Result<Vec<usize>, String> {
-        match self.options.get(key) {
+    pub(crate) fn usize_list(&self, key: &str) -> Result<Vec<usize>, String> {
+        match self.option(key) {
             None => Ok(Vec::new()),
             Some(raw) => raw
                 .split(',')
@@ -91,8 +110,8 @@ mod tests {
         let p = parse(&argv(&["audit", "data.csv", "--rounds", "50", "--verbose"])).unwrap();
         assert_eq!(p.command, "audit");
         assert_eq!(p.positionals, vec!["data.csv"]);
-        assert_eq!(p.options["rounds"], "50");
-        assert_eq!(p.options["verbose"], "true");
+        assert_eq!(p.option("rounds"), Some("50"));
+        assert_eq!(p.option("verbose"), Some("true"));
     }
 
     #[test]
@@ -130,7 +149,19 @@ mod tests {
     #[test]
     fn flag_before_value_option() {
         let p = parse(&argv(&["x", "--dry-run", "--k", "4"])).unwrap();
-        assert_eq!(p.options["dry-run"], "true");
-        assert_eq!(p.options["k"], "4");
+        assert_eq!(p.option("dry-run"), Some("true"));
+        assert_eq!(p.option("k"), Some("4"));
+    }
+
+    #[test]
+    fn unknown_options_are_refused_in_argv_order() {
+        let p = parse(&argv(&["x", "--k", "4", "--b", "--a", "1", "--k", "5"])).unwrap();
+        assert_eq!(p.option("k"), Some("5"), "the last value wins");
+        assert_eq!(p.accept_only(&["a", "b", "k"]), Ok(()));
+        assert_eq!(
+            p.accept_only(&["k"]),
+            Err("unknown argument `--b`".to_owned())
+        );
+        assert_eq!(p.accept_only(&[]), Err("unknown argument `--k`".to_owned()));
     }
 }

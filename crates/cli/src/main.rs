@@ -54,6 +54,7 @@ fn run(argv: &[String]) -> Result<String, String> {
     let parsed = args::parse(argv)?;
     match parsed.command.as_str() {
         "profile" => {
+            parsed.accept_only(&["budget-mb", "metrics-json"])?;
             let csv_path = parsed.positional(0, "csv")?;
             let budget_mb = parsed.get_or("budget-mb", 0usize)?;
             let budget = if budget_mb == 0 {
@@ -61,7 +62,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             } else {
                 mp_discovery::MemoryBudget::from_mb(budget_mb)
             };
-            match parsed.options.get("metrics-json") {
+            match parsed.option("metrics-json") {
                 // Sequential: under a byte budget that evicts, the shared
                 // cache's hit/miss counts depend on the thread schedule,
                 // and the snapshot must be byte-reproducible.
@@ -96,7 +97,18 @@ fn run(argv: &[String]) -> Result<String, String> {
                 }
             }
         }
-        "audit" if parsed.options.contains_key("matrix") => {
+        "audit" if parsed.option("matrix").is_some() => {
+            parsed.accept_only(&[
+                "matrix",
+                "datasets",
+                "adversaries",
+                "rounds",
+                "epsilon",
+                "threads",
+                "out",
+                "md",
+                "metrics-json",
+            ])?;
             let datasets = parsed.get_or("datasets", "echocardiogram,bank,car".to_owned())?;
             let adversaries = parsed.get_or(
                 "adversaries",
@@ -105,7 +117,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             let rounds = parsed.get_or("rounds", 40usize)?;
             let epsilon = parsed.get_or("epsilon", 0.5f64)?;
             let threads = parsed.get_or("threads", 0usize)?;
-            let metrics_path = parsed.options.get("metrics-json").cloned();
+            let metrics_path = parsed.option("metrics-json");
             let registry = Registry::new();
             let recorder: &dyn mp_observe::Recorder = if metrics_path.is_some() {
                 &registry
@@ -120,20 +132,21 @@ fn run(argv: &[String]) -> Result<String, String> {
                 threads,
                 recorder,
             )?;
-            if let Some(path) = parsed.options.get("out") {
+            if let Some(path) = parsed.option("out") {
                 std::fs::write(path, matrix.to_json())
                     .map_err(|e| format!("cannot write matrix JSON to `{path}`: {e}"))?;
             }
-            if let Some(path) = parsed.options.get("md") {
+            if let Some(path) = parsed.option("md") {
                 std::fs::write(path, &markdown)
                     .map_err(|e| format!("cannot write matrix markdown to `{path}`: {e}"))?;
             }
             if let Some(path) = metrics_path {
-                write_metrics(&registry, &path)?;
+                write_metrics(&registry, path)?;
             }
             Ok(markdown)
         }
         "audit" => {
+            parsed.accept_only(&["policy", "rounds", "epsilon"])?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let policy = commands::policy_by_name(&parsed.get_or("policy", "domains".to_owned())?)?;
             let rounds = parsed.get_or("rounds", 100usize)?;
@@ -141,23 +154,26 @@ fn run(argv: &[String]) -> Result<String, String> {
             commands::audit(&rel, policy, rounds, epsilon)
         }
         "identifiability" => {
+            parsed.accept_only(&["max-size", "qi"])?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let max_size = parsed.get_or("max-size", 2usize)?;
             let qi = parsed.usize_list("qi")?;
             commands::identifiability(&rel, max_size, &qi)
         }
         "compare" => {
+            parsed.accept_only(&["rounds", "epsilon"])?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let rounds = parsed.get_or("rounds", 60usize)?;
             let epsilon = parsed.get_or("epsilon", 0.0f64)?;
             commands::compare_policies(&rel, rounds, epsilon)
         }
         "anonymize" => {
+            parsed.accept_only(&["qi", "k", "out"])?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let qi = parsed.usize_list("qi")?;
             let k = parsed.get_or("k", 2usize)?;
             let (report, anon) = commands::anonymize(&rel, &qi, k)?;
-            if let Some(out) = parsed.options.get("out") {
+            if let Some(out) = parsed.option("out") {
                 csv::write_path(&anon, out).map_err(|e| e.to_string())?;
                 Ok(format!("{report}written to {out}\n"))
             } else {
@@ -165,35 +181,33 @@ fn run(argv: &[String]) -> Result<String, String> {
             }
         }
         "simulate" => {
+            parsed.accept_only(&["seed", "faults", "rows", "metrics-json"])?;
             let seed = parsed.get_or("seed", 0u64)?;
-            let faults = parsed
-                .options
-                .get("faults")
-                .cloned()
-                .unwrap_or_else(|| "drop,dup,reorder".to_owned());
+            let faults = parsed.option("faults").unwrap_or("drop,dup,reorder");
             let rows = parsed.get_or("rows", 120usize)?;
-            match parsed.options.get("metrics-json") {
+            match parsed.option("metrics-json") {
                 Some(path) => {
                     let registry = Registry::new();
-                    let result = commands::simulate(seed, &faults, rows, &registry);
+                    let result = commands::simulate(seed, faults, rows, &registry);
                     // Written even when the setup aborts: the wire metrics
                     // of a failed run are exactly what one wants to inspect.
                     write_metrics(&registry, path)?;
                     result
                 }
-                None => commands::simulate(seed, &faults, rows, &mp_observe::NoopRecorder),
+                None => commands::simulate(seed, faults, rows, &mp_observe::NoopRecorder),
             }
         }
         "serve" => {
-            let metrics_path = parsed.options.get("metrics-json").cloned();
+            parsed.accept_only(&["sessions", "rows", "listen", "metrics-json"])?;
+            let metrics_path = parsed.option("metrics-json");
             let registry = Arc::new(Registry::new());
             let recorder: Arc<dyn mp_observe::Recorder> = if metrics_path.is_some() {
                 registry.clone()
             } else {
                 Arc::new(mp_observe::NoopRecorder)
             };
-            let result = match parsed.options.get("listen") {
-                Some(flag) if flag == "true" => {
+            let result = match parsed.option("listen") {
+                Some("true") => {
                     Err("--listen needs an address (host:port or unix:<path>)".to_owned())
                 }
                 Some(addr) => {
@@ -213,11 +227,12 @@ fn run(argv: &[String]) -> Result<String, String> {
                 }
             };
             if let Some(path) = metrics_path {
-                write_metrics(&registry, &path)?;
+                write_metrics(&registry, path)?;
             }
             result
         }
         "check" => {
+            parsed.accept_only(&["parties", "ticks", "budget", "delay", "crash-points"])?;
             let parties = parsed.get_or("parties", 2usize)?;
             let ticks = parsed.get_or("ticks", 256u64)?;
             let budget = parsed.get_or("budget", 2usize)?;

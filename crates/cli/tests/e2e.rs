@@ -123,6 +123,35 @@ fn unknown_subcommand_fails_with_message() {
     assert!(err.contains("unknown subcommand"));
 }
 
+/// Every subcommand refuses a flag it does not read, naming the first in
+/// argv order, so a typo such as `--budget_mb` cannot run unbudgeted.
+/// `audit` reads one set of flags with `--matrix` and another without.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let csv = demo_csv("unknown_flags_are_usage_errors");
+    let csv = csv.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["profile", csv, "--budget_mb", "1", "--bogus"],
+            "--budget_mb",
+        ),
+        (
+            vec!["audit", csv, "--rounds", "5", "--threads", "2"],
+            "--threads",
+        ),
+        (vec!["simulate", "--seed", "3", "--row", "40"], "--row"),
+    ] {
+        let out = mpriv().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown argument `{flag}`")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
 /// `mpriv analyze` shares `mp-analyze`'s command line: an unknown flag is
 /// a usage error (exit 2), not an option to ignore. The root is an empty
 /// directory, so a run that ignored the flag would report a clean tree.

@@ -267,13 +267,19 @@ fn cell(layout: Layout, draw: u8, floats: &[f64]) -> Value {
 }
 
 /// A relation with one column per entry of `layouts` (indices into
-/// [`LAYOUTS`]) and one row per entry of `rows`.
-fn build(layouts: &[usize], rows: &[Vec<u8>], floats: &[f64]) -> Relation {
-    let layouts: Vec<Layout> = layouts.iter().map(|&l| LAYOUTS[l]).collect();
+/// [`LAYOUTS`]) and one row per entry of `rows`; the rows from `split` on
+/// draw their cells with `tail_layouts`, which keep each column's kind.
+fn build(
+    layouts: &[usize],
+    tail_layouts: &[usize],
+    split: usize,
+    rows: &[Vec<u8>],
+    floats: &[f64],
+) -> Relation {
     let attrs = layouts
         .iter()
         .enumerate()
-        .map(|(i, l)| match l {
+        .map(|(i, &l)| match LAYOUTS[l] {
             Layout::ContinuousInt | Layout::ContinuousFloat | Layout::IntFlaggedFloat => {
                 Attribute::continuous(format!("c{i}"))
             }
@@ -283,31 +289,36 @@ fn build(layouts: &[usize], rows: &[Vec<u8>], floats: &[f64]) -> Relation {
     let schema = Schema::new(attrs).unwrap();
     let rows = rows
         .iter()
-        .map(|draws| {
+        .enumerate()
+        .map(|(r, draws)| {
+            let layouts = if r < split { layouts } else { tail_layouts };
             layouts
                 .iter()
                 .zip(draws)
-                .map(|(&l, &d)| cell(l, d, floats))
+                .map(|(&l, &d)| cell(LAYOUTS[l], d, floats))
                 .collect()
         })
         .collect();
     Relation::from_rows(schema, rows).unwrap()
 }
 
-/// The layout of the same attribute kind that `alt` picks: a relation
-/// built with it has the same schema, so it can be appended.
+/// The layout a column of `layout` switches to for a tail of rows: a
+/// continuous column takes the int, float or int-flagged layout `alt`
+/// picks, so ints may be promoted into a float column. A categorical
+/// column keeps its layout, since one that mixed cell types would not
+/// fit its kind.
 fn same_kind(layout: usize, alt: usize) -> usize {
-    let group: [usize; 3] = match LAYOUTS[layout] {
-        Layout::Text | Layout::CategoricalInt | Layout::CategoricalFloat => [0, 1, 5],
-        Layout::ContinuousInt | Layout::ContinuousFloat | Layout::IntFlaggedFloat => [2, 3, 4],
-    };
-    group[alt % 3]
+    match LAYOUTS[layout] {
+        Layout::Text | Layout::CategoricalInt | Layout::CategoricalFloat => layout,
+        Layout::ContinuousInt | Layout::ContinuousFloat | Layout::IntFlaggedFloat => {
+            [2, 3, 4][alt % 3]
+        }
+    }
 }
 
 /// 2–5 columns of random layouts and 0–24 rows; `wild` draws floats from
-/// [`WILD_FLOATS`] instead of [`FLOATS`]. Half the relations append a
-/// tail built with other layouts of the same kinds, which yields text
-/// and numbers in one boxed column, or ints promoted into a float column.
+/// [`WILD_FLOATS`] instead of [`FLOATS`]. Half the relations draw a tail
+/// of rows with the layouts [`same_kind`] picks.
 fn relation_where(wild: impl Strategy<Value = bool>) -> impl Strategy<Value = Relation> {
     (
         prop::collection::vec(0..LAYOUTS.len(), 2..=MAX_WIDTH),
@@ -318,18 +329,17 @@ fn relation_where(wild: impl Strategy<Value = bool>) -> impl Strategy<Value = Re
     )
         .prop_map(|(layouts, alts, rows, split, wild)| {
             let floats: &[f64] = if wild { &WILD_FLOATS } else { &FLOATS };
-            if split < 128 {
-                return build(&layouts, &rows, floats);
-            }
-            let (head, tail) = rows.split_at(usize::from(split) % (rows.len() + 1));
+            let split = if split < 128 {
+                rows.len()
+            } else {
+                usize::from(split) % (rows.len() + 1)
+            };
             let tail_layouts: Vec<usize> = layouts
                 .iter()
                 .zip(&alts)
                 .map(|(&l, &a)| same_kind(l, a))
                 .collect();
-            let mut r = build(&layouts, head, floats);
-            r.append(&build(&tail_layouts, tail, floats)).unwrap();
-            r
+            build(&layouts, &tail_layouts, split, &rows, floats)
         })
 }
 

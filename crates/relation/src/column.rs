@@ -93,11 +93,6 @@ impl Bitmap {
         self.ones == 0
     }
 
-    /// `true` when every bit is set.
-    pub(crate) fn all_set(&self) -> bool {
-        self.ones == self.len
-    }
-
     /// The bit at `i` (must be in bounds).
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -125,13 +120,6 @@ impl Bitmap {
             out.push(self.get(r));
         }
         out
-    }
-
-    /// Appends all bits of `other`.
-    pub(crate) fn extend_from(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
-        }
     }
 }
 
@@ -311,31 +299,6 @@ impl Column {
         }
     }
 
-    /// The established cell type of the column — the variant name of the
-    /// first non-null value, or `None` for an all-null column. This drives
-    /// the categorical homogeneity check's error messages.
-    pub(crate) fn established_type(&self) -> Option<&'static str> {
-        match self {
-            Column::Categorical { codes, .. } => codes.iter().any(|&c| c != 0).then_some("text"),
-            Column::Int { nulls, .. } => (!nulls.all_set()).then_some("int"),
-            Column::Float { nulls, ints, .. } => {
-                if nulls.all_set() {
-                    None
-                } else {
-                    // The first non-null row decides int vs float.
-                    (0..nulls.len()).find(|&i| !nulls.get(i)).map(|i| {
-                        if ints.get(i) {
-                            "int"
-                        } else {
-                            "float"
-                        }
-                    })
-                }
-            }
-            Column::Boxed(values) => values.iter().find(|v| !v.is_null()).map(|v| v.type_name()),
-        }
-    }
-
     /// Per-row equality-class codes plus an exclusive upper bound on the
     /// codes, for counting-style partition construction. Two rows receive
     /// the same code iff their cells compare equal under [`Value`]'s
@@ -489,8 +452,9 @@ impl Column {
     /// the value does not fit the current one (all-null columns adopt the
     /// first non-null value's layout; `Int` + `Float` unify as `Float`
     /// when exact, and anything unrepresentable falls back to
-    /// [`Column::Boxed`]). Storage-level only — kind/homogeneity checking
-    /// happens in `Relation`'s constructors.
+    /// [`Column::Boxed`]). Storage-level only: the kind check happens when
+    /// a relation is built, in
+    /// [`Relation::from_typed_columns`](crate::Relation::from_typed_columns).
     pub fn push_value(&mut self, v: Value) {
         match v {
             Value::Null => match self {
@@ -625,71 +589,6 @@ impl Column {
         }
     }
 
-    /// Appends all rows of `other`, merging representations (dictionary
-    /// columns remap codes through a merged dictionary; mismatched layouts
-    /// rebuild through [`Value`]s).
-    pub(crate) fn extend_from(&mut self, other: &Column) {
-        match (&mut *self, other) {
-            (
-                Column::Categorical { dict, codes },
-                Column::Categorical {
-                    dict: odict,
-                    codes: ocodes,
-                },
-            ) => {
-                let mut lookup: HashMap<&str, u32> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.as_str(), (i + 1) as u32))
-                    .collect();
-                // Labels of `other` this dictionary lacks, in first-use order.
-                let mut added: Vec<&str> = Vec::new();
-                let mut remap = vec![0u32; odict.len() + 1];
-                for (i, s) in odict.iter().enumerate() {
-                    remap[i + 1] = *lookup.entry(s.as_str()).or_insert_with(|| {
-                        added.push(s);
-                        (dict.len() + added.len()) as u32
-                    });
-                }
-                if !added.is_empty() {
-                    Arc::make_mut(dict).extend(added.into_iter().map(str::to_owned));
-                }
-                codes.extend(ocodes.iter().map(|&c| remap[c as usize]));
-            }
-            (
-                Column::Int { values, nulls },
-                Column::Int {
-                    values: ovalues,
-                    nulls: onulls,
-                },
-            ) => {
-                values.extend_from_slice(ovalues);
-                nulls.extend_from(onulls);
-            }
-            (
-                Column::Float {
-                    values,
-                    nulls,
-                    ints,
-                },
-                Column::Float {
-                    values: ovalues,
-                    nulls: onulls,
-                    ints: oints,
-                },
-            ) => {
-                values.extend_from_slice(ovalues);
-                nulls.extend_from(onulls);
-                ints.extend_from(oints);
-            }
-            _ => {
-                for v in other.iter() {
-                    self.push_value(v.to_value());
-                }
-            }
-        }
-    }
-
     fn demote_to_boxed(&mut self) {
         if !matches!(self, Column::Boxed(_)) {
             *self = Column::Boxed(self.to_values());
@@ -740,14 +639,14 @@ impl Eq for Column {}
 
 /// Incremental, kind-agnostic builder of one typed column.
 ///
-/// No homogeneity checking happens while rows arrive. Builders that know
-/// the attribute up front ([`RelationBuilder`](crate::RelationBuilder),
-/// [`Relation::from_columns`](crate::Relation::from_columns)) check each
-/// value against the column built so far before pushing it; CSV ingest
-/// learns a column's kind only once the whole column has been seen (or a
-/// `#kinds` row declared it), so it defers validation to
-/// [`Relation::from_typed_columns`](crate::Relation::from_typed_columns).
-/// Promotion rules are exactly [`Column::push_value`]'s, but categorical
+/// It checks nothing while rows arrive. Every column it builds reaches a
+/// relation through
+/// [`Relation::from_typed_columns`](crate::Relation::from_typed_columns),
+/// which checks the whole column against its attribute's kind once:
+/// `from_rows` and `from_columns` push their cells here first, and so
+/// does CSV ingest, which learns a column's kind only once the whole
+/// column has been seen (or a `#kinds` row declared it). Promotion rules
+/// are exactly [`Column::push_value`]'s, but categorical
 /// appends find their code through a hashed dictionary lookup, so bulk
 /// builds cost O(1) per cell instead of a linear dictionary scan. The
 /// dictionary stays a plain owned vector while rows arrive and is wrapped
@@ -801,19 +700,6 @@ impl ColumnBuilder {
     /// was pushed.
     pub(crate) fn saw_numeric(&self) -> bool {
         self.saw_numeric
-    }
-
-    /// Checks `v` against `attr`'s kind and the type the column has
-    /// established so far, without appending.
-    pub(crate) fn check(&self, attr: &Attribute, v: &Value) -> Result<()> {
-        check_kind(
-            attr,
-            || match &self.text {
-                Some(text) => text.codes.iter().any(|&c| c != 0).then_some("text"),
-                None => self.column.established_type(),
-            },
-            v,
-        )
     }
 
     /// Appends one value, promoting the physical layout as needed (see
@@ -891,46 +777,15 @@ impl FromIterator<Value> for Column {
     }
 }
 
-/// Checks a single value against the attribute kind and the column's
-/// established non-null type, which `established` reports only when the
-/// check needs it (the typed equivalent of the pre-columnar
-/// `check_value`).
-pub(crate) fn check_kind(
-    attr: &Attribute,
-    established: impl FnOnce() -> Option<&'static str>,
-    v: &Value,
-) -> Result<()> {
-    if v.is_null() {
-        return Ok(());
-    }
-    match attr.kind {
-        AttrKind::Continuous => {
-            if v.as_f64().is_none() {
-                return Err(RelationError::TypeMismatch {
-                    column: attr.name.clone(),
-                    expected: "numeric",
-                    got: v.type_name(),
-                });
-            }
-        }
-        AttrKind::Categorical => {
-            if let Some(established) = established() {
-                if established != v.type_name() {
-                    return Err(RelationError::TypeMismatch {
-                        column: attr.name.clone(),
-                        expected: established,
-                        got: v.type_name(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Checks a whole prebuilt column against the attribute kind (the typed
-/// equivalent of validating every cell through [`check_kind`] in push
-/// order, exploiting that typed layouts are homogeneous by construction).
+/// The kind rule, checked once per column by
+/// [`Relation::from_typed_columns`](crate::Relation::from_typed_columns),
+/// the gate every `Relation` constructor passes. Nulls fit any attribute.
+/// A continuous column holds only numbers; a non-number is a mismatch
+/// that expects `numeric`. A categorical column holds one cell type, that
+/// of its first non-null cell; the first cell of another type is a
+/// mismatch that expects it. Typed layouts settle most of this without a
+/// scan: dictionary text and `Int` hold one type, and `Float` mixes types
+/// only through its `ints` mask.
 pub(crate) fn check_column_kind(attr: &Attribute, col: &Column) -> Result<()> {
     let mismatch = |expected: &'static str, got: &'static str| RelationError::TypeMismatch {
         column: attr.name.clone(),
@@ -1004,15 +859,13 @@ pub(crate) fn check_column_kind(attr: &Attribute, col: &Column) -> Result<()> {
 mod tests {
     use super::*;
 
-    /// Builds a column the way `Relation::from_columns` does: each value
-    /// is kind-checked against the column so far, then pushed.
+    /// The one column of a relation `Relation::from_columns` builds from
+    /// `values`, checked against `attr`'s kind.
     fn try_col_from(attr: &Attribute, values: &[Value]) -> Result<Column> {
-        let mut b = ColumnBuilder::new();
-        for v in values {
-            b.check(attr, v)?;
-            b.push(v.clone());
-        }
-        Ok(b.finish())
+        let schema = crate::Schema::new(vec![attr.clone()])?;
+        crate::Relation::from_columns(schema, vec![values.to_vec()])?
+            .column(0)
+            .cloned()
     }
 
     fn col_from(attr: Attribute, values: &[Value]) -> Column {
@@ -1031,7 +884,6 @@ mod tests {
         let sel = b.select(&[0, 1, 129]);
         assert_eq!(sel.count_ones(), 2);
         let full = Bitmap::filled(70, true);
-        assert!(full.all_set());
         assert_eq!(full.count_ones(), 70);
         assert!(Bitmap::filled(70, false).none_set());
     }
@@ -1244,34 +1096,6 @@ mod tests {
         for (i, d) in shared.iter().enumerate() {
             assert!(Arc::ptr_eq(&original, d), "copy {i} has its own labels");
         }
-    }
-
-    #[test]
-    fn extend_from_merges_dictionaries() {
-        let mut a = col_from(Attribute::categorical("x"), &["a".into(), "b".into()]);
-        let b = col_from(
-            Attribute::categorical("x"),
-            &["c".into(), "a".into(), Value::Null],
-        );
-        a.extend_from(&b);
-        assert_eq!(
-            a.to_values(),
-            vec![
-                Value::Text("a".into()),
-                Value::Text("b".into()),
-                Value::Text("c".into()),
-                Value::Text("a".into()),
-                Value::Null
-            ]
-        );
-    }
-
-    #[test]
-    fn extend_from_mismatched_layouts_rebuilds() {
-        let mut a = col_from(Attribute::continuous("x"), &[Value::Int(1)]);
-        let b = col_from(Attribute::continuous("x"), &[Value::Float(2.5)]);
-        a.extend_from(&b);
-        assert_eq!(a.to_values(), vec![Value::Int(1), Value::Float(2.5)]);
     }
 
     #[test]

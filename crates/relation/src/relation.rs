@@ -2,7 +2,7 @@
 
 use crate::column::{check_column_kind, Column, ColumnBuilder};
 use crate::error::{RelationError, Result};
-use crate::schema::{AttrKind, Schema};
+use crate::schema::Schema;
 use crate::value::{Value, ValueRef};
 use std::fmt;
 
@@ -46,58 +46,45 @@ impl Relation {
         }
     }
 
-    /// Builds a relation from rows, checking arity and column type
-    /// homogeneity (nulls are allowed in any column).
+    /// Builds a relation from rows. Every row must hold one cell per
+    /// attribute, and the finished columns pass the kind check of
+    /// [`Relation::from_typed_columns`] (nulls are allowed in any column).
+    /// Arity is checked row by row and kinds once at the end, so a ragged
+    /// row is reported before a kind mismatch in an earlier row.
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Self> {
-        let mut builder = RelationBuilder::new(schema);
+        let n_rows = rows.len();
+        let mut builders: Vec<ColumnBuilder> =
+            (0..schema.arity()).map(|_| ColumnBuilder::new()).collect();
         for row in rows {
-            builder.push_row(row)?;
-        }
-        Ok(builder.finish())
-    }
-
-    /// Builds a relation directly from `Value` columns (the boundary
-    /// representation).
-    ///
-    /// All columns must have equal length; types are checked the same way
-    /// as [`Relation::from_rows`].
-    pub fn from_columns(schema: Schema, columns: Vec<Vec<Value>>) -> Result<Self> {
-        if columns.len() != schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: schema.arity(),
-                got: columns.len(),
-            });
-        }
-        let n_rows = columns.first().map_or(0, Vec::len);
-        check_rows(n_rows)?;
-        let mut typed = Vec::with_capacity(columns.len());
-        for (i, col) in columns.into_iter().enumerate() {
-            let attr = schema.attribute(i)?.clone();
-            if col.len() != n_rows {
-                return Err(RelationError::ColumnLengthMismatch {
-                    column: attr.name.clone(),
-                    expected: n_rows,
-                    got: col.len(),
+            if row.len() != builders.len() {
+                return Err(RelationError::ArityMismatch {
+                    expected: builders.len(),
+                    got: row.len(),
                 });
             }
-            let mut b = ColumnBuilder::new();
-            for v in col {
-                b.check(&attr, &v)?;
+            for (b, v) in builders.iter_mut().zip(row) {
                 b.push(v);
             }
-            typed.push(b.finish());
         }
-        Ok(Self {
-            schema,
-            columns: typed,
-            n_rows,
-        })
+        let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
+        let rel = Self::from_typed_columns(schema, columns)?;
+        // A relation without attributes still counts its rows.
+        Ok(Self { n_rows, ..rel })
     }
 
-    /// Builds a relation directly from typed columns — the fast path for
-    /// generators that already produce codes/floats. Lengths and kind
-    /// compatibility are checked; homogeneity is implied by the typed
-    /// layouts (boxed columns are scanned).
+    /// Builds a relation from `Value` columns (the boundary
+    /// representation), checked as [`Relation::from_typed_columns`]
+    /// checks typed ones.
+    pub fn from_columns(schema: Schema, columns: Vec<Vec<Value>>) -> Result<Self> {
+        let columns = columns.into_iter().map(Column::from_iter).collect();
+        Self::from_typed_columns(schema, columns)
+    }
+
+    /// Builds a relation from typed columns: the one gate every
+    /// constructor passes. Checks the column count, equal lengths and,
+    /// column by column, that the contents fit the attribute's kind: a
+    /// continuous column holds only numbers, a categorical one only one
+    /// cell type (nulls are allowed in any column).
     pub fn from_typed_columns(schema: Schema, columns: Vec<Column>) -> Result<Self> {
         if columns.len() != schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -214,117 +201,9 @@ impl Relation {
         })
     }
 
-    /// Appends all rows of `other` (schemas must be equal). Used when
-    /// recombining horizontal slices. Dictionary columns merge their
-    /// dictionaries and remap codes.
-    ///
-    /// A schema of another arity is an [`RelationError::ArityMismatch`];
-    /// otherwise the first attribute that differs is named: an
-    /// [`RelationError::UnknownAttribute`] for another name, a
-    /// [`RelationError::TypeMismatch`] for another kind.
-    pub fn append(&mut self, other: &Relation) -> Result<()> {
-        let theirs = other.schema().attributes();
-        if theirs.len() != self.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.arity(),
-                got: theirs.len(),
-            });
-        }
-        let kind_name = |kind: AttrKind| match kind {
-            AttrKind::Categorical => "categorical",
-            AttrKind::Continuous => "continuous",
-        };
-        for (mine, theirs) in self.schema.attributes().iter().zip(theirs) {
-            if mine.name != theirs.name {
-                return Err(RelationError::UnknownAttribute(theirs.name.clone()));
-            }
-            if mine.kind != theirs.kind {
-                return Err(RelationError::TypeMismatch {
-                    column: mine.name.clone(),
-                    expected: kind_name(mine.kind),
-                    got: kind_name(theirs.kind),
-                });
-            }
-        }
-        check_rows(self.n_rows + other.n_rows)?;
-        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
-            mine.extend_from(theirs);
-        }
-        self.n_rows += other.n_rows;
-        Ok(())
-    }
-
-    /// A copy of the relation with rows sorted by column `col` ascending
-    /// (stable, nulls first per `Value`'s total order).
-    pub fn sorted_by_column(&self, col: usize) -> Result<Relation> {
-        let key = self.column(col)?;
-        let mut order: Vec<usize> = (0..self.n_rows).collect();
-        order.sort_by(|&a, &b| key.value_ref(a).cmp(&key.value_ref(b)));
-        self.select_rows(&order)
-    }
-
     /// Number of distinct values in column `col` (nulls count as one value).
     pub fn distinct_count(&self, col: usize) -> Result<usize> {
         Ok(self.column(col)?.distinct_count())
-    }
-}
-
-/// Incremental, type-checked relation builder. Categorical cells go
-/// through a hashed dictionary lookup, so bulk loads pay O(1) per cell.
-#[derive(Debug, Clone)]
-pub(crate) struct RelationBuilder {
-    schema: Schema,
-    builders: Vec<ColumnBuilder>,
-    n_rows: usize,
-}
-
-impl RelationBuilder {
-    /// Starts an empty builder over `schema`.
-    pub(crate) fn new(schema: Schema) -> Self {
-        let builders = (0..schema.arity()).map(|_| ColumnBuilder::new()).collect();
-        Self {
-            schema,
-            builders,
-            n_rows: 0,
-        }
-    }
-
-    /// Appends a row (a failed row leaves no partial state).
-    pub(crate) fn push_row(&mut self, row: Vec<Value>) -> Result<&mut Self> {
-        check_rows(self.n_rows + 1)?;
-        if row.len() != self.schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        for ((attr, b), v) in self
-            .schema
-            .attributes()
-            .iter()
-            .zip(&self.builders)
-            .zip(&row)
-        {
-            b.check(attr, v)?;
-        }
-        for (b, v) in self.builders.iter_mut().zip(row) {
-            b.push(v);
-        }
-        self.n_rows += 1;
-        Ok(self)
-    }
-
-    /// Finishes the build.
-    pub(crate) fn finish(self) -> Relation {
-        Relation {
-            schema: self.schema,
-            columns: self
-                .builders
-                .into_iter()
-                .map(ColumnBuilder::finish)
-                .collect(),
-            n_rows: self.n_rows,
-        }
     }
 }
 
@@ -418,6 +297,30 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RelationError::TypeMismatch { .. }));
+    }
+
+    #[test]
+    fn ragged_rows_are_reported_before_kinds() {
+        // Row 0 puts text under `age` and row 1 is short: arity is checked
+        // while rows are pushed, kinds once at the end.
+        let err = Relation::from_rows(
+            schema(),
+            vec![vec!["A".into(), "old".into(), "S".into()], vec!["B".into()]],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RelationError::ArityMismatch {
+                expected: 3,
+                got: 1
+            }
+        );
+        // A relation without attributes still counts its rows.
+        let none = Schema::new(vec![]).unwrap();
+        assert_eq!(
+            Relation::from_rows(none, vec![vec![]; 2]).unwrap().n_rows(),
+            2
+        );
     }
 
     #[test]
@@ -560,75 +463,6 @@ mod tests {
         assert_eq!(r.n_rows(), 0);
         assert_eq!(r.rows().count(), 0);
         assert_eq!(r.distinct_count(0).unwrap(), 0);
-    }
-
-    #[test]
-    fn append_concatenates_rows() {
-        let mut r = sample();
-        let other = sample();
-        r.append(&other).unwrap();
-        assert_eq!(r.n_rows(), 6);
-        assert_eq!(r.value(3, 0).unwrap(), Value::Text("Alice".into()));
-        // Dictionary stayed deduplicated across the append.
-        let Column::Categorical { dict, .. } = r.column(0).unwrap() else {
-            panic!("name is dictionary-encoded");
-        };
-        assert_eq!(dict.len(), 3);
-        // Mismatched schemas rejected.
-        let narrow = Relation::empty(Schema::new(vec![Attribute::categorical("x")]).unwrap());
-        assert_eq!(
-            r.append(&narrow).unwrap_err(),
-            RelationError::ArityMismatch {
-                expected: 3,
-                got: 1
-            }
-        );
-        // Equal arity: the first differing attribute is named.
-        let renamed = Relation::empty(
-            Schema::new(vec![
-                Attribute::categorical("name"),
-                Attribute::continuous("years"),
-                Attribute::categorical("dept"),
-            ])
-            .unwrap(),
-        );
-        assert_eq!(
-            r.append(&renamed).unwrap_err(),
-            RelationError::UnknownAttribute("years".into())
-        );
-        let rekinded = Relation::empty(
-            Schema::new(vec![
-                Attribute::categorical("name"),
-                Attribute::categorical("age"),
-                Attribute::categorical("dept"),
-            ])
-            .unwrap(),
-        );
-        assert_eq!(
-            r.append(&rekinded).unwrap_err(),
-            RelationError::TypeMismatch {
-                column: "age".into(),
-                expected: "continuous",
-                got: "categorical",
-            }
-        );
-        assert_eq!(
-            r.n_rows(),
-            6,
-            "a refused append leaves the relation unchanged"
-        );
-    }
-
-    #[test]
-    fn sorted_by_column_orders_rows() {
-        let r = sample().sorted_by_column(1).unwrap();
-        let ages: Vec<_> = r.column_values(1).unwrap();
-        let mut expected = ages.clone();
-        expected.sort();
-        assert_eq!(ages, expected);
-        // Stability: Bob (row 1) precedes Charlie (row 2) among age ties.
-        assert_eq!(r.value(1, 0).unwrap(), Value::Text("Bob".into()));
-        assert_eq!(r.value(2, 0).unwrap(), Value::Text("Charlie".into()));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The dynamically typed cell value used throughout the workspace.
 //!
-//! A [`Value`] is one of `Null`, `Int`, `Float` or `Text`. Columns are
-//! type-homogeneous (enforced by [`crate::relation::RelationBuilder`]), so
-//! cross-variant comparisons only matter for establishing a stable total
-//! order; they never decide dependency semantics.
+//! A [`Value`] is one of `Null`, `Int`, `Float` or `Text`. In a
+//! [`crate::Relation`] a categorical column holds one cell type and a
+//! continuous one only numbers, because every constructor passes
+//! [`crate::Relation::from_typed_columns`]. Comparisons between text and
+//! numbers therefore only establish a stable total order; they never
+//! decide dependency semantics.
 //!
 //! Since the columnar refactor, `Value` is the *boundary* type: relations
 //! store typed [`crate::Column`]s internally and materialise `Value`s only

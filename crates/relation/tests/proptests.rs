@@ -1,6 +1,9 @@
 //! Property-based tests for the relational substrate.
 
-use mp_relation::{csv, AttrKind, Attribute, Domain, Pli, Relation, Schema, Signature, Value};
+use mp_relation::{
+    csv, AttrKind, Attribute, Column, Domain, Pli, Relation, RelationError, Schema, Signature,
+    Value,
+};
 use proptest::prelude::*;
 use std::io::Read;
 
@@ -8,6 +11,40 @@ use std::io::Read;
 /// partition clusters).
 fn small_int_column() -> impl Strategy<Value = Vec<Value>> {
     prop::collection::vec((0i64..6).prop_map(Value::Int), 0..60)
+}
+
+/// Smallest integer magnitude beyond ±2^53, where an `f64` stops holding
+/// every integer exactly.
+const HUGE: i64 = (1 << 53) + 1;
+
+/// A one-column relation of `kind` built three ways: row by row
+/// (`from_rows`), from one `Value` column (`from_columns`), and from a
+/// typed column collected from the same cells (`from_typed_columns`).
+fn built_three_ways(kind: AttrKind, cells: &[Value]) -> [Result<Relation, RelationError>; 3] {
+    let schema = Schema::new(vec![Attribute::new("x", kind)]).unwrap();
+    [
+        Relation::from_rows(
+            schema.clone(),
+            cells.iter().map(|v| vec![v.clone()]).collect(),
+        ),
+        Relation::from_columns(schema.clone(), vec![cells.to_vec()]),
+        Relation::from_typed_columns(schema, vec![cells.iter().cloned().collect::<Column>()]),
+    ]
+}
+
+/// A cell of any variant: small ints, ints beyond ±2^53, floats (NaN and
+/// both zeros included) and text.
+fn any_cell() -> impl Strategy<Value = Value> {
+    (0u8..5, HUGE..=i64::MAX, any::<bool>()).prop_map(|(variant, big, negative)| {
+        let pick = (big % 6) as usize;
+        match variant {
+            0 => Value::Null,
+            1 => Value::Int(pick as i64 - 3),
+            2 => Value::Int(if negative { -big } else { big }),
+            3 => Value::Float([-1.5, -0.0, 0.0, 2.0, 0.5, f64::NAN][pick]),
+            _ => Value::from(["a", "b"][pick % 2]),
+        }
+    })
 }
 
 /// A reader that returns `reads[k % reads.len()]` bytes (or what is left)
@@ -261,6 +298,80 @@ proptest! {
         let (min, max) = dom.bounds().unwrap();
         prop_assert!(xs.iter().all(|&x| x >= min && x <= max));
         prop_assert!(xs.contains(&min) && xs.contains(&max));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every constructor applies one kind rule: on any single column the
+    /// three return an equal error or equal relations.
+    #[test]
+    fn constructors_agree_on_the_kind_rule(
+        continuous in any::<bool>(),
+        cells in prop::collection::vec(any_cell(), 0..12),
+    ) {
+        let kind = if continuous { AttrKind::Continuous } else { AttrKind::Categorical };
+        let [rows, columns, typed] = built_three_ways(kind, &cells);
+        prop_assert_eq!(&rows, &columns, "{:?} {:?}", kind, cells);
+        prop_assert_eq!(&rows, &typed, "{:?} {:?}", kind, cells);
+    }
+}
+
+/// The kind rule on fixed mixed-kind columns: every constructor returns
+/// the same result, and that result is the `(expected, got)` mismatch
+/// given, or a relation when none is. Cells are coded `n` null, `i` a
+/// small int, `h` an int beyond ±2^53, `f` a float and `t` text.
+#[test]
+fn constructors_agree_on_mixed_kind_columns() {
+    use AttrKind::{Categorical, Continuous};
+    type Case = (AttrKind, &'static str, Option<(&'static str, &'static str)>);
+    let cases: [Case; 12] = [
+        (Categorical, "ti", Some(("text", "int"))),
+        (Categorical, "it", Some(("int", "text"))),
+        (Categorical, "if", Some(("int", "float"))),
+        (Categorical, "fi", Some(("float", "int"))),
+        (Categorical, "hf", Some(("int", "float"))),
+        (Categorical, "nfit", Some(("float", "int"))),
+        (Categorical, "nn", None),
+        (Continuous, "it", Some(("numeric", "text"))),
+        (Continuous, "ti", Some(("numeric", "text"))),
+        (Continuous, "nt", Some(("numeric", "text"))),
+        (Continuous, "hft", Some(("numeric", "text"))),
+        (Continuous, "hf", None),
+    ];
+    for (kind, code, mismatch) in cases {
+        let cells: Vec<Value> = code
+            .chars()
+            .map(|c| match c {
+                'n' => Value::Null,
+                'i' => Value::Int(3),
+                'h' => Value::Int(HUGE),
+                'f' => Value::Float(0.5),
+                _ => Value::from("a"),
+            })
+            .collect();
+        let [rows, columns, typed] = built_three_ways(kind, &cells);
+        assert_eq!(rows, columns, "{kind:?} {cells:?}");
+        assert_eq!(rows, typed, "{kind:?} {cells:?}");
+        match (rows, mismatch) {
+            (Err(err), Some((expected, got))) => assert_eq!(
+                err,
+                RelationError::TypeMismatch {
+                    column: "x".into(),
+                    expected,
+                    got,
+                },
+                "{kind:?} {cells:?}"
+            ),
+            (Ok(rel), None) => assert_eq!(rel.column_values(0).unwrap(), cells),
+            (other, _) => panic!("{kind:?} {cells:?}: {other:?}"),
+        }
+    }
+    // The one column no typed layout holds: an integer beyond ±2^53 beside
+    // a float stays boxed under a continuous attribute.
+    for built in built_three_ways(Continuous, &[Value::Int(HUGE), Value::Float(0.5)]) {
+        assert_eq!(built.unwrap().column(0).unwrap().repr_name(), "boxed");
     }
 }
 
