@@ -42,14 +42,18 @@ pub(crate) fn parse(args: &[String]) -> Result<ParsedArgs, String> {
 
 impl ParsedArgs {
     /// Refuses the first option, in argv order, that `known` (the flags
-    /// the subcommand reads) does not list.
-    pub(crate) fn accept_only(&self, known: &[&str]) -> Result<(), String> {
-        match self
+    /// the subcommand reads) does not list, then the first positional
+    /// beyond the `positionals` the subcommand reads.
+    pub(crate) fn accept_only(&self, known: &[&str], positionals: usize) -> Result<(), String> {
+        if let Some((key, _)) = self
             .options
             .iter()
             .find(|(key, _)| !known.contains(&key.as_str()))
         {
-            Some((key, _)) => Err(format!("unknown argument `--{key}`")),
+            return Err(format!("unknown argument `--{key}`"));
+        }
+        match self.positionals.get(positionals) {
+            Some(surplus) => Err(format!("unexpected argument `{surplus}`")),
             None => Ok(()),
         }
     }
@@ -157,11 +161,32 @@ mod tests {
     fn unknown_options_are_refused_in_argv_order() {
         let p = parse(&argv(&["x", "--k", "4", "--b", "--a", "1", "--k", "5"])).unwrap();
         assert_eq!(p.option("k"), Some("5"), "the last value wins");
-        assert_eq!(p.accept_only(&["a", "b", "k"]), Ok(()));
+        assert_eq!(p.accept_only(&["a", "b", "k"], 0), Ok(()));
         assert_eq!(
-            p.accept_only(&["k"]),
+            p.accept_only(&["k"], 0),
             Err("unknown argument `--b`".to_owned())
         );
-        assert_eq!(p.accept_only(&[]), Err("unknown argument `--k`".to_owned()));
+        assert_eq!(
+            p.accept_only(&[], 0),
+            Err("unknown argument `--k`".to_owned())
+        );
+    }
+
+    #[test]
+    fn surplus_positionals_are_refused_after_unknown_options() {
+        let p = parse(&argv(&["x", "a.csv", "b.csv", "--k", "4", "c.csv"])).unwrap();
+        assert_eq!(p.accept_only(&["k"], 3), Ok(()));
+        assert_eq!(
+            p.accept_only(&["k"], 1),
+            Err("unexpected argument `b.csv`".to_owned())
+        );
+        assert_eq!(
+            p.accept_only(&["k"], 0),
+            Err("unexpected argument `a.csv`".to_owned())
+        );
+        assert_eq!(
+            p.accept_only(&[], 1),
+            Err("unknown argument `--k`".to_owned())
+        );
     }
 }

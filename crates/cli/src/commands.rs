@@ -51,7 +51,7 @@ pub fn profile(
         .map_err(|e| e.to_string())?;
     let stats = ctx.cache_stats();
     let mut out = format!(
-        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs\nPLI cache: {}\n\n",
+        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs, {} CFDs, {} MFDs\nPLI cache: {}\n\n",
         relation.n_rows(),
         relation.arity(),
         profile.fds.len(),
@@ -60,6 +60,8 @@ pub fn profile(
         profile.nds.len(),
         profile.dds.len(),
         profile.ofds.len(),
+        profile.cfds.len(),
+        profile.mfds.len(),
         stats,
     );
     let names: Vec<String> = relation
@@ -551,11 +553,12 @@ pub fn help() -> String {
 
 USAGE:
   mpriv profile <csv> [--budget-mb N] [--metrics-json out.json]
-      Discover FDs/AFDs/ODs/NDs/DDs/OFDs in the file. --budget-mb caps
-      the PLI cache at N MiB of estimated partition heap (0 = unlimited;
-      partitions spill and rebuild on demand). With --metrics-json, also
-      write a deterministic metrics snapshot (streaming-ingest chunks,
-      PLI builds, cache traffic, per-pass spans) to the path.
+      Discover FDs/AFDs/ODs/NDs/DDs/OFDs/CFDs/MFDs in the file and count
+      each class on the summary line. --budget-mb caps the PLI cache at
+      N MiB of estimated partition heap (0 = unlimited; partitions spill
+      and rebuild on demand). With --metrics-json, also write a
+      deterministic metrics snapshot (streaming-ingest chunks, PLI
+      builds, cache traffic, per-pass spans) to the path.
   mpriv audit <csv> [--policy names|domains|full|recommended] [--rounds N] [--epsilon E]
       Simulate the metadata synthesis attack the policy would enable.
   mpriv audit --matrix [--datasets echocardiogram,bank,car] [--adversaries baseline,partial50,collude2,noisy10]

@@ -54,7 +54,7 @@ fn run(argv: &[String]) -> Result<String, String> {
     let parsed = args::parse(argv)?;
     match parsed.command.as_str() {
         "profile" => {
-            parsed.accept_only(&["budget-mb", "metrics-json"])?;
+            parsed.accept_only(&["budget-mb", "metrics-json"], 1)?;
             let csv_path = parsed.positional(0, "csv")?;
             let budget_mb = parsed.get_or("budget-mb", 0usize)?;
             let budget = if budget_mb == 0 {
@@ -98,17 +98,20 @@ fn run(argv: &[String]) -> Result<String, String> {
             }
         }
         "audit" if parsed.option("matrix").is_some() => {
-            parsed.accept_only(&[
-                "matrix",
-                "datasets",
-                "adversaries",
-                "rounds",
-                "epsilon",
-                "threads",
-                "out",
-                "md",
-                "metrics-json",
-            ])?;
+            parsed.accept_only(
+                &[
+                    "matrix",
+                    "datasets",
+                    "adversaries",
+                    "rounds",
+                    "epsilon",
+                    "threads",
+                    "out",
+                    "md",
+                    "metrics-json",
+                ],
+                0,
+            )?;
             let datasets = parsed.get_or("datasets", "echocardiogram,bank,car".to_owned())?;
             let adversaries = parsed.get_or(
                 "adversaries",
@@ -146,7 +149,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             Ok(markdown)
         }
         "audit" => {
-            parsed.accept_only(&["policy", "rounds", "epsilon"])?;
+            parsed.accept_only(&["policy", "rounds", "epsilon"], 1)?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let policy = commands::policy_by_name(&parsed.get_or("policy", "domains".to_owned())?)?;
             let rounds = parsed.get_or("rounds", 100usize)?;
@@ -154,21 +157,21 @@ fn run(argv: &[String]) -> Result<String, String> {
             commands::audit(&rel, policy, rounds, epsilon)
         }
         "identifiability" => {
-            parsed.accept_only(&["max-size", "qi"])?;
+            parsed.accept_only(&["max-size", "qi"], 1)?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let max_size = parsed.get_or("max-size", 2usize)?;
             let qi = parsed.usize_list("qi")?;
             commands::identifiability(&rel, max_size, &qi)
         }
         "compare" => {
-            parsed.accept_only(&["rounds", "epsilon"])?;
+            parsed.accept_only(&["rounds", "epsilon"], 1)?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let rounds = parsed.get_or("rounds", 60usize)?;
             let epsilon = parsed.get_or("epsilon", 0.0f64)?;
             commands::compare_policies(&rel, rounds, epsilon)
         }
         "anonymize" => {
-            parsed.accept_only(&["qi", "k", "out"])?;
+            parsed.accept_only(&["qi", "k", "out"], 1)?;
             let rel = load(parsed.positional(0, "csv")?)?;
             let qi = parsed.usize_list("qi")?;
             let k = parsed.get_or("k", 2usize)?;
@@ -181,7 +184,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             }
         }
         "simulate" => {
-            parsed.accept_only(&["seed", "faults", "rows", "metrics-json"])?;
+            parsed.accept_only(&["seed", "faults", "rows", "metrics-json"], 0)?;
             let seed = parsed.get_or("seed", 0u64)?;
             let faults = parsed.option("faults").unwrap_or("drop,dup,reorder");
             let rows = parsed.get_or("rows", 120usize)?;
@@ -198,7 +201,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             }
         }
         "serve" => {
-            parsed.accept_only(&["sessions", "rows", "listen", "metrics-json"])?;
+            parsed.accept_only(&["sessions", "rows", "listen", "metrics-json"], 0)?;
             let metrics_path = parsed.option("metrics-json");
             let registry = Arc::new(Registry::new());
             let recorder: Arc<dyn mp_observe::Recorder> = if metrics_path.is_some() {
@@ -232,7 +235,7 @@ fn run(argv: &[String]) -> Result<String, String> {
             result
         }
         "check" => {
-            parsed.accept_only(&["parties", "ticks", "budget", "delay", "crash-points"])?;
+            parsed.accept_only(&["parties", "ticks", "budget", "delay", "crash-points"], 0)?;
             let parties = parsed.get_or("parties", 2usize)?;
             let ticks = parsed.get_or("ticks", 256u64)?;
             let budget = parsed.get_or("budget", 2usize)?;

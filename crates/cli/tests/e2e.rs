@@ -6,7 +6,7 @@ use mp_federated::{
 use mp_metadata::SharePolicy;
 use mp_observe::NoopRecorder;
 use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 fn mpriv() -> Command {
@@ -141,14 +141,70 @@ fn unknown_flags_are_usage_errors() {
         ),
         (vec!["simulate", "--seed", "3", "--row", "40"], "--row"),
     ] {
-        let out = mpriv().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let err = String::from_utf8_lossy(&out.stderr);
+        assert_usage_error(&args, &format!("unknown argument `{flag}`"));
+    }
+}
+
+/// Every subcommand refuses a positional it does not read, naming the
+/// first surplus one, so `mpriv profile a.csv b.csv` cannot profile `a.csv`
+/// alone and exit 0. `audit --matrix`, `simulate`, `serve` and `check`
+/// read none; the others read one CSV.
+#[test]
+fn surplus_positionals_are_usage_errors() {
+    let csv = demo_csv("surplus_positionals_are_usage_errors");
+    let csv = csv.to_str().unwrap();
+    for args in [
+        vec!["profile", csv, "nonexistent.csv"],
+        vec!["profile", csv, "--budget-mb", "1", "nonexistent.csv"],
+        vec!["audit", csv, "nonexistent.csv", "--rounds", "5"],
+        vec!["identifiability", csv, "nonexistent.csv"],
+        vec!["compare", csv, "nonexistent.csv"],
+        vec!["anonymize", csv, "nonexistent.csv", "--qi", "1"],
+    ] {
+        assert_usage_error(&args, "unexpected argument `nonexistent.csv`");
+    }
+    for args in [
+        vec!["audit", "--matrix", "--rounds", "1", "extra"],
+        vec!["simulate", "extra", "--seed", "3"],
+        vec!["serve", "extra"],
+        vec!["check", "extra"],
+    ] {
+        assert_usage_error(&args, "unexpected argument `extra`");
+    }
+}
+
+/// `args` exits 1 with `message` on stderr and nothing on stdout.
+fn assert_usage_error(args: &[&str], message: &str) {
+    let out = mpriv().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{args:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(message), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
+
+/// `mpriv profile` prints the same report, byte for byte, as the goldens
+/// under `tests/golden/` for both shipped CSVs. Without a byte budget the
+/// report does not depend on the thread count.
+#[test]
+fn profile_stdout_matches_golden_reports() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for name in ["echocardiogram", "employee"] {
+        let csv = root.join("../../data").join(format!("{name}.csv"));
+        let out = mpriv().arg("profile").arg(&csv).output().unwrap();
         assert!(
-            err.contains(&format!("unknown argument `{flag}`")),
-            "{args:?}: {err}"
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
-        assert!(out.stdout.is_empty(), "{args:?}");
+        let golden = root
+            .join("tests/golden")
+            .join(format!("profile_{name}.txt"));
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            std::fs::read_to_string(&golden).unwrap(),
+            "`mpriv profile` stdout drifted from {}",
+            golden.display()
+        );
     }
 }
 

@@ -29,6 +29,11 @@ mod nd;
 mod od;
 mod ofd;
 mod profiler;
+mod rank;
+// The pairwise oracle's random relations, which the rank tests draw too.
+#[cfg(test)]
+#[path = "../tests/relations/mod.rs"]
+mod relations;
 mod tane;
 
 pub use cfd::{discover_cfds, CfdConfig};

@@ -2,13 +2,13 @@
 //!
 //! An OFD `X → Y` is the conjunction of the FD and the strict order
 //! condition `t[X] < u[X] ⇒ t[Y] < u[Y]` — the ascending OD with a strict
-//! `<` across distinct X values — so discovery runs the OD pass's sweep
-//! (one sort per determinant, one linear pass per dependent) with the
-//! exact semantics of [`OrderedFd::holds`]. Constant columns are excluded
-//! (an OFD onto a constant holds only for constant X and says nothing).
+//! `<` across distinct X values — so the OD pass's sweep decides it too
+//! ([`OrderPass`]), with the exact semantics of [`OrderedFd::holds`].
+//! Constant columns are excluded (an OFD onto a constant holds only for
+//! constant X and says nothing).
 
 use crate::engine::DiscoveryContext;
-use crate::od::{non_null_constant, sorted_non_null, sweep};
+use crate::od::{OdConfig, OrderPass};
 use mp_metadata::OrderedFd;
 use mp_relation::Result;
 
@@ -16,44 +16,17 @@ use mp_relation::Result;
 /// context's relation.
 ///
 /// `exclude_constant` skips pairs where either side is constant over its
-/// non-null rows. The determinants fan out on the context's thread
-/// budget, merged in determinant order.
+/// non-null rows. A view of one order pass (`OrderPass`) that skips
+/// descending ODs.
 pub fn discover_ofds_with(
     ctx: &DiscoveryContext<'_>,
     exclude_constant: bool,
 ) -> Result<Vec<OrderedFd>> {
-    let relation = ctx.relation();
-    let m = relation.arity();
-    let mut constant = vec![false; m];
-    if exclude_constant {
-        for (c, flag) in constant.iter_mut().enumerate() {
-            *flag = non_null_constant(relation, c)?;
-        }
-    }
-
-    let per_lhs: Vec<Result<Vec<OrderedFd>>> = ctx.par_map((0..m).collect(), |lhs| {
-        let mut out = Vec::new();
-        if constant[lhs] {
-            return Ok(out);
-        }
-        let xs = relation.column(lhs)?;
-        let order = sorted_non_null(xs);
-        for (rhs, &rhs_constant) in constant.iter().enumerate() {
-            if rhs == lhs || rhs_constant {
-                continue;
-            }
-            if sweep(xs, &order, relation.column(rhs)?, false).strict {
-                out.push(OrderedFd::new(lhs, rhs));
-            }
-        }
-        Ok(out)
-    });
-
-    let mut out = Vec::new();
-    for found in per_lhs {
-        out.extend(found?);
-    }
-    Ok(out)
+    let config = OdConfig {
+        exclude_constant,
+        include_descending: false,
+    };
+    Ok(OrderPass::run(ctx, &config)?.ofds(exclude_constant))
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@ use crate::dd::{discover_dds_with, DdConfig};
 use crate::engine::{DiscoveryContext, ParallelConfig};
 use crate::mfd::{discover_mfds, MfdConfig};
 use crate::nd::{discover_nds_with, NdConfig};
-use crate::od::{discover_ods_with, OdConfig};
-use crate::ofd::discover_ofds_with;
+use crate::od::{OdConfig, OrderPass};
 use crate::tane::{discover_fds_with, TaneConfig};
 use mp_metadata::{
     Afd, ConditionalFd, Dependency, DifferentialDep, Fd, MetricFd, NumericalDep, OrderDep,
@@ -82,7 +81,7 @@ impl DependencyProfile {
     ///
     /// A [`DiscoveryContext`] with the default [`ParallelConfig`] is
     /// shared by every pass, so PLIs built during FD discovery are reused
-    /// by the AFD, OD and ND passes. Use [`DependencyProfile::discover_with`]
+    /// by the AFD and ND passes. Use [`DependencyProfile::discover_with`]
     /// to choose the thread and cache budget (and inspect the context).
     pub fn discover(relation: &Relation, config: &ProfileConfig) -> Result<Self> {
         let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
@@ -93,7 +92,8 @@ impl DependencyProfile {
     /// [`DiscoveryContext`]. All passes draw single-attribute and lattice
     /// PLIs from the context's shared cache and fan out on its thread
     /// budget; afterwards `ctx.cache_stats()` reports the cross-pass hit
-    /// rate.
+    /// rate. The ODs and OFDs come from one order pass over the columns'
+    /// ranks, which builds no partition.
     pub fn discover_with(ctx: &DiscoveryContext<'_>, config: &ProfileConfig) -> Result<Self> {
         let relation = ctx.relation();
         // One span per pass. Durations are logical units — one unit per
@@ -130,9 +130,11 @@ impl DependencyProfile {
             }
             _ => Vec::new(),
         };
-        let ods = {
+        // One order pass decides the ODs and the OFDs; the `ofds` span
+        // below only reads its result.
+        let orders = {
             let _g = span("ods").enter();
-            discover_ods_with(ctx, &config.od)?
+            OrderPass::run(ctx, &config.od)?
         };
         let nds = {
             let _g = span("nds").enter();
@@ -147,7 +149,7 @@ impl DependencyProfile {
         };
         let ofds = if config.ofds {
             let _g = span("ofds").enter();
-            discover_ofds_with(ctx, true)?
+            orders.ofds(true)
         } else {
             Vec::new()
         };
@@ -168,7 +170,7 @@ impl DependencyProfile {
         Ok(Self {
             fds,
             afds,
-            ods,
+            ods: orders.ods(),
             nds,
             dds,
             ofds,
