@@ -14,10 +14,11 @@ pub(crate) struct ParsedArgs {
 
 /// Parses `argv[1..]`. Options may appear anywhere after the subcommand;
 /// an option followed by another option (or nothing) is a boolean flag.
+/// `--help` is the one option that may stand as the subcommand.
 pub(crate) fn parse(args: &[String]) -> Result<ParsedArgs, String> {
     let mut iter = args.iter().peekable();
     let command = iter.next().cloned().ok_or("missing subcommand")?;
-    if command.starts_with("--") {
+    if command.starts_with("--") && command != "--help" {
         return Err(format!("expected a subcommand, got option `{command}`"));
     }
     let mut positionals = Vec::new();
@@ -122,6 +123,16 @@ mod tests {
     fn missing_subcommand_errors() {
         assert!(parse(&[]).is_err());
         assert!(parse(&argv(&["--oops"])).is_err());
+    }
+
+    #[test]
+    fn help_flag_stands_as_the_subcommand() {
+        let p = parse(&argv(&["--help", "extra"])).unwrap();
+        assert_eq!(p.command, "--help");
+        assert_eq!(
+            p.accept_only(&[], 0),
+            Err("unexpected argument `extra`".to_owned())
+        );
     }
 
     #[test]

@@ -48,11 +48,15 @@ fn main() -> ExitCode {
 }
 
 fn run(argv: &[String]) -> Result<String, String> {
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
+    if argv.is_empty() {
         return Ok(commands::help());
     }
     let parsed = args::parse(argv)?;
     match parsed.command.as_str() {
+        "help" | "--help" => {
+            parsed.accept_only(&[], 0)?;
+            Ok(commands::help())
+        }
         "profile" => {
             parsed.accept_only(&["budget-mb", "metrics-json"], 1)?;
             let csv_path = parsed.positional(0, "csv")?;

@@ -39,11 +39,16 @@ fn demo_csv(test: &str) -> PathBuf {
 
 #[test]
 fn help_succeeds() {
-    let out = mpriv().arg("help").output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
+    let usage = mpriv().arg("help").output().unwrap();
+    assert!(usage.status.success());
+    let text = String::from_utf8_lossy(&usage.stdout);
     assert!(text.contains("mpriv"));
     assert!(text.contains("audit"));
+    for args in [&[][..], &["--help"]] {
+        let out = mpriv().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        assert_eq!(out.stdout, usage.stdout, "{args:?}");
+    }
 }
 
 #[test]
@@ -168,6 +173,8 @@ fn surplus_positionals_are_usage_errors() {
         vec!["simulate", "extra", "--seed", "3"],
         vec!["serve", "extra"],
         vec!["check", "extra"],
+        vec!["help", "extra"],
+        vec!["--help", "extra"],
     ] {
         assert_usage_error(&args, "unexpected argument `extra`");
     }

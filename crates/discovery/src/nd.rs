@@ -8,7 +8,7 @@
 
 use crate::engine::DiscoveryContext;
 use mp_metadata::NumericalDep;
-use mp_relation::{Result, Signature};
+use mp_relation::{Pli, Result, Signature};
 
 /// Options for ND discovery.
 #[derive(Debug, Clone)]
@@ -52,13 +52,16 @@ pub fn discover_nds_with(
     if relation.n_rows() == 0 {
         return Ok(Vec::new());
     }
-    let distinct: Vec<usize> = (0..m)
-        .map(|c| relation.distinct_count(c))
-        .collect::<Result<_>>()?;
-    // RHS signatures, shared by every determinant's sweep.
-    let rhs_sigs: Vec<Signature> = (0..m)
-        .map(|c| Ok(ctx.pli_of_single(c)?.signature()))
-        .collect::<Result<_>>()?;
+    // RHS signatures, shared by every determinant's sweep, and each
+    // column's distinct count, read off the same partition.
+    let (rhs_sigs, distinct): (Vec<Signature>, Vec<usize>) = (0..m)
+        .map(|c| {
+            let pli = ctx.pli_of_single(c)?;
+            Ok((pli.signature(), distinct_count(&pli)))
+        })
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
 
     let per_lhs: Vec<Result<Vec<NumericalDep>>> = ctx.par_map((0..m).collect(), |lhs| {
         let lhs_pli = ctx.pli_of_single(lhs)?;
@@ -90,12 +93,20 @@ pub fn discover_nds_with(
     Ok(out)
 }
 
+/// The number of distinct values of a single-column partition's column:
+/// one per cluster and one per stripped singleton row.
+fn distinct_count(pli: &Pli) -> usize {
+    pli.n_rows() - pli.covered_count() + pli.cluster_count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::ParallelConfig;
+    use crate::relations::relation_where;
     use mp_datasets::{all_classes_spec, echocardiogram};
     use mp_relation::Relation;
+    use proptest::prelude::*;
 
     /// ND discovery over a fresh context with the default budget.
     fn nds_of(relation: &Relation, config: &NdConfig) -> Vec<NumericalDep> {
@@ -186,5 +197,23 @@ mod tests {
     fn empty_relation() {
         let out = all_classes_spec(0, 0).generate().unwrap();
         assert!(nds_of(&out.relation, &NdConfig::default()).is_empty());
+    }
+
+    proptest! {
+        /// A partition's distinct count is the column's, on every layout
+        /// the pairwise oracle draws (NaN, ±0.0 and ±inf included).
+        #[test]
+        fn partition_distinct_count_is_the_columns(r in relation_where(any::<bool>())) {
+            for c in 0..r.arity() {
+                let column = r.column(c).unwrap();
+                prop_assert_eq!(
+                    distinct_count(&Pli::from_typed(column)),
+                    column.distinct_count(),
+                    "column {} of {:?}",
+                    c,
+                    r
+                );
+            }
+        }
     }
 }

@@ -72,11 +72,12 @@ struct Node {
 ///
 /// The context's PLI cache memoizes every LHS partition the lattice
 /// touches (so a later pass — the approximate sweep, ND discovery, a
-/// repeated run — reuses them), and each lattice level's candidate tests,
-/// key minimality checks and child-PLI constructions are evaluated on the
-/// context's thread budget. The result is identical to the sequential
-/// traversal for every thread count and cache capacity: nodes are
-/// processed in sorted attribute-set order and merged sequentially.
+/// repeated run — reuses them), and level 1's single-attribute partitions
+/// and each lattice level's candidate tests, key minimality checks and
+/// child-PLI constructions are evaluated on the context's thread budget.
+/// The result is identical to the sequential traversal for every thread
+/// count and cache capacity: nodes are processed in sorted attribute-set
+/// order and merged sequentially.
 ///
 /// # Errors
 /// Propagates column-access errors; relations wider than 64 attributes are
@@ -94,21 +95,20 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
         return Ok(results);
     }
 
-    // Signatures of single attributes, for g3 checks.
+    // Level 1: each attribute's partition, built on the thread budget
+    // (inline, in attribute order, at one thread), gives the signature
+    // the g3 checks read and whether the attribute is a key.
+    let singles: Vec<Result<(Signature, bool)>> = ctx.par_map((0..m).collect(), |a| {
+        let pli = ctx.pli_of_single(a)?;
+        Ok((pli.signature(), pli.is_key()))
+    });
     let mut rhs_sigs: Vec<Signature> = Vec::with_capacity(m);
-    // Level 1 nodes.
     // lint: allow(no-unordered-iteration) reason="level keys are collected and sorted before every traversal below"
     let mut level: HashMap<AttrSet, Node> = HashMap::new();
-    for a in 0..m {
-        let pli = ctx.pli_of_single(a)?;
-        rhs_sigs.push(pli.signature());
-        level.insert(
-            AttrSet::single(a),
-            Node {
-                is_key: pli.is_key(),
-                cplus: all,
-            },
-        );
+    for (a, single) in singles.into_iter().enumerate() {
+        let (sig, is_key) = single?;
+        rhs_sigs.push(sig);
+        level.insert(AttrSet::single(a), Node { is_key, cplus: all });
     }
     let threshold_violations = (config.g3_threshold * n as f64).floor() as usize;
 

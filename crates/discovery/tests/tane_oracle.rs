@@ -8,7 +8,8 @@
 //! two sides share no code path beyond the `Pli` primitive itself.
 
 use mp_discovery::{
-    discover_fds_naive, discover_fds_with, DiscoveryContext, ParallelConfig, TaneConfig,
+    discover_fds_naive, discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig,
+    TaneConfig,
 };
 use mp_relation::{Attribute, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -140,6 +141,46 @@ fn shared_context_matches_fresh_context() {
     assert_eq!(canon(cold), canon(first.clone()));
     assert_eq!(canon(first), canon(warm));
     assert!(ctx.cache_stats().hits > 0, "warm rerun must hit the cache");
+}
+
+/// Level 1 builds its partitions on the thread budget: the FDs, order
+/// included, must not depend on the thread count, with or without a byte
+/// budget that evicts.
+#[test]
+fn scale_tables_give_the_same_fds_at_every_thread_count_and_budget() {
+    let config = TaneConfig {
+        max_lhs: 2,
+        g3_threshold: 0.0,
+    };
+    for seed in [1, 2, 3] {
+        let rel = mp_datasets::scale_relation(20_000, seed).unwrap().relation;
+        let run = |threads: usize, budget: MemoryBudget| {
+            let parallel = ParallelConfig {
+                threads,
+                ..ParallelConfig::default()
+            };
+            let ctx = DiscoveryContext::with_budget(&rel, parallel, budget);
+            let fds = discover_fds_with(&ctx, &config).unwrap();
+            (fds, ctx.cache_stats().budget_evictions)
+        };
+        let (expected, _) = run(1, MemoryBudget::unlimited());
+        assert!(!expected.is_empty(), "seed {seed}");
+        // At 20k rows a single-attribute partition is up to ~80 KB, so
+        // both budgets evict.
+        for budget in [
+            MemoryBudget::unlimited(),
+            MemoryBudget::from_mb(1),
+            MemoryBudget::from_bytes(256 << 10),
+        ] {
+            for threads in [1, 2, 4] {
+                let (fds, evictions) = run(threads, budget);
+                assert_eq!(fds, expected, "seed {seed}, {threads} threads, {budget:?}");
+                if budget != MemoryBudget::unlimited() {
+                    assert!(evictions > 0, "seed {seed}, {threads} threads, {budget:?}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -32,6 +32,7 @@
 //! `Float(k as f64)`).
 
 use crate::error::{RelationError, Result};
+use crate::group::first_occurrence_codes;
 use crate::schema::{AttrKind, Attribute};
 use crate::value::{canonical_f64_bits, Value, ValueRef};
 use std::collections::HashMap;
@@ -313,44 +314,10 @@ impl Column {
                 (codes, dict.len() + 1)
             }
             Column::Int { values, nulls } => {
-                let mut lookup: HashMap<i64, u32> = HashMap::with_capacity(values.len().min(1024));
-                let mut next = 1u32;
-                let codes = values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        if nulls.get(i) {
-                            0
-                        } else {
-                            *lookup.entry(v).or_insert_with(|| {
-                                let c = next;
-                                next += 1;
-                                c
-                            })
-                        }
-                    })
-                    .collect();
-                (codes, next as usize)
+                first_occurrence_codes(values.len(), nulls, |row| values[row] as u64)
             }
             Column::Float { values, nulls, .. } => {
-                let mut lookup: HashMap<u64, u32> = HashMap::with_capacity(values.len().min(1024));
-                let mut next = 1u32;
-                let codes = values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        if nulls.get(i) {
-                            0
-                        } else {
-                            *lookup.entry(canonical_f64_bits(v)).or_insert_with(|| {
-                                let c = next;
-                                next += 1;
-                                c
-                            })
-                        }
-                    })
-                    .collect();
-                (codes, next as usize)
+                first_occurrence_codes(values.len(), nulls, |row| canonical_f64_bits(values[row]))
             }
             Column::Boxed(values) => {
                 let mut lookup: HashMap<&Value, u32> =
@@ -389,27 +356,8 @@ impl Column {
                 }
                 distinct
             }
-            Column::Int { values, nulls } => {
-                let mut distinct: Vec<i64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| !nulls.get(i))
-                    .map(|(_, &v)| v)
-                    .collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.len() + usize::from(!nulls.none_set())
-            }
-            Column::Float { values, nulls, .. } => {
-                let mut distinct: Vec<u64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| !nulls.get(i))
-                    .map(|(_, &v)| canonical_f64_bits(v))
-                    .collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.len() + usize::from(!nulls.none_set())
+            Column::Int { nulls, .. } | Column::Float { nulls, .. } => {
+                self.group_codes().1 - 1 + usize::from(!nulls.none_set())
             }
             Column::Boxed(values) => {
                 let mut vals: Vec<&Value> = values.iter().collect();

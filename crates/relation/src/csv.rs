@@ -372,6 +372,14 @@ fn parse_field(field: &str) -> ValueRef<'_> {
     if matches!(trimmed, "" | "?" | "NA") {
         return ValueRef::Null;
     }
+    // A finite number starts with a digit, a sign or a point (`inf` and
+    // `nan` stay text below), so any other cell skips both parsers.
+    if !matches!(
+        trimmed.as_bytes().first(),
+        Some(b'0'..=b'9' | b'+' | b'-' | b'.')
+    ) {
+        return ValueRef::Text(trimmed);
+    }
     if let Ok(i) = trimmed.parse::<i64>() {
         return ValueRef::Int(i);
     }
@@ -821,6 +829,49 @@ fn push_field(out: &mut String, field: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `parse_field` without the first-byte check: both number parsers
+    /// on every cell.
+    fn parse_field_by_parsers(field: &str) -> ValueRef<'_> {
+        let trimmed = field.trim();
+        if matches!(trimmed, "" | "?" | "NA") {
+            return ValueRef::Null;
+        }
+        if let Ok(i) = trimmed.parse::<i64>() {
+            return ValueRef::Int(i);
+        }
+        if let Ok(f) = trimmed.parse::<f64>() {
+            if f.is_finite() {
+                return ValueRef::Float(if f == 0.0 { 0.0 } else { f });
+            }
+        }
+        ValueRef::Text(trimmed)
+    }
+
+    #[test]
+    fn first_byte_check_parses_as_both_parsers_do() {
+        // Nulls, numbers in each spelling the parsers take, the
+        // non-finite spellings that stay text, labels, and non-ASCII
+        // digits, spaces and a byte-order mark.
+        #[rustfmt::skip]
+        let corpus = [
+            "", " ", "?", "NA", " NA ", "na", "7", " 7 ", "+7", "-7", "007", "-0", "+0", "0.0",
+            "-0.0", "1e3", "1E3", "+.5e3", ".5", "-.5", "5.", ".", "+", "-", "e5", "1e", "inf",
+            "+inf", "-inf", "Inf", "infinity", "nan", "-nan", "NaN", "1e999", "-1e999",
+            "9223372036854775807", "9223372036854775808", "-9223372036854775809", "0x10", "1_000",
+            "v1234", "f12", "a1", "\u{feff}7", "\u{feff}", "\u{0661}", "\u{ff17}", "\u{00a0}7",
+            "7\u{00a0}", "\u{2003}-3.5\u{2003}", "١٢", "½", "--1", "+-1", "1.2.3", " +.5 ",
+        ];
+        // Debug text tells `Int(7)` from `Float(7.0)` and `-0.0` from
+        // `0.0`, which `ValueRef`'s equality does not.
+        for field in corpus {
+            assert_eq!(
+                format!("{:?}", parse_field(field)),
+                format!("{:?}", parse_field_by_parsers(field)),
+                "{field:?}"
+            );
+        }
+    }
 
     #[test]
     fn basic_parse_with_header() {

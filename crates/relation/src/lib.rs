@@ -33,6 +33,7 @@ mod column;
 pub mod csv;
 mod domain;
 mod error;
+mod group;
 pub mod par;
 mod partition;
 mod pli_cache;
